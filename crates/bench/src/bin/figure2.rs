@@ -2,13 +2,30 @@
 //!
 //! The paper's figure is an HPCToolkit timeline; the same information —
 //! which phase dominates, which phases parallelize — is printed here as
-//! a proportional text trace.
+//! a proportional text trace. Phase 4 (CFG construction) is then taken
+//! apart from the inside with the parser's own phase counters
+//! (`ParseStats::{traverse,sweep,refine,finalize}_ns`).
 
 use pba_bench::report::secs;
 use pba_bench::workload;
 use pba_driver::analyze;
 use pba_gen::Profile;
 use pba_hpcstruct::{HsConfig, PHASE_NAMES};
+use pba_parse::stats::StatsSnapshot;
+use pba_parse::{parse_parallel, ParseInput};
+
+/// The parse whose total phase time is the median of `reps` runs.
+fn median_parse(input: &ParseInput, threads: usize, reps: usize) -> (f64, StatsSnapshot) {
+    let mut runs: Vec<(f64, StatsSnapshot)> = (0..reps)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let stats = parse_parallel(input, threads).stats.snapshot();
+            (t.elapsed().as_secs_f64(), stats)
+        })
+        .collect();
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    runs.swap_remove(reps / 2)
+}
 
 fn main() {
     let threads = std::env::var("PBA_THREADS")
@@ -45,4 +62,33 @@ fn main() {
         out.structure.loop_count(),
         out.structure.stmt_count()
     );
+
+    let elf = pba_elf::Elf::parse(g.elf.clone()).expect("generated ELF");
+    let input = ParseInput::from_elf(&elf).expect("parse input");
+    println!("\nCFG construction from the inside (median of 9 parses):");
+    println!(
+        "{:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17}",
+        "threads",
+        "parse",
+        "traverse",
+        "sweep",
+        "refine",
+        "finalize",
+        "sweep_views",
+        "refine_reanalyses"
+    );
+    for t in [1, threads] {
+        let (wall, s) = median_parse(&input, t, 9);
+
+        println!(
+            "{t:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17}",
+            secs(wall),
+            secs(s.traverse_ns as f64 * 1e-9),
+            secs(s.sweep_ns as f64 * 1e-9),
+            secs(s.refine_ns as f64 * 1e-9),
+            secs(s.finalize_ns as f64 * 1e-9),
+            s.sweep_views,
+            s.refine_reanalyses
+        );
+    }
 }

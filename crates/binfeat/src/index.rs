@@ -20,6 +20,19 @@
 //! 3. **Exact re-rank** — only the bucket-collision candidates are
 //!    scored with exact cosine; the reported top-K is exact over that
 //!    candidate set.
+//! 4. **Rescue probe** — taken only when the band probe leaves fewer
+//!    than `k` candidates. A query whose *own* keys (say one function
+//!    its clone siblings lack) hold the minimum of a slot in every band
+//!    matches no band key of anyone, however similar: with families of
+//!    ten at Jaccard 0.87–0.91 that happened to one binary in ~96 000
+//!    (`suite --workload topk_query --seed 2015376584`: zero candidates
+//!    for a query whose nine siblings score ≥ 0.995). The rescue signs
+//!    the query again keeping each slot's *second* minimum — what a
+//!    neighbour without the offending key would have signed there — and
+//!    re-probes every band with one slot at a time replaced by it:
+//!    `bands × rows` extra bucket lookups, nothing stored per entry, no
+//!    brute-force pass. The candidates it adds are re-ranked like any
+//!    other. An ordinary query (≥ `k` band candidates) never takes it.
 //!
 //! The defaults (12 bands × 10 rows) put the S-curve threshold at
 //! `(1/12)^(1/10) ≈ 0.78`: generated clone families (Jaccard ≥ ~0.85)
@@ -29,13 +42,14 @@
 //!
 //! The index stores the exact [`FeatureIndex`] per entry (needed for
 //! the re-rank and for the brute-force fallback via
-//! [`rank_topk`](crate::similarity::rank_topk)), keyed by the binary's
+//! [`rank_topk`](crate::similarity::rank_topk)) and its Euclidean norm
+//! (so a query computes one norm, not two per candidate), keyed by the binary's
 //! `content_hash` for idempotent ingestion. [`CorpusIndex::heap_bytes`]
 //! reports resident cost so a host (the `pba serve` daemon) can count
 //! the index against the same budget as its session cache.
 
 use crate::features::FeatureIndex;
-use crate::similarity::{cosine, select_topk};
+use crate::similarity::{cosine_normed, norm, select_topk};
 use pba_concurrent::{fx_hash_u64, FxBuildHasher};
 use std::collections::HashMap;
 
@@ -66,6 +80,45 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The `(odd multiplier, addend)` pair of each slot's multiply-shift
+/// hash, from a fixed splitmix64 stream.
+fn slot_hashes(slots: usize) -> Vec<(u64, u64)> {
+    let mut salt = 0x5EED_0FDE_CAFE_1D01u64;
+    (0..slots).map(|_| (splitmix64(&mut salt) | 1, splitmix64(&mut salt))).collect()
+}
+
+/// Slot `j` of the result is the minimum of `hashes[j]` over the
+/// Fx-mixed keys.
+fn sign(hashes: &[(u64, u64)], feats: &FeatureIndex) -> Vec<u64> {
+    let mut sig = vec![u64::MAX; hashes.len()];
+    for &key in feats.keys() {
+        let base = fx_hash_u64(key);
+        for (slot, &(m, a)) in sig.iter_mut().zip(hashes) {
+            let h = base.wrapping_mul(m).wrapping_add(a);
+            if h < *slot {
+                *slot = h;
+            }
+        }
+    }
+    sig
+}
+
+/// Each slot's second minimum: the smallest hash above `sig[j]`
+/// (`u64::MAX` for a set of fewer than two keys).
+fn second_minima(hashes: &[(u64, u64)], feats: &FeatureIndex, sig: &[u64]) -> Vec<u64> {
+    let mut second = vec![u64::MAX; hashes.len()];
+    for &key in feats.keys() {
+        let base = fx_hash_u64(key);
+        for ((slot, &min), &(m, a)) in second.iter_mut().zip(sig).zip(hashes) {
+            let h = base.wrapping_mul(m).wrapping_add(a);
+            if h > min && h < *slot {
+                *slot = h;
+            }
+        }
+    }
+    second
+}
+
 impl IndexConfig {
     /// Total MinHash slots per signature.
     pub fn slots(&self) -> usize {
@@ -80,20 +133,7 @@ impl IndexConfig {
     /// functions of the key set: callers may compute them outside any
     /// lock and fold them in via [`CorpusIndex::insert_signed`].
     pub fn signature(&self, feats: &FeatureIndex) -> Vec<u64> {
-        let mut sig = vec![u64::MAX; self.slots()];
-        let mut salt = 0x5EED_0FDE_CAFE_1D01u64;
-        let mul_add: Vec<(u64, u64)> =
-            (0..self.slots()).map(|_| (splitmix64(&mut salt) | 1, splitmix64(&mut salt))).collect();
-        for &key in feats.keys() {
-            let base = fx_hash_u64(key);
-            for (slot, &(m, a)) in sig.iter_mut().zip(&mul_add) {
-                let h = base.wrapping_mul(m).wrapping_add(a);
-                if h < *slot {
-                    *slot = h;
-                }
-            }
-        }
-        sig
+        sign(&slot_hashes(self.slots()), feats)
     }
 
     /// Bucket key for one band of a signature: band tag mixed with the
@@ -133,22 +173,41 @@ pub struct TopkResult {
 /// a no-op, so streaming a directory twice leaves one entry per unique
 /// binary. Dense internal ids (`u32`, ingest order) keep the bucket
 /// postings compact and give deterministic tie-breaks.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CorpusIndex {
     config: IndexConfig,
+    /// The config's per-slot hash pairs, built once per index.
+    slot_hashes: Vec<(u64, u64)>,
     /// `content_hash` per entry, indexed by dense id.
     hashes: Vec<u64>,
     /// Exact feature index per entry — re-rank + brute-force corpus.
     feats: Vec<FeatureIndex>,
+    /// Euclidean norm of each entry's count vector, so a query computes
+    /// one norm (its own) instead of two per candidate.
+    norms: Vec<f64>,
     /// content_hash → dense id (idempotence + point lookups).
     by_hash: FxHashMap<u64, u32>,
     /// band bucket key → posting list of dense ids.
     buckets: FxHashMap<u64, Vec<u32>>,
 }
 
+impl Default for CorpusIndex {
+    fn default() -> Self {
+        CorpusIndex::new(IndexConfig::default())
+    }
+}
+
 impl CorpusIndex {
     pub fn new(config: IndexConfig) -> Self {
-        CorpusIndex { config, ..Default::default() }
+        CorpusIndex {
+            config,
+            slot_hashes: slot_hashes(config.slots()),
+            hashes: Vec::new(),
+            feats: Vec::new(),
+            norms: Vec::new(),
+            by_hash: FxHashMap::default(),
+            buckets: FxHashMap::default(),
+        }
     }
 
     pub fn config(&self) -> IndexConfig {
@@ -183,7 +242,7 @@ impl CorpusIndex {
     /// Returns `false` (and drops `feats`) if the hash is already
     /// indexed — ingestion is idempotent.
     pub fn insert(&mut self, content_hash: u64, feats: FeatureIndex) -> bool {
-        let sig = self.config.signature(&feats);
+        let sig = sign(&self.slot_hashes, &feats);
         self.insert_signed(content_hash, sig, feats)
     }
 
@@ -202,9 +261,53 @@ impl CorpusIndex {
             self.buckets.entry(key).or_default().push(id);
         }
         self.hashes.push(content_hash);
+        self.norms.push(norm(&feats));
         self.feats.push(feats);
         self.by_hash.insert(content_hash, id);
         true
+    }
+
+    /// The distinct candidate ids for `query` (ascending, `exclude`
+    /// removed) and whether finding them took the rescue probe.
+    fn candidates(&self, query: &FeatureIndex, k: usize, exclude: Option<u64>) -> (Vec<u32>, bool) {
+        let excluded = exclude.and_then(|ex| self.by_hash.get(&ex).copied());
+        let settle = |cand: &mut Vec<u32>| {
+            cand.sort_unstable();
+            cand.dedup();
+            cand.retain(|&c| Some(c) != excluded);
+        };
+        let mut sig = sign(&self.slot_hashes, query);
+        let mut cand: Vec<u32> = Vec::new();
+        for band in 0..self.config.bands {
+            if let Some(ids) = self.buckets.get(&self.config.band_key(band, &sig)) {
+                cand.extend_from_slice(ids);
+            }
+        }
+        settle(&mut cand);
+        if cand.len() >= k {
+            return (cand, false);
+        }
+        // Rescue probe (module docs): one slot at a time stands in its
+        // second minimum, the value a neighbour lacking the key behind
+        // the minimum would have signed there.
+        let second = second_minima(&self.slot_hashes, query, &sig);
+        for band in 0..self.config.bands {
+            for slot in band * self.config.rows..(band + 1) * self.config.rows {
+                let min = std::mem::replace(&mut sig[slot], second[slot]);
+                if let Some(ids) = self.buckets.get(&self.config.band_key(band, &sig)) {
+                    cand.extend_from_slice(ids);
+                }
+                sig[slot] = min;
+            }
+        }
+        settle(&mut cand);
+        (cand, true)
+    }
+
+    /// Whether a `query_topk` with these arguments takes the rescue probe.
+    #[cfg(test)]
+    fn takes_rescue(&self, query: &FeatureIndex, k: usize, exclude: Option<u64>) -> bool {
+        self.candidates(query, k, exclude).1
     }
 
     /// Top-`k` nearest corpus entries to `query` by exact cosine over
@@ -212,24 +315,15 @@ impl CorpusIndex {
     /// `content_hash`) filters a hash out of the hits; pass `None` for
     /// external queries.
     pub fn query_topk(&self, query: &FeatureIndex, k: usize, exclude: Option<u64>) -> TopkResult {
-        let sig = self.config.signature(query);
-        let mut cand: Vec<u32> = Vec::new();
-        for band in 0..self.config.bands {
-            if let Some(ids) = self.buckets.get(&self.config.band_key(band, &sig)) {
-                cand.extend_from_slice(ids);
-            }
-        }
-        cand.sort_unstable();
-        cand.dedup();
-        if let Some(ex) = exclude {
-            if let Some(&id) = self.by_hash.get(&ex) {
-                cand.retain(|&c| c != id);
-            }
-        }
+        let (cand, _) = self.candidates(query, k, exclude);
         let candidates = cand.len() as u64;
+        let query_norm = norm(query);
         let scored: Vec<(usize, f64)> = cand
             .into_iter()
-            .map(|id| (id as usize, cosine(query, &self.feats[id as usize])))
+            .map(|id| {
+                let id = id as usize;
+                (id, cosine_normed(query, query_norm, &self.feats[id], self.norms[id]))
+            })
             .collect();
         let hits = select_topk(scored, k)
             .into_iter()
@@ -239,15 +333,17 @@ impl CorpusIndex {
     }
 
     /// Approximate heap footprint: signatures are not retained, so the
-    /// cost is the stored feature indexes plus the bucket tables and
-    /// id maps. Matches the estimation style of
+    /// cost is the stored feature indexes and their norms plus the
+    /// bucket tables and id maps. Matches the estimation style of
     /// [`BinaryFeatures::heap_bytes`](crate::features::BinaryFeatures::heap_bytes)
     /// so a daemon can charge the index against its resident budget.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         let entry = size_of::<(u64, u64)>() + 1;
         let feats: usize = self.feats.iter().map(|f| f.capacity() * entry).sum();
-        let vecs = (self.hashes.capacity() + self.feats.capacity()) * size_of::<FeatureIndex>();
+        let vecs = (self.hashes.capacity() + self.feats.capacity()) * size_of::<FeatureIndex>()
+            + self.norms.capacity() * size_of::<f64>()
+            + self.slot_hashes.capacity() * size_of::<(u64, u64)>();
         let by_hash = self.by_hash.capacity() * (size_of::<(u64, u32)>() + 1);
         let buckets: usize = self.buckets.capacity() * (size_of::<(u64, Vec<u32>)>() + 1)
             + self.buckets.values().map(|v| v.capacity() * size_of::<u32>()).sum::<usize>();
@@ -351,6 +447,112 @@ mod tests {
             "mean candidates {} of n={n}",
             total_cand / all.len() as u64
         );
+    }
+
+    /// The `topk_query` set-up shape that failed at seed 2015376584:
+    /// a family of ten clones of a 10-function base, one extra
+    /// function each.
+    const FAMILY_48: [u64; 10] = [
+        0x6beaf350c5ad97da,
+        0xcab9f29bc82054c9,
+        0x6d88589e391e2c94,
+        0xc5ee0aa45f44cfe8,
+        0x32740e9f7a540507,
+        0x4dfb6481a5141938,
+        0x74d93f616cf6c836,
+        0x55cc489a5ef2d562,
+        0xf5321207b13dcbb2,
+        0x347a529a640f3c03,
+    ];
+
+    fn family_48() -> Vec<FeatureIndex> {
+        FAMILY_48
+            .iter()
+            .map(|&variant| {
+                let g = generate(&GenConfig {
+                    seed: 0x5EED_BA5E + 48,
+                    num_funcs: 10,
+                    extra_funcs: 1,
+                    debug_info: false,
+                    variant,
+                    ..Default::default()
+                });
+                let elf = pba_elf::Elf::parse(g.elf.clone()).unwrap();
+                let input = ParseInput::from_elf(&elf).unwrap();
+                let parsed = parse_parallel(&input, 1);
+                let ir = pba_dataflow::BinaryIr::build(&parsed.cfg, 1);
+                extract_cfg_features(&parsed.cfg, &ir, 1, ExecutorKind::Serial).index
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rescue_probe_finds_siblings_when_every_band_misses() {
+        // Member 8's own extra-function keys hold the minimum of at
+        // least one slot in all 12 bands, so no band key matches any of
+        // its nine siblings (Jaccard 0.87-0.91, cosine >= 0.995).
+        let family = family_48();
+        let mut idx = CorpusIndex::default();
+        for (i, f) in family.iter().enumerate() {
+            assert!(idx.insert(i as u64, f.clone()));
+        }
+        assert_eq!(family[8].len(), 363, "the recipe's member 8");
+        let sig = idx.config.signature(&family[8]);
+        let band_hits: usize = (0..idx.config.bands)
+            .filter_map(|b| idx.buckets.get(&idx.config.band_key(b, &sig)))
+            .map(|ids| ids.iter().filter(|&&id| id != 8).count())
+            .sum();
+        assert_eq!(band_hits, 0, "the band probe alone must miss (else this pins nothing)");
+        for (i, f) in family.iter().enumerate() {
+            let r = idx.query_topk(f, 5, Some(i as u64));
+            assert!(r.candidates >= 5, "member {i}: {} candidates", r.candidates);
+            assert_eq!(r.hits.len(), 5, "member {i}");
+            assert!(r.hits.iter().all(|h| h.score >= 0.99), "member {i}: {:?}", r.hits);
+        }
+    }
+
+    #[test]
+    fn query_with_k_band_candidates_takes_no_rescue() {
+        // Same index. Every member but 8 gets 8 band candidates
+        // (>= k = 5) — the count at the parent commit — and must stop
+        // there.
+        let family = family_48();
+        let mut idx = CorpusIndex::default();
+        for (i, f) in family.iter().enumerate() {
+            idx.insert(i as u64, f.clone());
+        }
+        for (i, f) in family.iter().enumerate().filter(|(i, _)| *i != 8) {
+            let r = idx.query_topk(f, 5, Some(i as u64));
+            assert_eq!(r.candidates, 8, "member {i}: band candidates, unchanged by the rescue");
+            assert!(!idx.takes_rescue(f, 5, Some(i as u64)), "member {i}");
+        }
+        assert!(idx.takes_rescue(&family[8], 5, Some(8)));
+    }
+
+    #[test]
+    fn cached_norms_score_bit_identically_to_free_standing_cosine() {
+        // 8 families x 4 clones: every hit's score must be `==` (not
+        // "within epsilon of") what `similarity::cosine` computes from
+        // scratch for the same pair.
+        let mut idx = CorpusIndex::default();
+        let mut all = Vec::new();
+        for fam in 0..8u64 {
+            for variant in 1..=4u64 {
+                let f = clone_features(0x70AA + fam * 131, variant);
+                idx.insert(fam * 100 + variant, f.clone());
+                all.push(f);
+            }
+        }
+        assert_eq!(idx.len(), 32);
+        let mut scored = 0;
+        for q in &all {
+            for hit in idx.query_topk(q, 32, None).hits {
+                let id = idx.by_hash[&hit.hash] as usize;
+                assert_eq!(hit.score, crate::similarity::cosine(q, &idx.feats[id]));
+                scored += 1;
+            }
+        }
+        assert!(scored >= 32 * 4, "every query scores at least its own family");
     }
 
     #[test]

@@ -7,8 +7,19 @@
 
 use crate::features::FeatureIndex;
 
+/// Euclidean norm of a feature-count vector.
+pub fn norm(a: &FeatureIndex) -> f64 {
+    a.values().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt()
+}
+
 /// Cosine similarity between two feature-count vectors (0.0 ..= 1.0).
 pub fn cosine(a: &FeatureIndex, b: &FeatureIndex) -> f64 {
+    cosine_normed(a, norm(a), b, norm(b))
+}
+
+/// [`cosine`] with both norms supplied (`na == norm(a)`,
+/// `nb == norm(b)`), for callers that score one vector against many.
+pub(crate) fn cosine_normed(a: &FeatureIndex, na: f64, b: &FeatureIndex, nb: f64) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
@@ -16,8 +27,6 @@ pub fn cosine(a: &FeatureIndex, b: &FeatureIndex) -> f64 {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let dot: f64 =
         small.iter().filter_map(|(k, &va)| large.get(k).map(|&vb| va as f64 * vb as f64)).sum();
-    let na: f64 = a.values().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt();
-    let nb: f64 = b.values().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt();
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {

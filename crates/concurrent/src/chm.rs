@@ -34,7 +34,6 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 type Shard<K, V> = RwLock<HashMap<K, Arc<RwLock<V>>, FxBuildHasher>>;
@@ -77,33 +76,6 @@ impl<V> Deref for ReadAccessor<V> {
     }
 }
 
-/// Machine-independent contention/usage metrics, maintained with relaxed
-/// atomics. Used by the ablation harness to compare synchronization
-/// strategies without depending on wall-clock noise.
-#[derive(Debug, Default)]
-pub struct MapStats {
-    /// Successful insertions (the caller became the arbiter).
-    pub inserts: AtomicU64,
-    /// Insert attempts that lost the race (key already present).
-    pub insert_races: AtomicU64,
-    /// Lookup hits.
-    pub finds: AtomicU64,
-    /// Lookup misses.
-    pub find_misses: AtomicU64,
-}
-
-impl MapStats {
-    /// Snapshot as `(inserts, insert_races, finds, find_misses)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.inserts.load(Ordering::Relaxed),
-            self.insert_races.load(Ordering::Relaxed),
-            self.finds.load(Ordering::Relaxed),
-            self.find_misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// Sharded concurrent hash map with entry-level accessor locking.
 ///
 /// See the [module documentation](self) for semantics. The shard count is
@@ -117,7 +89,6 @@ pub struct ConcurrentHashMap<K, V> {
     /// Fx mixes best).
     shard_shift: u32,
     hasher: FxBuildHasher,
-    stats: MapStats,
 }
 
 impl<K: Hash + Eq + Clone, V> Default for ConcurrentHashMap<K, V> {
@@ -145,7 +116,6 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
             shard_shift: 64 - n.trailing_zeros(),
             shards,
             hasher: FxBuildHasher::default(),
-            stats: MapStats::default(),
         }
     }
 
@@ -155,11 +125,6 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
         // For a single shard the shift is 64, which is UB for `>>`; mask it.
         let idx = if self.shards.len() == 1 { 0 } else { (h >> self.shard_shift) as usize };
         &self.shards[idx]
-    }
-
-    /// Usage metrics for this map.
-    pub fn stats(&self) -> &MapStats {
-        &self.stats
     }
 
     /// Insert `key` if absent (constructing the value with `init`), or find
@@ -177,7 +142,6 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
             if let Some(arc) = map.get(&key) {
                 let arc = Arc::clone(arc);
                 drop(map);
-                self.stats.insert_races.fetch_add(1, Ordering::Relaxed);
                 return (WriteAccessor { guard: arc.write_arc() }, false);
             }
         }
@@ -186,7 +150,6 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
             // Lost the race between our read probe and write lock.
             let arc = Arc::clone(arc);
             drop(map);
-            self.stats.insert_races.fetch_add(1, Ordering::Relaxed);
             return (WriteAccessor { guard: arc.write_arc() }, false);
         }
         let arc = Arc::new(RwLock::new(init()));
@@ -195,7 +158,6 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
         let guard = arc.write_arc();
         map.insert(key, arc);
         drop(map);
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         (WriteAccessor { guard }, true)
     }
 
@@ -207,17 +169,14 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
         {
             let map = shard.read();
             if map.contains_key(&key) {
-                self.stats.insert_races.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
         }
         let mut map = shard.write();
         if map.contains_key(&key) {
-            self.stats.insert_races.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         map.insert(key, Arc::new(RwLock::new(value)));
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -240,13 +199,7 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
     pub fn get_arc(&self, key: &K) -> Option<Arc<RwLock<V>>> {
         let shard = self.shard_for(key);
         let map = shard.read();
-        let r = map.get(key).map(Arc::clone);
-        if r.is_some() {
-            self.stats.finds.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.find_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        r
+        map.get(key).map(Arc::clone)
     }
 
     /// Whether `key` is present (racy by nature; useful as a hint).
@@ -324,7 +277,7 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     #[test]
@@ -465,17 +418,5 @@ mod tests {
         }
         assert_eq!(m.len(), 32);
         assert_eq!(*m.find(&31).unwrap(), 31);
-    }
-
-    #[test]
-    fn stats_track_winners_and_losers() {
-        let m: ConcurrentHashMap<u64, u64> = ConcurrentHashMap::new();
-        m.insert(1, 1);
-        m.insert(1, 1);
-        m.insert_with(2, || 2);
-        m.insert_with(2, || 2);
-        let (ins, races, _, _) = m.stats().snapshot();
-        assert_eq!(ins, 2);
-        assert_eq!(races, 2);
     }
 }

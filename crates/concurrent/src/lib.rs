@@ -40,7 +40,7 @@ pub mod slots;
 pub mod stats;
 pub mod taskset;
 
-pub use chm::{ConcurrentHashMap, MapStats, ReadAccessor, WriteAccessor};
+pub use chm::{ConcurrentHashMap, ReadAccessor, WriteAccessor};
 pub use fxhash::{fx_hash_u64, FxBuildHasher, FxHasher};
 pub use iset::AddressSet;
 pub use memo::Memo;

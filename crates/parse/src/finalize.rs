@@ -12,21 +12,32 @@
 //! 3. **Function-entry cleanup** — non-seeded functions with no incoming
 //!    inter-procedural edges are removed, and blocks unreachable from
 //!    any surviving function are dropped.
+//!
+//! Steps 2 and 3 run on **dense ids**: the surviving blocks are sorted
+//! by start address once and a block's index in that order is its id
+//! (so ascending ids are ascending addresses, and every sorted output
+//! the `Cfg` wants falls out of plain iteration). Edges become one
+//! array sorted by `(source id, target id)` with CSR offsets for the
+//! out- and in-adjacency; a tail-call correction rewrites an edge's
+//! kind in place, so the adjacency is built once and never rebuilt.
+//! Reachability marks a `Vec<u32>` stamp per worker instead of
+//! inserting into a set, and the memberships of a round that corrected
+//! nothing are the final ones.
 
 use crate::state::{RawJumpTable, State};
 use crate::ParseResult;
 use pba_cfg::{Block, Cfg, Edge, EdgeKind, Function, RetStatus};
+use pba_concurrent::fxhash::FxHashMap;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Clamp over-approximated jump tables against the next table start.
-fn clamp_jump_tables(state: &State<'_>) -> Vec<(u64, u64)> {
+fn clamp_jump_tables(state: &State<'_>) {
     let mut tables: Vec<RawJumpTable> =
         state.jts.snapshot().into_iter().map(|(_, v)| v.read().clone()).collect();
     tables.sort_by_key(|t| t.table_addr);
     let starts: Vec<u64> = tables.iter().filter(|t| t.stride > 0).map(|t| t.table_addr).collect();
 
-    let mut removed = Vec::new();
     for t in &tables {
         if t.stride == 0 {
             continue;
@@ -51,14 +62,12 @@ fn clamp_jump_tables(state: &State<'_>) -> Vec<(u64, u64)> {
             acc.retain(|&(d, k)| {
                 let keep = k != EdgeKind::Indirect || final_targets.contains(&d);
                 if !keep {
-                    removed.push((t.block_end, d));
                     state.stats.jt_edges_clamped.inc();
                 }
                 keep
             });
         }
     }
-    removed
 }
 
 /// Merge split remnants whose boundary has lost all incoming control
@@ -70,7 +79,7 @@ fn clamp_jump_tables(state: &State<'_>) -> Vec<(u64, u64)> {
 fn merge_split_remnants(state: &State<'_>) {
     loop {
         // In-degree over all current edges.
-        let mut indeg: HashMap<u64, usize> = HashMap::new();
+        let mut indeg: FxHashMap<u64, usize> = FxHashMap::default();
         let snapshot = state.edges.snapshot();
         for (_, list) in &snapshot {
             for &(dst, _) in list.read().iter() {
@@ -117,113 +126,157 @@ fn merge_split_remnants(state: &State<'_>) {
     }
 }
 
-/// Compute one function's member blocks by intra-procedural
-/// reachability.
-fn membership(
-    entry: u64,
-    adj: &HashMap<u64, Vec<(u64, EdgeKind)>>,
-    blocks: &BTreeMap<u64, u64>,
-) -> BTreeSet<u64> {
-    let mut seen = BTreeSet::new();
-    if !blocks.contains_key(&entry) {
-        return seen;
-    }
-    let mut work = vec![entry];
-    while let Some(b) = work.pop() {
-        if !seen.insert(b) {
-            continue;
-        }
-        if let Some(out) = adj.get(&b) {
-            for &(dst, kind) in out {
-                if !kind.is_interprocedural() && blocks.contains_key(&dst) && !seen.contains(&dst) {
-                    work.push(dst);
-                }
-            }
-        }
-    }
-    seen
+/// The surviving blocks and edges on dense ids (module docs).
+struct DenseGraph {
+    /// `(start, end)` sorted by start; a block's index is its id.
+    blocks: Vec<(u64, u64)>,
+    /// Edge `e` runs `src[e] -> dst[e]`; edges are sorted by
+    /// `(src, dst)` and unique in that pair.
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    /// Current classification of edge `e` (tail-call correction
+    /// rewrites it in place).
+    kinds: Vec<EdgeKind>,
+    /// Block `b`'s out-edges are `out_start[b]..out_start[b + 1]`.
+    out_start: Vec<u32>,
+    /// Block `b`'s in-edges are `in_edges[in_start[b]..in_start[b + 1]]`.
+    in_start: Vec<u32>,
+    in_edges: Vec<u32>,
 }
 
-/// Finalize: consume the traversal state, return the CFG + stats.
-pub fn finalize(state: State<'_>) -> ParseResult {
-    // ---- step 1: jump-table clamping + split repair ----
-    clamp_jump_tables(&state);
-    merge_split_remnants(&state);
-
-    // ---- materialize blocks & edges ----
-    let blocks: BTreeMap<u64, u64> = state
-        .blocks
-        .snapshot()
-        .into_iter()
-        .filter_map(|(s, rec)| {
-            let end = rec.read().end;
-            (end > s).then_some((s, end))
-        })
-        .collect();
-    // end → start mapping for edge source resolution.
-    let end_to_start: HashMap<u64, u64> = blocks.iter().map(|(&s, &e)| (e, s)).collect();
-
-    // Edge set keyed by (source block start, dst, kind); kinds mutable
-    // for tail-call correction.
-    let mut edge_map: HashMap<(u64, u64), EdgeKind> = HashMap::new();
-    for (src_end, list) in state.edges.snapshot() {
-        let Some(&src) = end_to_start.get(&src_end) else { continue };
-        for &(dst, kind) in list.read().iter() {
-            if !blocks.contains_key(&dst) {
-                continue;
-            }
-            // Prefer the "stronger" kind if duplicates exist.
-            edge_map.entry((src, dst)).or_insert(kind);
-            if kind != EdgeKind::Fallthrough {
-                edge_map.insert((src, dst), kind);
-            }
-        }
+/// Offsets of each of `n` buckets in an array sorted (or counted) by
+/// `bucket_of`: `offsets[b]..offsets[b + 1]` is bucket `b`.
+fn bucket_offsets(n: usize, bucket_of: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut offsets = vec![0u32; n + 1];
+    for b in bucket_of {
+        offsets[b as usize + 1] += 1;
     }
+    for b in 0..n {
+        offsets[b + 1] += offsets[b];
+    }
+    offsets
+}
 
-    // Function set: entry → (name, status, seeded).
-    let mut funcs: BTreeMap<u64, (Option<String>, RetStatus, bool)> = state
-        .funcs
-        .snapshot()
-        .into_iter()
-        .filter(|(entry, _)| blocks.contains_key(entry))
-        .map(|(entry, st)| {
-            let st = st.read();
-            (entry, (st.name.clone(), st.status, st.seeded))
-        })
-        .collect();
+impl DenseGraph {
+    /// `blocks`: `(start, end)` pairs; `edge_lists`: out-edges keyed by
+    /// source block *end*, in creation order. Edges whose source or
+    /// target is not a block are dropped. Where one source has several
+    /// edges to one target, the last kind other than `Fallthrough`
+    /// stands (a split's implicit link never hides a real branch).
+    fn new(mut blocks: Vec<(u64, u64)>, edge_lists: Vec<(u64, Vec<(u64, EdgeKind)>)>) -> Self {
+        blocks.sort_unstable();
+        let id_of_start: FxHashMap<u64, u32> =
+            blocks.iter().enumerate().map(|(i, &(s, _))| (s, i as u32)).collect();
+        // Ascending insertion: of two blocks with one end, the higher wins.
+        let id_of_end: FxHashMap<u64, u32> =
+            blocks.iter().enumerate().map(|(i, &(_, e))| (e, i as u32)).collect();
 
-    // ---- step 2: tail-call correction + boundaries (iterative) ----
-    let mut flipped: HashSet<(u64, u64)> = HashSet::new();
-    for _round in 0..4 {
-        // Adjacency with current kinds.
-        let mut adj: HashMap<u64, Vec<(u64, EdgeKind)>> = HashMap::new();
-        let mut in_edges: HashMap<u64, Vec<(u64, EdgeKind)>> = HashMap::new();
-        for (&(src, dst), &kind) in &edge_map {
-            adj.entry(src).or_default().push((dst, kind));
-            in_edges.entry(dst).or_default().push((src, kind));
-        }
-
-        // Parallel membership computation.
-        let entries: Vec<u64> = funcs.keys().copied().collect();
-        let members: Vec<(u64, BTreeSet<u64>)> =
-            entries.par_iter().map(|&f| (f, membership(f, &adj, &blocks))).collect();
-        let block_owners: HashMap<u64, Vec<u64>> = {
-            let mut m: HashMap<u64, Vec<u64>> = HashMap::new();
-            for (f, set) in &members {
-                for &b in set {
-                    m.entry(b).or_default().push(*f);
+        let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        for (src_end, list) in edge_lists {
+            let Some(&src) = id_of_end.get(&src_end) else { continue };
+            let first = edges.len();
+            for (dst, kind) in list {
+                let Some(&dst) = id_of_start.get(&dst) else { continue };
+                match edges[first..].iter_mut().find(|e| e.1 == dst) {
+                    Some(e) if kind != EdgeKind::Fallthrough => e.2 = kind,
+                    Some(_) => {}
+                    None => edges.push((src, dst, kind)),
                 }
             }
-            m
-        };
-        let member_of: HashMap<u64, BTreeSet<u64>> = members.into_iter().collect();
+        }
+        edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
 
-        let mut flips: Vec<((u64, u64), EdgeKind)> = Vec::new();
-        for (&(src, dst), &kind) in &edge_map {
-            if flipped.contains(&(src, dst)) {
-                continue;
-            }
-            match kind {
+        let n = blocks.len();
+        let src: Vec<u32> = edges.iter().map(|e| e.0).collect();
+        let dst: Vec<u32> = edges.iter().map(|e| e.1).collect();
+        let kinds: Vec<EdgeKind> = edges.iter().map(|e| e.2).collect();
+        let out_start = bucket_offsets(n, src.iter().copied());
+        let in_start = bucket_offsets(n, dst.iter().copied());
+        let mut fill = in_start.clone();
+        let mut in_edges = vec![0u32; edges.len()];
+        for (e, &d) in dst.iter().enumerate() {
+            in_edges[fill[d as usize] as usize] = e as u32;
+            fill[d as usize] += 1;
+        }
+        DenseGraph { blocks, src, dst, kinds, out_start, in_start, in_edges }
+    }
+
+    fn id_of(&self, start: u64) -> Option<u32> {
+        self.blocks.binary_search_by_key(&start, |b| b.0).ok().map(|i| i as u32)
+    }
+
+    fn out_edges(&self, b: u32) -> std::ops::Range<usize> {
+        self.out_start[b as usize] as usize..self.out_start[b as usize + 1] as usize
+    }
+
+    fn in_edges(&self, b: u32) -> &[u32] {
+        &self.in_edges[self.in_start[b as usize] as usize..self.in_start[b as usize + 1] as usize]
+    }
+
+    /// Per entry: its member blocks (ascending) by intra-procedural
+    /// reachability under the current kinds, and the tail-call edges
+    /// out of those members whose target is itself a member — rule 2's
+    /// "reachable without this edge". Entries are split into contiguous
+    /// chunks, one stamp array per chunk.
+    fn memberships(&self, entries: &[u32]) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let per_chunk = entries.len().div_ceil(rayon::current_num_threads() * 4).max(1);
+        let chunks: Vec<&[u32]> = entries.chunks(per_chunk).collect();
+        let walked: Vec<Vec<(Vec<u32>, Vec<u32>)>> = chunks
+            .par_iter()
+            .map(|chunk| {
+                let mut stamp = vec![0u32; self.blocks.len()];
+                let mut work = Vec::new();
+                chunk
+                    .iter()
+                    .zip(1u32..)
+                    .map(|(&entry, mark)| {
+                        let mut members = Vec::new();
+                        work.push(entry);
+                        while let Some(b) = work.pop() {
+                            if stamp[b as usize] == mark {
+                                continue;
+                            }
+                            stamp[b as usize] = mark;
+                            members.push(b);
+                            for e in self.out_edges(b) {
+                                let d = self.dst[e];
+                                if !self.kinds[e].is_interprocedural() && stamp[d as usize] != mark
+                                {
+                                    work.push(d);
+                                }
+                            }
+                        }
+                        members.sort_unstable();
+                        let inner_tail_calls = members
+                            .iter()
+                            .flat_map(|&b| self.out_edges(b))
+                            .filter(|&e| {
+                                self.kinds[e] == EdgeKind::TailCall
+                                    && stamp[self.dst[e] as usize] == mark
+                            })
+                            .map(|e| e as u32)
+                            .collect();
+                        (members, inner_tail_calls)
+                    })
+                    .collect()
+            })
+            .collect();
+        walked.into_iter().flatten().collect()
+    }
+
+    /// One round of the three tail-call correction rules over every
+    /// edge not corrected before: `(edge, new kind)` for each that must
+    /// flip. `inner_tail_calls` marks the edges rule 2 applies to.
+    fn corrections(
+        &self,
+        flipped: &[bool],
+        inner_tail_calls: &[bool],
+        is_seeded_entry: impl Fn(u32) -> bool,
+    ) -> Vec<(usize, EdgeKind)> {
+        let mut flips = Vec::new();
+        for e in (0..self.kinds.len()).filter(|&e| !flipped[e]) {
+            let (src, dst) = (self.src[e], self.dst[e]);
+            match self.kinds[e] {
                 EdgeKind::Direct => {
                     // Rule 1: not a tail call, but the target has a CALL
                     // incoming edge → it is a function entry; correct to
@@ -232,107 +285,153 @@ pub fn finalize(state: State<'_>) -> ParseResult {
                     // was classified as a tail call, this one must agree
                     // (otherwise the final CFG would depend on analysis
                     // order).
-                    let has_entry_in = in_edges
-                        .get(&dst)
-                        .map(|v| {
-                            v.iter().any(|&(s, k)| {
-                                k == EdgeKind::Call || (k == EdgeKind::TailCall && s != src)
-                            })
-                        })
-                        .unwrap_or(false);
+                    let has_entry_in = self.in_edges(dst).iter().any(|&i| {
+                        let k = self.kinds[i as usize];
+                        k == EdgeKind::Call
+                            || (k == EdgeKind::TailCall && self.src[i as usize] != src)
+                    });
                     if has_entry_in {
-                        flips.push(((src, dst), EdgeKind::TailCall));
+                        flips.push((e, EdgeKind::TailCall));
                     }
                 }
                 EdgeKind::TailCall => {
                     // Rule 2: target inside the source's own function
                     // boundary (reachable without this edge) → not a
-                    // tail call.
-                    let intra = block_owners
-                        .get(&src)
-                        .map(|owners| {
-                            owners.iter().any(|f| {
-                                member_of.get(f).map(|m| m.contains(&dst)).unwrap_or(false)
-                            })
-                        })
-                        .unwrap_or(false);
-                    if intra {
-                        flips.push(((src, dst), EdgeKind::Direct));
-                        continue;
-                    }
-                    // Rule 3: the target's only incoming edge is this
-                    // one → outlined code block, not a tail call.
-                    let only_in =
-                        in_edges.get(&dst).map(|v| v.len() == 1 && v[0].0 == src).unwrap_or(true);
-                    let is_seeded = funcs.get(&dst).map(|f| f.2).unwrap_or(false);
-                    if only_in && !is_seeded {
-                        flips.push(((src, dst), EdgeKind::Direct));
+                    // tail call. Rule 3: the target's only incoming edge
+                    // is this one → outlined code block, not a tail
+                    // call.
+                    let only_in = self.in_edges(dst).len() == 1;
+                    if inner_tail_calls[e] || (only_in && !is_seeded_entry(dst)) {
+                        flips.push((e, EdgeKind::Direct));
                     }
                 }
                 _ => {}
             }
         }
+        flips
+    }
+}
 
+/// Finalize: consume the traversal state, return the CFG + stats.
+pub fn finalize(state: State<'_>) -> ParseResult {
+    // ---- step 1: jump-table clamping + split repair ----
+    clamp_jump_tables(&state);
+    merge_split_remnants(&state);
+
+    // ---- materialize blocks & edges on dense ids ----
+    let blocks: Vec<(u64, u64)> = state
+        .blocks
+        .snapshot()
+        .into_iter()
+        .filter_map(|(s, rec)| {
+            let end = rec.read().end;
+            (end > s).then_some((s, end))
+        })
+        .collect();
+    // The state is consumed here: take the lists, don't copy them.
+    let edge_lists: Vec<(u64, Vec<(u64, EdgeKind)>)> = state
+        .edges
+        .snapshot()
+        .into_iter()
+        .map(|(end, list)| (end, std::mem::take(&mut *list.write())))
+        .collect();
+    let mut graph = DenseGraph::new(blocks, edge_lists);
+
+    // Function set: entry block id → (entry, name, status, seeded). Ids
+    // ascend with addresses, so this iterates in entry order.
+    let mut funcs: BTreeMap<u32, (Option<String>, RetStatus, bool)> = state
+        .funcs
+        .snapshot()
+        .into_iter()
+        .filter_map(|(entry, st)| {
+            let st = st.read();
+            Some((graph.id_of(entry)?, (st.name.clone(), st.status, st.seeded)))
+        })
+        .collect();
+
+    // ---- step 2: tail-call correction + boundaries (iterative) ----
+    // Memberships of the last round, kept if that round flipped nothing.
+    let mut settled: Option<(Vec<u32>, Vec<Vec<u32>>)> = None;
+    let mut flipped = vec![false; graph.kinds.len()];
+    for _round in 0..4 {
+        let entries: Vec<u32> = funcs.keys().copied().collect();
+        let walked = graph.memberships(&entries);
+        let mut inner_tail_calls = vec![false; graph.kinds.len()];
+        for &e in walked.iter().flat_map(|(_, inner)| inner) {
+            inner_tail_calls[e as usize] = true;
+        }
+        let flips =
+            graph.corrections(&flipped, &inner_tail_calls, |b| funcs.get(&b).is_some_and(|f| f.2));
         if flips.is_empty() {
+            settled = Some((entries, walked.into_iter().map(|(members, _)| members).collect()));
             break;
         }
-        for ((src, dst), new_kind) in flips {
-            edge_map.insert((src, dst), new_kind);
-            flipped.insert((src, dst));
+        for (e, new_kind) in flips {
+            graph.kinds[e] = new_kind;
+            flipped[e] = true;
             state.stats.tailcall_flips.inc();
             // A new tail call labels a function entry (O_FEI).
             if new_kind == EdgeKind::TailCall {
-                funcs.entry(dst).or_insert_with(|| (None, RetStatus::Unset, false));
+                funcs.entry(graph.dst[e]).or_insert_with(|| (None, RetStatus::Unset, false));
             }
         }
     }
 
     // ---- step 3: function-entry cleanup ----
     // Interprocedural in-edges per entry under final kinds.
-    let mut interproc_in: HashSet<u64> = HashSet::new();
-    for (&(_, dst), &kind) in &edge_map {
+    let mut interproc_in = vec![false; graph.blocks.len()];
+    for (e, kind) in graph.kinds.iter().enumerate() {
         if kind.is_interprocedural() {
-            interproc_in.insert(dst);
+            interproc_in[graph.dst[e] as usize] = true;
         }
     }
-    funcs.retain(|entry, (_, _, seeded)| *seeded || interproc_in.contains(entry));
+    funcs.retain(|&entry, (_, _, seeded)| *seeded || interproc_in[entry as usize]);
 
     // Final membership under final kinds.
-    let mut adj: HashMap<u64, Vec<(u64, EdgeKind)>> = HashMap::new();
-    for (&(src, dst), &kind) in &edge_map {
-        adj.entry(src).or_default().push((dst, kind));
-    }
-    let entries: Vec<u64> = funcs.keys().copied().collect();
-    let memberships: Vec<(u64, BTreeSet<u64>)> =
-        entries.par_iter().map(|&f| (f, membership(f, &adj, &blocks))).collect();
+    let memberships: Vec<(u32, Vec<u32>)> = match settled {
+        Some((entries, members)) => {
+            entries.into_iter().zip(members).filter(|(f, _)| funcs.contains_key(f)).collect()
+        }
+        None => {
+            let entries: Vec<u32> = funcs.keys().copied().collect();
+            let walked = graph.memberships(&entries);
+            entries.into_iter().zip(walked.into_iter().map(|(members, _)| members)).collect()
+        }
+    };
 
-    let mut live_blocks: BTreeSet<u64> = BTreeSet::new();
-    for (_, m) in &memberships {
-        live_blocks.extend(m.iter().copied());
+    let mut live = vec![false; graph.blocks.len()];
+    for &b in memberships.iter().flat_map(|(_, members)| members) {
+        live[b as usize] = true;
     }
 
-    let final_blocks: BTreeMap<u64, Block> = blocks
+    let start_of = |b: u32| graph.blocks[b as usize].0;
+    let final_blocks: BTreeMap<u64, Block> = graph
+        .blocks
         .iter()
-        .filter(|(s, _)| live_blocks.contains(s))
-        .map(|(&s, &e)| (s, Block { start: s, end: e }))
+        .zip(&live)
+        .filter(|(_, &live)| live)
+        .map(|(&(s, e), _)| (s, Block { start: s, end: e }))
         .collect();
-    let final_edges: BTreeSet<Edge> = edge_map
-        .iter()
-        .filter(|(&(src, dst), _)| live_blocks.contains(&src) && live_blocks.contains(&dst))
-        .map(|(&(src, dst), &kind)| Edge { src, dst, kind })
+    let final_edges: BTreeSet<Edge> = (0..graph.kinds.len())
+        .filter(|&e| live[graph.src[e] as usize] && live[graph.dst[e] as usize])
+        .map(|e| Edge {
+            src: start_of(graph.src[e]),
+            dst: start_of(graph.dst[e]),
+            kind: graph.kinds[e],
+        })
         .collect();
     let final_funcs: BTreeMap<u64, Function> = memberships
         .into_iter()
-        .map(|(entry, m)| {
-            let (name, status, _) =
-                funcs.get(&entry).cloned().unwrap_or((None, RetStatus::Unset, false));
+        .map(|(f, members)| {
+            let entry = start_of(f);
+            let (name, status, _) = funcs.remove(&f).expect("membership of a retained function");
             let status = if status == RetStatus::Unset { RetStatus::NoReturn } else { status };
             (
                 entry,
                 Function {
                     entry,
                     name: name.unwrap_or_else(|| format!("fn_{entry:x}")),
-                    blocks: m.into_iter().collect(),
+                    blocks: members.into_iter().map(start_of).collect(),
                     ret_status: status,
                 },
             )
@@ -341,4 +440,144 @@ pub fn finalize(state: State<'_>) -> ParseResult {
 
     let cfg = Cfg::new(final_blocks, final_edges, final_funcs, state.input.code.clone());
     ParseResult { cfg, stats: state.stats }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use EdgeKind::*;
+
+    /// Blocks `[s, s + 0x10)` for each start; edge lists keyed by
+    /// `source start + 0x10`.
+    fn graph(starts: &[u64], edges: &[(u64, &[(u64, EdgeKind)])]) -> DenseGraph {
+        DenseGraph::new(
+            starts.iter().map(|&s| (s, s + 0x10)).collect(),
+            edges.iter().map(|&(src, list)| (src + 0x10, list.to_vec())).collect(),
+        )
+    }
+
+    fn edge_set(g: &DenseGraph) -> Vec<(u64, u64, EdgeKind)> {
+        (0..g.kinds.len())
+            .map(|e| (g.blocks[g.src[e] as usize].0, g.blocks[g.dst[e] as usize].0, g.kinds[e]))
+            .collect()
+    }
+
+    #[test]
+    fn dense_ids_ascend_with_addresses_and_edges_are_sorted_and_deduplicated() {
+        let g = graph(
+            &[0x30, 0x10, 0x20],
+            &[
+                // a split's implicit link never hides the real branch, in
+                // either order; of two real kinds the later stands
+                (0x20, &[(0x30, Fallthrough), (0x30, CondNotTaken), (0x10, Direct)]),
+                (0x10, &[(0x20, CondTaken), (0x20, Fallthrough), (0x30, Direct), (0x30, TailCall)]),
+                // target that is no block: dropped
+                (0x30, &[(0x99, Call)]),
+                // source end that is no block's end: dropped
+                (0x70, &[(0x10, Direct)]),
+            ],
+        );
+        assert_eq!(g.blocks, vec![(0x10, 0x20), (0x20, 0x30), (0x30, 0x40)]);
+        assert_eq!(
+            edge_set(&g),
+            vec![
+                (0x10, 0x20, CondTaken),
+                (0x10, 0x30, TailCall),
+                (0x20, 0x10, Direct),
+                (0x20, 0x30, CondNotTaken),
+            ]
+        );
+        assert_eq!((g.id_of(0x20), g.id_of(0x21)), (Some(1), None));
+        // CSR: every edge appears once on each side.
+        for b in 0..3u32 {
+            assert!(g.out_edges(b).all(|e| g.src[e] == b));
+            assert!(g.in_edges(b).iter().all(|&e| g.dst[e as usize] == b));
+        }
+        assert_eq!(g.out_edges(0).len() + g.out_edges(1).len() + g.out_edges(2).len(), 4);
+        assert_eq!(g.in_edges(0).len() + g.in_edges(1).len() + g.in_edges(2).len(), 4);
+        assert_eq!(g.in_edges(2).len(), 2);
+    }
+
+    #[test]
+    fn of_two_blocks_with_one_end_the_higher_start_owns_the_edges() {
+        // Overlapping decodes can leave [0x10, 0x40) and [0x30, 0x40).
+        let g = DenseGraph::new(
+            vec![(0x10, 0x40), (0x30, 0x40), (0x40, 0x50)],
+            vec![(0x40, vec![(0x40, Fallthrough)])],
+        );
+        assert_eq!(edge_set(&g), vec![(0x30, 0x40, Fallthrough)]);
+    }
+
+    #[test]
+    fn memberships_stop_at_interprocedural_edges_and_report_inner_tail_calls() {
+        // f@0x10: 0x10 -> 0x20 -> 0x30, plus a "tail call" 0x30 -> 0x20
+        // back into itself and a real one 0x30 -> 0x50. g@0x50 calls 0x10.
+        let g = graph(
+            &[0x10, 0x20, 0x30, 0x50, 0x60],
+            &[
+                (0x10, &[(0x20, CondTaken)]),
+                (0x20, &[(0x30, Fallthrough)]),
+                (0x30, &[(0x20, TailCall), (0x50, TailCall)]),
+                (0x50, &[(0x10, Call), (0x60, CallFallthrough)]),
+            ],
+        );
+        let walked = g.memberships(&[0, 3]);
+        assert_eq!(walked[0].0, vec![0, 1, 2]);
+        assert_eq!(walked[1].0, vec![3, 4], "the call edge is not followed");
+        let inner: Vec<(u32, u32)> =
+            walked[0].1.iter().map(|&e| (g.src[e as usize], g.dst[e as usize])).collect();
+        assert_eq!(inner, vec![(2, 1)], "0x30 -> 0x20 stays inside f; 0x30 -> 0x50 leaves it");
+        assert!(walked[1].1.is_empty());
+        // Many entries, few per chunk: a stamp array is reused across
+        // functions without leaking marks from one into the next.
+        let many: Vec<u32> = (0..64).map(|i| [0, 3][i % 2]).collect();
+        for (i, (members, _)) in g.memberships(&many).iter().enumerate() {
+            assert_eq!(members, &walked[i % 2].0);
+        }
+    }
+
+    #[test]
+    fn corrections_apply_each_rule_once() {
+        let g = graph(
+            &[0x10, 0x20, 0x30, 0x40, 0x50, 0x60],
+            &[
+                // rule 1: a Direct branch into a block that is also called
+                (0x10, &[(0x30, Direct), (0x40, TailCall)]),
+                (0x20, &[(0x30, Call), (0x50, TailCall)]),
+                // rule 1's second clause: another source tail-calls 0x50
+                (0x30, &[(0x50, Direct)]),
+                // neither: an ordinary branch
+                (0x40, &[(0x60, Direct)]),
+                (0x50, &[(0x60, CondTaken)]),
+            ],
+        );
+        let edge = |s: u64, d: u64| {
+            (0..g.kinds.len())
+                .find(|&e| g.blocks[g.src[e] as usize].0 == s && g.blocks[g.dst[e] as usize].0 == d)
+                .unwrap()
+        };
+        let none = vec![false; g.kinds.len()];
+        let flips = g.corrections(&none, &none, |_| false);
+        assert_eq!(
+            flips,
+            vec![
+                (edge(0x10, 0x30), TailCall), // rule 1: 0x30 has a Call in-edge
+                (edge(0x10, 0x40), Direct),   // rule 3: sole in-edge, not seeded
+                (edge(0x30, 0x50), TailCall), // rule 1: 0x20 tail-calls 0x50 too
+            ]
+        );
+        // Rule 3 spares a seeded entry; rule 2 overrides the in-degree.
+        let seeded_40 = g.id_of(0x40).unwrap();
+        let flips = g.corrections(&none, &none, |b| b == seeded_40);
+        assert!(!flips.contains(&(edge(0x10, 0x40), Direct)));
+        let mut inner = none.clone();
+        inner[edge(0x20, 0x50)] = true;
+        let flips = g.corrections(&none, &inner, |_| false);
+        assert!(flips.contains(&(edge(0x20, 0x50), Direct)));
+        // An edge corrected before is never looked at again.
+        let mut flipped = none.clone();
+        flipped[edge(0x10, 0x30)] = true;
+        let flips = g.corrections(&flipped, &none, |_| false);
+        assert!(!flips.iter().any(|&(e, _)| e == edge(0x10, 0x30)));
+    }
 }

@@ -40,6 +40,41 @@
 //! Remaining `Unset` functions (cyclic dependencies, `hlt`/`ud2` bodies)
 //! become `NoReturn` when traversal quiesces.
 //!
+//! # The run loop
+//!
+//! [`traverse::run`] alternates traversal batches with three
+//! quiesce-time steps until none of them produces work, then
+//! finalizes. Each step's wall time and work is in [`ParseStats`]
+//! (`traverse_ns`, `sweep_ns`, `refine_ns`, `finalize_ns`,
+//! `sweep_views`, `refine_reanalyses`).
+//!
+//! * **Ret sweep.** A function whose entry block was first parsed
+//!   inside another function's traversal never saw its own `ret`. For
+//!   every function still `Unset`, the sweep walks the intra-procedural
+//!   subgraph straight off the shared maps — `blocks` for a block's
+//!   end, `edges` for its successors, an Fx visited set — and reads
+//!   each block's terminator class from `State::ret_ends`, which the
+//!   edge-creating thread filled in when it saw the `ret`. It decodes
+//!   nothing and builds no view. Tail-call edges leaving the subgraph
+//!   are re-registered as status dependencies. The same walk serves a
+//!   function discovered at an already-parsed block (`scan_existing`).
+//! * **Status resolution**, then resumption of the call sites it
+//!   released.
+//! * **Jump-table fixed point.** The tables are grouped by function;
+//!   per function one [`snapshot::SnapshotView`] is built and
+//!   fingerprinted (block count, edge count, order-independent hash).
+//!   Only if the fingerprint differs from the one the function's tables
+//!   were last sliced on are they sliced again — the slice reads nothing
+//!   but that subgraph. Every table is then re-*evaluated* from its
+//!   remembered slice decision, in table order, because an unbounded
+//!   table's extent also depends on where the other tables start: that
+//!   part is a table read and a comparison, and it is what converges
+//!   the clamp.
+//!
+//! Finalization works on dense block ids (blocks sorted by address
+//! once, edges in one `(source, target)`-sorted array with CSR offsets,
+//! reachability by stamp array): see [`finalize`].
+//!
 //! `parse_serial` is the same engine on a one-thread pool — the paper's
 //! serial baseline — and the determinism tests assert that any thread
 //! count produces the identical canonical CFG.

@@ -1,4 +1,4 @@
-//! In-flight function view for mid-parse analyses.
+//! In-flight function view for jump-table slicing.
 //!
 //! Jump-table analysis and the fixed-point re-analysis run *while the
 //! CFG is still growing*. This view snapshots one function's currently
@@ -7,16 +7,24 @@
 //! a stale snapshot can only under-approximate (and the fixed-point
 //! rounds recover whatever was missed; Section 5.3).
 //!
+//! It serves slicing only: [`pba_dataflow::slice_indirect_jump`] needs
+//! predecessor edges and instructions, which is what the maps and the
+//! lazy decode below are for. The status sweeps, which only ask whether
+//! a subgraph holds a `ret`, walk the shared maps directly
+//! (`traverse::walk_function`) and build no view.
+//!
 //! The borrowing [`CfgView`] contract ("each block decoded at most
 //! once per view") is met lazily: a block's instructions are decoded on
 //! the first `insns` call and cached in a per-block `OnceLock`, so the
-//! jump-table slice still only ever decodes its backward cone, once.
+//! jump-table slice still only ever decodes its backward cone, once —
+//! and one view can serve every jump table of its function.
 
 use crate::state::State;
 use pba_cfg::EdgeKind;
+use pba_concurrent::fx_hash_u64;
+use pba_concurrent::fxhash::{FxHashMap, FxHashSet};
 use pba_dataflow::CfgView;
 use pba_isa::Insn;
-use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// One captured block: byte range end plus the lazily decoded body.
@@ -25,26 +33,33 @@ struct SnapBlock {
     insns: OnceLock<Vec<Insn>>,
 }
 
+/// What a view captured, compressed to block count, edge count and an
+/// order-independent 64-bit hash of every `(start, end)` and
+/// `(src, dst, kind)`. The subgraph only grows or splits, so the counts
+/// alone catch most changes; equal fingerprints are taken to mean an
+/// equal subgraph (and with it an equal slice).
+pub type Fingerprint = (usize, usize, u64);
+
 /// Snapshot of one function's known subgraph.
 pub struct SnapshotView {
     entry: u64,
     blocks: Vec<u64>,
-    data: HashMap<u64, SnapBlock>,
-    succs: HashMap<u64, Vec<(u64, EdgeKind)>>,
-    preds: HashMap<u64, Vec<(u64, EdgeKind)>>,
+    data: FxHashMap<u64, SnapBlock>,
+    succs: FxHashMap<u64, Vec<(u64, EdgeKind)>>,
+    preds: FxHashMap<u64, Vec<(u64, EdgeKind)>>,
     code: std::sync::Arc<pba_cfg::CodeRegion>,
 }
 
 impl SnapshotView {
-    /// Build by BFS from `entry` over intra-procedural edges. If
-    /// `ensure_block` is set and the BFS did not reach it (the path from
-    /// the entry is still being parsed), the block is added in isolation
-    /// so jump-table analysis can at least classify the dispatch form.
-    pub fn build(state: &State<'_>, entry: u64, ensure_block: Option<u64>) -> SnapshotView {
-        let mut data: HashMap<u64, SnapBlock> = HashMap::new();
-        let mut succs: HashMap<u64, Vec<(u64, EdgeKind)>> = HashMap::new();
-        let mut preds: HashMap<u64, Vec<(u64, EdgeKind)>> = HashMap::new();
-        let mut seen: HashSet<u64> = HashSet::new();
+    /// Build by BFS from `entry` over intra-procedural edges. Blocks of
+    /// `ensure` the BFS did not reach (the path from the entry is still
+    /// being parsed) are added in isolation, so jump-table analysis can
+    /// at least classify the dispatch form.
+    pub fn build(state: &State<'_>, entry: u64, ensure: &[u64]) -> SnapshotView {
+        let mut data: FxHashMap<u64, SnapBlock> = FxHashMap::default();
+        let mut succs: FxHashMap<u64, Vec<(u64, EdgeKind)>> = FxHashMap::default();
+        let mut preds: FxHashMap<u64, Vec<(u64, EdgeKind)>> = FxHashMap::default();
+        let mut seen: FxHashSet<u64> = FxHashSet::default();
         let mut work = vec![entry];
         while let Some(b) = work.pop() {
             if !seen.insert(b) {
@@ -68,7 +83,7 @@ impl SnapshotView {
                 }
             }
         }
-        if let Some(b) = ensure_block {
+        for &b in ensure {
             if let std::collections::hash_map::Entry::Vacant(e) = data.entry(b) {
                 if let Some(rec) = state.blocks.find(&b) {
                     if rec.end != 0 {
@@ -97,6 +112,23 @@ impl SnapshotView {
     /// True when the entry block has not been materialized yet.
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
+    }
+
+    /// Fingerprint of the captured subgraph.
+    pub fn fingerprint(&self) -> Fingerprint {
+        let mut edges = 0;
+        let mut hash = 0u64;
+        for (&b, blk) in &self.data {
+            hash = hash.wrapping_add(fx_hash_u64(fx_hash_u64(b) ^ blk.end));
+        }
+        for (&src, out) in &self.succs {
+            edges += out.len();
+            for &(dst, kind) in out {
+                let e = fx_hash_u64(fx_hash_u64(!src) ^ dst);
+                hash = hash.wrapping_add(fx_hash_u64(e ^ kind as u64));
+            }
+        }
+        (self.data.len(), edges, hash)
     }
 }
 

@@ -13,13 +13,16 @@
 //! Edges live in their own map keyed by *source block end*. That
 //! identity is stable under block splits (it is exactly what the
 //! paper's partial order preserves), so splitting never migrates
-//! edges — it only inserts the implicit fall-through link.
+//! edges — it only inserts the implicit fall-through link. For the
+//! same reason `ret_ends`, the set of block ends whose terminator is a
+//! `ret`, needs no maintenance under splits: the status sweeps answer
+//! "does this subgraph return" from it without decoding anything.
 
 use crate::config::ParseConfig;
 use crate::input::ParseInput;
 use crate::stats::ParseStats;
 use pba_cfg::{EdgeKind, RetStatus};
-use pba_concurrent::ConcurrentHashMap;
+use pba_concurrent::{AddressSet, ConcurrentHashMap};
 
 /// Per-block record. `end == 0` means "created, not yet registered".
 #[derive(Debug, Clone, Copy)]
@@ -97,6 +100,9 @@ pub struct State<'i> {
     pub funcs: ConcurrentHashMap<u64, FuncState>,
     /// Jump tables keyed by the indirect jump's block end.
     pub jts: ConcurrentHashMap<u64, RawJumpTable>,
+    /// Ends of blocks terminated by a `ret`, recorded by the thread that
+    /// creates the block's out-edges (Invariant 3).
+    pub ret_ends: AddressSet,
     /// Work counters.
     pub stats: ParseStats,
     /// Unique id of this parse run (namespaces thread-local caches).
@@ -114,6 +120,7 @@ impl<'i> State<'i> {
             edges: ConcurrentHashMap::new(),
             funcs: ConcurrentHashMap::new(),
             jts: ConcurrentHashMap::new(),
+            ret_ends: AddressSet::new(),
             stats: ParseStats::default(),
             run_id: {
                 use std::sync::atomic::{AtomicU64, Ordering};

@@ -45,6 +45,21 @@ pub struct ParseStats {
     pub tailcall_flips: Counter,
     /// Undecodable candidate blocks.
     pub decode_errors: Counter,
+    /// Wall time of the traversal batches (Listing 3), nanoseconds.
+    pub traverse_ns: Counter,
+    /// Wall time of the quiesce-time status work: the ret sweep plus
+    /// status resolution, nanoseconds.
+    pub sweep_ns: Counter,
+    /// Wall time of the jump-table fixed point, nanoseconds.
+    pub refine_ns: Counter,
+    /// Wall time of finalization (Section 5.4), nanoseconds.
+    pub finalize_ns: Counter,
+    /// Function subgraphs walked to look for a `ret` (quiesce sweeps and
+    /// late-discovered entries).
+    pub sweep_views: Counter,
+    /// Jump tables re-sliced by the fixed point because their
+    /// function's subgraph had changed since the last slice.
+    pub refine_reanalyses: Counter,
 }
 
 /// Plain-data snapshot for serialization/reporting.
@@ -66,6 +81,20 @@ pub struct StatsSnapshot {
     pub jt_edges_clamped: u64,
     pub tailcall_flips: u64,
     pub decode_errors: u64,
+    pub traverse_ns: u64,
+    pub sweep_ns: u64,
+    pub refine_ns: u64,
+    pub finalize_ns: u64,
+    pub sweep_views: u64,
+    pub refine_reanalyses: u64,
+}
+
+/// Run `f`, adding its wall time to the phase counter `ns`.
+pub(crate) fn timed<R>(ns: &Counter, f: impl FnOnce() -> R) -> R {
+    let start = std::time::Instant::now();
+    let r = f();
+    ns.add(start.elapsed().as_nanos() as u64);
+    r
 }
 
 impl ParseStats {
@@ -88,6 +117,12 @@ impl ParseStats {
             jt_edges_clamped: self.jt_edges_clamped.get(),
             tailcall_flips: self.tailcall_flips.get(),
             decode_errors: self.decode_errors.get(),
+            traverse_ns: self.traverse_ns.get(),
+            sweep_ns: self.sweep_ns.get(),
+            refine_ns: self.refine_ns.get(),
+            finalize_ns: self.finalize_ns.get(),
+            sweep_views: self.sweep_views.get(),
+            refine_reanalyses: self.refine_reanalyses.get(),
         }
     }
 }

@@ -13,22 +13,23 @@
 //! The outer loop also drives the inter-round consequences: deferred
 //! non-returning resolution, the jump-table fixed point, and the final
 //! ret-sweep for functions whose entry block was parsed inside another
-//! function's traversal.
+//! function's traversal (see the crate docs, "The run loop").
 
 use crate::config::{ParseConfig, Scheduling};
 use crate::finalize;
 use crate::input::ParseInput;
-use crate::jumptable::{decide, eval_targets};
-use crate::snapshot::SnapshotView;
+use crate::jumptable::{decide, eval_targets, TableDecision};
+use crate::snapshot::{Fingerprint, SnapshotView};
 use crate::state::{CallDisposition, RawJumpTable, RegisterOutcome, State};
+use crate::stats::timed;
 use crate::ParseResult;
 use crossbeam::queue::SegQueue;
 use pba_cfg::EdgeKind;
+use pba_concurrent::fxhash::{FxHashMap, FxHashSet};
 use pba_dataflow::slice_indirect_jump;
-use pba_dataflow::CfgView;
 use pba_isa::{ControlFlow, Insn};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One traversal work item.
 #[derive(Debug, Clone, Copy)]
@@ -58,26 +59,50 @@ struct ParsedBlock {
 /// thread has decoded maps to the end/terminator of the block it falls
 /// in, so branching into the middle of already-analyzed code skips
 /// re-decoding. Keyed by a per-parse run id so concurrent or repeated
-/// parses never observe each other's entries.
-type DecodeCache = HashMap<u64, (u64, u64, bool)>;
+/// parses never observe each other's entries. Written once per decoded
+/// instruction, hence the Fx hasher (keys are code addresses).
+type DecodeCache = FxHashMap<u64, (u64, u64, bool)>;
 
 thread_local! {
     static TLS_CACHE: std::cell::RefCell<(u64, DecodeCache)> =
-        std::cell::RefCell::new((0, HashMap::new()));
+        std::cell::RefCell::new((0, DecodeCache::default()));
 }
 
-fn linear_parse<'i>(state: &State<'i>, start: u64) -> ParsedBlock {
+/// Run `f` on this thread's decode cache, emptied first if it still
+/// holds another parse's entries.
+fn with_cache<R>(state: &State<'_>, f: impl FnOnce(&mut DecodeCache) -> R) -> R {
+    TLS_CACHE.with(|c| {
+        let mut c = c.borrow_mut();
+        if c.0 != state.run_id {
+            c.0 = state.run_id;
+            c.1.clear();
+        }
+        f(&mut c.1)
+    })
+}
+
+/// Decode work of one `traverse` call, flushed into the shared
+/// counters once at its end: bumping them per instruction keeps one
+/// cache line bouncing between the workers.
+#[derive(Default)]
+struct DecodeWork {
+    insns: u64,
+    cache_hits: u64,
+    errors: u64,
+}
+
+impl DecodeWork {
+    fn flush(&self, state: &State<'_>) {
+        state.stats.insns_decoded.add(self.insns);
+        state.stats.cache_hits.add(self.cache_hits);
+        state.stats.decode_errors.add(self.errors);
+    }
+}
+
+fn linear_parse(state: &State<'_>, start: u64, work: &mut DecodeWork) -> ParsedBlock {
     if state.cfg.decode_cache {
-        let hit = TLS_CACHE.with(|c| {
-            let mut c = c.borrow_mut();
-            if c.0 != state.run_id {
-                c.0 = state.run_id;
-                c.1.clear();
-            }
-            c.1.get(&start).copied()
-        });
-        if let Some((end, term_start, td)) = hit {
-            state.stats.cache_hits.inc();
+        if let Some((end, term_start, td)) = with_cache(state, |c| c.get(&start).copied()) {
+            work.cache_hits += 1;
             let term = state.input.code.decode(term_start);
             return ParsedBlock { end, term, teardown_before: td };
         }
@@ -88,29 +113,24 @@ fn linear_parse<'i>(state: &State<'i>, start: u64) -> ParsedBlock {
     let mut visited: Vec<u64> = Vec::new();
     loop {
         let Some(insn) = code.decode(at) else {
-            state.stats.decode_errors.inc();
+            work.errors += 1;
             return ParsedBlock { end: at, term: None, teardown_before: false };
         };
-        state.stats.insns_decoded.inc();
+        work.insns += 1;
         if insn.is_cti() {
             if state.cfg.decode_cache {
                 let end = insn.end();
                 let term_start = insn.addr;
-                TLS_CACHE.with(|c| {
-                    let mut c = c.borrow_mut();
-                    if c.0 != state.run_id {
-                        c.0 = state.run_id;
-                        c.1.clear();
-                    }
+                with_cache(state, |c| {
                     // Record every visited boundary: a later branch into
                     // the middle of this code resolves without decoding.
                     // The teardown flag holds for any start at or before
                     // the penultimate instruction; the terminator's own
                     // address sees no preceding instruction.
                     for &a in &visited {
-                        c.1.insert(a, (end, term_start, teardown));
+                        c.insert(a, (end, term_start, teardown));
                     }
-                    c.1.insert(term_start, (end, term_start, false));
+                    c.insert(term_start, (end, term_start, false));
                 });
             }
             return ParsedBlock { end: insn.end(), term: Some(insn), teardown_before: teardown };
@@ -127,9 +147,10 @@ fn linear_parse<'i>(state: &State<'i>, start: u64) -> ParsedBlock {
 /// Traverse from the work item's start in its function context
 /// (Listing 3).
 fn traverse<'i: 'scope, 'scope>(state: &'scope State<'i>, sched: &Sched<'_, 'scope>, w: Work) {
+    let mut work = DecodeWork::default();
     let mut worklist = vec![w.start];
     while let Some(b) = worklist.pop() {
-        let pb = linear_parse(state, b);
+        let pb = linear_parse(state, b, &mut work);
         if pb.end == b {
             // Undecodable from the first byte: retract the block.
             state.blocks.remove(&b);
@@ -142,6 +163,7 @@ fn traverse<'i: 'scope, 'scope>(state: &'scope State<'i>, sched: &Sched<'_, 'sco
             RegisterOutcome::SplitDone => {}
         }
     }
+    work.flush(state);
 }
 
 /// Handle a newly created function: traverse it, or — if its entry block
@@ -159,31 +181,64 @@ fn enter_function<'i: 'scope, 'scope>(
     }
 }
 
+/// One block of a [`walk_function`] result.
+struct WalkedBlock {
+    start: u64,
+    /// The block's terminator is a `ret` (its end is in `ret_ends`).
+    is_ret: bool,
+    /// Targets of the tail-call edges leaving the block.
+    tail_calls: Vec<u64>,
+}
+
+/// The intra-procedural subgraph of `entry` as the shared maps hold it
+/// now: every registered block reachable over non-inter-procedural
+/// edges, in address order, with its terminator class and the tail-call
+/// edges leaving it. Nothing is decoded and no view is built — the
+/// terminator class was recorded when the block's edges were created.
+fn walk_function(state: &State<'_>, entry: u64) -> Vec<WalkedBlock> {
+    state.stats.sweep_views.inc();
+    let mut blocks = Vec::new();
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let mut work = vec![entry];
+    while let Some(b) = work.pop() {
+        if !seen.insert(b) {
+            continue;
+        }
+        let Some(end) = state.blocks.find(&b).map(|rec| rec.end) else { continue };
+        if end == 0 {
+            continue; // still being parsed
+        }
+        let mut tail_calls = Vec::new();
+        if let Some(edges) = state.edges.find(&end) {
+            for &(dst, kind) in edges.iter() {
+                if kind == EdgeKind::TailCall {
+                    tail_calls.push(dst);
+                } else if !kind.is_interprocedural() && !seen.contains(&dst) {
+                    work.push(dst);
+                }
+            }
+        }
+        blocks.push(WalkedBlock { start: b, is_ret: state.ret_ends.contains(end), tail_calls });
+    }
+    blocks.sort_unstable_by_key(|b| b.start);
+    blocks
+}
+
 /// Re-walk already-parsed blocks under a new function context.
 fn scan_existing<'i: 'scope, 'scope>(
     state: &'scope State<'i>,
     sched: &Sched<'_, 'scope>,
     entry: u64,
 ) {
-    let view = SnapshotView::build(state, entry, None);
-    for &b in view.blocks() {
-        let (_, e) = view.block_range(b);
-        // The snapshot's lazily-decoded slice: the terminator question
-        // costs one decode of the block at most, once per view.
-        if let Some(term) = view.insns(b).last() {
-            if matches!(term.control_flow(), ControlFlow::Ret) {
-                let resumed = state.notify_returns(entry);
-                process_resumed(state, sched, resumed);
-            }
+    for b in walk_function(state, entry) {
+        if b.is_ret {
+            let resumed = state.notify_returns(entry);
+            process_resumed(state, sched, resumed);
         }
         // Tail-call dependencies out of this subgraph.
-        if let Some(edges) = state.edges.find(&e) {
-            for &(dst, kind) in edges.iter() {
-                if kind == EdgeKind::TailCall {
-                    let resumed = state.add_tail_dependency(entry, dst);
-                    process_resumed(state, sched, resumed);
-                }
-            }
+        for dst in b.tail_calls {
+            let resumed = state.add_tail_dependency(entry, dst);
+            process_resumed(state, sched, resumed);
         }
     }
 }
@@ -296,6 +351,7 @@ fn create_edges<'i: 'scope, 'scope>(
             }
         }
         ControlFlow::Ret => {
+            state.ret_ends.insert(e);
             let resumed = state.notify_returns(fctx);
             process_resumed(state, sched, resumed);
         }
@@ -328,7 +384,7 @@ fn sliced_facts(state: &State<'_>, view: &SnapshotView, block: u64) -> Vec<pba_d
 /// `e`. Adds indirect edges; returns the newly created target blocks
 /// (to be parsed by the caller in this function context).
 fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) -> Vec<u64> {
-    let view = SnapshotView::build(state, fctx, Some(block_start));
+    let view = SnapshotView::build(state, fctx, &[block_start]);
     let facts = sliced_facts(state, &view, block_start);
     let Some(decision) = decide(&facts) else {
         // Record the unresolved jump so the post-quiescence fixed point
@@ -350,10 +406,7 @@ fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) ->
         );
         return Vec::new();
     };
-    let (table_addr, stride, relative) = match decision.form {
-        pba_dataflow::JumpTableForm::Absolute { table, scale, .. } => (table, scale, false),
-        pba_dataflow::JumpTableForm::Relative { table, scale, .. } => (table, scale, true),
-    };
+    let (table_addr, stride, relative) = table_shape(&decision);
     if decision.bound.is_none() {
         // No guard bound recovered: an unbounded scan now would plant
         // over-approximated edges that can split not-yet-parsed code
@@ -403,86 +456,133 @@ fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) ->
     new_blocks
 }
 
+/// `(table address, stride, relative)` of a decision's dispatch form.
+fn table_shape(decision: &TableDecision) -> (u64, u8, bool) {
+    match decision.form {
+        pba_dataflow::JumpTableForm::Absolute { table, scale, .. } => (table, scale, false),
+        pba_dataflow::JumpTableForm::Relative { table, scale, .. } => (table, scale, true),
+    }
+}
+
+/// What the jump-table fixed point remembers between its rounds (it
+/// lives in [`run`]'s frame and dies with the parse): the fingerprint
+/// of the subgraph each function's tables were last sliced on, and what
+/// each slice decided. A function whose fingerprint has not moved is not
+/// sliced again; its tables are re-*evaluated* from the remembered
+/// decisions, which is cheap and is what picks up a tighter clamp.
+#[derive(Default)]
+struct RefineMemo {
+    sliced_on: FxHashMap<u64, Fingerprint>,
+    decisions: FxHashMap<u64, Option<TableDecision>>,
+}
+
 /// Post-quiescence jump-table fixed point (Section 5.3): re-analyze each
-/// recorded table with the now-larger function subgraph; queue any new
-/// targets for another traversal round. Returns true if anything new
-/// appeared.
-fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>) -> bool {
-    let tables: Vec<(u64, RawJumpTable)> =
-        state.jts.snapshot().into_iter().map(|(k, v)| (k, v.read().clone())).collect();
-    let changed: Vec<bool> = tables
-        .par_iter()
+/// recorded table whose function subgraph grew or split since its last
+/// slice; queue any new targets for another traversal round. Returns
+/// true if anything new appeared.
+fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut RefineMemo) -> bool {
+    // (jump end, function, current jump block) per table. The jump's
+    // block may have been split since discovery; the current owner of
+    // the end is the block that actually holds the indirect jump now.
+    let tables: Vec<(u64, u64, u64)> = state
+        .jts
+        .snapshot()
+        .into_iter()
         .map(|(e, jt)| {
-            // The jump's block may have been split since discovery; the
-            // current owner of the end is the block that actually holds
-            // the indirect jump now.
-            let cur_start = state.block_ends.find(e).map(|a| *a).unwrap_or(jt.block_start);
-            let view = SnapshotView::build(state, jt.func, Some(cur_start));
-            let facts = sliced_facts(state, &view, cur_start);
-            let Some(decision) = decide(&facts) else { return false };
-            let (table_addr, stride, relative) = match decision.form {
-                pba_dataflow::JumpTableForm::Absolute { table, scale, .. } => (table, scale, false),
-                pba_dataflow::JumpTableForm::Relative { table, scale, .. } => (table, scale, true),
-            };
-            // Unbounded tables are clamped here against every table
-            // location known so far ("compilers do not emit overlapping
-            // jump tables"); the finalization pass re-clamps as a
-            // safety net for tables discovered even later.
-            let max_entries = if decision.bound.is_some() {
-                state.cfg.max_jt_entries
-            } else {
-                let next = state
-                    .jts
-                    .snapshot()
-                    .into_iter()
-                    .filter_map(|(_, v)| {
-                        let v = v.read();
-                        (v.stride > 0 && v.table_addr > table_addr).then_some(v.table_addr)
-                    })
-                    .min();
-                match next {
-                    Some(n) if stride > 0 => {
-                        (((n - table_addr) / stride as u64) as usize).min(state.cfg.max_jt_entries)
-                    }
-                    _ => state.cfg.max_jt_entries,
-                }
-            };
-            let (targets, bounded) = eval_targets(state.input, &decision, max_entries);
-            let mut any_new = false;
-            let mut stale: Vec<u64> = Vec::new();
-            {
-                let Some(mut acc) = state.jts.find_mut(e) else { return false };
-                if targets != acc.targets || bounded != acc.bounded || acc.stride == 0 {
-                    // Targets dropped by a tighter clamp leave stale
-                    // indirect edges behind; collect them for removal
-                    // (O_ER is commutative, so this is safe here).
-                    stale = acc.targets.iter().copied().filter(|t| !targets.contains(t)).collect();
-                    acc.targets = targets.clone();
-                    acc.bounded = bounded;
-                    acc.block_start = cur_start;
-                    acc.table_addr = table_addr;
-                    acc.stride = stride;
-                    acc.relative = relative;
-                    any_new = true;
-                }
-            }
-            if !stale.is_empty() {
-                if let Some(mut acc) = state.edges.find_mut(e) {
-                    acc.retain(|&(d, k)| !(k == EdgeKind::Indirect && stale.contains(&d)));
-                }
-            }
-            if any_new {
-                for t in &targets {
-                    state.add_edge(*e, *t, EdgeKind::Indirect);
-                    if state.create_block(*t) {
-                        queue.push(Work { func: jt.func, start: *t });
-                    }
-                }
-            }
-            any_new
+            let jt = jt.read();
+            let cur_start = state.block_ends.find(&e).map(|a| *a).unwrap_or(jt.block_start);
+            (e, jt.func, cur_start)
         })
         .collect();
-    changed.into_iter().any(|c| c)
+
+    // Slice: one view per function, shared by its tables, and only for
+    // functions whose subgraph changed. Slices read the graph and write
+    // nothing but `jt_widened`, so they run in parallel.
+    let mut by_func: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+    for &(e, func, jump_block) in &tables {
+        by_func.entry(func).or_default().push((e, jump_block));
+    }
+    let by_func: Vec<(u64, Vec<(u64, u64)>)> = by_func.into_iter().collect();
+    type Sliced = (u64, Fingerprint, Vec<(u64, Option<TableDecision>)>);
+    let resliced: Vec<Option<Sliced>> = by_func
+        .par_iter()
+        .map(|(func, jumps)| {
+            let jump_blocks: Vec<u64> = jumps.iter().map(|&(_, b)| b).collect();
+            let view = SnapshotView::build(state, *func, &jump_blocks);
+            let fingerprint = view.fingerprint();
+            if memo.sliced_on.get(func) == Some(&fingerprint)
+                && jumps.iter().all(|(e, _)| memo.decisions.contains_key(e))
+            {
+                return None;
+            }
+            let decisions = jumps
+                .iter()
+                .map(|&(e, block)| {
+                    state.stats.refine_reanalyses.inc();
+                    (e, decide(&sliced_facts(state, &view, block)))
+                })
+                .collect();
+            Some((*func, fingerprint, decisions))
+        })
+        .collect();
+    for (func, fingerprint, decisions) in resliced.into_iter().flatten() {
+        memo.sliced_on.insert(func, fingerprint);
+        memo.decisions.extend(decisions);
+    }
+
+    // Evaluate, in table order, against the table locations known so
+    // far ("compilers do not emit overlapping jump tables"): read once
+    // up front, kept current as tables resolve below.
+    let mut table_addrs: Vec<Option<u64>> = tables
+        .iter()
+        .map(|(e, ..)| state.jts.find(e).and_then(|jt| (jt.stride > 0).then_some(jt.table_addr)))
+        .collect();
+    let mut changed = false;
+    for (i, &(e, func, cur_start)) in tables.iter().enumerate() {
+        let Some(Some(decision)) = memo.decisions.get(&e) else { continue };
+        let (table_addr, stride, relative) = table_shape(decision);
+        // Unbounded tables are clamped here; the finalization pass
+        // re-clamps as a safety net for tables discovered even later.
+        let next_table = table_addrs.iter().flatten().copied().filter(|&a| a > table_addr).min();
+        let max_entries = match next_table {
+            Some(n) if decision.bound.is_none() && stride > 0 => {
+                (((n - table_addr) / stride as u64) as usize).min(state.cfg.max_jt_entries)
+            }
+            _ => state.cfg.max_jt_entries,
+        };
+        let (targets, bounded) = eval_targets(state.input, decision, max_entries);
+        let stale: Vec<u64>;
+        {
+            let Some(mut acc) = state.jts.find_mut(&e) else { continue };
+            if targets == acc.targets && bounded == acc.bounded && acc.stride != 0 {
+                continue;
+            }
+            // Targets dropped by a tighter clamp leave stale indirect
+            // edges behind; collect them for removal (O_ER is
+            // commutative, so this is safe here).
+            stale = acc.targets.iter().copied().filter(|t| !targets.contains(t)).collect();
+            acc.targets = targets.clone();
+            acc.bounded = bounded;
+            acc.block_start = cur_start;
+            acc.table_addr = table_addr;
+            acc.stride = stride;
+            acc.relative = relative;
+        }
+        table_addrs[i] = (stride > 0).then_some(table_addr);
+        if !stale.is_empty() {
+            if let Some(mut acc) = state.edges.find_mut(&e) {
+                acc.retain(|&(d, k)| !(k == EdgeKind::Indirect && stale.contains(&d)));
+            }
+        }
+        for &t in &targets {
+            state.add_edge(e, t, EdgeKind::Indirect);
+            if state.create_block(t) {
+                queue.push(Work { func, start: t });
+            }
+        }
+        changed = true;
+    }
+    changed
 }
 
 /// Final sweep: functions still `Unset` whose reachable subgraph
@@ -504,32 +604,15 @@ fn ret_sweep(state: &State<'_>) -> Vec<(u64, u64)> {
             if !unset {
                 return Vec::new();
             }
+            let blocks = walk_function(state, f);
+            if blocks.iter().any(|b| b.is_ret) {
+                if let Some(mut acc) = state.funcs.find_mut(&f) {
+                    acc.has_ret = true;
+                }
+            }
             let mut resumed = Vec::new();
-            let view = SnapshotView::build(state, f, None);
-            let mut found_ret = false;
-            for &b in view.blocks() {
-                let (_, e) = view.block_range(b);
-                if !found_ret {
-                    if let Some(term) = view.insns(b).last() {
-                        if matches!(term.control_flow(), ControlFlow::Ret) {
-                            if let Some(mut acc) = state.funcs.find_mut(&f) {
-                                acc.has_ret = true;
-                            }
-                            found_ret = true;
-                        }
-                    }
-                }
-                if let Some(edges) = state.edges.find(&e) {
-                    let tail_targets: Vec<u64> = edges
-                        .iter()
-                        .filter(|&&(_, k)| k == EdgeKind::TailCall)
-                        .map(|&(d, _)| d)
-                        .collect();
-                    drop(edges);
-                    for dst in tail_targets {
-                        resumed.extend(state.add_tail_dependency(f, dst));
-                    }
-                }
+            for dst in blocks.into_iter().flat_map(|b| b.tail_calls) {
+                resumed.extend(state.add_tail_dependency(f, dst));
             }
             resumed
         })
@@ -563,6 +646,7 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
         }
 
         let mut jt_rounds_left = cfg.jt_refine_rounds;
+        let mut refine_memo = RefineMemo::default();
         loop {
             // Drain pending work into a batch.
             let mut batch = Vec::new();
@@ -570,7 +654,7 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
                 batch.push(w);
             }
             if !batch.is_empty() {
-                match cfg.scheduling {
+                timed(&state.stats.traverse_ns, || match cfg.scheduling {
                     Scheduling::Task => {
                         rayon::scope(|s| {
                             for w in batch {
@@ -583,7 +667,7 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
                     Scheduling::Rounds => {
                         batch.par_iter().for_each(|w| traverse(&state, &Sched::Rounds(&queue), *w));
                     }
-                }
+                });
                 continue;
             }
 
@@ -592,13 +676,20 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
             // Always loop after resuming call sites: even when their
             // fall-through blocks already exist, the new summary edges
             // can make further `ret`s reachable for the next sweep.
-            let mut resumed = ret_sweep(&state);
-            resumed.extend(state.resolve_statuses());
+            let resumed = timed(&state.stats.sweep_ns, || {
+                let mut resumed = ret_sweep(&state);
+                resumed.extend(state.resolve_statuses());
+                resumed
+            });
             if !resumed.is_empty() {
                 process_resumed(&state, &Sched::Rounds(&queue), resumed);
                 continue;
             }
-            if jt_rounds_left > 0 && refine_jump_tables(&state, &queue) {
+            if jt_rounds_left > 0
+                && timed(&state.stats.refine_ns, || {
+                    refine_jump_tables(&state, &queue, &mut refine_memo)
+                })
+            {
                 // Something changed: even without new blocks, new edges
                 // can alter status reachability — loop so the sweep and
                 // resolution re-run.
@@ -613,6 +704,52 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
         // Finalization runs inside the sized pool so its parallel steps
         // use the configured thread count (Table 2's CFG column times
         // the whole construction, finalization included).
-        finalize::finalize(state)
+        let started = std::time::Instant::now();
+        let result = finalize::finalize(state);
+        result.stats.finalize_ns.add(started.elapsed().as_nanos() as u64);
+        result
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pba_cfg::CodeRegion;
+    use pba_isa::Arch;
+
+    #[test]
+    fn walk_function_reads_terminator_classes_and_tail_calls_off_the_maps() {
+        let input = ParseInput::from_parts(
+            CodeRegion::new(Arch::X86_64, 0x1000, vec![0x90; 0x100]),
+            vec![],
+            vec![],
+        );
+        let cfg = ParseConfig::default();
+        let s = State::new(&input, &cfg);
+        // 0x1000 -> 0x1040 (taken) and -> 0x1020 (not taken); 0x1020
+        // tail-calls 0x1080, calls 0x10c0 and branches to 0x1060, which
+        // is created but not registered yet (end == 0); 0x1040 returns.
+        for (start, end) in [(0x1000, 0x1020), (0x1020, 0x1040), (0x1040, 0x1060)] {
+            s.create_block(start);
+            s.register_end(start, end);
+        }
+        s.create_block(0x1060);
+        s.add_edge(0x1020, 0x1040, EdgeKind::CondTaken);
+        s.add_edge(0x1020, 0x1020, EdgeKind::CondNotTaken);
+        s.add_edge(0x1040, 0x1080, EdgeKind::TailCall);
+        s.add_edge(0x1040, 0x10c0, EdgeKind::Call);
+        s.add_edge(0x1040, 0x1060, EdgeKind::Direct);
+        s.ret_ends.insert(0x1060);
+
+        let seen: Vec<(u64, bool, Vec<u64>)> = walk_function(&s, 0x1000)
+            .into_iter()
+            .map(|b| (b.start, b.is_ret, b.tail_calls))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![(0x1000, false, vec![]), (0x1020, false, vec![0x1080]), (0x1040, true, vec![])],
+            "address order; callee and tail-call target not entered; unregistered block skipped"
+        );
+        assert_eq!(s.stats.sweep_views.get(), 1);
+    }
 }

@@ -5,8 +5,12 @@
 //! surface: non-poisoning `Mutex`/`RwLock`, plus the `arc_lock` entry
 //! guards (`read_arc`/`write_arc`) that `pba-concurrent`'s accessor map
 //! relies on. The rwlock is a classic writer-preferring
-//! `Mutex<Condvar>` design — correctness over throughput; the
-//! benchmarks measure the analyses, not the lock.
+//! `Mutex<Condvar>` design with one property the parser depends on: an
+//! unlock that nobody is waiting for makes no system call. A
+//! `Condvar::notify_*` is a `futex_wake` whether or not anyone sleeps,
+//! and the accessor map takes two of these locks (shard + entry) per
+//! operation, so the lock counts its waiting readers and writers and
+//! notifies only a non-zero count.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
@@ -23,6 +27,8 @@ struct RwState {
     writer: bool,
     /// Writers waiting (readers defer to them to avoid writer starvation).
     writers_waiting: usize,
+    /// Readers asleep on `readers_cv`.
+    readers_waiting: usize,
 }
 
 /// A reader-writer lock with the `parking_lot` API shape: infallible,
@@ -57,8 +63,12 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     fn lock_shared(&self) {
         let mut s = self.state.lock().unwrap();
-        while s.writer || s.writers_waiting > 0 {
-            s = self.readers_cv.wait(s).unwrap();
+        if s.writer || s.writers_waiting > 0 {
+            s.readers_waiting += 1;
+            while s.writer || s.writers_waiting > 0 {
+                s = self.readers_cv.wait(s).unwrap();
+            }
+            s.readers_waiting -= 1;
         }
         s.readers += 1;
     }
@@ -76,7 +86,7 @@ impl<T: ?Sized> RwLock<T> {
     fn unlock_shared(&self) {
         let mut s = self.state.lock().unwrap();
         s.readers -= 1;
-        if s.readers == 0 {
+        if s.readers == 0 && s.writers_waiting > 0 {
             self.writers_cv.notify_one();
         }
     }
@@ -86,7 +96,7 @@ impl<T: ?Sized> RwLock<T> {
         s.writer = false;
         if s.writers_waiting > 0 {
             self.writers_cv.notify_one();
-        } else {
+        } else if s.readers_waiting > 0 {
             self.readers_cv.notify_all();
         }
     }
@@ -307,6 +317,56 @@ mod tests {
         g.push('y');
         drop(arc);
         assert_eq!(&*g, "xy");
+    }
+
+    /// Spin until `n` threads are counted asleep on the lock.
+    fn await_waiters<T>(l: &RwLock<T>, n: usize) {
+        while {
+            let s = l.state.lock().unwrap();
+            s.readers_waiting + s.writers_waiting != n
+        } {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn reader_blocked_behind_a_writer_is_woken() {
+        // The hand-off the waiter count must not break: the unlock that
+        // follows a *registered* sleeper has to notify it.
+        let l = Arc::new(RwLock::new(0u32));
+        let mut w = l.write();
+        let reader = {
+            let l = Arc::clone(&l);
+            std::thread::spawn(move || *l.read())
+        };
+        await_waiters(&l, 1);
+        *w = 7;
+        drop(w);
+        assert_eq!(reader.join().unwrap(), 7);
+        let s = l.state.lock().unwrap();
+        assert_eq!((s.readers, s.readers_waiting, s.writers_waiting), (0, 0, 0));
+    }
+
+    #[test]
+    fn writer_blocked_behind_readers_is_woken_and_holds_back_new_readers() {
+        let l = Arc::new(RwLock::new(0u32));
+        let r1 = l.read();
+        let r2 = l.read();
+        let writer = {
+            let l = Arc::clone(&l);
+            std::thread::spawn(move || *l.write() = 9)
+        };
+        await_waiters(&l, 1);
+        // Writer preference: a reader arriving now queues behind it.
+        let late = {
+            let l = Arc::clone(&l);
+            std::thread::spawn(move || *l.read())
+        };
+        await_waiters(&l, 2);
+        drop(r1);
+        drop(r2);
+        writer.join().unwrap();
+        assert_eq!(late.join().unwrap(), 9);
     }
 
     #[test]

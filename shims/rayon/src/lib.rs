@@ -135,9 +135,12 @@ struct Registry {
     stealers: Vec<Stealer<Task>>,
     /// FIFO queue for tasks submitted from outside the pool.
     injector: Injector<Task>,
-    /// Sleep lock: workers park on `cv` holding this; submitters notify
-    /// under it, which makes the park/submit race lossless.
-    sleep: Mutex<()>,
+    /// How many threads are parked on `cv`: idle workers *and* callers
+    /// waiting for a latch (see [`Registry::park_unless`]). Every push
+    /// and every latch completion notifies under this lock, which makes
+    /// the park/notify race lossless — and only when the count is
+    /// non-zero, because a notify nobody hears is still a syscall.
+    sleepers: Mutex<usize>,
     cv: Condvar,
 }
 
@@ -155,7 +158,7 @@ impl Registry {
             deques,
             stealers,
             injector: Injector::new(),
-            sleep: Mutex::new(()),
+            sleepers: Mutex::new(0),
             cv: Condvar::new(),
         });
         for i in 0..workers {
@@ -170,17 +173,44 @@ impl Registry {
 
     /// Enqueue a task: onto the submitting worker's own deque when the
     /// submitter belongs to this registry (owner-LIFO), else onto the
-    /// injector. Wakes a parked worker either way.
-    fn submit(self: &Arc<Registry>, task: Task) {
+    /// injector. Wakes one parked thread — worker or waiting caller,
+    /// either can run it.
+    fn submit(&self, task: Task) {
         match ctx_owner_index(self) {
             Some(i) => self.deques[i].push(task),
             None => self.injector.push(task),
         }
-        // Notify under the sleep lock: a worker checks queue emptiness
-        // while holding it, so the push above is either seen by that
-        // check or this notify lands after the worker started waiting.
-        let _guard = self.sleep.lock().unwrap_or_else(|e| e.into_inner());
-        self.cv.notify_one();
+        if *self.lock_sleepers() > 0 {
+            self.cv.notify_one();
+        }
+    }
+
+    fn lock_sleepers(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.sleepers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Park until the next push or latch completion, unless `ready()`
+    /// already holds or a task is queued. Both are checked under the
+    /// sleep lock, and both events notify under it *after* becoming
+    /// observable, so the event is either seen here or its notify finds
+    /// this thread counted and waiting. Returning is only a hint to look
+    /// again (wake-ups can be spurious or meant for someone else).
+    fn park_unless(&self, ready: impl Fn() -> bool) {
+        let mut sleepers = self.lock_sleepers();
+        if ready() || self.any_queued() {
+            return;
+        }
+        *sleepers += 1;
+        sleepers = self.cv.wait(sleepers).unwrap_or_else(|e| e.into_inner());
+        *sleepers -= 1;
+    }
+
+    /// Wake every parked thread: a latch drained, and its waiter is one
+    /// of them.
+    fn wake_all(&self) {
+        if *self.lock_sleepers() > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Find one runnable task: own deque (LIFO) first, then the
@@ -210,7 +240,7 @@ impl Registry {
     }
 
     /// Whether any queue holds a task (checked under the sleep lock
-    /// before a worker parks).
+    /// before a thread parks).
     fn any_queued(&self) -> bool {
         !self.injector.is_empty() || self.deques.iter().any(|d| !d.is_empty())
     }
@@ -232,51 +262,40 @@ fn worker_main(reg: Arc<Registry>, index: usize) {
         c.worker_of = Some((Arc::clone(&reg), index));
     });
     loop {
-        if let Some(t) = reg.find_task(Some(index)) {
-            execute(t);
-            continue;
+        match reg.find_task(Some(index)) {
+            Some(t) => execute(t),
+            None => reg.park_unless(|| false),
         }
-        let guard = reg.sleep.lock().unwrap_or_else(|e| e.into_inner());
-        if reg.any_queued() {
-            continue;
-        }
-        drop(reg.cv.wait(guard).unwrap_or_else(|e| e.into_inner()));
     }
 }
 
 /// Countdown latch for one scope or parallel operation: tracks
-/// outstanding tasks; the final decrement notifies the waiting caller.
+/// outstanding tasks. It lives in the waiting caller's stack frame, so
+/// the decrement that brings it to zero is the last access any task
+/// makes to it (see [`Latch::decrement`]).
 struct Latch {
     counter: std::sync::atomic::AtomicUsize,
-    mutex: Mutex<()>,
-    cv: Condvar,
 }
 
 impl Latch {
     fn new() -> Latch {
-        Latch {
-            counter: std::sync::atomic::AtomicUsize::new(0),
-            mutex: Mutex::new(()),
-            cv: Condvar::new(),
-        }
+        Latch { counter: std::sync::atomic::AtomicUsize::new(0) }
     }
 
     fn increment(&self) {
         self.counter.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Count one task complete. The decrement happens *inside* the
-    /// latch's critical section: the counter can only reach zero while
-    /// the mutex is held, so a waiter that observes `done()` and then
-    /// acquires the mutex (see [`wait_with_work`]'s exit path) cannot
-    /// return — and free the latch — before this thread's last access
-    /// to it (the unlock) has completed. Without that ordering the
-    /// final notify could race the caller popping the stack frame the
-    /// latch lives in (use-after-free).
-    fn decrement(&self) {
-        let _guard = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
+    /// Count one task complete; the last one wakes the registry's
+    /// parked threads, the waiter among them. The waiter may return and
+    /// free the latch (and the scope or job around it) as soon as the
+    /// counter reads zero, so nothing here touches `self` after the
+    /// `fetch_sub` — which is why `reg` is a plain reference the caller
+    /// took *before* decrementing: registries are never freed (see
+    /// [`pooled_registry`]), the frame that holds the `Arc` may be.
+    fn decrement(&self, reg: &Registry) {
         if self.counter.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.cv.notify_all();
+            reg.wake_all();
         }
     }
 
@@ -287,31 +306,19 @@ impl Latch {
 
 /// Block until `latch` drains, executing pool tasks while waiting (the
 /// caller is the pool's n-th executor; with a 1-thread pool it is the
-/// *only* one).
+/// *only* one). With nothing to run the caller parks on the registry,
+/// not on its latch: a task pushed after the scan — by another caller
+/// of a worker-less registry, or by a task this latch is waiting for
+/// while every worker sleeps in a nested wait — wakes it to scan again,
+/// so no task can be left on a queue nobody will look at.
 fn wait_with_work(reg: &Arc<Registry>, latch: &Latch) {
     let owner = ctx_owner_index(reg);
-    loop {
-        if latch.done() {
-            break;
+    while !latch.done() {
+        match reg.find_task(owner) {
+            Some(t) => execute(t),
+            None => reg.park_unless(|| latch.done()),
         }
-        if let Some(t) = reg.find_task(owner) {
-            execute(t);
-            continue;
-        }
-        let guard = latch.mutex.lock().unwrap_or_else(|e| e.into_inner());
-        if latch.done() {
-            break;
-        }
-        // Tasks queued after the scan above are handled by the pool's
-        // workers; the final decrement notifies this condvar.
-        drop(latch.cv.wait(guard).unwrap_or_else(|e| e.into_inner()));
     }
-    // Synchronize with the final decrementer before returning: the
-    // counter only reaches zero inside the latch's critical section
-    // (see Latch::decrement), so this acquire blocks until that
-    // section's unlock — after which the caller may safely free the
-    // latch.
-    drop(latch.mutex.lock().unwrap_or_else(|e| e.into_inner()));
 }
 
 struct Ctx {
@@ -352,9 +359,9 @@ fn current_registry() -> Arc<Registry> {
 }
 
 /// This thread's worker slot in `reg`, if it is one of `reg`'s workers.
-fn ctx_owner_index(reg: &Arc<Registry>) -> Option<usize> {
+fn ctx_owner_index(reg: &Registry) -> Option<usize> {
     CTX.with(|c| {
-        c.borrow().worker_of.as_ref().filter(|(r, _)| Arc::ptr_eq(r, reg)).map(|&(_, i)| i)
+        c.borrow().worker_of.as_ref().filter(|(r, _)| std::ptr::eq(&**r, reg)).map(|&(_, i)| i)
     })
 }
 
@@ -405,7 +412,8 @@ impl IndexJob<'_> {
         if let Err(p) = result {
             self.panic.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(p);
         }
-        self.latch.decrement();
+        let reg: &Registry = self.registry;
+        self.latch.decrement(reg);
     }
 }
 
@@ -701,7 +709,8 @@ impl<'scope> Scope<'scope> {
             if let Err(p) = result {
                 sc.panic.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(p);
             }
-            sc.latch.decrement();
+            let reg: &Registry = &sc.registry;
+            sc.latch.decrement(reg);
         });
         // Safety: `scope` waits on the latch before returning, so the
         // Scope and all 'scope borrows outlive the task.

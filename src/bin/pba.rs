@@ -177,6 +177,12 @@ fn run(args: &[String]) -> Result<i32, Error> {
                 let line = serde_json::to_string(&session.stats())
                     .map_err(|e| Error::Protocol(e.to_string()))?;
                 eprintln!("{line}");
+                // A second line: the parser's work counters and its
+                // phase times (`traverse_ns`, `sweep_ns`, `refine_ns`,
+                // `finalize_ns`) — where a slow CFG parse went.
+                let line = serde_json::to_string(&session.parse_stats()?)
+                    .map_err(|e| Error::Protocol(e.to_string()))?;
+                eprintln!("{line}");
             }
             Ok(0)
         }
@@ -201,6 +207,16 @@ fn run(args: &[String]) -> Result<i32, Error> {
             println!("jts unbounded      {:>10}", s.jt_unbounded);
             println!("jt edges clamped   {:>10}", s.jt_edges_clamped);
             println!("tailcall flips     {:>10}", s.tailcall_flips);
+            println!("sweep walks        {:>10}", s.sweep_views);
+            println!("refine reanalyses  {:>10}", s.refine_reanalyses);
+            for (phase, ns) in [
+                ("traverse", s.traverse_ns),
+                ("sweep", s.sweep_ns),
+                ("refine", s.refine_ns),
+                ("finalize", s.finalize_ns),
+            ] {
+                println!("{:<18} {:>8.1}ms", format!("{phase} phase"), ns as f64 * 1e-6);
+            }
             Ok(0)
         }
         Some("selftest") => {
@@ -233,6 +249,13 @@ fn run(args: &[String]) -> Result<i32, Error> {
         }
         Some("gen") => {
             let out = args.get(1).unwrap_or_else(|| usage());
+            if out.starts_with('-') {
+                // `pba gen --funcs 40` once wrote an ELF named `--funcs`.
+                eprintln!(
+                    "pba gen: output path {out:?} looks like an option (write ./{out} to mean it)"
+                );
+                usage();
+            }
             let funcs = flag(args, "--funcs").unwrap_or(64);
             let seed = flag(args, "--seed").unwrap_or(0x5E1F) as u64;
             let g = generate(&GenConfig { num_funcs: funcs, seed, ..Default::default() });

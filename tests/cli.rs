@@ -1,0 +1,54 @@
+//! The `pba` binary's argument handling, driven as a process.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// A fresh scratch directory; the binary runs with it as its cwd, so a
+/// misparsed output path cannot land in the repository.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pba-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn pba(dir: &PathBuf, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pba")).current_dir(dir).args(args).output().unwrap()
+}
+
+#[test]
+fn gen_rejects_an_output_path_that_looks_like_an_option() {
+    let dir = scratch("gen-dash");
+    // The forgotten-path call that left a 5 KiB ELF named `--funcs` at
+    // the repo root five re-anchors running.
+    let out = pba(&dir, &["gen", "--funcs", "8"]);
+    assert_eq!(out.status.code(), Some(2), "usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("looks like an option"), "{stderr}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing written");
+
+    // The same path spelled as a path is fine, and so is the usual call.
+    assert!(pba(&dir, &["gen", "./--funcs", "--funcs", "8"]).status.success());
+    assert!(pba(&dir, &["gen", "ok.elf", "--funcs", "8", "--seed", "3"]).status.success());
+    let elf = std::fs::read(dir.join("ok.elf")).unwrap();
+    assert_eq!(&elf[..4], b"\x7fELF");
+    assert!(dir.join("--funcs").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn struct_stats_prints_session_and_parser_counters() {
+    let dir = scratch("struct-stats");
+    assert!(pba(&dir, &["gen", "a.elf", "--funcs", "12"]).status.success());
+    let out = pba(&dir, &["struct", "a.elf", "--stats", "--threads", "2"]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let json: Vec<&str> = stderr.lines().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(json.len(), 2, "{stderr}");
+    assert!(json[0].contains("\"cfg_parses\":1"), "{}", json[0]);
+    for field in ["traverse_ns", "sweep_ns", "refine_ns", "finalize_ns", "sweep_views"] {
+        assert!(json[1].contains(&format!("\"{field}\":")), "{field} missing: {}", json[1]);
+    }
+    assert!(json[1].contains("\"refine_reanalyses\":"), "{}", json[1]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
