@@ -1,5 +1,6 @@
 //! Section 8.1: correctness against ground truth over a coreutils-class
-//! corpus (the paper used 113 binaries from coreutils + tar).
+//! corpus (the paper used 113 binaries from coreutils + tar). Its first
+//! eleven seeds run in tier-1 as `tests/ground_truth.rs`.
 
 use pba_bench::report::Table;
 use pba_bench::workloads::scale;

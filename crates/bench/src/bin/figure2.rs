@@ -8,6 +8,7 @@
 
 use pba_bench::report::secs;
 use pba_bench::workload;
+use pba_bench::workloads::run_threads;
 use pba_driver::analyze;
 use pba_gen::Profile;
 use pba_hpcstruct::{HsConfig, PHASE_NAMES};
@@ -28,10 +29,7 @@ fn median_parse(input: &ParseInput, threads: usize, reps: usize) -> (f64, StatsS
 }
 
 fn main() {
-    let threads = std::env::var("PBA_THREADS")
-        .ok()
-        .and_then(|s| s.split(',').next_back().and_then(|x| x.trim().parse().ok()))
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    let threads = run_threads();
     let g = workload(Profile::TensorFlow, 0xF162);
     let out = analyze(&g.elf, &HsConfig { threads, name: "TensorFlow".into() }).expect("hpcstruct");
     let total = out.times.total();

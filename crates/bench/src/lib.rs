@@ -1,22 +1,21 @@
-//! Shared harness for the evaluation binaries (one per paper table /
-//! figure) and the criterion benches.
+//! Shared code for the evaluation binaries (one per paper table /
+//! figure, plus the ablations and the Section 8.1 correctness check).
 //!
 //! * [`workloads`] — cached generation of the profile binaries so the
 //!   table binaries don't regenerate identical inputs;
 //! * [`check`] — the Section 8.1 ground-truth checker (function ranges,
 //!   jump-table sizes, non-returning calls);
-//! * [`harness`] — shared scheduling baselines (static contiguous
-//!   chunking) reused across the steal and ir sweeps;
 //! * [`report`] — plain-text table formatting shared by the binaries.
 //!
 //! Environment knobs:
 //! * `PBA_SCALE` — multiplies workload function counts (default 1.0;
 //!   use <1 for smoke runs, >1 for bigger machines);
 //! * `PBA_THREADS` — comma-separated thread counts for sweeps
-//!   (default `1,2,4,8,16,32,64` clamped by available parallelism ×4).
+//!   (default `1,2,4,8,16,32,64` clamped by available parallelism ×4);
+//!   single-run binaries take its last entry (default: available
+//!   parallelism).
 
 pub mod check;
-pub mod harness;
 pub mod report;
 pub mod workloads;
 

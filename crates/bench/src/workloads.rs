@@ -19,31 +19,30 @@ pub fn workload(profile: Profile, seed: u64) -> Generated {
     generate(&cfg)
 }
 
+/// The thread counts listed in `PBA_THREADS`, if it names any
+/// (unparseable entries are dropped).
+fn env_threads() -> Option<Vec<usize>> {
+    let s = std::env::var("PBA_THREADS").ok()?;
+    let v: Vec<usize> = s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
+    (!v.is_empty()).then_some(v)
+}
+
 /// Thread counts to sweep: `PBA_THREADS` or the paper's ladder clamped
 /// to 4× the available parallelism (oversubscription beyond that only
 /// adds noise).
 pub fn sweep_threads() -> Vec<usize> {
-    if let Ok(s) = std::env::var("PBA_THREADS") {
-        let v: Vec<usize> = s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-        if !v.is_empty() {
-            return v;
-        }
-    }
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    [1usize, 2, 4, 8, 16, 32, 64].into_iter().filter(|&t| t <= (avail * 4).max(2)).collect()
+    env_threads().unwrap_or_else(|| {
+        let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        [1usize, 2, 4, 8, 16, 32, 64].into_iter().filter(|&t| t <= (avail * 4).max(2)).collect()
+    })
 }
 
-/// Median-of-N timing helper (seconds).
-pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+/// Thread count for a binary that runs at one width: the last
+/// `PBA_THREADS` entry, else the available parallelism.
+pub fn run_threads() -> usize {
+    env_threads()
+        .and_then(|v| v.last().copied())
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 #[cfg(test)]
@@ -55,13 +54,5 @@ mod tests {
         let v = sweep_threads();
         assert!(!v.is_empty());
         assert_eq!(v[0], 1);
-    }
-
-    #[test]
-    fn time_median_times_something() {
-        let t = time_median(3, || {
-            std::hint::black_box((0..10_000).sum::<u64>());
-        });
-        assert!(t >= 0.0);
     }
 }

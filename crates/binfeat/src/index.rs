@@ -37,8 +37,9 @@
 //! The defaults (12 bands × 10 rows) put the S-curve threshold at
 //! `(1/12)^(1/10) ≈ 0.78`: generated clone families (Jaccard ≥ ~0.85)
 //! collide with ≥ 93% probability per pair while unrelated binaries
-//! (≤ ~0.65) collide under a few percent of the time. `pba-bench --bin
-//! topk` measures both ends on a ~10k corpus.
+//! (≤ ~0.65) collide under a few percent of the time. The suite's
+//! `topk_query` workload measures both ends (`binfeat.recall_at_5`,
+//! `binfeat.candidate_ratio`).
 //!
 //! The index stores the exact [`FeatureIndex`] per entry (needed for
 //! the re-rank and for the brute-force fallback via

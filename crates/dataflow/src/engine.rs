@@ -60,16 +60,15 @@
 //! *before* a visit retires — can only happen at the fixpoint. Blocks
 //! are seeded through a FIFO injector in direction-RPO rank order, so
 //! the first sweep visits blocks in the serial executor's priority
-//! order and the visit count stays comparable (the `engine` benchmark
-//! asserts within 2× of serial on one CPU).
+//! order and the visit count stays comparable (a unit test asserts
+//! within 2× of serial on one worker).
 //!
 //! Two levels of parallelism mirror the paper's phase structure:
 //! *within* a function via [`ParallelExecutor`] / [`AsyncExecutor`],
-//! and *across* functions via [`run_all`] / [`run_per_function`] (or
-//! their [`crate::ir::BinaryIr`]-backed twins [`run_all_ir`] /
-//! [`run_per_function_ir`], which reuse one decoded IR instead of
-//! rebuilding it), fanning work over a size-sorted function list on a
-//! sized rayon pool (the Listing 7 `schedule(dynamic)` shape).
+//! and *across* functions via [`run_all_ir`] / [`run_per_function_ir`],
+//! which fan work over a size-sorted list of one decoded
+//! [`crate::ir::BinaryIr`]'s functions on a sized rayon pool (the
+//! Listing 7 `schedule(dynamic)` shape).
 
 use crate::ir::{BinaryIr, FuncIr};
 use crate::liveness::{liveness_on, LivenessResult};
@@ -701,7 +700,7 @@ fn recompute_input_from_slots<S: DataflowSpec>(
 
 /// The barrier-free fixpoint on the current rayon registry: one worker
 /// loop per available thread, run as scope tasks so nesting under
-/// [`run_per_function`]'s pool composes (an occupied pool degrades to
+/// [`run_per_function_ir`]'s pool composes (an occupied pool degrades to
 /// fewer active workers, never deadlocks — any single worker loop can
 /// drain the whole graph alone).
 fn async_fixpoint<S: DataflowSpec + Sync>(spec: &S, graph: &FlowGraph) -> DataflowResults<S::Fact> {
@@ -841,31 +840,18 @@ fn async_worker<S: DataflowSpec + Sync>(
     }
 }
 
-/// Default block count at which [`ExecutorKind::Auto`] switches a
-/// function from the serial to a parallel executor — see
-/// [`auto_block_threshold`] for the runtime override. Below it, task
-/// and queue overhead dwarfs the transfer work; above it, the worklist
-/// is wide enough for idle pool workers to steal a useful share (the
-/// `pba-gen` Skewed-profile giant functions the `steal` benchmark
-/// measures sit well past it).
+/// Block count at which [`ExecutorKind::Auto`] switches a function from
+/// the serial to the async executor. Below it, task and queue overhead
+/// dwarfs the transfer work; above it, the worklist is wide enough for
+/// idle pool workers to steal a useful share (the `pba-gen`
+/// Skewed-profile giant the `skewed_dataflow` suite workload measures
+/// sits past it).
 pub const AUTO_BLOCK_THRESHOLD: usize = 2048;
 
-/// The block-count threshold [`ExecutorKind::Auto`] actually uses:
-/// [`AUTO_BLOCK_THRESHOLD`] unless the `PBA_AUTO_THRESHOLD` environment
-/// variable overrides it (read once, first use; non-numeric or zero
-/// values are ignored). The override exists so the re-tune on real
-/// multi-core hardware is a shell variable, not a rebuild — this
-/// container pins measurements to one CPU, where the crossover cannot
-/// be observed (see the ROADMAP standing constraints).
+/// The block-count threshold [`ExecutorKind::Auto`] uses:
+/// [`AUTO_BLOCK_THRESHOLD`].
 pub fn auto_block_threshold() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("PBA_AUTO_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or(AUTO_BLOCK_THRESHOLD)
-    })
+    AUTO_BLOCK_THRESHOLD
 }
 
 /// Executor selection for APIs that take it as a runtime value.
@@ -877,7 +863,7 @@ pub enum ExecutorKind {
     /// [`ParallelExecutor`] with its thread count (0 = inherit the
     /// ambient rayon context — see [`ParallelExecutor::threads`]. Since
     /// the work-stealing shim, `Parallel(0)` composes with
-    /// [`run_per_function`]: a worker's nested rounds split into its
+    /// [`run_per_function_ir`]: a worker's nested rounds split into its
     /// own deque, where idle pool workers steal them).
     Parallel(usize),
     /// [`AsyncExecutor`] with its thread count (same 0 = ambient
@@ -888,13 +874,10 @@ pub enum ExecutorKind {
     /// threads) at or above it. The right default for whole-binary
     /// drivers on skewed workloads: the one giant function goes on the
     /// barrier-free worklist (stealable, no per-round join), the
-    /// thousands of small ones stay on the cheap serial worklist. Until
-    /// this PR the large side was the round-based [`ParallelExecutor`];
-    /// the async executor replaces it here because it keeps the same
-    /// stealing behavior while dropping the per-round barrier the
-    /// threshold was partly compensating for — expect the re-tune on
-    /// real cores (via `PBA_AUTO_THRESHOLD`) to land on a *lower*
-    /// crossover than the round-based one would.
+    /// thousands of small ones stay on the cheap serial worklist. The
+    /// large side is the async executor rather than the round-based
+    /// [`ParallelExecutor`] because it keeps the same stealing behavior
+    /// without the per-round barrier.
     Auto,
 }
 
@@ -952,80 +935,35 @@ fn func_analyses(ir: &FuncIr, exec: ExecutorKind) -> FuncAnalyses {
     }
 }
 
-/// Run the three standard analyses over every function of a finalized
-/// CFG, fanning functions across a rayon pool of `threads` workers.
+/// Run the three standard analyses over every function of a prebuilt
+/// [`BinaryIr`], fanning functions across a rayon pool of `threads`
+/// workers, each function's fixpoints on `exec`.
 ///
 /// This is the paper's "parallel analysis over a read-only CFG" phase:
-/// functions are size-sorted (largest first) for load balance, and each
-/// function runs the [`SerialExecutor`] — across-function parallelism is
-/// where the throughput is; use [`run_all_with`] to pick a different
-/// per-function executor. Each call decodes every function's blocks
-/// once; callers holding a [`BinaryIr`] should use [`run_all_ir`] and
-/// decode *nothing*.
-pub fn run_all(cfg: &pba_cfg::Cfg, threads: usize) -> HashMap<u64, FuncAnalyses> {
-    run_all_with(cfg, threads, ExecutorKind::Serial)
-}
-
-/// [`run_all`] with an explicit per-function executor.
-pub fn run_all_with(
-    cfg: &pba_cfg::Cfg,
-    threads: usize,
-    exec: ExecutorKind,
-) -> HashMap<u64, FuncAnalyses> {
-    run_per_function(cfg, threads, |ir| func_analyses(ir, exec))
-}
-
-/// [`run_all_with`] over a prebuilt [`BinaryIr`]: no decoding, no graph
-/// building — the analyses only run fixpoints.
+/// no decoding, no graph building — the analyses only run fixpoints.
+/// Across-function parallelism is where the throughput is, so
+/// [`ExecutorKind::Serial`] is the usual per-function executor.
 pub fn run_all_ir(ir: &BinaryIr, threads: usize, exec: ExecutorKind) -> HashMap<u64, FuncAnalyses> {
     run_per_function_ir(ir, threads, |fir| func_analyses(fir, exec))
 }
 
-/// The whole-binary fan-out underneath [`run_all`]: apply `analyze` to
-/// the IR of every function, size-sorted largest-first across a rayon
-/// pool of `threads` workers, keyed by function entry. Each function's
-/// [`FuncIr`] is built (blocks decoded once) inside the closure and
-/// dropped with it; callers that keep the IRs should build a
-/// [`BinaryIr`] and use [`run_per_function_ir`].
+/// The whole-binary fan-out underneath [`run_all_ir`]: apply `analyze`
+/// to every function's already-decoded IR, size-sorted largest-first
+/// across a rayon pool of `threads` workers, keyed by function entry.
 ///
 /// Consumers needing only one analysis (BinFeat wants liveness,
 /// hpcstruct phase 6 wants stack heights) go through this directly
 /// rather than paying for all three.
-pub fn run_per_function<T: Send>(
-    cfg: &pba_cfg::Cfg,
-    threads: usize,
-    analyze: impl Fn(&FuncIr) -> T + Sync,
-) -> HashMap<u64, T> {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("run_all pool");
-    let mut funcs: Vec<&pba_cfg::Function> = cfg.functions.values().collect();
-    // Largest first: starting the giants early gives the stealing pool
-    // the whole run to rebalance around them. (The size-striping this
-    // list used to need under the static-chunking shim is gone — the
-    // deque-based pool splits the index range and idle workers steal,
-    // so skew is handled by the scheduler, not the submission order.)
-    funcs.sort_by_key(|f| std::cmp::Reverse(f.blocks.len()));
-    let results: Vec<(u64, T)> = pool.install(|| {
-        funcs
-            .par_iter()
-            .map(|f| {
-                let ir = FuncIr::build(cfg, f);
-                (f.entry, analyze(&ir))
-            })
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
-/// [`run_per_function`] over a prebuilt [`BinaryIr`]: the same
-/// largest-first fan-out, but every closure borrows its function's
-/// already-decoded IR instead of rebuilding it.
 pub fn run_per_function_ir<T: Send>(
     ir: &BinaryIr,
     threads: usize,
     analyze: impl Fn(&FuncIr) -> T + Sync,
 ) -> HashMap<u64, T> {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("run_all pool");
+    let pool =
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("per-function pool");
     let mut funcs: Vec<&FuncIr> = ir.funcs().collect();
+    // Largest first: starting the giants early gives the stealing pool
+    // the whole run to rebalance around them.
     funcs.sort_by_key(|f| std::cmp::Reverse(f.blocks().len()));
     let results: Vec<(u64, T)> =
         pool.install(|| funcs.par_iter().map(|fir| (fir.entry(), analyze(fir))).collect());

@@ -16,8 +16,8 @@
 //! (shared blocks are copied into each owning function's arena, not
 //! re-decoded); `pba::Session::ir()` memoizes it so *decode-once* is a
 //! structural invariant of the session, not per-consumer luck —
-//! measured by `pba-bench --bin ir` against
-//! [`pba_cfg::CodeRegion::decode_count`].
+//! measured against [`pba_cfg::CodeRegion::decode_count`] by the
+//! driver's `tests/ir.rs`.
 
 use crate::engine::FlowGraph;
 use crate::view::CfgView;
@@ -341,7 +341,7 @@ impl BinaryIr {
 
     /// Instructions in the binary's unique blocks — exactly how many
     /// decodes building this IR performed (the decode-once invariant
-    /// `pba-bench --bin ir` and the session tests assert).
+    /// the session tests assert).
     pub fn unique_block_insn_count(&self) -> usize {
         self.unique_block_insns
     }
@@ -361,13 +361,6 @@ impl BinaryIr {
             }
         }
         bytes
-    }
-
-    /// Instruction-storage bytes a per-function *copied* layout would
-    /// hold (every owner paying for its own copy of shared blocks) —
-    /// the baseline `pba-bench --bin mem` compares against.
-    pub fn copied_insn_bytes(&self) -> usize {
-        self.insn_total * std::mem::size_of::<Insn>()
     }
 
     /// Estimated total heap bytes: unique instruction storage plus every

@@ -54,11 +54,9 @@
 //! one `Arc<[Insn]>`, and functions sharing a block (error paths,
 //! outlined `.cold` fragments) hold handles to the same storage, so a
 //! resident session pins what its unique data costs
-//! ([`ir::BinaryIr::shared_insn_bytes`] vs
-//! [`ir::BinaryIr::copied_insn_bytes`]; `pba-bench --bin mem` asserts
-//! the difference). Downstream, the analyses are dense end-to-end:
-//! every spec and result keys per-block facts by the graph's
-//! `pba_cfg::BlockIndex` rank into plain `Vec`s — the addr-keyed
+//! ([`ir::BinaryIr::shared_insn_bytes`]). Downstream, the analyses are
+//! dense end-to-end: every spec and result keys per-block facts by the
+//! graph's `pba_cfg::BlockIndex` rank into plain `Vec`s — the addr-keyed
 //! `HashMap`s survive only as compat accessors at the public seams.
 //! `pba::Session::ir()` memoizes the `BinaryIr` so decode-once is a
 //! structural invariant rather than per-consumer luck, and each
@@ -79,9 +77,9 @@
 //! least fixpoint, so the three executors return identical results by
 //! construction (property-tested in `tests/engine_equiv.rs`). Liveness,
 //! reaching definitions and stack height are all spec'd this way;
-//! [`engine::run_all`] fans all three across the functions of a
-//! finalized CFG on a sized rayon pool — the paper's "parallel analysis
-//! over a read-only CFG" phase.
+//! [`engine::run_all_ir`] fans all three across the functions of a
+//! [`ir::BinaryIr`] on a sized rayon pool — the paper's "parallel
+//! analysis over a read-only CFG" phase.
 
 pub mod engine;
 pub mod expr;
@@ -93,9 +91,9 @@ pub mod stack;
 pub mod view;
 
 pub use engine::{
-    auto_block_threshold, run_all, run_all_ir, run_all_with, run_per_function, run_per_function_ir,
-    AsyncExecutor, DataflowExecutor, DataflowResults, DataflowSpec, Direction, ExecutorKind,
-    FlowGraph, FuncAnalyses, ParallelExecutor, SerialExecutor, AUTO_BLOCK_THRESHOLD,
+    auto_block_threshold, run_all_ir, run_per_function_ir, AsyncExecutor, DataflowExecutor,
+    DataflowResults, DataflowSpec, Direction, ExecutorKind, FlowGraph, FuncAnalyses,
+    ParallelExecutor, SerialExecutor, AUTO_BLOCK_THRESHOLD,
 };
 pub use expr::Expr;
 pub use ir::{BinaryIr, BlockSummary, FuncIr};

@@ -14,8 +14,8 @@
 //!    implementations; the reaching-defs oracle carries the deliberate
 //!    gen-retraction fix — a later same-block redefinition now retracts
 //!    the earlier def's gen bits);
-//! 3. `run_all` agrees with per-function invocation, and the
-//!    `BinaryIr`-backed `run_all_ir` agrees with both.
+//! 3. the `BinaryIr`-backed `run_all_ir` agrees with per-function
+//!    invocation.
 
 use pba_dataflow::engine::ExecutorKind;
 use pba_dataflow::{
@@ -291,24 +291,18 @@ proptest! {
         let cfg_graph = parsed_cfg(&cfg);
         let ir = BinaryIr::build(&cfg_graph, 2);
         for threads in [1usize, 4] {
-            let all = pba_dataflow::run_all(&cfg_graph, threads);
             let all_ir = pba_dataflow::run_all_ir(&ir, threads, ExecutorKind::Serial);
-            prop_assert_eq!(all.len(), cfg_graph.functions.len());
             prop_assert_eq!(all_ir.len(), cfg_graph.functions.len());
             for f in cfg_graph.functions.values() {
                 let view = FuncIr::build(&cfg_graph, f);
-                let a = &all[&f.entry];
                 let b = &all_ir[&f.entry];
                 let lone = liveness(&view);
                 let stack = stack_heights(&view);
                 let rd = reaching_defs(&view);
                 for &blk in view.blocks() {
-                    prop_assert_eq!(a.liveness.live_in(blk), lone.live_in(blk));
                     prop_assert_eq!(b.liveness.live_in(blk), lone.live_in(blk));
-                    prop_assert_eq!(a.stack.entry_frame(blk), stack.entry_frame(blk));
                     prop_assert_eq!(b.stack.entry_frame(blk), stack.entry_frame(blk));
                 }
-                prop_assert_eq!(&a.reaching.defs, &rd.defs);
                 prop_assert_eq!(&b.reaching.defs, &rd.defs);
             }
         }

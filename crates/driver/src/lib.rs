@@ -11,8 +11,8 @@
 //! [`Session::features`]) is computed at most once per session, with
 //! concurrent callers blocking on the in-flight computation and sharing
 //! the result. Ask for `structure()` and then `features()` and the CFG
-//! is parsed once, not twice — [`Session::stats`] proves it, and
-//! `pba-bench --bin session` measures it.
+//! is parsed once, not twice — [`Session::stats`] proves it, and the
+//! suite's `driver.cfg_parses` counter measures it.
 //!
 //! [`SessionConfig`] is the one configuration surface (threads,
 //! executor, parse options, load-module name) with one convention:

@@ -83,8 +83,7 @@ impl SessionConfig {
 ///
 /// Every field is 0 or 1 once the session quiesces (per-function loop
 /// forests: at most one per distinct entry) — that *is* the session
-/// contract, and the memoization tests plus the `pba-bench --bin
-/// session` parse-count column assert it.
+/// contract, and the memoization tests assert it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionStats {
     /// ELF image parses.
@@ -96,7 +95,7 @@ pub struct SessionStats {
     /// Whole-binary analysis-IR builds (each decodes every unique block
     /// exactly once; everything downstream borrows).
     pub ir_builds: u64,
-    /// Whole-binary `run_all` dataflow sweeps.
+    /// Whole-binary `run_all_ir` dataflow sweeps.
     pub dataflow_runs: u64,
     /// hpcstruct structure builds.
     pub structure_builds: u64,
@@ -261,7 +260,7 @@ impl Session {
     /// decoded exactly once. Every downstream analysis artifact —
     /// `dataflow()`, `structure()`, `features()`, the loop forests —
     /// borrows this IR, so "decode once per binary" is a structural
-    /// invariant of the session (`pba-bench --bin ir` measures it).
+    /// invariant of the session (`tests/ir.rs` asserts it).
     pub fn ir(&self) -> Result<&BinaryIr, Error> {
         self.ir
             .get_or_compute(|| {
@@ -274,7 +273,7 @@ impl Session {
 
     /// The three standard dataflow analyses (liveness, reaching defs,
     /// stack height) for every function, keyed by entry — the engine's
-    /// `run_all` facts over the shared IR, fanned across the session's
+    /// `run_all_ir` facts over the shared IR, fanned across the session's
     /// pool once.
     pub fn dataflow(&self) -> Result<&HashMap<u64, FuncAnalyses>, Error> {
         self.dataflow

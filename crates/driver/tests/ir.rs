@@ -96,6 +96,12 @@ fn shared_block_layout_is_output_invariant_across_pct_shared() {
             session.stats().resident_bytes > 0,
             "a driven session reports its resident footprint"
         );
+        let ir_bytes = session.ir().expect("ir").heap_bytes() as u64;
+        assert!(
+            session.stats().resident_bytes >= ir_bytes,
+            "pct_shared={pct_shared}: resident_bytes must at least cover the memoized IR \
+             ({ir_bytes} bytes)"
+        );
 
         // Copied-layout oracle: a fresh FuncIr per function owns its own
         // arenas; facts must match the shared-IR session exactly.

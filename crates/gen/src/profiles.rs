@@ -39,8 +39,8 @@ pub enum Profile {
     /// (think a generated parser or an unrolled numeric kernel) among
     /// hundreds of tiny ones. A statically-chunked scheduler serializes
     /// on the giant; the work-stealing pool (and the `ExecutorKind`
-    /// auto heuristic) is measured against exactly this shape by
-    /// `pba-bench --bin steal`.
+    /// auto heuristic) is measured against exactly this shape by the
+    /// suite's `skewed_dataflow` workload.
     Skewed,
 }
 

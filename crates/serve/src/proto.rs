@@ -149,8 +149,7 @@ pub struct TopkHit {
     pub score: f64,
 }
 
-/// Daemon-wide counters, served by [`Request::Stats`] and reported by
-/// the `--bin daemon` bench.
+/// Daemon-wide counters, served by [`Request::Stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Total requests decoded (including ones answered with errors).

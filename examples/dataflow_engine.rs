@@ -1,13 +1,13 @@
 //! Dataflow engine walkthrough: generate a synthetic binary, parse its
-//! CFG in parallel, then run the whole-binary analysis driver and poke
-//! at per-function engine results.
+//! CFG in parallel, decode it once into the analysis IR, then run the
+//! whole-binary analysis driver and poke at per-function engine results.
 //!
 //! ```text
 //! cargo run --example dataflow_engine --release [THREADS]
 //! ```
 
 use pba::dataflow::engine::ExecutorKind;
-use pba::dataflow::Height;
+use pba::dataflow::{run_all_ir, BinaryIr, Height};
 use pba::gen::{generate, GenConfig};
 use pba::parse::{parse_parallel, ParseInput};
 use std::time::Instant;
@@ -31,26 +31,25 @@ fn main() {
         cfg.blocks.len()
     );
 
-    // The whole-binary driver: every function × three analyses, fanned
-    // across a rayon pool. Timed per analysis family below.
+    // Every unique block decoded once; each analysis run below only
+    // runs fixpoints over it.
     let t = Instant::now();
-    let analyses = pba::dataflow::run_all(&cfg, threads);
-    let t_all = t.elapsed();
+    let ir = BinaryIr::build(&cfg, threads);
+    println!("IR: {} instructions decoded in {:?}", ir.unique_block_insn_count(), t.elapsed());
 
-    // Per-analysis timings (re-running each family individually).
-    let mut timings = Vec::new();
-    for (name, exec) in
-        [("serial-exec", ExecutorKind::Serial), ("parallel-exec", ExecutorKind::Parallel(threads))]
-    {
-        let t = Instant::now();
-        std::hint::black_box(pba::dataflow::run_all_with(&cfg, threads, exec));
-        timings.push((name, t.elapsed()));
-    }
+    // The whole-binary driver: every function × three analyses, fanned
+    // across a rayon pool, under each per-function executor (both reach
+    // the same fixpoint; the serial run's facts are sampled below).
+    let t = Instant::now();
+    let analyses = run_all_ir(&ir, threads, ExecutorKind::Serial);
+    let t_serial = t.elapsed();
+    let t = Instant::now();
+    std::hint::black_box(run_all_ir(&ir, threads, ExecutorKind::Parallel(threads)));
+    let t_parallel = t.elapsed();
 
-    println!("run_all({threads} threads): {t_all:?} for {} functions", analyses.len());
-    for (name, d) in &timings {
-        println!("  {name:<14} {d:?}");
-    }
+    println!("run_all_ir({threads} threads) over {} functions:", analyses.len());
+    println!("  {:<14} {t_serial:?}", "serial-exec");
+    println!("  {:<14} {t_parallel:?}", "parallel-exec");
 
     // Sample what the engine computed: the densest function's facts.
     let densest =

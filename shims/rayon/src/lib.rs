@@ -34,8 +34,8 @@
 //!
 //! Scheduling activity is observable through [`stats`]
 //! (cache-line-padded [`pba_concurrent::stats::Counter`]s): tasks
-//! executed, tasks obtained by stealing, and range splits. The steal
-//! benchmark (`pba-bench --bin steal`) reports them per sweep row.
+//! executed, tasks obtained by stealing, and range splits. The
+//! benchmark suite reports them as its `rayon.tasks_*` rows.
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use std::any::Any;
@@ -340,7 +340,7 @@ fn global_registry() -> Arc<Registry> {
 
 /// Registry for a requested pool size, cached process-wide: building a
 /// `ThreadPool` of a size seen before is a map lookup, not an OS-thread
-/// spawn — `run_per_function`-style code that builds a pool per call
+/// spawn — `run_per_function_ir`-style code that builds a pool per call
 /// pays the worker spawn cost once per distinct size, ever. Size 0 (all
 /// available) resolves to the global registry.
 fn pooled_registry(num_threads: usize) -> Arc<Registry> {
