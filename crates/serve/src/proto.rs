@@ -717,6 +717,134 @@ mod tests {
         round_trip(&Response::Error { code: 65, message: "bad magic".into() });
     }
 
+    /// Pins a message's exact wire text (generated at the parent of the
+    /// derived codec): encoding must produce `text` byte for byte, and
+    /// `text` must decode back to `msg`.
+    fn pinned<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(msg: T, text: &str) {
+        assert_eq!(serde_json::to_string(&msg).unwrap(), text);
+        assert_eq!(serde_json::from_str::<T>(text).unwrap(), msg, "decode of {text}");
+    }
+
+    #[test]
+    fn request_wire_text_is_pinned() {
+        pinned(
+            Request::Struct { bin: BinSpec::Bytes(vec![0x7f, 0x45]) },
+            r#"{"kind":"struct","bin":{"bytes":"7f45"}}"#,
+        );
+        pinned(
+            Request::Features { bin: BinSpec::Path("/bin/true".into()) },
+            r#"{"kind":"features","bin":{"path":"/bin/true"}}"#,
+        );
+        pinned(
+            Request::SliceFunc { bin: BinSpec::Bytes(vec![0xde, 0xad]), entry: 0x401000 },
+            r#"{"kind":"slice_func","bin":{"bytes":"dead"},"entry":4198400}"#,
+        );
+        pinned(
+            Request::Similarity { a: BinSpec::Path("/a".into()), b: BinSpec::Bytes(vec![9]) },
+            r#"{"kind":"similarity","a":{"path":"/a"},"b":{"bytes":"09"}}"#,
+        );
+        pinned(
+            Request::CorpusIngest { bin: BinSpec::Path("/corp/a".into()) },
+            r#"{"kind":"corpus_ingest","bin":{"path":"/corp/a"}}"#,
+        );
+        pinned(
+            Request::CorpusTopk { bin: BinSpec::Bytes(vec![0xaa]), k: 5, exact: true },
+            r#"{"kind":"corpus_topk","bin":{"bytes":"aa"},"k":5,"exact":true}"#,
+        );
+        pinned(Request::Stats, r#"{"kind":"stats"}"#);
+        pinned(Request::Evict { hash: Some(42) }, r#"{"kind":"evict","hash":42}"#);
+        pinned(Request::Evict { hash: None }, r#"{"kind":"evict","hash":null}"#);
+        pinned(Request::Shutdown, r#"{"kind":"shutdown"}"#);
+    }
+
+    #[test]
+    fn response_wire_text_is_pinned() {
+        let stats = SessionStats {
+            cfg_parses: 1,
+            structure_builds: 1,
+            resident_bytes: 4096,
+            ..Default::default()
+        };
+        let stats_text = r#"{"elf_parses":0,"dwarf_decodes":0,"cfg_parses":1,"ir_builds":0,"dataflow_runs":0,"structure_builds":1,"feature_builds":0,"loop_forests":0,"resident_bytes":4096}"#;
+        pinned(
+            Response::Struct {
+                hit: true,
+                stats,
+                text: "Module \"x\"\n".into(),
+                functions: 3,
+                loops: 1,
+                stmts: 17,
+            },
+            &format!(
+                r#"{{"kind":"struct","hit":true,"stats":{stats_text},"text":"Module \"x\"\n","functions":3,"loops":1,"stmts":17}}"#
+            ),
+        );
+        pinned(
+            Response::Features { hit: false, stats, features: vec![(7, 2), (9, 1)] },
+            &format!(
+                r#"{{"kind":"features","hit":false,"stats":{stats_text},"features":[[7,2],[9,1]]}}"#
+            ),
+        );
+        pinned(
+            Response::SliceFunc {
+                hit: true,
+                stats,
+                jumps: vec![SliceJump {
+                    block: 0x40,
+                    widened: false,
+                    facts: 2,
+                    classified: 1,
+                    bounded: 1,
+                }],
+            },
+            &format!(
+                r#"{{"kind":"slice_func","hit":true,"stats":{stats_text},"jumps":[{{"block":64,"widened":false,"facts":2,"classified":1,"bounded":1}}]}}"#
+            ),
+        );
+        pinned(
+            Response::Similarity { hit_a: true, hit_b: false, cosine: 1.0, jaccard: 0.25 },
+            r#"{"kind":"similarity","hit_a":true,"hit_b":false,"cosine":1.0,"jaccard":0.25}"#,
+        );
+        pinned(
+            Response::CorpusIngest {
+                ingested: true,
+                hash: 0xABCD,
+                index_entries: 3,
+                index_bytes: 4096,
+            },
+            r#"{"kind":"corpus_ingest","ingested":true,"hash":43981,"index_entries":3,"index_bytes":4096}"#,
+        );
+        pinned(
+            Response::CorpusTopk {
+                hit: false,
+                exact: false,
+                candidates: 12,
+                hits: vec![TopkHit { hash: 7, score: 0.75 }],
+            },
+            r#"{"kind":"corpus_topk","hit":false,"exact":false,"candidates":12,"hits":[{"hash":7,"score":0.75}]}"#,
+        );
+        pinned(
+            Response::Stats {
+                serve: ServeStats {
+                    requests: 10,
+                    cache_hits: 6,
+                    index_entries: 2,
+                    ..Default::default()
+                },
+                sessions: vec![(0xfeed, stats)],
+            },
+            &format!(
+                r#"{{"kind":"stats","serve":{{"requests":10,"errors":0,"cache_hits":6,"cache_misses":0,"sessions_evicted":0,"sessions_resident":0,"resident_bytes":0,"index_bytes":0,"index_entries":2,"connections":0}},"sessions":[[65261,{stats_text}]]}}"#
+            ),
+        );
+        pinned(Response::Evicted { sessions: 2 }, r#"{"kind":"evicted","sessions":2}"#);
+        pinned(Response::Shutdown, r#"{"kind":"shutdown"}"#);
+        pinned(
+            Response::Error { code: -76, message: "bad magic".into() },
+            r#"{"kind":"error","code":-76,"message":"bad magic"}"#,
+        );
+    }
+
     #[test]
     fn error_response_carries_exit_code() {
         let e = Error::Protocol("torn frame".into());

