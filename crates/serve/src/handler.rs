@@ -103,46 +103,29 @@ impl ServeShared {
     }
 
     fn dispatch(&self, req: Request) -> Response {
-        match req {
-            Request::Struct { bin } => match self.serve_struct(&bin) {
-                Ok(r) => r,
-                Err(e) => Response::from_error(&e),
-            },
-            Request::Features { bin } => match self.serve_features(&bin) {
-                Ok(r) => r,
-                Err(e) => Response::from_error(&e),
-            },
-            Request::SliceFunc { bin, entry } => match self.serve_slice(&bin, entry) {
-                Ok(r) => r,
-                Err(e) => Response::from_error(&e),
-            },
-            Request::Similarity { a, b } => match self.serve_similarity(&a, &b) {
-                Ok(r) => r,
-                Err(e) => Response::from_error(&e),
-            },
-            Request::CorpusIngest { bin } => match self.serve_corpus_ingest(&bin) {
-                Ok(r) => r,
-                Err(e) => Response::from_error(&e),
-            },
+        let reply = match req {
+            Request::Struct { bin } => self.serve_struct(&bin),
+            Request::Features { bin } => self.serve_features(&bin),
+            Request::SliceFunc { bin, entry } => self.serve_slice(&bin, entry),
+            Request::Similarity { a, b } => self.serve_similarity(&a, &b),
+            Request::CorpusIngest { bin } => self.serve_corpus_ingest(&bin),
             Request::CorpusTopk { bin, k, exact } => {
-                match self.serve_corpus_topk(&bin, k as usize, exact) {
-                    Ok(r) => r,
-                    Err(e) => Response::from_error(&e),
-                }
+                self.serve_corpus_topk(&bin, k as usize, exact)
             }
             Request::Stats => {
                 let sessions =
                     self.cache.sessions().into_iter().map(|(h, s)| (h, s.stats())).collect();
-                Response::Stats { serve: self.serve_stats(), sessions }
+                Ok(Response::Stats { serve: self.serve_stats(), sessions })
             }
             Request::Evict { hash } => {
-                Response::Evicted { sessions: self.cache.evict(hash) as u64 }
+                Ok(Response::Evicted { sessions: self.cache.evict(hash) as u64 })
             }
             Request::Shutdown => {
                 self.request_shutdown();
-                Response::Shutdown
+                Ok(Response::Shutdown)
             }
-        }
+        };
+        reply.unwrap_or_else(|e| Response::from_error(&e))
     }
 
     /// Resolve a binary operand through the cache.

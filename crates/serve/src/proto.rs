@@ -18,6 +18,14 @@
 //! in the serde-shim data model: a tagged object whose `"kind"` field
 //! selects the [`Request`] / [`Response`] variant.
 //!
+//! Both enums derive their codec with
+//! `#[serde(tag = "kind", rename_all = "snake_case")]`, so the tables
+//! below are the derived shapes: `kind` (the variant name in
+//! snake_case) comes first, then the variant's fields in declaration
+//! order. An `Option` field (`hash?`) may be omitted and decodes as
+//! `None`; unknown keys are ignored. Only [`BinSpec`] is hand-written,
+//! because it hides the hex encoding.
+//!
 //! ## Requests
 //!
 //! | `kind` | fields | meaning |
@@ -71,7 +79,8 @@ pub enum BinSpec {
 }
 
 /// A client request (see the module docs for the wire shape).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Request {
     /// Program structure (the hpcstruct case study).
     Struct {
@@ -176,7 +185,8 @@ pub struct ServeStats {
 }
 
 /// A server response (see the module docs for the wire shape).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Response {
     /// Answer to [`Request::Struct`].
     Struct {
@@ -307,220 +317,27 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, serde::Error> {
     bytes.chunks_exact(2).map(|p| Ok(nib(p[0])? << 4 | nib(p[1])?)).collect()
 }
 
-// ---------------------------------------------------------------------
-// Tagged-enum (de)serialization over the serde-shim Value model. The
-// shim's derive handles structs only, so the enums spell out their
-// object shape by hand — which doubles as the wire documentation.
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn get<'a>(v: &'a Value, name: &str) -> Result<&'a Value, serde::Error> {
-    match v {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| serde::Error(format!("missing field `{name}`"))),
-        other => Err(serde::Error(format!("expected object, got {other:?}"))),
-    }
-}
-
-fn typed<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
-    T::from_value(get(v, name)?)
-}
-
-fn kind_of(v: &Value) -> Result<String, serde::Error> {
-    typed::<String>(v, "kind")
-}
+// The binary operand keeps a hand-written codec: it hides the hex
+// encoding, and its wire form is an untagged one-key object.
 
 impl Serialize for BinSpec {
     fn to_value(&self) -> Value {
-        match self {
-            BinSpec::Bytes(b) => obj(vec![("bytes", Value::Str(hex_encode(b)))]),
-            BinSpec::Path(p) => obj(vec![("path", Value::Str(p.clone()))]),
-        }
+        let (key, text) = match self {
+            BinSpec::Bytes(b) => ("bytes", hex_encode(b)),
+            BinSpec::Path(p) => ("path", p.clone()),
+        };
+        Value::Object(vec![(key.to_string(), Value::Str(text))])
     }
 }
 
 impl Deserialize for BinSpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        if let Ok(p) = typed::<String>(v, "path") {
+        if let Ok(p) = serde::__field(v, "path") {
             return Ok(BinSpec::Path(p));
         }
-        let hex: String = typed(v, "bytes")
+        let hex: String = serde::__field(v, "bytes")
             .map_err(|_| serde::Error("binary operand needs `path` or `bytes`".into()))?;
         Ok(BinSpec::Bytes(hex_decode(&hex)?))
-    }
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind", Value::Str(k.to_string()));
-        match self {
-            Request::Struct { bin } => obj(vec![kind("struct"), ("bin", bin.to_value())]),
-            Request::Features { bin } => obj(vec![kind("features"), ("bin", bin.to_value())]),
-            Request::SliceFunc { bin, entry } => obj(vec![
-                kind("slice_func"),
-                ("bin", bin.to_value()),
-                ("entry", Value::U64(*entry)),
-            ]),
-            Request::Similarity { a, b } => {
-                obj(vec![kind("similarity"), ("a", a.to_value()), ("b", b.to_value())])
-            }
-            Request::CorpusIngest { bin } => {
-                obj(vec![kind("corpus_ingest"), ("bin", bin.to_value())])
-            }
-            Request::CorpusTopk { bin, k, exact } => obj(vec![
-                kind("corpus_topk"),
-                ("bin", bin.to_value()),
-                ("k", Value::U64(*k)),
-                ("exact", Value::Bool(*exact)),
-            ]),
-            Request::Stats => obj(vec![kind("stats")]),
-            Request::Evict { hash } => obj(vec![kind("evict"), ("hash", hash.to_value())]),
-            Request::Shutdown => obj(vec![kind("shutdown")]),
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match kind_of(v)?.as_str() {
-            "struct" => Ok(Request::Struct { bin: typed(v, "bin")? }),
-            "features" => Ok(Request::Features { bin: typed(v, "bin")? }),
-            "slice_func" => {
-                Ok(Request::SliceFunc { bin: typed(v, "bin")?, entry: typed(v, "entry")? })
-            }
-            "similarity" => Ok(Request::Similarity { a: typed(v, "a")?, b: typed(v, "b")? }),
-            "corpus_ingest" => Ok(Request::CorpusIngest { bin: typed(v, "bin")? }),
-            "corpus_topk" => Ok(Request::CorpusTopk {
-                bin: typed(v, "bin")?,
-                k: typed(v, "k")?,
-                exact: typed(v, "exact")?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "evict" => Ok(Request::Evict { hash: typed(v, "hash")? }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(serde::Error(format!("unknown request kind {other:?}"))),
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind", Value::Str(k.to_string()));
-        match self {
-            Response::Struct { hit, stats, text, functions, loops, stmts } => obj(vec![
-                kind("struct"),
-                ("hit", Value::Bool(*hit)),
-                ("stats", stats.to_value()),
-                ("text", Value::Str(text.clone())),
-                ("functions", Value::U64(*functions)),
-                ("loops", Value::U64(*loops)),
-                ("stmts", Value::U64(*stmts)),
-            ]),
-            Response::Features { hit, stats, features } => obj(vec![
-                kind("features"),
-                ("hit", Value::Bool(*hit)),
-                ("stats", stats.to_value()),
-                ("features", features.to_value()),
-            ]),
-            Response::SliceFunc { hit, stats, jumps } => obj(vec![
-                kind("slice_func"),
-                ("hit", Value::Bool(*hit)),
-                ("stats", stats.to_value()),
-                ("jumps", jumps.to_value()),
-            ]),
-            Response::Similarity { hit_a, hit_b, cosine, jaccard } => obj(vec![
-                kind("similarity"),
-                ("hit_a", Value::Bool(*hit_a)),
-                ("hit_b", Value::Bool(*hit_b)),
-                ("cosine", Value::F64(*cosine)),
-                ("jaccard", Value::F64(*jaccard)),
-            ]),
-            Response::CorpusIngest { ingested, hash, index_entries, index_bytes } => obj(vec![
-                kind("corpus_ingest"),
-                ("ingested", Value::Bool(*ingested)),
-                ("hash", Value::U64(*hash)),
-                ("index_entries", Value::U64(*index_entries)),
-                ("index_bytes", Value::U64(*index_bytes)),
-            ]),
-            Response::CorpusTopk { hit, exact, candidates, hits } => obj(vec![
-                kind("corpus_topk"),
-                ("hit", Value::Bool(*hit)),
-                ("exact", Value::Bool(*exact)),
-                ("candidates", Value::U64(*candidates)),
-                ("hits", hits.to_value()),
-            ]),
-            Response::Stats { serve, sessions } => obj(vec![
-                kind("stats"),
-                ("serve", serve.to_value()),
-                ("sessions", sessions.to_value()),
-            ]),
-            Response::Evicted { sessions } => {
-                obj(vec![kind("evicted"), ("sessions", Value::U64(*sessions))])
-            }
-            Response::Shutdown => obj(vec![kind("shutdown")]),
-            Response::Error { code, message } => obj(vec![
-                kind("error"),
-                ("code", code.to_value()),
-                ("message", Value::Str(message.clone())),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match kind_of(v)?.as_str() {
-            "struct" => Ok(Response::Struct {
-                hit: typed(v, "hit")?,
-                stats: typed(v, "stats")?,
-                text: typed(v, "text")?,
-                functions: typed(v, "functions")?,
-                loops: typed(v, "loops")?,
-                stmts: typed(v, "stmts")?,
-            }),
-            "features" => Ok(Response::Features {
-                hit: typed(v, "hit")?,
-                stats: typed(v, "stats")?,
-                features: typed(v, "features")?,
-            }),
-            "slice_func" => Ok(Response::SliceFunc {
-                hit: typed(v, "hit")?,
-                stats: typed(v, "stats")?,
-                jumps: typed(v, "jumps")?,
-            }),
-            "similarity" => Ok(Response::Similarity {
-                hit_a: typed(v, "hit_a")?,
-                hit_b: typed(v, "hit_b")?,
-                cosine: typed(v, "cosine")?,
-                jaccard: typed(v, "jaccard")?,
-            }),
-            "corpus_ingest" => Ok(Response::CorpusIngest {
-                ingested: typed(v, "ingested")?,
-                hash: typed(v, "hash")?,
-                index_entries: typed(v, "index_entries")?,
-                index_bytes: typed(v, "index_bytes")?,
-            }),
-            "corpus_topk" => Ok(Response::CorpusTopk {
-                hit: typed(v, "hit")?,
-                exact: typed(v, "exact")?,
-                candidates: typed(v, "candidates")?,
-                hits: typed(v, "hits")?,
-            }),
-            "stats" => {
-                Ok(Response::Stats { serve: typed(v, "serve")?, sessions: typed(v, "sessions")? })
-            }
-            "evicted" => Ok(Response::Evicted { sessions: typed(v, "sessions")? }),
-            "shutdown" => Ok(Response::Shutdown),
-            "error" => {
-                Ok(Response::Error { code: typed(v, "code")?, message: typed(v, "message")? })
-            }
-            other => Err(serde::Error(format!("unknown response kind {other:?}"))),
-        }
     }
 }
 
@@ -895,5 +712,21 @@ mod tests {
             Err(Error::Protocol(_))
         ));
         assert!(matches!(decode_message::<Request>(&[0xff, 0xfe]), Err(Error::Protocol(_))));
+    }
+
+    #[test]
+    fn missing_option_is_none_and_missing_field_is_named() {
+        let evict = decode_message::<Request>(br#"{"kind":"evict"}"#).unwrap();
+        assert_eq!(evict, Request::Evict { hash: None });
+        for (payload, want) in [
+            (&br#"{"kind":"slice_func","bin":{"path":"/x"}}"#[..], "missing field `entry`"),
+            (br#"{"bin":{"path":"/x"}}"#, "missing field `kind`"),
+            (br#"{"kind":"nope"}"#, r#"unknown Request kind "nope""#),
+        ] {
+            match decode_message::<Request>(payload) {
+                Err(Error::Protocol(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("expected protocol error, got {other:?}"),
+            }
+        }
     }
 }

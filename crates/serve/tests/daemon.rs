@@ -305,6 +305,29 @@ fn protocol_abuse_is_connection_scoped() {
     assert_eq!(stats.errors, 3);
 }
 
+#[test]
+fn deeply_nested_frame_is_answered_not_a_crash() {
+    let handle = spawn_tcp(usize::MAX);
+    // 1 MiB of `[`: decoding recursed once per byte and overflowed the
+    // connection thread's stack, aborting the whole daemon.
+    let mut s = raw_tcp(&handle);
+    write_frame(&mut s, &vec![b'['; 1 << 20]).unwrap();
+    match read_message::<Response>(&mut s).unwrap().unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, 76);
+            assert!(message.contains("recursion limit exceeded"), "{message}");
+        }
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    write_message(&mut s, &Request::Stats).unwrap();
+    assert!(
+        matches!(read_message::<Response>(&mut s).unwrap().unwrap(), Response::Stats { .. }),
+        "connection must survive a too-deep payload"
+    );
+    drop(s);
+    handle.stop().unwrap();
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_serves_and_unlinks_on_shutdown() {

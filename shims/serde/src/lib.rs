@@ -3,9 +3,11 @@
 //! Instead of serde's visitor architecture, this models serialization as
 //! conversion through a self-describing [`Value`] tree — `serde_json`
 //! (the shim) renders and parses that tree as JSON text. The derive
-//! macros come from the sibling `serde_derive` shim and support
-//! non-generic structs with named fields, which is all the workspace
-//! derives on.
+//! macros come from the sibling `serde_derive` shim and support what
+//! the workspace derives on: non-generic structs with named fields, and
+//! non-generic internally tagged enums of unit and named-field variants
+//! under exactly `#[serde(tag = "...", rename_all = "snake_case")]` —
+//! the one attribute the shim accepts.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -56,16 +58,16 @@ pub trait Deserialize: Sized {
     fn from_value(value: &Value) -> Result<Self, Error>;
 }
 
-/// Look up a struct field by name (used by derived `Deserialize` impls).
-/// Missing keys deserialize as [`Value::Null`], so `Option` fields may be
-/// omitted.
+/// Look up a struct field or enum tag by name (used by derived
+/// `Deserialize` impls). Missing keys deserialize as [`Value::Null`], so
+/// `Option` fields may be omitted.
 pub fn __field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
     let Value::Object(fields) = value else {
         return Err(Error(format!("expected object looking up `{name}`")));
     };
     match fields.iter().find(|(k, _)| k == name) {
         Some((_, v)) => T::from_value(v),
-        None => T::from_value(&Value::Null),
+        None => T::from_value(&Value::Null).map_err(|_| Error(format!("missing field `{name}`"))),
     }
 }
 

@@ -17,10 +17,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Nesting cap for arrays and objects, as in real serde_json: the
+/// parser recurses once per level, so without a cap one small frame of
+/// `[` bytes overflows the decoding thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser { bytes: s.as_bytes(), at: 0 };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.at != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.at)));
@@ -160,8 +165,10 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// One value, nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, Error> {
         match self.peek()? {
+            b'[' | b'{' if depth == MAX_DEPTH => Err(Error("recursion limit exceeded".into())),
             b'n' => self.lit("null", Value::Null),
             b't' => self.lit("true", Value::Bool(true)),
             b'f' => self.lit("false", Value::Bool(false)),
@@ -174,7 +181,7 @@ impl Parser<'_> {
                     return Ok(Value::Array(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     match self.peek()? {
                         b',' => self.at += 1,
                         b']' => {
@@ -196,7 +203,7 @@ impl Parser<'_> {
                     self.skip_ws();
                     let key = self.string()?;
                     self.expect(b':')?;
-                    fields.push((key, self.value()?));
+                    fields.push((key, self.value(depth + 1)?));
                     match self.peek()? {
                         b',' => self.at += 1,
                         b'}' => {
@@ -292,10 +299,10 @@ impl Parser<'_> {
             .map_err(|_| Error("bad number".into()))?;
         if text.contains(['.', 'e', 'E']) {
             text.parse::<f64>().map(Value::F64).map_err(|_| Error(format!("bad number {text}")))
-        } else if let Some(neg) = text.strip_prefix('-') {
-            neg.parse::<u64>()
-                .map(|n| Value::I64(-(n as i64)))
-                .map_err(|_| Error(format!("bad number {text}")))
+        } else if text.starts_with('-') {
+            // Parsed signed, so anything below `i64::MIN` is an error
+            // rather than a wrapped or panicking negation.
+            text.parse::<i64>().map(Value::I64).map_err(|_| Error(format!("bad number {text}")))
         } else {
             text.parse::<u64>().map(Value::U64).map_err(|_| Error(format!("bad number {text}")))
         }
@@ -326,6 +333,25 @@ mod tests {
         assert_eq!(text, "[[1,2],[3,4]]");
         let back: Vec<(u64, u64)> = from_str(&text).unwrap();
         assert_eq!(back, xs);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(128)).is_ok());
+        let err = from_str::<Value>(&nested(129)).unwrap_err();
+        assert_eq!(err.0, "recursion limit exceeded");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(129), "}".repeat(129));
+        assert_eq!(from_str::<Value>(&objects).unwrap_err().0, "recursion limit exceeded");
+    }
+
+    #[test]
+    fn negative_integers_outside_i64_are_errors() {
+        assert_eq!(from_str::<Value>("-9223372036854775808").unwrap(), Value::I64(i64::MIN));
+        for text in ["-9223372036854775809", "-18446744073709551615"] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert!(err.0.starts_with("bad number"), "{text}: {}", err.0);
+        }
     }
 
     #[test]

@@ -81,6 +81,24 @@ fn print_json<T: serde::Serialize>(msg: &T) -> Result<(), Error> {
     Ok(())
 }
 
+/// The one JSON line `pba topk` prints: corpus size, exact-cosine
+/// evaluations, and the best matches, score descending.
+#[derive(serde::Serialize)]
+struct TopkReport {
+    corpus: u64,
+    candidates: u64,
+    hits: Vec<TopkHit>,
+}
+
+/// One `pba topk` match: the indexed file, its `content_hash`, and its
+/// exact cosine similarity to the query.
+#[derive(serde::Serialize)]
+struct TopkHit {
+    path: String,
+    hash: u64,
+    score: f64,
+}
+
 /// Build the one configuration surface from the command line.
 fn config(args: &[String], name: &str) -> SessionConfig {
     let threads = flag(args, "--threads").unwrap_or(0); // 0 = all available
@@ -333,23 +351,19 @@ fn run(args: &[String]) -> Result<i32, Error> {
                 None => return Err(Error::Protocol("query features unavailable".into())),
             };
             let result = index.query_topk(&qf, k, None);
-            let hits: Vec<serde::Value> = result
+            let hits = result
                 .hits
                 .iter()
                 .map(|h| {
                     let path = paths.iter().find(|(ph, _)| *ph == h.hash).map(|(_, p)| p.clone());
-                    serde::Value::Object(vec![
-                        ("path".into(), serde::Value::Str(path.unwrap_or_default())),
-                        ("hash".into(), serde::Value::U64(h.hash)),
-                        ("score".into(), serde::Value::F64(h.score)),
-                    ])
+                    TopkHit { path: path.unwrap_or_default(), hash: h.hash, score: h.score }
                 })
                 .collect();
-            print_json(&serde::Value::Object(vec![
-                ("corpus".into(), serde::Value::U64(index.len() as u64)),
-                ("candidates".into(), serde::Value::U64(result.candidates)),
-                ("hits".into(), serde::Value::Array(hits)),
-            ]))?;
+            print_json(&TopkReport {
+                corpus: index.len() as u64,
+                candidates: result.candidates,
+                hits,
+            })?;
             Ok(0)
         }
         Some("query") => {
