@@ -81,18 +81,17 @@ impl ParseInput {
     }
 
     /// Read `len` bytes of initialized data (or code) at `addr`.
+    /// `None` when the range is unmapped or its end overflows the address
+    /// space (a hostile table address is not an error, just unreadable).
     pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        for (base, bytes) in &self.data {
-            if addr >= *base && addr + len as u64 <= *base + bytes.len() as u64 {
-                let off = (addr - base) as usize;
-                return Some(&bytes[off..off + len]);
-            }
+        fn slice_at(base: u64, bytes: &[u8], addr: u64, len: usize) -> Option<&[u8]> {
+            let off = usize::try_from(addr.checked_sub(base)?).ok()?;
+            bytes.get(off..off.checked_add(len)?)
         }
-        if self.code.contains(addr) && self.code.contains(addr + len as u64 - 1) {
-            let off = (addr - self.code.base) as usize;
-            return Some(&self.code.bytes[off..off + len]);
-        }
-        None
+        self.data
+            .iter()
+            .find_map(|(base, bytes)| slice_at(*base, bytes, addr, len))
+            .or_else(|| slice_at(self.code.base, &self.code.bytes, addr, len))
     }
 
     /// Is `addr` a plausible control-flow target (inside the code
@@ -130,5 +129,13 @@ mod tests {
         assert!(input.read(0x3000, 1).is_none());
         assert!(input.valid_code_addr(0x1001));
         assert!(!input.valid_code_addr(0x2000));
+    }
+
+    #[test]
+    fn read_past_the_address_space_is_none() {
+        let code = CodeRegion::new(Arch::X86_64, 0x1000, vec![0xC3, 0x90]);
+        let input = ParseInput::from_parts(code, vec![(0x2000, vec![1, 2, 3, 4])], vec![]);
+        assert!(input.read(u64::MAX - 2, 8).is_none());
+        assert!(input.read(u64::MAX, usize::MAX).is_none());
     }
 }

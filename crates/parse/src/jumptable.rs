@@ -71,12 +71,20 @@ pub fn eval_targets(
     let mut region: Option<(u64, u64)> = None;
     let mut targets = Vec::new();
     for i in 0..limit {
-        let addr = table + (i as u64) * stride as u64;
+        // An entry whose address or target overflows is unreadable: the
+        // scan ends there, as it does at the end of the mapped data.
+        let Some(addr) = (i as u64).checked_mul(stride as u64).and_then(|o| table.checked_add(o))
+        else {
+            break;
+        };
         let target = match (relative, input.read(addr, stride as usize)) {
             (false, Some(b)) if stride == 8 => u64::from_le_bytes(b.try_into().unwrap()),
             (true, Some(b)) if stride == 4 => {
                 let rel = i32::from_le_bytes(b.try_into().unwrap());
-                (base as i64 + rel as i64) as u64
+                match base.checked_add_signed(rel as i64) {
+                    Some(t) => t,
+                    None => break,
+                }
             }
             _ => break,
         };

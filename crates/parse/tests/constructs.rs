@@ -2,7 +2,7 @@
 //! Section 2.1, exercised at the engine level.
 
 use pba_cfg::{CodeRegion, EdgeKind, RetStatus};
-use pba_isa::insn::{AluKind, Cond};
+use pba_isa::insn::{AluKind, Cond, MemRef};
 use pba_isa::reg::Reg;
 use pba_isa::x86::encode;
 use pba_isa::Arch;
@@ -200,5 +200,33 @@ fn two_functions_share_error_block() {
         );
         assert_eq!(f1f.ret_status, RetStatus::Returns);
         assert_eq!(f2f.ret_status, RetStatus::Returns);
+    }
+}
+
+/// A hostile jump table: `cmp rdi, 4; ja; jmp [rdi*8 - 8]; ret` puts the
+/// table at `u64::MAX - 7`, so the second entry's address wraps. The
+/// scan must end at the overflow instead of panicking, and the jump gets
+/// no table targets.
+#[test]
+fn jump_table_at_the_top_of_the_address_space() {
+    let mut lab = Lab::new(0x6000);
+    let f = lab.func("f");
+    encode::cmp_ri(&mut lab.buf, Reg::RDI, 4);
+    let ja = encode::jcc_rel32(&mut lab.buf, Cond::A);
+    let jmp_at = lab.here();
+    let mem = MemRef { base: None, index: Some(Reg::RDI), scale: 8, disp: -8, rip_based: false };
+    encode::jmp_ind_mem(&mut lab.buf, &mem);
+    let ret = lab.buf.len();
+    encode::ret(&mut lab.buf);
+    encode::patch_rel32(&mut lab.buf, ja, ret);
+    assert_eq!(lab.buf.len(), 18);
+
+    let input = lab.input(vec![(0x8000, vec![0; 64])]);
+    for threads in [1, 2] {
+        let r = parse_parallel(&input, threads);
+        assert!(r.cfg.functions[&f].blocks.contains(&jmp_at), "the dispatch block is parsed");
+        let table_targets =
+            r.cfg.out_edges(jmp_at).iter().filter(|e| e.kind == EdgeKind::Indirect).count();
+        assert_eq!(table_targets, 0, "{threads} threads: {:?}", r.cfg.out_edges(jmp_at));
     }
 }

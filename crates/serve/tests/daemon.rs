@@ -6,7 +6,8 @@
 //! stays connection-scoped.
 
 use pba_driver::{Session, SessionConfig};
-use pba_elf::ImageBytes;
+use pba_elf::types::EM_X86_64;
+use pba_elf::{ElfBuilder, ImageBytes, SecFlags, SecType, SymBind, SymType};
 use pba_gen::{generate, GenConfig};
 use pba_serve::proto::{read_message, write_frame, write_message};
 use pba_serve::{
@@ -325,6 +326,37 @@ fn deeply_nested_frame_is_answered_not_a_crash() {
         "connection must survive a too-deep payload"
     );
     drop(s);
+    handle.stop().unwrap();
+}
+
+#[test]
+fn hostile_jump_table_gets_a_struct_reply() {
+    // `cmp rdi, 4; ja ret; jmp [rdi*8 - 8]; ret`: the table base is
+    // `u64::MAX - 7`, so reading its entries overflows the address space.
+    let text = vec![
+        0x48, 0x83, 0xFF, 0x04, // cmp rdi, 4
+        0x0F, 0x87, 0x07, 0x00, 0x00, 0x00, // ja +7 (the ret)
+        0xFF, 0x24, 0xFD, 0xF8, 0xFF, 0xFF, 0xFF, // jmp [rdi*8 - 8]
+        0xC3, // ret
+    ];
+    let mut b = ElfBuilder::new(EM_X86_64);
+    b.entry(0x401000);
+    b.add_section(
+        ".text",
+        SecType::ProgBits,
+        SecFlags::ALLOC.with(SecFlags::EXEC),
+        0x401000,
+        16,
+        text,
+    );
+    b.add_section(".rodata", SecType::ProgBits, SecFlags::ALLOC, 0x402000, 8, vec![0; 64]);
+    b.add_symbol("f", 0x401000, 18, SymBind::Global, SymType::Func, ".text");
+    let bin = b.build().unwrap();
+
+    let handle = spawn_tcp(usize::MAX);
+    let mut client = connect(&handle);
+    let reply = client.request_ok(&Request::Struct { bin: BinSpec::Bytes(bin) }).unwrap();
+    assert!(matches!(reply, Response::Struct { hit: false, functions: 1, .. }), "{reply:?}");
     handle.stop().unwrap();
 }
 
