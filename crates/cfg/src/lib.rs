@@ -19,21 +19,21 @@
 //!   monotonicity claims of Section 4.1 directly, and the parser's output
 //!   is differentially tested against the algebra's fixpoint.
 //! * [`order`] — the partial order `G1 ≼ G2` of Section 3, used to state
-//!   monotonicity ("a larger graph includes more control flow elements").
+//!   monotonicity ("a larger graph includes more control flow elements"),
+//!   and [`order::rpo_ranks_dense`], the one reverse-postorder numbering that
+//!   dominators and the dataflow engine's worklist share.
 //! * [`index`] — the shared dense block index: [`BlockIndex`] maps block
 //!   start addresses to stable `u32` ranks by binary search, so CFG
 //!   adjacency, dominators, loop bodies, and the dataflow specs key
 //!   their per-block storage by rank into plain `Vec`s instead of
 //!   addr-keyed hash maps (the memory plane's ID scheme).
 
-pub mod callgraph;
 pub mod index;
 pub mod model;
 pub mod ops;
 pub mod order;
 
-pub use callgraph::CallGraph;
 pub use index::BlockIndex;
 pub use model::{Block, Cfg, CodeRegion, Edge, EdgeKind, Function, RetStatus};
 pub use ops::{AbsGraph, CodeOracle, SyntheticCode};
-pub use order::{graph_le, postorder, reverse_postorder};
+pub use order::graph_le;

@@ -267,17 +267,6 @@ impl Cfg {
         self.edge_nodes.get(b).map(|i| self.preds[i].as_slice()).unwrap_or(&[])
     }
 
-    /// Intra-procedural successors of `b` (the edges that define function
-    /// boundaries).
-    pub fn intra_succs(&self, b: u64) -> impl Iterator<Item = u64> + '_ {
-        self.out_edges(b).iter().filter(|e| !e.kind.is_interprocedural()).map(|e| e.dst)
-    }
-
-    /// The block containing `addr`, if any.
-    pub fn block_at(&self, addr: u64) -> Option<&Block> {
-        self.blocks.range(..=addr).next_back().map(|(_, b)| b).filter(|b| b.contains(addr))
-    }
-
     /// Total instruction count (re-decodes; cheap enough for reporting).
     pub fn insn_count(&self) -> usize {
         self.blocks.values().map(|b| self.code.insns(b.start, b.end).len()).sum()
@@ -374,17 +363,6 @@ mod tests {
         assert_eq!(cfg.out_edges(0x1000).len(), 1);
         assert_eq!(cfg.in_edges(0x1003).len(), 1);
         assert!(cfg.out_edges(0x1003).is_empty());
-        assert_eq!(cfg.intra_succs(0x1000).collect::<Vec<_>>(), vec![0x1003]);
-    }
-
-    #[test]
-    fn block_at_lookup() {
-        let cfg = tiny_cfg();
-        assert_eq!(cfg.block_at(0x1000).unwrap().start, 0x1000);
-        assert_eq!(cfg.block_at(0x1002).unwrap().start, 0x1000);
-        assert_eq!(cfg.block_at(0x1003).unwrap().start, 0x1003);
-        assert!(cfg.block_at(0x0FFF).is_none());
-        assert!(cfg.block_at(0x1004).is_none());
     }
 
     #[test]

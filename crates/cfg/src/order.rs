@@ -14,9 +14,9 @@
 //! The monotonicity property of `O_IEC` (Section 4.1) is stated in terms
 //! of this order, and the property tests exercise it on synthetic code.
 
-//! It also hosts the *traversal* orders: [`postorder`] /
-//! [`reverse_postorder`] over any successor relation, which the dataflow
-//! engine's serial executor uses as its worklist priority.
+//! It also hosts the *traversal* order: [`rpo_ranks_dense`], the
+//! reverse-postorder numbering over a dense adjacency that dominator
+//! construction and the dataflow engine's worklist priority both use.
 
 use crate::model::EdgeKind;
 use crate::ops::{AbsEdge, AbsGraph};
@@ -82,64 +82,14 @@ pub fn graph_le(a: &AbsGraph, b: &AbsGraph) -> bool {
     a.funcs.iter().all(|f| b.funcs.contains(f))
 }
 
-/// Depth-first postorder over `blocks` under the `succs` relation.
-///
-/// Traversal starts from each of `roots` in turn; any blocks unreachable
-/// from them are appended afterwards in ascending address order, so the
-/// result is always a total order over `blocks`. Successor lists are
-/// followed in the order `succs` yields them, making the order
-/// deterministic for deterministic inputs.
-pub fn postorder(blocks: &[u64], roots: &[u64], succs: &dyn Fn(u64) -> Vec<u64>) -> Vec<u64> {
-    use std::collections::HashSet;
-    let members: HashSet<u64> = blocks.iter().copied().collect();
-    let mut seen: HashSet<u64> = HashSet::with_capacity(blocks.len());
-    let mut out = Vec::with_capacity(blocks.len());
-    for &root in roots {
-        if !members.contains(&root) || seen.contains(&root) {
-            continue;
-        }
-        // Iterative DFS: (block, next successor index to try).
-        let mut stack: Vec<(u64, Vec<u64>, usize)> = vec![(root, succs(root), 0)];
-        seen.insert(root);
-        while let Some((b, ss, i)) = stack.last_mut() {
-            if let Some(&s) = ss.get(*i) {
-                *i += 1;
-                if members.contains(&s) && seen.insert(s) {
-                    stack.push((s, succs(s), 0));
-                }
-            } else {
-                out.push(*b);
-                stack.pop();
-            }
-        }
-    }
-    let mut rest: Vec<u64> = blocks.iter().copied().filter(|b| !seen.contains(b)).collect();
-    rest.sort_unstable();
-    out.extend(rest);
-    out
-}
-
-/// [`postorder`] reversed: the canonical iteration order for forward
-/// dataflow problems (a block's predecessors come first along acyclic
-/// paths, minimizing re-visits to reach the fixpoint).
-pub fn reverse_postorder(
-    blocks: &[u64],
-    roots: &[u64],
-    succs: &dyn Fn(u64) -> Vec<u64>,
-) -> Vec<u64> {
-    let mut po = postorder(blocks, roots, succs);
-    po.reverse();
-    po
-}
-
 /// Reverse-postorder *ranks* over a dense-index adjacency: `succs[i]`
 /// lists the successors of block `i` as `(index, payload)` pairs and
 /// `roots` seeds the traversal. Returns `(rank, reachable)` where
 /// `rank[i]` = position of block `i` in the reverse postorder and
 /// `reachable` is how many blocks the roots reach — ranks below it
 /// belong to the reachable region, blocks unreachable from the roots
-/// are ranked after it in ascending index order (the same total-order
-/// convention as [`postorder`]). No address maps, no per-block
+/// are ranked after it in ascending index order, so the ranks are always
+/// a total order over the blocks. No address maps, no per-block
 /// allocation — this is the form the dataflow engine's worklist
 /// priority consumes, and the reachable cut is what dominator
 /// construction keys its RPO walk on.
@@ -188,43 +138,32 @@ mod tests {
     use super::*;
     use crate::ops::{construct_reference, SynCf, SynInsn, SyntheticCode};
 
+    /// Adjacency with unit payloads from plain successor lists.
+    fn adj(succs: &[&[usize]]) -> Vec<Vec<(usize, ())>> {
+        succs.iter().map(|s| s.iter().map(|&d| (d, ())).collect()).collect()
+    }
+
     #[test]
     fn rpo_of_diamond_puts_join_last() {
-        // 1 → {2, 3} → 4
-        let blocks = [1u64, 2, 3, 4];
-        let succs = |b: u64| -> Vec<u64> {
-            match b {
-                1 => vec![2, 3],
-                2 | 3 => vec![4],
-                _ => vec![],
-            }
-        };
-        let rpo = reverse_postorder(&blocks, &[1], &succs);
-        assert_eq!(rpo.first(), Some(&1));
-        assert_eq!(rpo.last(), Some(&4));
-        assert_eq!(rpo.len(), 4);
+        // 0 → {1, 2} → 3
+        let (rank, reachable) = rpo_ranks_dense(&adj(&[&[1, 2], &[3], &[3], &[]]), &[0]);
+        assert_eq!(reachable, 4);
+        assert_eq!(rank[0], 0);
+        assert_eq!(rank[3], 3);
     }
 
     #[test]
     fn unreachable_blocks_are_appended_sorted() {
-        let blocks = [10u64, 20, 7, 9];
-        let succs = |b: u64| -> Vec<u64> {
-            if b == 10 {
-                vec![20]
-            } else {
-                vec![]
-            }
-        };
-        let po = postorder(&blocks, &[10], &succs);
-        assert_eq!(po, vec![20, 10, 7, 9]);
+        // 2 → 3; 0, 1 and 4 are unreachable from root 2.
+        let (rank, reachable) = rpo_ranks_dense(&adj(&[&[], &[], &[3], &[], &[]]), &[2]);
+        assert_eq!(reachable, 2);
+        assert_eq!(rank, vec![2, 3, 0, 1, 4]);
     }
 
     #[test]
     fn cycles_terminate() {
-        let blocks = [1u64, 2];
-        let succs = |b: u64| -> Vec<u64> { vec![if b == 1 { 2 } else { 1 }] };
-        let rpo = reverse_postorder(&blocks, &[1], &succs);
-        assert_eq!(rpo, vec![1, 2]);
+        let (rank, reachable) = rpo_ranks_dense(&adj(&[&[1], &[0]]), &[0]);
+        assert_eq!((rank, reachable), (vec![0, 1], 2));
     }
 
     fn straightline() -> SyntheticCode {

@@ -183,9 +183,7 @@ pub type DenseResults<F> = (Arc<Vec<u64>>, Arc<BlockIndex>, Vec<F>, Vec<F>);
 ///
 /// Facts are stored densely, indexed like the [`FlowGraph`]'s block
 /// list (shared by `Arc`, so packaging a result allocates nothing per
-/// block); [`DataflowResults::input_at`] / [`DataflowResults::output_at`]
-/// are the thin address-keyed accessors for consumers that still think
-/// in block addresses.
+/// block): `input[i]` and `output[i]` belong to `blocks()[i]`.
 #[derive(Debug, Clone, Default)]
 pub struct DataflowResults<F> {
     blocks: Arc<Vec<u64>>,
@@ -200,31 +198,6 @@ impl<F> DataflowResults<F> {
     /// Block addresses, in dense-index order (the fact vectors' order).
     pub fn blocks(&self) -> &[u64] {
         &self.blocks
-    }
-
-    /// Dense index of `block`, if it is in the graph.
-    pub fn index_of(&self, block: u64) -> Option<usize> {
-        self.index.get(block)
-    }
-
-    /// The input fact of `block` (address-keyed compatibility accessor).
-    pub fn input_at(&self, block: u64) -> Option<&F> {
-        self.index_of(block).map(|i| &self.input[i])
-    }
-
-    /// The output fact of `block` (address-keyed compatibility accessor).
-    pub fn output_at(&self, block: u64) -> Option<&F> {
-        self.index_of(block).map(|i| &self.output[i])
-    }
-
-    /// `(block, input fact)` pairs in dense order.
-    pub fn iter_input(&self) -> impl Iterator<Item = (u64, &F)> {
-        self.blocks.iter().copied().zip(self.input.iter())
-    }
-
-    /// `(block, output fact)` pairs in dense order.
-    pub fn iter_output(&self) -> impl Iterator<Item = (u64, &F)> {
-        self.blocks.iter().copied().zip(self.output.iter())
     }
 
     /// Decompose into the shared block list/index and the dense fact
@@ -378,15 +351,6 @@ impl FlowGraph {
             }
         }
         rpo
-    }
-
-    /// Position of `block` in [`FlowGraph::entry_rpo`], or `None` when
-    /// the block is absent or unreachable from the entry.
-    pub fn entry_rank(&self, block: u64) -> Option<u32> {
-        let info = self.dir_info(Direction::Forward);
-        let i = self.index.get(block)?;
-        let r = info.rank[i];
-        ((r as usize) < info.reachable).then_some(r)
     }
 
     /// Estimated heap bytes of the graph: block list, index, adjacency,
@@ -1034,9 +998,10 @@ mod tests {
         let view = diamond();
         let graph = FlowGraph::build(&view);
         let r = SerialExecutor.run(&Depth::new(100), &graph);
-        assert_eq!(r.input_at(1), Some(&1));
-        assert_eq!(r.output_at(1), Some(&2));
-        assert_eq!(r.input_at(4), Some(&3), "join takes the max over both arms");
+        let at = |b: u64| graph.index_of(b).unwrap();
+        assert_eq!(r.input[at(1)], 1);
+        assert_eq!(r.output[at(1)], 2);
+        assert_eq!(r.input[at(4)], 3, "join takes the max over both arms");
     }
 
     #[test]
@@ -1053,12 +1018,10 @@ mod tests {
         assert!(parallel_calls > serial_calls, "parallel rounds too");
         let c = AsyncExecutor { threads: 4 }.run(&spec, &graph);
         assert!(spec.into_calls.get() > parallel_calls, "async visits too");
-        for &blk in graph.blocks.iter() {
-            assert_eq!(a.input_at(blk), b.input_at(blk));
-            assert_eq!(a.output_at(blk), b.output_at(blk));
-            assert_eq!(a.input_at(blk), c.input_at(blk), "async input diverges at {blk}");
-            assert_eq!(a.output_at(blk), c.output_at(blk), "async output diverges at {blk}");
-        }
+        assert_eq!(a.input, b.input);
+        assert_eq!(a.output, b.output);
+        assert_eq!(a.input, c.input, "async input diverges");
+        assert_eq!(a.output, c.output, "async output diverges");
     }
 
     #[test]
@@ -1070,10 +1033,8 @@ mod tests {
         let serial = SerialExecutor.run(&spec, &graph);
         for threads in [1usize, 2, 4, 8] {
             let r = AsyncExecutor { threads }.run(&spec, &graph);
-            for &blk in graph.blocks.iter() {
-                assert_eq!(serial.input_at(blk), r.input_at(blk), "{threads} threads, block {blk}");
-                assert_eq!(serial.output_at(blk), r.output_at(blk), "{threads} threads");
-            }
+            assert_eq!(serial.input, r.input, "{threads} threads");
+            assert_eq!(serial.output, r.output, "{threads} threads");
         }
     }
 
@@ -1111,10 +1072,8 @@ mod tests {
         let spec = Depth::new(100);
         let serial = SerialExecutor.run(&spec, &graph);
         let auto = ExecutorKind::Auto.run(&spec, &graph);
-        for &blk in graph.blocks.iter() {
-            assert_eq!(serial.input_at(blk), auto.input_at(blk));
-            assert_eq!(serial.output_at(blk), auto.output_at(blk));
-        }
+        assert_eq!(serial.input, auto.input);
+        assert_eq!(serial.output, auto.output);
 
         // A chain longer than the threshold (parallel side).
         let n = AUTO_BLOCK_THRESHOLD as u64 + 10;
@@ -1128,10 +1087,8 @@ mod tests {
         let spec = Depth::new(u32::MAX);
         let serial = SerialExecutor.run(&spec, &graph);
         let auto = ExecutorKind::Auto.run(&spec, &graph);
-        for &blk in graph.blocks.iter() {
-            assert_eq!(serial.input_at(blk), auto.input_at(blk));
-            assert_eq!(serial.output_at(blk), auto.output_at(blk));
-        }
+        assert_eq!(serial.input, auto.input);
+        assert_eq!(serial.output, auto.output);
     }
 
     #[test]

@@ -136,43 +136,6 @@ impl FuncIr {
         }
     }
 
-    /// Capture any [`CfgView`] as an owned IR (instructions copied from
-    /// the view's slices — no re-decode when the view already owns
-    /// decoded blocks).
-    pub fn from_view(view: &dyn CfgView) -> FuncIr {
-        let mut blocks: Vec<u64> = view.blocks().to_vec();
-        blocks.sort_unstable();
-        let mut ranges = Vec::with_capacity(blocks.len());
-        let mut block_insns: Vec<Arc<[Insn]>> = Vec::with_capacity(blocks.len());
-        let mut insn_total = 0usize;
-        let mut summaries = Vec::with_capacity(blocks.len());
-        let mut succs = Vec::with_capacity(blocks.len());
-        let mut preds = Vec::with_capacity(blocks.len());
-        let mut edges: Vec<(u64, u64, EdgeKind)> = Vec::new();
-        for &b in &blocks {
-            ranges.push(view.block_range(b));
-            let insns = view.insns(b);
-            summaries.push(BlockSummary::of(insns));
-            insn_total += insns.len();
-            block_insns.push(Arc::from(insns));
-            let s = view.succ_edges(b).to_vec();
-            edges.extend(s.iter().map(|&(d, k)| (b, d, k)));
-            succs.push(s);
-            preds.push(view.pred_edges(b).to_vec());
-        }
-        let graph = FlowGraph::from_parts(blocks, view.entry(), &edges);
-        FuncIr {
-            entry: view.entry(),
-            ranges,
-            block_insns,
-            insn_total,
-            succs,
-            preds,
-            summaries,
-            graph,
-        }
-    }
-
     /// Function entry block address.
     pub fn entry(&self) -> u64 {
         self.entry
@@ -374,50 +337,49 @@ impl BinaryIr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::VecView;
-    use pba_isa::x86::{decode_one, encode};
-    use pba_isa::Reg;
-
-    fn decode_seq(bytes: &[u8], base: u64) -> Vec<Insn> {
-        let mut out = vec![];
-        let mut at = 0usize;
-        while at < bytes.len() {
-            let i = decode_one(&bytes[at..], base + at as u64).unwrap();
-            at += i.len as usize;
-            out.push(i);
-        }
-        out
-    }
+    use pba_cfg::{Block, CodeRegion, Edge, RetStatus};
+    use pba_isa::x86::encode;
+    use pba_isa::{Arch, Reg};
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn from_view_preserves_shape_and_summaries() {
         // b0: mov rax, rdi ; call X   b1: ret
-        let mut c0 = vec![];
-        encode::mov_rr(&mut c0, Reg::RAX, Reg::RDI);
-        let c = encode::call_rel32(&mut c0);
-        encode::patch_rel32(&mut c0, c, 0x500);
-        let b0 = decode_seq(&c0, 0x1000);
-        let b0_end = 0x1000 + c0.len() as u64;
-        let mut c1 = vec![];
-        encode::ret(&mut c1);
-        let b1 = decode_seq(&c1, 0x2000);
+        let mut code = vec![];
+        encode::mov_rr(&mut code, Reg::RAX, Reg::RDI);
+        let c = encode::call_rel32(&mut code);
+        encode::patch_rel32(&mut code, c, 0x500);
+        let b1 = 0x1000 + code.len() as u64;
+        encode::ret(&mut code);
+        let end = 0x1000 + code.len() as u64;
 
-        let view = VecView::new(
-            0x1000,
-            vec![(0x1000, b0_end, b0.clone()), (0x2000, 0x2001, b1.clone())],
-            vec![(0x1000, 0x2000, EdgeKind::CallFallthrough)],
-        );
-        let ir = FuncIr::from_view(&view);
-        assert_eq!(ir.blocks(), &[0x1000, 0x2000]);
-        assert_eq!(ir.insns(0x1000), b0.as_slice());
-        assert_eq!(ir.insns(0x2000), b1.as_slice());
+        let blocks = BTreeMap::from([
+            (0x1000, Block { start: 0x1000, end: b1 }),
+            (b1, Block { start: b1, end }),
+        ]);
+        let edges = BTreeSet::from([
+            Edge { src: 0x1000, dst: b1, kind: EdgeKind::CallFallthrough },
+            Edge { src: 0x1000, dst: 0x1500, kind: EdgeKind::Call },
+        ]);
+        let f = Function {
+            entry: 0x1000,
+            name: "f".into(),
+            blocks: vec![b1, 0x1000],
+            ret_status: RetStatus::Returns,
+        };
+        let region = Arc::new(CodeRegion::new(Arch::X86_64, 0x1000, code));
+        let cfg = Cfg::new(blocks, edges, BTreeMap::from([(0x1000, f.clone())]), region);
+
+        let ir = FuncIr::build(&cfg, &f);
+        assert_eq!(ir.blocks(), &[0x1000, b1]);
+        assert_eq!(ir.insns(0x1000), cfg.code.insns(0x1000, b1).as_slice());
         assert_eq!(ir.insn_count(), 3);
         assert!(ir.ends_in_call(0x1000), "summary bit, no decode");
-        assert!(!ir.ends_in_call(0x2000));
-        assert_eq!(ir.summary(0x2000).unwrap().terminator, Some(ControlFlow::Ret));
-        assert_eq!(ir.succ_edges(0x1000), &[(0x2000, EdgeKind::CallFallthrough)]);
-        assert_eq!(ir.pred_edges(0x2000), &[(0x1000, EdgeKind::CallFallthrough)]);
-        assert_eq!(ir.block_range(0x1000), (0x1000, b0_end));
+        assert!(!ir.ends_in_call(b1));
+        assert_eq!(ir.summary(b1).unwrap().terminator, Some(ControlFlow::Ret));
+        assert_eq!(ir.succ_edges(0x1000), &[(b1, EdgeKind::CallFallthrough)], "no call edge");
+        assert_eq!(ir.pred_edges(b1), &[(0x1000, EdgeKind::CallFallthrough)]);
+        assert_eq!(ir.block_range(0x1000), (0x1000, b1));
         assert_eq!(ir.insns(0xdead), &[] as &[Insn], "non-member is empty, not a panic");
     }
 }

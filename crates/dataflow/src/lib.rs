@@ -5,7 +5,7 @@
 //! * **jump-table analysis** (AC within CFG construction) — backward
 //!   slicing from an indirect jump plus symbolic evaluation of the target
 //!   expression, the only place Dyninst lifts instructions to an IR.
-//!   [`slice::analyze_indirect_jump`] reproduces that: it walks
+//!   [`slice::slice_indirect_jump`] reproduces that: it walks
 //!   definitions backward along control-flow paths, substitutes them into
 //!   a symbolic [`expr::Expr`], recognizes the absolute and PC-relative
 //!   table dispatch patterns, and extracts the `cmp`+`ja` bound guarding
@@ -34,8 +34,10 @@
 //!   [`pba_isa::RegSet`] bit masks; BinFeat's data-flow features are live
 //!   register counts.
 //! * **stack-height analysis** — forward analysis of the stack pointer
-//!   relative to function entry; the tail-call heuristic ("stack frame
-//!   tear down before the branch") consults it.
+//!   relative to function entry; hpcstruct's per-function frame extent
+//!   ([`stack::stack_heights_and_extent_on`]) and [`engine::run_all_ir`]
+//!   consume it. (The parser's tail-call correction does not: its edge
+//!   rules read only CFG shape.)
 //!
 //! All analyses run over the borrowing [`view::CfgView`] trait so they
 //! work both on finalized [`pba_cfg::Cfg`] functions and on the
@@ -56,8 +58,9 @@
 //! resident session pins what its unique data costs
 //! ([`ir::BinaryIr::shared_insn_bytes`]). Downstream, the analyses are
 //! dense end-to-end: every spec and result keys per-block facts by the
-//! graph's `pba_cfg::BlockIndex` rank into plain `Vec`s — the addr-keyed
-//! `HashMap`s survive only as compat accessors at the public seams.
+//! graph's `pba_cfg::BlockIndex` rank into plain `Vec`s; addr-keyed
+//! lookups survive only where a caller at a public seam thinks in block
+//! addresses.
 //! `pba::Session::ir()` memoizes the `BinaryIr` so decode-once is a
 //! structural invariant rather than per-consumer luck, and each
 //! artifact's `heap_bytes()` feeds the session's `resident_bytes`
@@ -100,11 +103,11 @@ pub use ir::{BinaryIr, BlockSummary, FuncIr};
 pub use liveness::{liveness, liveness_on, liveness_with, LivenessResult};
 pub use reaching::{reaching_defs, reaching_defs_on, reaching_defs_with, Def, ReachingDefs};
 pub use slice::{
-    analyze_indirect_jump, collect_indirect_jumps, slice_indirect_jump, slice_indirect_jump_with,
-    JumpTableForm, PathFact, PathSet, PathState, SliceOutcome, SliceSpec,
+    collect_indirect_jumps, slice_indirect_jump, slice_indirect_jump_with, JumpTableForm, PathFact,
+    PathSet, PathState, SliceOutcome, SliceSpec,
 };
 pub use stack::{
-    stack_heights, stack_heights_and_extent, stack_heights_and_extent_on, stack_heights_on,
-    stack_heights_with, Height, StackResult,
+    stack_heights, stack_heights_and_extent_on, stack_heights_on, stack_heights_with, Height,
+    StackResult,
 };
 pub use view::{CfgView, VecView};

@@ -145,30 +145,6 @@ impl ReachingDefs {
             + self.reach_in.capacity() * size_of::<BitSet>()
             + self.reach_in.iter().map(|b| b.0.capacity() * size_of::<u64>()).sum::<usize>()
     }
-
-    /// Definitions of `reg` reaching the *use* at instruction `addr`
-    /// within `block` (walks the block forward applying kills).
-    pub fn defs_reaching_use(
-        &self,
-        view: &dyn CfgView,
-        block: u64,
-        addr: u64,
-        reg: Reg,
-    ) -> Vec<Def> {
-        let mut live: Vec<Def> =
-            self.reaching_at_entry(block).into_iter().filter(|d| d.reg == reg).collect();
-        for i in view.insns(block) {
-            if i.addr >= addr {
-                break;
-            }
-            if i.regs_written().contains(reg) {
-                live.clear();
-                live.push(Def { addr: i.addr, reg });
-            }
-        }
-        live.sort_unstable();
-        live
-    }
 }
 
 /// Reaching definitions as a [`DataflowSpec`]: forward bit-vector
@@ -321,19 +297,29 @@ mod tests {
 
     #[test]
     fn straightline_kills() {
-        // mov rax, 1 ; mov rax, 2 ; add rbx, rax ; ret
-        let mut c = vec![];
-        encode::mov_ri32(&mut c, Reg::RAX, 1);
-        let second_def = c.len() as u64 + 0x1000;
-        encode::mov_ri32(&mut c, Reg::RAX, 2);
-        let use_at = c.len() as u64 + 0x1000;
-        encode::alu_rr(&mut c, AluKind::Add, Reg::RBX, Reg::RAX);
-        encode::ret(&mut c);
-        let end = 0x1000 + c.len() as u64;
-        let view = VecView::new(0x1000, vec![(0x1000, end, decode_seq(&c, 0x1000))], vec![]);
+        // b0: mov rax, 1   b1: mov rax, 2   b2: add rbx, rax ; ret
+        // (fall-through chain): b1's def kills b0's on the way to b2.
+        let mut c0 = vec![];
+        encode::mov_ri32(&mut c0, Reg::RAX, 1);
+        let mut c1 = vec![];
+        encode::mov_ri32(&mut c1, Reg::RAX, 2);
+        let mut c2 = vec![];
+        encode::alu_rr(&mut c2, AluKind::Add, Reg::RBX, Reg::RAX);
+        encode::ret(&mut c2);
+        let (b1, b2) = (0x1000 + c0.len() as u64, 0x1000 + (c0.len() + c1.len()) as u64);
+        let view = VecView::new(
+            0x1000,
+            vec![
+                (0x1000, b1, decode_seq(&c0, 0x1000)),
+                (b1, b2, decode_seq(&c1, b1)),
+                (b2, b2 + c2.len() as u64, decode_seq(&c2, b2)),
+            ],
+            vec![(0x1000, b1, EdgeKind::Fallthrough), (b1, b2, EdgeKind::Fallthrough)],
+        );
         let rd = reaching_defs(&view);
-        let reaching = rd.defs_reaching_use(&view, 0x1000, use_at, Reg::RAX);
-        assert_eq!(reaching, vec![Def { addr: second_def, reg: Reg::RAX }]);
+        let rax: Vec<Def> =
+            rd.reaching_at_entry(b2).into_iter().filter(|d| d.reg == Reg::RAX).collect();
+        assert_eq!(rax, vec![Def { addr: b1, reg: Reg::RAX }]);
     }
 
     #[test]

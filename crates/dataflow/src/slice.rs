@@ -22,11 +22,10 @@
 //! block and the fixpoint cannot oscillate; combined with states dying
 //! at [`MAX_DEPTH`] edge crossings, termination is unconditional.
 //!
-//! [`analyze_indirect_jump`] is a thin wrapper that builds the
-//! [`SliceSpec`], runs it under the [`crate::engine::SerialExecutor`]
-//! (see [`slice_indirect_jump_with`] for an explicit executor — the
-//! spec is executor-agnostic), and reads the per-path facts back out
-//! of the block boundaries.
+//! [`slice_indirect_jump`] builds the [`SliceSpec`], runs it under the
+//! [`crate::engine::SerialExecutor`] (see [`slice_indirect_jump_with`]
+//! for an explicit executor — the spec is executor-agnostic), and reads
+//! the per-path facts back out of the block boundaries.
 
 use crate::engine::{DataflowResults, DataflowSpec, Direction, FlowGraph};
 use crate::expr::Expr;
@@ -291,7 +290,7 @@ impl PathState {
 /// The [`SliceSpec`] lattice fact: a bounded set of path states, ordered
 /// for deterministic iteration. Union is the meet; exceeding
 /// [`MAX_PATHS`] widens the set to the bare classified forms it already
-/// contains (see [`PathSet::widen`]).
+/// contains.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PathSet {
     /// The per-path states.
@@ -601,14 +600,6 @@ pub fn collect_indirect_jumps(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
     jumps
 }
 
-/// Analyze the indirect jump terminating `jump_block`: a thin wrapper
-/// that runs [`SliceSpec`] under the [`crate::engine::SerialExecutor`] and unions the
-/// per-path facts arriving at every block boundary. Returns an empty
-/// vector if the terminator is not an indirect jump.
-pub fn analyze_indirect_jump(view: &dyn CfgView, jump_block: u64) -> Vec<PathFact> {
-    slice_indirect_jump(view, jump_block).map(|o| o.facts).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,6 +607,11 @@ mod tests {
     use crate::view::VecView;
     use pba_isa::x86::{decode_one, encode};
     use pba_isa::MemRef;
+
+    /// The per-path facts of the indirect jump terminating `jump_block`.
+    fn facts_of(view: &dyn CfgView, jump_block: u64) -> Vec<PathFact> {
+        slice_indirect_jump(view, jump_block).expect("indirect jump").facts
+    }
 
     fn decode_seq(bytes: &[u8], base: u64) -> Vec<Insn> {
         let mut out = vec![];
@@ -652,7 +648,7 @@ mod tests {
     #[test]
     fn absolute_pattern_with_bound() {
         let view = absolute_table_view();
-        let facts = analyze_indirect_jump(&view, 0x2000);
+        let facts = facts_of(&view, 0x2000);
         let hit = facts
             .iter()
             .filter(|f| f.form.is_some())
@@ -692,7 +688,7 @@ mod tests {
             vec![(0x1000, guard_end, guard_insns), (0x2000, disp_end, disp_insns)],
             vec![(0x1000, 0x2000, EdgeKind::CondNotTaken), (0x1000, 0x4000, EdgeKind::CondTaken)],
         );
-        let facts = analyze_indirect_jump(&view, 0x2000);
+        let facts = facts_of(&view, 0x2000);
         let hit = facts
             .iter()
             .filter(|f| f.form.is_some())
@@ -720,7 +716,7 @@ mod tests {
         let insns = decode_seq(&code, 0x1000);
         let end = 0x1000 + code.len() as u64;
         let view = VecView::new(0x1000, vec![(0x1000, end, insns)], vec![]);
-        let facts = analyze_indirect_jump(&view, 0x1000);
+        let facts = facts_of(&view, 0x1000);
         assert!(facts.iter().all(|f| f.form.is_none()));
     }
 
@@ -730,7 +726,7 @@ mod tests {
         encode::ret(&mut code);
         let insns = decode_seq(&code, 0x1000);
         let view = VecView::new(0x1000, vec![(0x1000, 0x1001, insns)], vec![]);
-        assert!(analyze_indirect_jump(&view, 0x1000).is_empty());
+        assert!(slice_indirect_jump(&view, 0x1000).is_none());
     }
 
     /// A jump block whose predecessor subgraph is detached from the
@@ -765,7 +761,7 @@ mod tests {
             // No path from the entry to the guard or the jump block.
             vec![(0x4000, 0x2000, EdgeKind::CondNotTaken), (0x4000, 0x5000, EdgeKind::CondTaken)],
         );
-        let facts = analyze_indirect_jump(&view, 0x2000);
+        let facts = facts_of(&view, 0x2000);
         let hit = facts
             .iter()
             .filter(|f| f.form.is_some())
@@ -809,7 +805,7 @@ mod tests {
             vec![(0x1000, guard_end, guard_insns), (0x2000, disp_end, disp_insns)],
             vec![(0x1000, 0x2000, EdgeKind::CondNotTaken), (0x1000, 0x3000, EdgeKind::CondTaken)],
         );
-        let facts = analyze_indirect_jump(&view, 0x2000);
+        let facts = facts_of(&view, 0x2000);
         let hit = facts
             .iter()
             .filter(|f| f.form.is_some())
@@ -849,7 +845,7 @@ mod tests {
             vec![(0x1000, guard_end, guard_insns), (0x2000, disp_end, disp_insns)],
             vec![(0x1000, 0x2000, EdgeKind::CondNotTaken), (0x1000, 0x3000, EdgeKind::CondTaken)],
         );
-        let facts = analyze_indirect_jump(&view, 0x2000);
+        let facts = facts_of(&view, 0x2000);
         assert!(facts.iter().any(|f| f.form.is_some()), "form still classifies");
         assert!(
             facts.iter().all(|f| f.bound.is_none()),
@@ -954,7 +950,7 @@ mod tests {
         let spec = SliceSpec::build(&view, 0x9000).expect("spec");
         let graph = spec.cone_graph(&view);
         let results = SerialExecutor.run(&spec, &graph);
-        for (b, fact) in results.iter_output() {
+        for (b, fact) in results.blocks().iter().zip(&results.output) {
             assert!(
                 fact.states.len() <= MAX_PATHS + 2,
                 "block {b:#x} holds {} states",
@@ -980,7 +976,7 @@ mod tests {
         view.block_data.push((0x5000, bad_end, bad_insns));
         view.edges.push((0x5000, 0x2000, EdgeKind::Direct));
 
-        let facts = analyze_indirect_jump(&view, 0x2000);
+        let facts = facts_of(&view, 0x2000);
         assert!(
             facts.iter().any(|f| f.form.is_some() && f.bound == Some(5)),
             "good path must survive: {facts:?}"

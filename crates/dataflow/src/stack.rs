@@ -147,20 +147,6 @@ impl StackResult {
     pub fn exit_frame(&self, block: u64) -> Option<Frame> {
         self.index.get(block).map(|i| self.at_exit[i])
     }
-
-    /// Stack height immediately before the block's terminating
-    /// instruction executed (i.e. at the branch itself). This is what
-    /// the tail-call heuristic wants: `leave` before the jump has
-    /// already restored the height by the time the jump runs.
-    pub fn height_before_terminator(&self, view: &dyn CfgView, block: u64) -> Height {
-        let Some(entry) = self.entry_frame(block) else { return Height::Top };
-        let insns = view.insns(block);
-        let mut f = entry;
-        for i in insns.iter().take(insns.len().saturating_sub(1)) {
-            f = transfer(i, f);
-        }
-        f.sp
-    }
 }
 
 /// Frame state meaning "control never reaches here".
@@ -237,21 +223,14 @@ pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKin
     StackResult { blocks, index, at_entry, at_exit }
 }
 
-/// Run the fixpoint and also report the function's maximum downward
-/// stack extent in bytes — the deepest `Known` height observed at any
-/// block boundary *or between instructions* (a single-block leaf's
-/// push/pop depth is invisible at block boundaries alone). Returns
-/// `None` when the analysis never bounds the height.
-pub fn stack_heights_and_extent(
-    view: &dyn CfgView,
-    exec: ExecutorKind,
-) -> (StackResult, Option<i64>) {
-    stack_heights_and_extent_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`stack_heights_and_extent`] over a prebuilt [`FlowGraph`]. With a
-/// [`crate::ir::FuncIr`] as the view this runs the fixpoint *and* the
-/// extent walk entirely over the shared decode-once arena.
+/// Run the fixpoint over a prebuilt [`FlowGraph`] and also report the
+/// function's maximum downward stack extent in bytes — the deepest
+/// `Known` height observed at any block boundary *or between
+/// instructions* (a single-block leaf's push/pop depth is invisible at
+/// block boundaries alone). Returns `None` when the analysis never
+/// bounds the height. With a [`crate::ir::FuncIr`] as the view this
+/// runs the fixpoint *and* the extent walk entirely over the shared
+/// decode-once arena.
 pub fn stack_heights_and_extent_on(
     view: &dyn CfgView,
     graph: &FlowGraph,
@@ -355,8 +334,8 @@ mod tests {
 
     #[test]
     fn height_before_terminator_detects_teardown() {
-        // Block: push rbp ; mov rbp, rsp ; leave ; jmp X — at the jmp,
-        // height is 0 (tail-call shaped).
+        // Block: push rbp ; mov rbp, rsp ; leave ; jmp X — at the jmp
+        // (which moves no stack), height is 0 (tail-call shaped).
         let mut code = vec![];
         encode::push_r(&mut code, Reg::RBP);
         encode::mov_rr(&mut code, Reg::RBP, Reg::RSP);
@@ -366,7 +345,7 @@ mod tests {
         let end = 0x1000 + code.len() as u64;
         let view = VecView::new(0x1000, vec![(0x1000, end, decode_seq(&code, 0x1000))], vec![]);
         let r = stack_heights(&view);
-        assert_eq!(r.height_before_terminator(&view, 0x1000), Height::Known(0));
+        assert_eq!(r.exit_frame(0x1000).unwrap().sp, Height::Known(0));
     }
 
     #[test]
@@ -379,7 +358,7 @@ mod tests {
         let end = 0x1000 + code.len() as u64;
         let view = VecView::new(0x1000, vec![(0x1000, end, decode_seq(&code, 0x1000))], vec![]);
         let r = stack_heights(&view);
-        assert_eq!(r.height_before_terminator(&view, 0x1000), Height::Known(-8));
+        assert_eq!(r.exit_frame(0x1000).unwrap().sp, Height::Known(-8));
     }
 
     #[test]

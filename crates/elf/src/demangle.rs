@@ -1,11 +1,11 @@
 //! Miniature Itanium-ABI demangler.
 //!
-//! Dyninst's symbol table indexes every symbol under four keys: byte
-//! offset, mangled name, "pretty" (human-readable base) name and demangled
-//! "typed" name (Section 6.2). To reproduce that we need a demangler for
-//! the mangling scheme our workload generator uses — a subset of the
-//! Itanium C++ ABI: `_Z<len><name><param-types...>` with the common
-//! builtin type codes and `P`/`K`/`R` qualifiers.
+//! Symbols are matched and printed by their "pretty" (human-readable
+//! base) name — the parser's known-non-returning list and the structure
+//! output both use it. This is a demangler for the mangling scheme our
+//! workload generator uses — a subset of the Itanium C++ ABI:
+//! `_Z<len><name><param-types...>` with the common builtin type codes and
+//! `P`/`K`/`R` qualifiers.
 //!
 //! Names that do not demangle are passed through unchanged (exactly what
 //! Dyninst does for C symbols).
@@ -103,11 +103,6 @@ pub fn pretty_name(sym: &str) -> String {
     demangle(sym).map(|d| d.pretty).unwrap_or_else(|| sym.to_string())
 }
 
-/// Typed name with pass-through for non-mangled symbols.
-pub fn typed_name(sym: &str) -> String {
-    demangle(sym).map(|d| d.typed).unwrap_or_else(|| sym.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,7 +111,6 @@ mod tests {
     fn plain_c_names_pass_through() {
         assert_eq!(demangle("main"), None);
         assert_eq!(pretty_name("main"), "main");
-        assert_eq!(typed_name("memcpy"), "memcpy");
     }
 
     #[test]

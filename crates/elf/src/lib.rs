@@ -13,13 +13,10 @@
 //!   resident session pins no anonymous heap for the raw file;
 //! * [`read`] — parse headers, section tables, string tables and symbol
 //!   tables out of a byte image;
-//! * [`write`] — lay out and serialize a well-formed ELF64 image (used by
-//!   the synthetic workload generator);
-//! * [`demangle`] — a miniature Itanium-style demangler providing the
-//!   "pretty" and "typed" symbol names the multi-keyed symbol table
-//!   indexes;
-//! * [`symtab`] — the paper's Section 6.2 multi-keyed *parallel* symbol
-//!   table (Listing 6), built on `pba-concurrent`'s accessor map.
+//! * [`write`](mod@write) — lay out and serialize a well-formed ELF64
+//!   image (used by the synthetic workload generator);
+//! * [`demangle`] — a miniature Itanium-style demangler; the parser and
+//!   the structure output match and print symbols by their "pretty" name.
 //!
 //! Round-trip invariant: anything [`write::ElfBuilder`] produces,
 //! [`read::Elf`] parses back with identical sections and symbols; tests
@@ -28,12 +25,10 @@
 pub mod demangle;
 pub mod image;
 pub mod read;
-pub mod symtab;
 pub mod types;
 pub mod write;
 
 pub use image::ImageBytes;
 pub use read::Elf;
-pub use symtab::{IndexedSymbols, SymbolRec};
 pub use types::{ElfError, SecFlags, SecType, SymBind, SymType};
 pub use write::ElfBuilder;

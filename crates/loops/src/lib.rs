@@ -4,9 +4,10 @@
 //! loop nesting depth as a forensic feature; both need natural loops
 //! recovered from the function CFG:
 //!
-//! 1. [`dominators`] — immediate dominators via the Cooper-Harvey-Kennedy
-//!    iterative algorithm over a reverse-postorder numbering (simple,
-//!    and on function-sized graphs competitive with Lengauer-Tarjan);
+//! 1. [`dominators`](mod@dominators) — immediate dominators via the
+//!    Cooper-Harvey-Kennedy iterative algorithm over a reverse-postorder
+//!    numbering (simple, and on function-sized graphs competitive with
+//!    Lengauer-Tarjan);
 //! 2. [`loops`] — back edges (`head dom tail`), natural-loop bodies by
 //!    backward flood from each tail, loops merged per header, and a
 //!    nesting forest built by body inclusion.

@@ -5,7 +5,7 @@
 //! passing through `h`. Loops sharing a header are merged (multiple
 //! `continue` paths), and nesting is recovered by body inclusion.
 
-use crate::dominators::{dominators_on, DomTree};
+use crate::dominators::dominators_on;
 use pba_dataflow::{CfgView, FlowGraph};
 use std::collections::{BTreeSet, HashMap};
 
@@ -88,23 +88,6 @@ pub fn loop_forest(view: &dyn CfgView) -> LoopForest {
 /// once at the end, so the public shape is unchanged.
 pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
     let dom = dominators_on(view, graph);
-    forest_parts(view, &dom, Some(graph))
-}
-
-/// Same as [`loop_forest`] with a precomputed dominator tree.
-pub fn forest_with_doms(view: &dyn CfgView, dom: &DomTree) -> LoopForest {
-    forest_parts(view, dom, None)
-}
-
-fn forest_parts(view: &dyn CfgView, dom: &DomTree, graph: Option<&FlowGraph>) -> LoopForest {
-    let owned;
-    let graph = match graph {
-        Some(g) => g,
-        None => {
-            owned = FlowGraph::build(view);
-            &owned
-        }
-    };
     let index = graph.index();
 
     // 1. Back edges.

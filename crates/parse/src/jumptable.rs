@@ -1,6 +1,6 @@
 //! Jump-table target evaluation.
 //!
-//! The slicing analysis ([`pba_dataflow::analyze_indirect_jump`])
+//! The slicing analysis ([`pba_dataflow::slice_indirect_jump`])
 //! recognizes the dispatch *form*; this module reads the actual table
 //! bytes and produces targets:
 //!

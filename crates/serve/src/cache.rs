@@ -3,10 +3,10 @@
 //!
 //! This is ROADMAP direction 1's cache unit made concrete. A `Session`
 //! already memoizes every artifact at most once and prices itself via
-//! [`SessionStats::resident_bytes`]; the cache adds the cross-request
-//! layer: requests for the same binary — from any connection, in any
-//! order — share one live session, so the second `struct` query
-//! recomputes *nothing*. Sessions are keyed by the image's cached
+//! [`pba_driver::SessionStats::resident_bytes`]; the cache adds the
+//! cross-request layer: requests for the same binary — from any
+//! connection, in any order — share one live session, so the second
+//! `struct` query recomputes *nothing*. Sessions are keyed by the image's cached
 //! FNV-1a content hash, so the same binary arriving inline or by path
 //! hits the same entry.
 //!

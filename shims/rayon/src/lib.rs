@@ -641,7 +641,7 @@ impl ThreadPoolBuilder {
 
     /// Build the pool. Workers are spawned the first time a size is
     /// requested and shared by every later same-size pool (see
-    /// [`pooled_registry`]).
+    /// `pooled_registry`).
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool { registry: pooled_registry(self.num_threads) })
     }

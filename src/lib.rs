@@ -56,10 +56,10 @@
 //! |---|---|---|
 //! | [`session`] | `pba-driver` | the [`Session`] handle: lazily-memoized artifact accessors (incl. the decode-once `ir()`), [`SessionConfig`], unified [`Error`], `resident_bytes` accounting for every memoized artifact |
 //! | [`concurrent`] | `pba-concurrent` | accessor-style concurrent hash map (TBB analogue), striped sets, counters, the block-or-share [`concurrent::Memo`] cell, the async executor's torn-read-free [`concurrent::FactSlots`] + single-residency [`concurrent::TaskSet`] |
-//! | [`elf`] | `pba-elf` | ELF64 reader/writer, mini-demangler, multi-keyed parallel symbol table, the mmap-or-heap [`elf::ImageBytes`] shared input image |
+//! | [`elf`] | `pba-elf` | ELF64 reader/writer, mini-demangler, the mmap-or-heap [`elf::ImageBytes`] shared input image |
 //! | [`isa`] | `pba-isa` | architecture-independent instructions; x86-64 + rv-lite codecs |
 //! | [`dwarf`] | `pba-dwarf` | DWARF-modeled debug info: encoder + parallel per-CU decoder |
-//! | [`cfg`] | `pba-cfg` | CFG model with dense [`cfg::BlockIndex`]-backed adjacency, the six-operation algebra, the partial order + traversal orders |
+//! | [`cfg`](mod@cfg) | `pba-cfg` | CFG model with dense [`cfg::BlockIndex`]-backed adjacency, the six-operation algebra, the partial order, the reverse-postorder ranking |
 //! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` + serial/round-based/barrier-free-async executors, allocation-free fixpoints), the memory plane (`Arc<[Insn]>` shared block storage in `FuncIr`/`BinaryIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation |
 //! | [`loops`] | `pba-loops` | dominators (dense `Vec<u32>` idoms over the shared block index), natural loops, nesting forests |
 //! | [`parse`] | `pba-parse` | the serial & parallel CFG construction engine |
