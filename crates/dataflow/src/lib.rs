@@ -14,9 +14,10 @@
 //!   over-approximation (cleaned up during finalization).
 //!
 //!   Since the engine refactor the backward walk is itself a
-//!   [`engine::DataflowSpec`] ([`slice::SliceSpec`]): the lattice fact is
-//!   a bounded, ordered set of per-path states `(Expr, Option<(Reg,
-//!   bound)>, depth)` at each block boundary, the meet is set union
+//!   [`engine::DataflowSpec`] run over one dense graph of the jump's
+//!   backward cone: the lattice fact is a bounded, ordered set of
+//!   per-path states `(Expr, Option<(Reg, bound)>, depth)` at each
+//!   block boundary, the meet is set union
 //!   (union-over-paths *is* the join), the block transfer substitutes
 //!   definitions backward through the block, and the engine's
 //!   edge-kind-aware [`engine::DataflowSpec::edge_transfer`] hook
@@ -104,7 +105,7 @@ pub use liveness::{liveness, liveness_on, liveness_with, LivenessResult};
 pub use reaching::{reaching_defs, reaching_defs_on, reaching_defs_with, Def, ReachingDefs};
 pub use slice::{
     collect_indirect_jumps, slice_indirect_jump, slice_indirect_jump_with, JumpTableForm, PathFact,
-    PathSet, PathState, SliceOutcome, SliceSpec,
+    SliceOutcome,
 };
 pub use stack::{
     stack_heights, stack_heights_and_extent_on, stack_heights_on, stack_heights_with, Height,

@@ -8,7 +8,7 @@
 //! the index on a path are collected via the engine's edge-kind-aware
 //! [`DataflowSpec::edge_transfer`] hook.
 //!
-//! The lattice fact ([`PathSet`]) is a bounded set of per-path states
+//! The lattice fact is a bounded set of per-path states
 //! `(Expr, Option<(Reg, u64)>, depth)`; the meet is set union, so the
 //! fixpoint *is* the paper's union-over-paths ("taking the union of the
 //! targets discovered along different paths, essentially ignoring
@@ -22,17 +22,20 @@
 //! block and the fixpoint cannot oscillate; combined with states dying
 //! at [`MAX_DEPTH`] edge crossings, termination is unconditional.
 //!
-//! [`slice_indirect_jump`] builds the [`SliceSpec`], runs it under the
-//! [`crate::engine::SerialExecutor`] (see [`slice_indirect_jump_with`]
-//! for an explicit executor — the spec is executor-agnostic), and reads
-//! the per-path facts back out of the block boundaries.
+//! [`slice_indirect_jump`] builds the spec and its one [`FlowGraph`] —
+//! the jump's backward cone, numbered densely in address order — runs
+//! it under the [`crate::engine::SerialExecutor`] (see
+//! [`slice_indirect_jump_with`] for an explicit executor — the spec is
+//! executor-agnostic), and reads the per-path facts back out of the
+//! block boundaries.
 
-use crate::engine::{DataflowResults, DataflowSpec, Direction, FlowGraph};
+use crate::engine::{DataflowSpec, Direction, FlowGraph};
 use crate::expr::Expr;
 use crate::view::CfgView;
 use pba_cfg::EdgeKind;
 use pba_isa::{insn::AluKind, insn::Cond, insn::ShiftKind, Insn, Op, Place, Reg, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Recognized jump-table dispatch forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,13 +252,13 @@ pub const MAX_PATHS: usize = 64;
 /// expression as seen from here, the guard bound captured closest to the
 /// jump (if any), and how many edges the path has crossed.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PathState {
+struct PathState {
     /// Symbolic jump-target expression at this boundary.
-    pub expr: Expr,
+    expr: Expr,
     /// First `(index reg, exclusive bound)` guard met on the path.
-    pub bound: Option<(Reg, u64)>,
+    bound: Option<(Reg, u64)>,
     /// Edge crossings from the jump block (caps at [`MAX_DEPTH`]).
-    pub depth: usize,
+    depth: usize,
 }
 
 impl PathState {
@@ -292,9 +295,9 @@ impl PathState {
 /// [`MAX_PATHS`] widens the set to the bare classified forms it already
 /// contains.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PathSet {
+struct PathSet {
     /// The per-path states.
-    pub states: BTreeSet<PathState>,
+    states: BTreeSet<PathState>,
 }
 
 impl PathSet {
@@ -352,32 +355,36 @@ fn walk_back(insns: &[Insn], skip_last: usize, mut expr: Expr) -> Expr {
 ///   extracted from `p`'s `cmp`+`jcc` terminator for the edge kind
 ///   actually taken — the part a direction-only engine cannot express,
 ///   hence [`DataflowSpec::edge_transfer`].
-pub struct SliceSpec<'a> {
+struct SliceSpec<'a> {
     jump_block: u64,
     seed: PathSet,
-    /// Instructions of every block in the jump's backward cone (the
-    /// blocks within [`MAX_DEPTH`] predecessor edges) — the only blocks
-    /// a path state can ever reach, so the only ones worth touching
-    /// (the old DFS had the same locality). Borrowed from the view's
-    /// decode-once slices, nothing is copied or re-decoded; sorted by
-    /// block address so lookups are binary searches over a flat array.
-    insns: Vec<(u64, &'a [Insn])>,
-    /// Blocks whose transfer has widened, stickily: once a block widens
-    /// it keeps widening. Widening shrinks a fact (non-monotone), so
-    /// without stickiness a cyclic CFG straddling [`MAX_PATHS`] could
-    /// oscillate between widened and unwidened fixpoint candidates and
-    /// the executor's worklist would never drain. Sticky widening means
-    /// each block takes the one non-monotone step at most once; between
-    /// and after those finitely many events the system is monotone, so
-    /// the fixpoint iteration terminates.
-    widened_blocks: std::sync::Mutex<std::collections::HashSet<u64>>,
+    /// The jump's backward cone (the blocks within [`MAX_DEPTH`]
+    /// predecessor edges, the only blocks a path state can ever reach)
+    /// in ascending address order: the one graph the spec runs on.
+    graph: FlowGraph,
+    /// Instructions of each cone block, by dense id. Borrowed from the
+    /// view's decode-once slices; nothing is copied or re-decoded.
+    insns: Vec<&'a [Insn]>,
+    /// Blocks whose transfer has widened, by dense id, stickily: once a
+    /// block widens it keeps widening. Widening shrinks a fact
+    /// (non-monotone), so without stickiness a cyclic CFG straddling
+    /// [`MAX_PATHS`] could oscillate between widened and unwidened
+    /// fixpoint candidates and the executor's worklist would never
+    /// drain. Sticky widening means each block takes the one
+    /// non-monotone step at most once; between and after those finitely
+    /// many events the system is monotone, so the fixpoint iteration
+    /// terminates. No executor transfers one block on two workers at
+    /// once, so a plain flag per block keeps the bit sticky; it
+    /// publishes no other data and the executor's join orders the final
+    /// read, so `Relaxed` suffices.
+    widened: Vec<AtomicBool>,
 }
 
 impl<'a> SliceSpec<'a> {
     /// Build the spec for the indirect jump terminating `jump_block`.
     /// Returns `None` when the block's terminator is not an indirect
     /// jump.
-    pub fn build(view: &'a dyn CfgView, jump_block: u64) -> Option<SliceSpec<'a>> {
+    fn build(view: &'a dyn CfgView, jump_block: u64) -> Option<SliceSpec<'a>> {
         let jinsns = view.insns(jump_block);
         let term = jinsns.last()?;
         let Op::JmpInd { src } = term.op else { return None };
@@ -392,81 +399,32 @@ impl<'a> SliceSpec<'a> {
         // BFS the backward cone: blocks within MAX_DEPTH predecessor
         // edges of the jump. States die at MAX_DEPTH crossings, so
         // facts outside the cone are empty by construction and the rest
-        // of the function's arena is never touched.
-        let known: std::collections::HashSet<u64> = view.blocks().iter().copied().collect();
-        let mut cone: HashMap<u64, &'a [Insn]> = HashMap::new();
-        cone.insert(jump_block, jinsns);
-        let mut frontier = vec![jump_block];
+        // of the function is never touched. `pred_edges` names member
+        // blocks only, so every block found is one of the view's.
+        let mut cone = vec![jump_block];
+        let mut level = 0..1;
         for _ in 0..MAX_DEPTH {
-            let mut next = Vec::new();
-            for b in frontier {
-                for &(p, _) in view.pred_edges(b) {
-                    if known.contains(&p) && !cone.contains_key(&p) {
-                        cone.insert(p, view.insns(p));
-                        next.push(p);
+            for i in level.clone() {
+                for &(p, _) in view.pred_edges(cone[i]) {
+                    if !cone.contains(&p) {
+                        cone.push(p);
                     }
                 }
             }
-            if next.is_empty() {
+            if level.end == cone.len() {
                 break;
             }
-            frontier = next;
+            level = level.end..cone.len();
         }
-        let mut insns: Vec<(u64, &'a [Insn])> = cone.into_iter().collect();
-        insns.sort_unstable_by_key(|&(a, _)| a);
-        Some(SliceSpec {
-            jump_block,
-            seed,
-            insns,
-            widened_blocks: std::sync::Mutex::new(std::collections::HashSet::new()),
-        })
-    }
-
-    /// Instructions of cone member `block` (binary search over the
-    /// sorted member list).
-    fn insns_of(&self, block: u64) -> Option<&'a [Insn]> {
-        self.insns.binary_search_by_key(&block, |&(a, _)| a).ok().map(|i| self.insns[i].1)
-    }
-
-    /// The [`FlowGraph`] restricted to the jump's backward cone — what
-    /// the spec should be executed over. Running over the full function
-    /// graph is equally correct (facts outside the cone stay empty) but
-    /// pays per-block fixpoint overhead for blocks that can never
-    /// contribute. Member blocks are sorted for a deterministic dense
-    /// order regardless of the view's iteration order.
-    pub fn cone_graph(&self, view: &dyn CfgView) -> FlowGraph {
-        let blocks: Vec<u64> = self.insns.iter().map(|&(a, _)| a).collect();
+        cone.sort_unstable();
         let mut edges = Vec::new();
-        for &b in &blocks {
-            for &(d, kind) in view.succ_edges(b) {
-                if self.insns_of(d).is_some() {
-                    edges.push((b, d, kind));
-                }
-            }
+        for &b in &cone {
+            edges.extend(view.succ_edges(b).iter().map(|&(d, kind)| (b, d, kind)));
         }
-        FlowGraph::from_parts(blocks, view.entry(), &edges)
-    }
-
-    /// Union the per-path facts found at every block boundary of a
-    /// fixpoint run — terminated paths rest where they terminated, so
-    /// the whole boundary map is the answer. Blocks are visited in
-    /// ascending address order for a deterministic fact list.
-    pub fn collect_facts(&self, results: &DataflowResults<PathSet>) -> Vec<PathFact> {
-        let mut order: Vec<usize> = (0..results.blocks().len()).collect();
-        order.sort_unstable_by_key(|&i| results.blocks()[i]);
-        let mut facts = Vec::new();
-        for i in order {
-            for s in &results.output[i].states {
-                facts.push(s.fact());
-            }
-        }
-        facts
-    }
-
-    /// Whether any block's transfer widened during the run (the sticky
-    /// set is the single source of truth for widening).
-    pub fn any_widened(&self) -> bool {
-        !self.widened_blocks.lock().expect("widened_blocks").is_empty()
+        let insns = cone.iter().map(|&b| view.insns(b)).collect();
+        let widened = cone.iter().map(|_| AtomicBool::new(false)).collect();
+        let graph = FlowGraph::from_parts(cone, view.entry(), &edges);
+        Some(SliceSpec { jump_block, seed, graph, insns, widened })
     }
 }
 
@@ -494,23 +452,19 @@ impl DataflowSpec for SliceSpec<'_> {
     }
 
     fn transfer(&self, block: u64, input: &PathSet) -> PathSet {
-        let insns: &[Insn] = self.insns_of(block).unwrap_or(&[]);
+        let i = self.graph.index_of(block).expect("cone block");
         let mut out = PathSet { states: BTreeSet::new() };
         for s in &input.states {
-            let expr = walk_back(insns, 0, s.expr.clone());
+            let expr = walk_back(self.insns[i], 0, s.expr.clone());
             out.states.insert(PathState { expr, bound: s.bound, depth: s.depth });
         }
-        // Sticky widening (see `widened_blocks`): a block that once
-        // exceeded MAX_PATHS keeps widening even if its input later
-        // shrinks, so the one output-shrinking step happens at most
-        // once per block and the fixpoint cannot oscillate.
-        {
-            let mut sticky = self.widened_blocks.lock().expect("widened_blocks");
-            if sticky.contains(&block) || out.states.len() > MAX_PATHS {
-                sticky.insert(block);
-                drop(sticky);
-                out.widen();
-            }
+        // Sticky widening (see `widened`): a block that once exceeded
+        // MAX_PATHS keeps widening even if its input later shrinks, so
+        // the one output-shrinking step happens at most once per block
+        // and the fixpoint cannot oscillate.
+        if self.widened[i].load(Ordering::Relaxed) || out.states.len() > MAX_PATHS {
+            self.widened[i].store(true, Ordering::Relaxed);
+            out.widen();
         }
         if block == self.jump_block {
             // The seed joins after widening: the jump block's own state
@@ -521,10 +475,15 @@ impl DataflowSpec for SliceSpec<'_> {
         out
     }
 
-    fn edge_transfer(&self, src: u64, dst: u64, kind: EdgeKind, fact: &PathSet) -> Option<PathSet> {
-        let _ = dst;
+    fn edge_transfer(
+        &self,
+        src: u64,
+        _dst: u64,
+        kind: EdgeKind,
+        fact: &PathSet,
+    ) -> Option<PathSet> {
         let mut out = PathSet { states: BTreeSet::new() };
-        let src_insns: &[Insn] = self.insns_of(src).unwrap_or(&[]);
+        let src_insns = self.insns[self.graph.index_of(src).expect("cone block")];
         for s in fact.states.iter().filter(|s| !s.is_terminal()) {
             // The bound closest to the jump wins; tracked registers are
             // those of the expression *before* it is walked through the
@@ -542,9 +501,10 @@ impl DataflowSpec for SliceSpec<'_> {
 }
 
 /// Everything one engine-backed slicing run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceOutcome {
-    /// Per-path facts, unioned over every block boundary.
+    /// Per-path facts, unioned over every block boundary (terminated
+    /// paths rest where they terminated), in ascending block order.
     pub facts: Vec<PathFact>,
     /// Whether any block's path set hit [`MAX_PATHS`] and widened.
     pub widened: bool,
@@ -573,9 +533,10 @@ pub fn slice_indirect_jump_with(
     exec: crate::engine::ExecutorKind,
 ) -> Option<SliceOutcome> {
     let spec = SliceSpec::build(view, jump_block)?;
-    let graph = spec.cone_graph(view);
-    let results = exec.run(&spec, &graph);
-    Some(SliceOutcome { widened: spec.any_widened(), facts: spec.collect_facts(&results) })
+    let results = exec.run(&spec, &spec.graph);
+    let facts = results.output.iter().flat_map(|o| o.states.iter().map(PathState::fact)).collect();
+    let widened = spec.widened.iter().any(|w| w.load(Ordering::Relaxed));
+    Some(SliceOutcome { facts, widened })
 }
 
 /// Every `(function entry, jump block)` pair of a finalized CFG whose
@@ -948,8 +909,7 @@ mod tests {
         // cap (+1 for the Top marker widening leaves behind, +1 for the
         // jump block's seed which joins after widening).
         let spec = SliceSpec::build(&view, 0x9000).expect("spec");
-        let graph = spec.cone_graph(&view);
-        let results = SerialExecutor.run(&spec, &graph);
+        let results = SerialExecutor.run(&spec, &spec.graph);
         for (b, fact) in results.blocks().iter().zip(&results.output) {
             assert!(
                 fact.states.len() <= MAX_PATHS + 2,
@@ -957,6 +917,60 @@ mod tests {
                 fact.states.len()
             );
         }
+    }
+
+    /// An edge from an address that is not a block of the view is not
+    /// part of the view (the `CfgView` edge contract), so it cannot pull
+    /// a phantom block into the cone.
+    #[test]
+    fn pred_edge_from_a_non_block_changes_nothing() {
+        let mut view = absolute_table_view();
+        view.edges.push((0x7000, 0x2000, EdgeKind::Direct));
+        let baseline = slice_indirect_jump(&absolute_table_view(), 0x2000);
+        assert!(baseline.as_ref().is_some_and(|o| o.facts.iter().any(|f| f.bound == Some(5))));
+        assert_eq!(slice_indirect_jump(&view, 0x2000), baseline);
+    }
+
+    /// The slice is local to the jump's backward cone: a jump at the end
+    /// of a 12-block chain sees only its last `MAX_DEPTH + 1` blocks, so
+    /// cutting the rest off (the guard at the chain's head included)
+    /// changes nothing.
+    #[test]
+    fn slice_reads_only_the_backward_cone() {
+        let at = |i: u64| 0x1000 + i * 0x100;
+        let mut block_data = Vec::new();
+        for i in 0..12u64 {
+            let mut code = vec![];
+            match i {
+                0 => {
+                    encode::cmp_ri(&mut code, Reg::RDI, 4);
+                    let j = encode::jcc_rel32(&mut code, Cond::A);
+                    encode::patch_rel32(&mut code, j, 0x2000);
+                }
+                11 => {
+                    encode::jmp_ind_mem(&mut code, &MemRef::base_index(None, Reg::RDI, 8, 0x601000))
+                }
+                // Links leave the index alone: the one unbounded path
+                // walks the chain until it dies at MAX_DEPTH.
+                _ => encode::alu_ri(&mut code, AluKind::Add, Reg::RAX, 1),
+            }
+            let insns = decode_seq(&code, at(i));
+            block_data.push((at(i), at(i) + code.len() as u64, insns));
+        }
+        let mut edges: Vec<_> =
+            (0..11u64).map(|i| (at(i), at(i + 1), EdgeKind::CondNotTaken)).collect();
+        edges.push((at(0), 0x9000, EdgeKind::CondTaken));
+        let full = VecView::new(at(0), block_data.clone(), edges.clone());
+
+        let keep = 11 - MAX_DEPTH as u64;
+        block_data.retain(|b| b.0 >= at(keep));
+        edges.retain(|e| e.0 >= at(keep));
+        let cut = VecView::new(at(keep), block_data, edges);
+
+        let outcome = slice_indirect_jump(&full, at(11)).expect("indirect jump");
+        assert_eq!(outcome.facts.len(), MAX_DEPTH + 1, "one state per cone block: {outcome:?}");
+        assert!(outcome.facts.iter().all(|f| f.form.is_some() && f.bound.is_none()));
+        assert_eq!(slice_indirect_jump(&cut, at(11)), Some(outcome));
     }
 
     #[test]

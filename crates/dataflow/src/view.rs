@@ -7,8 +7,8 @@
 //! exist: [`crate::ir::FuncIr`] over a finalized [`pba_cfg::Cfg`] (the
 //! one the applications use — one decoded-instruction arena per
 //! function, built once), the parser's internal snapshot of a function
-//! mid-construction (used by the fixed-point jump-table analysis, where
-//! the CFG is still growing), and [`VecView`] for unit tests.
+//! mid-construction (what jump-table slicing runs on while the CFG is
+//! still growing), and [`VecView`] for unit tests.
 
 use pba_cfg::EdgeKind;
 use pba_isa::Insn;
@@ -29,10 +29,13 @@ pub trait CfgView: Sync {
     /// `[start, end)` of a block.
     fn block_range(&self, block: u64) -> (u64, u64);
 
-    /// Intra-procedural successor edges `(target block, kind)`.
+    /// Intra-procedural successor edges `(target block, kind)`. Every
+    /// target is a member block (one of [`CfgView::blocks`]): edges to
+    /// anything else are not part of the view.
     fn succ_edges(&self, block: u64) -> &[(u64, EdgeKind)];
 
-    /// Intra-procedural predecessor edges `(source block, kind)`.
+    /// Intra-procedural predecessor edges `(source block, kind)`. Every
+    /// source is a member block, as for [`CfgView::succ_edges`].
     fn pred_edges(&self, block: u64) -> &[(u64, EdgeKind)];
 
     /// Decoded instructions of a block, in address order. Implementors
@@ -70,7 +73,9 @@ struct VecViewIndex {
 ///
 /// The public fields may be filled directly (or via [`VecView::new`]);
 /// mutate them only *before* the first analysis runs over the view —
-/// the borrowed accessors build their index once, on first use.
+/// the borrowed accessors build their index once, on first use. Edges
+/// whose source or destination is not in `block_data` are left out of
+/// that index, per the [`CfgView`] edge contract.
 #[derive(Default)]
 pub struct VecView {
     /// Entry block.
@@ -99,7 +104,8 @@ impl VecView {
                 blocks: self.block_data.iter().map(|b| b.0).collect(),
                 ..Default::default()
             };
-            for &(src, dst, kind) in &self.edges {
+            let member = |b: u64| idx.blocks.contains(&b);
+            for &(src, dst, kind) in self.edges.iter().filter(|e| member(e.0) && member(e.1)) {
                 idx.succs.entry(src).or_default().push((dst, kind));
                 idx.preds.entry(dst).or_default().push((src, kind));
             }

@@ -13,7 +13,6 @@
 
 use crate::input::ParseInput;
 use pba_dataflow::{JumpTableForm, PathFact};
-use pba_isa::Reg;
 
 /// Combined decision from all path facts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,18 +29,10 @@ pub fn decide(facts: &[PathFact]) -> Option<TableDecision> {
     let mut bound: Option<u64> = None;
     for f in facts {
         let Some(pf) = f.form else { continue };
-        match form {
-            None => form = Some(pf),
-            Some(existing) if existing == pf => {}
-            Some(existing) => {
-                // Conflicting forms across paths: keep the one with a
-                // bound, else the first (conservative).
-                if f.bound.is_some() && bound.is_none() {
-                    form = Some(pf);
-                } else {
-                    let _ = existing;
-                }
-            }
+        // Conflicting forms across paths: keep the first with a bound,
+        // else the first (conservative).
+        if form.is_none() || (f.bound.is_some() && bound.is_none()) {
+            form = Some(pf);
         }
         if let Some(b) = f.bound {
             bound = Some(bound.map_or(b, |cur: u64| cur.min(b)));
@@ -113,16 +104,11 @@ pub fn eval_targets(
     (targets, bounded)
 }
 
-/// The index register of a decision (used by re-analysis heuristics).
-pub fn index_reg(decision: &TableDecision) -> Reg {
-    decision.form.index()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pba_cfg::CodeRegion;
-    use pba_isa::Arch;
+    use pba_isa::{Arch, Reg};
 
     fn input_with_table(entries: &[u64]) -> ParseInput {
         let mut ro = Vec::new();

@@ -23,6 +23,7 @@ use crate::input::ParseInput;
 use crate::stats::ParseStats;
 use pba_cfg::{EdgeKind, RetStatus};
 use pba_concurrent::{AddressSet, ConcurrentHashMap};
+use pba_dataflow::JumpTableForm;
 
 /// Per-block record. `end == 0` means "created, not yet registered".
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +53,7 @@ pub struct FuncState {
 }
 
 /// A recorded jump table (pre-finalization).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RawJumpTable {
     /// Function context the jump was analyzed in.
     pub func: u64,
@@ -71,6 +72,15 @@ pub struct RawJumpTable {
     /// A guard bound was recovered; unbounded tables are clamped during
     /// finalization.
     pub bounded: bool,
+}
+
+impl RawJumpTable {
+    /// Record the table shape (address, stride, relative) of `form`.
+    pub fn set_form(&mut self, form: &JumpTableForm) {
+        self.table_addr = form.table();
+        self.stride = form.stride();
+        self.relative = matches!(form, JumpTableForm::Relative { .. });
+    }
 }
 
 /// What `register_end` tells the caller to do.

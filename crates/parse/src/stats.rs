@@ -37,7 +37,7 @@ pub struct ParseStats {
     /// (over-approximated until finalization).
     pub jt_unbounded: Counter,
     /// Slicing runs whose path-state set hit the lattice cap and
-    /// widened to bare classified forms (`pba_dataflow::SliceSpec`).
+    /// widened to bare classified forms (`pba_dataflow::SliceOutcome::widened`).
     pub jt_widened: Counter,
     /// Indirect-jump edges removed by finalization clamping.
     pub jt_edges_clamped: Counter,

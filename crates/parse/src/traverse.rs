@@ -366,18 +366,14 @@ fn create_edges<'i: 'scope, 'scope>(
     }
 }
 
-/// Run the engine-backed slice over a snapshot, folding the widening
-/// signal into the parse stats.
-fn sliced_facts(state: &State<'_>, view: &SnapshotView, block: u64) -> Vec<pba_dataflow::PathFact> {
-    match slice_indirect_jump(view, block) {
-        Some(outcome) => {
-            if outcome.widened {
-                state.stats.jt_widened.inc();
-            }
-            outcome.facts
-        }
-        None => Vec::new(),
+/// Slice the indirect jump ending `block` over a snapshot and decide
+/// its table, folding the widening signal into the parse stats.
+fn sliced_decision(state: &State<'_>, view: &SnapshotView, block: u64) -> Option<TableDecision> {
+    let outcome = slice_indirect_jump(view, block)?;
+    if outcome.widened {
+        state.stats.jt_widened.inc();
     }
+    decide(&outcome.facts)
 }
 
 /// Run jump-table analysis for the indirect jump whose block ends at
@@ -385,66 +381,67 @@ fn sliced_facts(state: &State<'_>, view: &SnapshotView, block: u64) -> Vec<pba_d
 /// (to be parsed by the caller in this function context).
 fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) -> Vec<u64> {
     let view = SnapshotView::build(state, fctx, &[block_start]);
-    let facts = sliced_facts(state, &view, block_start);
-    let Some(decision) = decide(&facts) else {
-        // Record the unresolved jump so the post-quiescence fixed point
-        // retries it with a fuller (and possibly re-split) subgraph —
-        // the paper's "repeat the analysis of a jump table after more
-        // control flow paths are created" (Section 5.3).
-        state.jts.insert(
-            e,
-            RawJumpTable {
-                func: fctx,
-                block_start,
-                block_end: e,
-                table_addr: 0,
-                stride: 0,
-                relative: false,
-                targets: Vec::new(),
-                bounded: false,
-            },
-        );
-        return Vec::new();
-    };
-    let (table_addr, stride, relative) = table_shape(&decision);
-    if decision.bound.is_none() {
-        // No guard bound recovered: an unbounded scan now would plant
-        // over-approximated edges that can split not-yet-parsed code
-        // mid-instruction. Defer target creation to the post-quiescence
-        // fixed point, where other discovered tables clamp the scan —
-        // the paper's delay-vs-monotonicity balance of Section 5.3.
-        state.stats.jt_unbounded.inc();
-        state.jts.insert(
-            e,
-            RawJumpTable {
-                func: fctx,
-                block_start,
-                block_end: e,
-                table_addr,
-                stride,
-                relative,
-                targets: Vec::new(),
-                bounded: false,
-            },
-        );
-        return Vec::new();
+    let decision = sliced_decision(state, &view, block_start);
+    // Record the jump whatever the slice found: the post-quiescence
+    // fixed point retries it with a fuller (and possibly re-split)
+    // subgraph — the paper's "repeat the analysis of a jump table after
+    // more control flow paths are created" (Section 5.3).
+    let mut jt = RawJumpTable { func: fctx, block_start, block_end: e, ..Default::default() };
+    if let Some(d) = &decision {
+        jt.set_form(&d.form);
     }
-    let (targets, bounded) = eval_targets(state.input, &decision, state.cfg.max_jt_entries);
-    state.stats.jt_bounded.inc();
-    {
-        let (mut acc, _) = state.jts.insert_with(e, || RawJumpTable {
-            func: fctx,
-            block_start,
-            block_end: e,
-            table_addr,
-            stride,
-            relative,
-            targets: Vec::new(),
-            bounded,
-        });
+    state.jts.insert(e, jt);
+    match decision {
+        None => Vec::new(),
+        Some(d) if d.bound.is_none() => {
+            // No guard bound recovered: an unbounded scan now would
+            // plant over-approximated edges that can split not-yet-parsed
+            // code mid-instruction. Defer target creation to the fixed
+            // point, where other discovered tables clamp the scan — the
+            // paper's delay-vs-monotonicity balance of Section 5.3.
+            state.stats.jt_unbounded.inc();
+            Vec::new()
+        }
+        Some(d) => {
+            state.stats.jt_bounded.inc();
+            apply_decision(state, e, block_start, &d, state.cfg.max_jt_entries).unwrap_or_default()
+        }
+    }
+}
+
+/// Write `decision` back to the jump table recorded at `e`, the one
+/// write-back of discovery and the fixed point: evaluate its targets
+/// (at most `max_entries`), and return `None` if the record already
+/// holds them. Otherwise remove the indirect edges to targets it no
+/// longer has, update the record (its jump block is now `block_start`)
+/// and add an edge to every target. Returns the target blocks this
+/// created.
+fn apply_decision(
+    state: &State<'_>,
+    e: u64,
+    block_start: u64,
+    decision: &TableDecision,
+    max_entries: usize,
+) -> Option<Vec<u64>> {
+    let (targets, bounded) = eval_targets(state.input, decision, max_entries);
+    let stale: Vec<u64> = {
+        let mut acc = state.jts.find_mut(&e)?;
+        if targets == acc.targets && bounded == acc.bounded && acc.stride != 0 {
+            return None;
+        }
+        // Targets dropped by a tighter clamp leave stale indirect edges
+        // behind (O_ER is commutative, so removing them is safe).
+        let stale = acc.targets.iter().copied().filter(|t| !targets.contains(t)).collect();
         acc.targets = targets.clone();
         acc.bounded = bounded;
         acc.block_start = block_start;
+        acc.set_form(&decision.form);
+        stale
+    };
+    if !stale.is_empty() {
+        if let Some(mut acc) = state.edges.find_mut(&e) {
+            acc.retain(|&(d, k)| !(k == EdgeKind::Indirect && stale.contains(&d)));
+        }
     }
     let mut new_blocks = Vec::new();
     for t in targets {
@@ -453,15 +450,7 @@ fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) ->
             new_blocks.push(t);
         }
     }
-    new_blocks
-}
-
-/// `(table address, stride, relative)` of a decision's dispatch form.
-fn table_shape(decision: &TableDecision) -> (u64, u8, bool) {
-    match decision.form {
-        pba_dataflow::JumpTableForm::Absolute { table, scale, .. } => (table, scale, false),
-        pba_dataflow::JumpTableForm::Relative { table, scale, .. } => (table, scale, true),
-    }
+    Some(new_blocks)
 }
 
 /// What the jump-table fixed point remembers between its rounds (it
@@ -519,7 +508,7 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
                 .iter()
                 .map(|&(e, block)| {
                     state.stats.refine_reanalyses.inc();
-                    (e, decide(&sliced_facts(state, &view, block)))
+                    (e, sliced_decision(state, &view, block))
                 })
                 .collect();
             Some((*func, fingerprint, decisions))
@@ -540,7 +529,7 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
     let mut changed = false;
     for (i, &(e, func, cur_start)) in tables.iter().enumerate() {
         let Some(Some(decision)) = memo.decisions.get(&e) else { continue };
-        let (table_addr, stride, relative) = table_shape(decision);
+        let (table_addr, stride) = (decision.form.table(), decision.form.stride());
         // Unbounded tables are clamped here; the finalization pass
         // re-clamps as a safety net for tables discovered even later.
         let next_table = table_addrs.iter().flatten().copied().filter(|&a| a > table_addr).min();
@@ -550,35 +539,12 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
             }
             _ => state.cfg.max_jt_entries,
         };
-        let (targets, bounded) = eval_targets(state.input, decision, max_entries);
-        let stale: Vec<u64>;
-        {
-            let Some(mut acc) = state.jts.find_mut(&e) else { continue };
-            if targets == acc.targets && bounded == acc.bounded && acc.stride != 0 {
-                continue;
-            }
-            // Targets dropped by a tighter clamp leave stale indirect
-            // edges behind; collect them for removal (O_ER is
-            // commutative, so this is safe here).
-            stale = acc.targets.iter().copied().filter(|t| !targets.contains(t)).collect();
-            acc.targets = targets.clone();
-            acc.bounded = bounded;
-            acc.block_start = cur_start;
-            acc.table_addr = table_addr;
-            acc.stride = stride;
-            acc.relative = relative;
-        }
+        let Some(new_blocks) = apply_decision(state, e, cur_start, decision, max_entries) else {
+            continue;
+        };
         table_addrs[i] = (stride > 0).then_some(table_addr);
-        if !stale.is_empty() {
-            if let Some(mut acc) = state.edges.find_mut(&e) {
-                acc.retain(|&(d, k)| !(k == EdgeKind::Indirect && stale.contains(&d)));
-            }
-        }
-        for &t in &targets {
-            state.add_edge(e, t, EdgeKind::Indirect);
-            if state.create_block(t) {
-                queue.push(Work { func, start: t });
-            }
+        for t in new_blocks {
+            queue.push(Work { func, start: t });
         }
         changed = true;
     }
