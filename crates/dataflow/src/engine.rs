@@ -353,8 +353,9 @@ impl FlowGraph {
         rpo
     }
 
-    /// Estimated heap bytes of the graph: block list, index, adjacency,
-    /// and any memoized direction metadata.
+    /// Estimated heap bytes of the graph as built: block list, index,
+    /// adjacency. Fixed once the graph exists; the memoized direction
+    /// metadata is [`FlowGraph::rank_heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let adjacency: usize = self
@@ -365,12 +366,18 @@ impl FlowGraph {
                 size_of::<Vec<(usize, EdgeKind)>>() + v.capacity() * size_of::<(usize, EdgeKind)>()
             })
             .sum();
-        let dir: usize = [&self.fwd, &self.bwd]
+        self.blocks.capacity() * size_of::<u64>() + self.index.heap_bytes() + adjacency
+    }
+
+    /// Heap bytes of the direction metadata (RPO ranks, source flags)
+    /// memoized so far — it grows as the first analysis in each
+    /// direction runs over the graph.
+    pub fn rank_heap_bytes(&self) -> usize {
+        [&self.fwd, &self.bwd]
             .iter()
             .filter_map(|c| c.get())
-            .map(|d| d.is_source.capacity() + d.rank.capacity() * size_of::<u32>())
-            .sum();
-        self.blocks.capacity() * size_of::<u64>() + self.index.heap_bytes() + adjacency + dir
+            .map(|d| d.is_source.capacity() + d.rank.capacity() * std::mem::size_of::<u32>())
+            .sum()
     }
 }
 

@@ -171,9 +171,10 @@ impl FuncIr {
     }
 
     /// Estimated heap bytes of the function's structure — adjacency,
-    /// ranges, summaries, graph — *excluding* instruction storage, which
-    /// is shared and accounted once per unique block by
-    /// [`BinaryIr::heap_bytes`].
+    /// ranges, summaries, graph as built — *excluding* instruction
+    /// storage, which is shared and accounted once per unique block by
+    /// [`BinaryIr::heap_bytes`], and the graph's memoized ranks
+    /// ([`FlowGraph::rank_heap_bytes`]).
     pub fn struct_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let edges: usize = self
@@ -326,11 +327,25 @@ impl BinaryIr {
         bytes
     }
 
-    /// Estimated total heap bytes: unique instruction storage plus every
-    /// function's structural vectors (the session's resident-size
+    /// Estimated total heap bytes: [`BinaryIr::built_heap_bytes`] plus
+    /// [`BinaryIr::rank_heap_bytes`] (the session's resident-size
     /// contribution of this artifact).
     pub fn heap_bytes(&self) -> usize {
+        self.built_heap_bytes() + self.rank_heap_bytes()
+    }
+
+    /// Heap bytes fixed when the IR is built: unique instruction storage
+    /// plus every function's structural vectors. A whole-binary walk
+    /// that hashes every block's instruction handle — size it once.
+    pub fn built_heap_bytes(&self) -> usize {
         self.shared_insn_bytes() + self.funcs.values().map(FuncIr::struct_heap_bytes).sum::<usize>()
+    }
+
+    /// Heap bytes of the RPO ranks the functions' graphs have memoized
+    /// so far: the part of the IR that grows after the build, as
+    /// analyses first run over each graph in each direction.
+    pub fn rank_heap_bytes(&self) -> usize {
+        self.funcs.values().map(|f| f.graph.rank_heap_bytes()).sum()
     }
 }
 

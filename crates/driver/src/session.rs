@@ -16,7 +16,7 @@ use pba_parse::{ParseConfig, ParseInput, ParseResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One configuration surface for the whole stack.
@@ -109,6 +109,13 @@ pub struct SessionStats {
     /// structures — block arenas, block indices, the image behind the
     /// parsed ELF — are counted exactly once. This is the eviction
     /// signal for a resident server: how much a cached session costs.
+    ///
+    /// Each artifact (and each loop forest) is sized once, by the first
+    /// [`Session::stats`] call that observes it built, and that figure
+    /// is kept — built artifacts do not change. The one part that grows
+    /// afterwards, the RPO ranks the IR's graphs memoize as analyses
+    /// first run over them, is re-read on every call (no walk over
+    /// blocks). A call after everything is sized costs no artifact walk.
     pub resident_bytes: u64,
 }
 
@@ -139,6 +146,37 @@ pub struct Session {
     features: Memo<Result<BinaryFeatures, Error>>,
     loops: pba_concurrent::ConcurrentHashMap<u64, Option<Arc<LoopForest>>>,
     loop_computes: Counter,
+    bytes: ArtifactBytes,
+}
+
+/// Resident bytes of each built artifact, measured by the first
+/// [`Session::stats`] that finds it ready and then kept, so a cache hit
+/// never repeats a whole-artifact walk.
+#[derive(Default)]
+struct ArtifactBytes {
+    elf: OnceLock<usize>,
+    debug: OnceLock<usize>,
+    cfg: OnceLock<usize>,
+    ir: OnceLock<usize>,
+    dataflow: OnceLock<usize>,
+    structure: OnceLock<usize>,
+    features: OnceLock<usize>,
+    /// Loop forests built since the last `stats()`, and the summed bytes
+    /// of every forest sized before them.
+    forests: Mutex<(Vec<Arc<LoopForest>>, usize)>,
+}
+
+/// An artifact's bytes: 0 until it is built (or if it failed), then
+/// `size` of it, measured on the first call and kept.
+fn sized<T>(
+    memo: &Memo<Result<T, Error>>,
+    bytes: &OnceLock<usize>,
+    size: impl FnOnce(&T) -> usize,
+) -> usize {
+    match memo.get() {
+        Some(Ok(artifact)) => *bytes.get_or_init(|| size(artifact)),
+        _ => 0,
+    }
 }
 
 impl Session {
@@ -159,25 +197,15 @@ impl Session {
             features: Memo::new(),
             loops: pba_concurrent::ConcurrentHashMap::new(),
             loop_computes: Counter::new(),
+            bytes: ArtifactBytes::default(),
         }
     }
 
     /// Open a session over an already-parsed ELF image (the `elf()`
     /// artifact arrives pre-computed; its parse count stays 0).
     pub fn from_elf(elf: Elf, config: SessionConfig) -> Session {
-        Session {
-            config,
-            input: elf.image().clone(),
-            elf: Memo::ready(Ok(elf)),
-            debug: Memo::new(),
-            parse: Memo::new(),
-            ir: Memo::new(),
-            dataflow: Memo::new(),
-            structure: Memo::new(),
-            features: Memo::new(),
-            loops: pba_concurrent::ConcurrentHashMap::new(),
-            loop_computes: Counter::new(),
-        }
+        let input = elf.image().clone();
+        Session { elf: Memo::ready(Ok(elf)), ..Session::open(input, config) }
     }
 
     /// Open a session over a file on disk. The image is memory-mapped
@@ -302,6 +330,7 @@ impl Session {
         let forest = Arc::new(loop_forest_on(fir, fir.graph()));
         *slot = Some(Arc::clone(&forest));
         self.loop_computes.inc();
+        self.bytes.forests.lock().unwrap().0.push(Arc::clone(&forest));
         Ok(forest)
     }
 
@@ -407,41 +436,30 @@ impl Session {
     /// Estimated bytes of heap the memoized artifacts pin, shared
     /// storage counted once (see [`SessionStats::resident_bytes`]).
     fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        // The input image, counted exactly once (zero when mmapped).
-        let mut total = self.input.heap_bytes();
-        if let Some(Ok(elf)) = self.elf.get() {
-            // The parsed ELF shares the input's storage — count only
-            // its decoded section/symbol metadata on top.
-            total += elf.heap_bytes() - elf.image().heap_bytes();
-        }
-        if let Some(Ok(di)) = self.debug.get() {
-            total += di.heap_bytes();
-        }
-        if let Some(Ok(r)) = self.parse.get() {
-            total += r.cfg.heap_bytes();
-        }
+        let b = &self.bytes;
+        // The input image, counted exactly once (zero when mmapped); the
+        // parsed ELF shares its storage, so only the ELF's decoded
+        // section/symbol metadata counts on top.
+        let mut total = self.input.heap_bytes()
+            + sized(&self.elf, &b.elf, |elf| elf.heap_bytes() - elf.image().heap_bytes())
+            + sized(&self.debug, &b.debug, DebugInfo::heap_bytes)
+            + sized(&self.parse, &b.cfg, |r| r.cfg.heap_bytes())
+            // Each unique block arena once, plus every graph's dense
+            // adjacency and index.
+            + sized(&self.ir, &b.ir, BinaryIr::built_heap_bytes)
+            + sized(&self.dataflow, &b.dataflow, |df| {
+                df.capacity() * (std::mem::size_of::<(u64, FuncAnalyses)>() + 1)
+                    + df.values().map(FuncAnalyses::heap_bytes).sum::<usize>()
+            })
+            + sized(&self.structure, &b.structure, HsOutput::heap_bytes)
+            + sized(&self.features, &b.features, BinaryFeatures::heap_bytes);
         if let Some(Ok(ir)) = self.ir.get() {
-            // Counts each unique block arena once plus every graph's
-            // dense adjacency and index.
-            total += ir.heap_bytes();
+            total += ir.rank_heap_bytes();
         }
-        if let Some(Ok(df)) = self.dataflow.get() {
-            total += df.capacity() * (size_of::<(u64, FuncAnalyses)>() + 1)
-                + df.values().map(FuncAnalyses::heap_bytes).sum::<usize>();
-        }
-        if let Some(Ok(hs)) = self.structure.get() {
-            total += hs.heap_bytes();
-        }
-        if let Some(Ok(bf)) = self.features.get() {
-            total += bf.heap_bytes();
-        }
-        self.loops.for_each(|_, slot| {
-            if let Some(forest) = slot {
-                total += forest.heap_bytes();
-            }
-        });
-        total
+        let mut forests = b.forests.lock().unwrap();
+        let (fresh, sized_before) = &mut *forests;
+        *sized_before += fresh.drain(..).map(|f| f.heap_bytes()).sum::<usize>();
+        total + *sized_before
     }
 
     /// A rayon pool sized by the session config (0 = all available).
@@ -449,5 +467,91 @@ impl Session {
     /// this is cheap to call per artifact.
     fn pool(&self) -> rayon::ThreadPool {
         rayon::ThreadPoolBuilder::new().num_threads(self.config.threads).build().expect("pool")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pba_gen::{generate, GenConfig};
+
+    /// The oracle: a full walk over every memoized artifact, which the
+    /// sized-once figures must equal at any point.
+    fn walk(s: &Session) -> usize {
+        use std::mem::size_of;
+        let mut total = s.input.heap_bytes();
+        if let Some(Ok(elf)) = s.elf.get() {
+            total += elf.heap_bytes() - elf.image().heap_bytes();
+        }
+        if let Some(Ok(di)) = s.debug.get() {
+            total += di.heap_bytes();
+        }
+        if let Some(Ok(r)) = s.parse.get() {
+            total += r.cfg.heap_bytes();
+        }
+        if let Some(Ok(ir)) = s.ir.get() {
+            total += ir.heap_bytes();
+        }
+        if let Some(Ok(df)) = s.dataflow.get() {
+            total += df.capacity() * (size_of::<(u64, FuncAnalyses)>() + 1)
+                + df.values().map(FuncAnalyses::heap_bytes).sum::<usize>();
+        }
+        if let Some(Ok(hs)) = s.structure.get() {
+            total += hs.heap_bytes();
+        }
+        if let Some(Ok(bf)) = s.features.get() {
+            total += bf.heap_bytes();
+        }
+        s.loops.for_each(|_, slot| {
+            if let Some(forest) = slot {
+                total += forest.heap_bytes();
+            }
+        });
+        total
+    }
+
+    fn image() -> Vec<u8> {
+        generate(&GenConfig { num_funcs: 24, seed: 0x5E55, ..Default::default() }).elf
+    }
+
+    /// Drive `s` one artifact at a time, checking the reported bytes
+    /// against the walk after every step (so each artifact is sized at
+    /// a different moment, before later steps grow the IR's ranks).
+    fn steps_match_the_walk(s: &Session) {
+        let check = |step: &str| {
+            assert_eq!(s.stats().resident_bytes as usize, walk(s), "after {step}");
+        };
+        check("open");
+        s.elf().unwrap();
+        check("elf");
+        s.cfg().unwrap();
+        check("cfg");
+        let entry = s.ir().unwrap().funcs().map(|f| f.entry()).min().unwrap();
+        check("ir");
+        s.dataflow().unwrap();
+        check("dataflow");
+        s.structure().unwrap();
+        check("structure");
+        s.features().unwrap();
+        check("features");
+        s.loop_forest(entry).unwrap();
+        check("loop_forest");
+        s.loop_forests().unwrap();
+        check("loop_forests");
+        let once = s.stats().resident_bytes;
+        assert_eq!(s.stats().resident_bytes, once, "a repeated stats() moves nothing");
+    }
+
+    #[test]
+    fn resident_bytes_equal_the_walk_after_every_step() {
+        steps_match_the_walk(&Session::open(image(), SessionConfig::default().with_threads(2)));
+    }
+
+    #[test]
+    fn resident_bytes_equal_the_walk_from_a_parsed_elf() {
+        let elf = Elf::parse(ImageBytes::from(image())).unwrap();
+        let s = Session::from_elf(elf, SessionConfig::default().with_threads(1));
+        assert!(s.stats().resident_bytes > s.input.heap_bytes() as u64, "the ELF counts at once");
+        steps_match_the_walk(&s);
     }
 }

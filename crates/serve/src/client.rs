@@ -1,6 +1,11 @@
 //! The client side: connect, send framed requests, read framed
 //! responses. Decode failures surface as [`Error::Protocol`], so the
 //! CLI exits through the same sysexits mapping as every other failure.
+//!
+//! Framing on the wire is the daemon's: one write per frame, Nagle off
+//! (`TCP_NODELAY` on a TCP connection) — see [`crate::proto`] — so a
+//! request reaches the daemon as soon as it is written and a round trip
+//! costs the work it asks for, not a delayed-ACK timer.
 
 use crate::proto::{read_message, write_message, Request, Response};
 use crate::server::{ServeAddr, Stream};

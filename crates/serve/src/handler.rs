@@ -7,8 +7,10 @@ use crate::cache::{Cached, SessionCache};
 use crate::proto::{BinSpec, Request, Response, ServeStats, SliceJump, TopkHit};
 use pba_binfeat::{rank_topk, CorpusIndex};
 use pba_concurrent::Counter;
+use pba_dataflow::{ExecutorKind, FuncIr};
 use pba_driver::{Error, Session};
 use pba_elf::ImageBytes;
+use pba_isa::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -104,14 +106,12 @@ impl ServeShared {
 
     fn dispatch(&self, req: Request) -> Response {
         let reply = match req {
-            Request::Struct { bin } => self.serve_struct(&bin),
-            Request::Features { bin } => self.serve_features(&bin),
-            Request::SliceFunc { bin, entry } => self.serve_slice(&bin, entry),
-            Request::Similarity { a, b } => self.serve_similarity(&a, &b),
-            Request::CorpusIngest { bin } => self.serve_corpus_ingest(&bin),
-            Request::CorpusTopk { bin, k, exact } => {
-                self.serve_corpus_topk(&bin, k as usize, exact)
-            }
+            Request::Struct { bin } => self.serve_struct(bin),
+            Request::Features { bin } => self.serve_features(bin),
+            Request::SliceFunc { bin, entry } => self.serve_slice(bin, entry),
+            Request::Similarity { a, b } => self.serve_similarity(a, b),
+            Request::CorpusIngest { bin } => self.serve_corpus_ingest(bin),
+            Request::CorpusTopk { bin, k, exact } => self.serve_corpus_topk(bin, k as usize, exact),
             Request::Stats => {
                 let sessions =
                     self.cache.sessions().into_iter().map(|(h, s)| (h, s.stats())).collect();
@@ -128,15 +128,16 @@ impl ServeShared {
         reply.unwrap_or_else(|e| Response::from_error(&e))
     }
 
-    /// Resolve a binary operand through the cache.
-    fn resolve(&self, bin: &BinSpec) -> Result<Cached, Error> {
+    /// Resolve a binary operand through the cache. An inline image
+    /// moves into the session (or is dropped on a hit) — never copied.
+    fn resolve(&self, bin: BinSpec) -> Result<Cached, Error> {
         match bin {
-            BinSpec::Bytes(b) => Ok(self.cache.get_or_open(ImageBytes::from(b.clone()))),
-            BinSpec::Path(p) => self.cache.open_path(p),
+            BinSpec::Bytes(b) => Ok(self.cache.get_or_open(ImageBytes::from(b))),
+            BinSpec::Path(p) => self.cache.open_path(&p),
         }
     }
 
-    fn serve_struct(&self, bin: &BinSpec) -> Result<Response, Error> {
+    fn serve_struct(&self, bin: BinSpec) -> Result<Response, Error> {
         let cached = self.resolve(bin)?;
         let out = cached.session.structure()?;
         let reply = Response::Struct {
@@ -151,7 +152,7 @@ impl ServeShared {
         Ok(reply)
     }
 
-    fn serve_features(&self, bin: &BinSpec) -> Result<Response, Error> {
+    fn serve_features(&self, bin: BinSpec) -> Result<Response, Error> {
         let cached = self.resolve(bin)?;
         let features = sorted_features(&cached.session)?;
         let reply = Response::Features { hit: cached.hit, stats: cached.session.stats(), features };
@@ -159,7 +160,7 @@ impl ServeShared {
         Ok(reply)
     }
 
-    fn serve_slice(&self, bin: &BinSpec, entry: u64) -> Result<Response, Error> {
+    fn serve_slice(&self, bin: BinSpec, entry: u64) -> Result<Response, Error> {
         let cached = self.resolve(bin)?;
         let jumps = slice_function(&cached.session, entry)?;
         let reply = Response::SliceFunc { hit: cached.hit, stats: cached.session.stats(), jumps };
@@ -174,11 +175,11 @@ impl ServeShared {
     /// regardless of corpus size. Re-ingesting indexed content skips
     /// analysis entirely (the `content_hash` check costs one pass over
     /// the image, which `ImageBytes` memoizes).
-    fn serve_corpus_ingest(&self, bin: &BinSpec) -> Result<Response, Error> {
+    fn serve_corpus_ingest(&self, bin: BinSpec) -> Result<Response, Error> {
         let image = match bin {
-            BinSpec::Bytes(b) => ImageBytes::from(b.clone()),
-            BinSpec::Path(p) => ImageBytes::from_path(p)
-                .map_err(|e| Error::Io { path: p.clone(), message: e.to_string() })?,
+            BinSpec::Bytes(b) => ImageBytes::from(b),
+            BinSpec::Path(p) => ImageBytes::from_path(&p)
+                .map_err(|e| Error::Io { path: p, message: e.to_string() })?,
         };
         let hash = image.content_hash();
         let mut ingested = false;
@@ -211,7 +212,7 @@ impl ServeShared {
     /// `exact` (the baseline the bench and recall tests compare
     /// against). The query itself resolves through the session cache —
     /// repeat queries for the same binary are cache hits.
-    fn serve_corpus_topk(&self, bin: &BinSpec, k: usize, exact: bool) -> Result<Response, Error> {
+    fn serve_corpus_topk(&self, bin: BinSpec, k: usize, exact: bool) -> Result<Response, Error> {
         let cached = self.resolve(bin)?;
         let query = &cached.session.features()?.index;
         let idx = self.index.lock().unwrap();
@@ -232,7 +233,7 @@ impl ServeShared {
         Ok(Response::CorpusTopk { hit: cached.hit, exact, candidates, hits })
     }
 
-    fn serve_similarity(&self, a: &BinSpec, b: &BinSpec) -> Result<Response, Error> {
+    fn serve_similarity(&self, a: BinSpec, b: BinSpec) -> Result<Response, Error> {
         let ca = self.resolve(a)?;
         let cb = self.resolve(b)?;
         let fa = &ca.session.features()?.index;
@@ -260,28 +261,70 @@ pub fn sorted_features(session: &Session) -> Result<Vec<(u64, u64)>, Error> {
 /// Slice every indirect jump of the function at `entry`, rows sorted by
 /// block address — the deterministic wire form of a `slice_func` query.
 /// This is what the handler serves and what the equivalence tests run
-/// in-process for comparison.
+/// in-process for comparison. The jumps are found in the function's own
+/// IR block summaries (no decoding, nothing outside the function read):
+/// the blocks [`pba_dataflow::collect_indirect_jumps`] lists for `entry`.
 pub fn slice_function(session: &Session, entry: u64) -> Result<Vec<SliceJump>, Error> {
-    let cfg = session.cfg()?;
     let ir = session.ir()?;
     let fir = ir.func(entry).ok_or_else(|| Error::FunctionNotFound(format!("{entry:#x}")))?;
-    let mut blocks: Vec<u64> = pba_dataflow::collect_indirect_jumps(cfg)
-        .into_iter()
-        .filter(|&(f, _)| f == entry)
-        .map(|(_, b)| b)
-        .collect();
-    blocks.sort_unstable();
     let exec = session.config().executor;
-    Ok(blocks
-        .into_iter()
-        .filter_map(|block| {
-            pba_dataflow::slice_indirect_jump_with(fir, block, exec).map(|o| SliceJump {
-                block,
-                widened: o.widened,
-                facts: o.facts.len() as u64,
-                classified: o.facts.iter().filter(|p| p.form.is_some()).count() as u64,
-                bounded: o.facts.iter().filter(|p| p.bound.is_some()).count() as u64,
-            })
-        })
-        .collect())
+    Ok(indirect_jumps(fir).filter_map(|block| slice_row(fir, block, exec)).collect())
+}
+
+/// The member blocks of `fir` that end in an indirect jump, ascending.
+fn indirect_jumps(fir: &FuncIr) -> impl Iterator<Item = u64> + '_ {
+    fir.blocks().iter().copied().filter(|&b| {
+        fir.summary(b).is_some_and(|s| s.terminator == Some(ControlFlow::IndirectBranch))
+    })
+}
+
+/// One `slice_func` row: the jump at `block` sliced within `fir`.
+fn slice_row(fir: &FuncIr, block: u64, exec: ExecutorKind) -> Option<SliceJump> {
+    pba_dataflow::slice_indirect_jump_with(fir, block, exec).map(|o| SliceJump {
+        block,
+        widened: o.widened,
+        facts: o.facts.len() as u64,
+        classified: o.facts.iter().filter(|p| p.form.is_some()).count() as u64,
+        bounded: o.facts.iter().filter(|p| p.bound.is_some()).count() as u64,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pba_driver::SessionConfig;
+    use pba_gen::{generate, GenConfig};
+
+    /// Function-local discovery finds exactly the whole-binary scan's
+    /// jumps for each function, so the served rows are those the scan
+    /// would give.
+    #[test]
+    fn function_local_jumps_match_the_whole_binary_scan() {
+        for (seed, pct_shared) in [(0x511CE, 0.0), (0x511CF, 0.2)] {
+            let cfg = GenConfig {
+                seed,
+                num_funcs: 40,
+                pct_switch: 1.0,
+                pct_shared,
+                ..Default::default()
+            };
+            let session =
+                Session::open(generate(&cfg).elf, SessionConfig::default().with_threads(2));
+            let scan = pba_dataflow::collect_indirect_jumps(session.cfg().unwrap());
+            let ir = session.ir().unwrap();
+            let exec = session.config().executor;
+            let mut found = 0;
+            for fir in ir.funcs() {
+                let want: Vec<u64> =
+                    scan.iter().filter(|&&(f, _)| f == fir.entry()).map(|&(_, b)| b).collect();
+                assert_eq!(indirect_jumps(fir).collect::<Vec<_>>(), want, "{:#x}", fir.entry());
+                let rows: Vec<SliceJump> =
+                    want.iter().filter_map(|&b| slice_row(fir, b, exec)).collect();
+                assert_eq!(slice_function(&session, fir.entry()).unwrap(), rows);
+                found += want.len();
+            }
+            assert_eq!(found, scan.len(), "seed {seed:#x}: every jump belongs to a function");
+            assert!(found > 0, "seed {seed:#x}: a switch-heavy image has jump tables");
+        }
+    }
 }

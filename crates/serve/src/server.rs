@@ -13,7 +13,7 @@ use crate::cache::SessionCache;
 use crate::handler::ServeShared;
 use crate::proto::{decode_message, read_frame_with, write_message, Request, Response, ServeStats};
 use pba_driver::{Error, SessionConfig};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -90,6 +90,18 @@ enum Listener {
     Tcp(TcpListener),
 }
 
+impl Listener {
+    /// Accept one connection, configured as every daemon stream is
+    /// (TCP: Nagle off — see the `proto` module docs).
+    fn accept(&self) -> std::io::Result<Stream> {
+        match self {
+            #[cfg(unix)]
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Stream::tcp(s)),
+        }
+    }
+}
+
 /// One accepted connection, Unix or TCP, behind one Read/Write surface.
 pub(crate) enum Stream {
     #[cfg(unix)]
@@ -102,8 +114,15 @@ impl Stream {
         match addr {
             #[cfg(unix)]
             ServeAddr::Unix(p) => UnixStream::connect(p).map(Stream::Unix),
-            ServeAddr::Tcp(a) => TcpStream::connect(a.as_str()).map(Stream::Tcp),
+            ServeAddr::Tcp(a) => TcpStream::connect(a.as_str()).and_then(Stream::tcp),
         }
+    }
+
+    /// Wrap a connected TCP stream with Nagle's algorithm off, so a
+    /// frame goes out as soon as it is written.
+    fn tcp(s: TcpStream) -> std::io::Result<Stream> {
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
     }
 
     pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
@@ -139,6 +158,14 @@ impl Write for Stream {
             #[cfg(unix)]
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -207,12 +234,7 @@ impl Server {
         let threads = self.shared.cache.config().threads;
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.is_shutdown() {
-            let accepted = match &self.listener {
-                #[cfg(unix)]
-                Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-            };
-            match accepted {
+            match self.listener.accept() {
                 Ok(stream) => {
                     self.shared.connection_opened();
                     let shared = Arc::clone(&self.shared);
@@ -338,5 +360,26 @@ fn serve_connection(stream: Stream, shared: &Arc<ServeShared>, threads: usize) {
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tcp_streams_have_nagle_off_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = ServeAddr::Tcp(listener.local_addr().unwrap().to_string());
+        let mut client = Stream::connect(&addr).unwrap();
+        let server = Listener::Tcp(listener).accept().unwrap();
+        for (end, stream) in [("client", &client), ("server", &server)] {
+            let Stream::Tcp(s) = stream else { panic!("{end} end is not TCP") };
+            assert!(s.nodelay().unwrap(), "{end} end has Nagle on");
+        }
+        // A frame's parts leave in one call (the default `write_vectored`
+        // would take only the first buffer).
+        let parts = [IoSlice::new(b"len:"), IoSlice::new(b"payload")];
+        assert_eq!(client.write_vectored(&parts).unwrap(), 11);
     }
 }
