@@ -1,12 +1,13 @@
-//! Ablations of the design decisions DESIGN.md calls out, reported by
-//! wall time *and* machine-independent work counters (so the comparison
-//! is meaningful even on hosts with few cores):
+//! Ablations of the parser's design decisions (the `pba_parse::ParseConfig`
+//! toggles), reported by wall time *and* machine-independent work
+//! counters (so the comparison is meaningful even on hosts with few
+//! cores):
 //!
 //! 1. eager vs. deferred non-returning notification (Section 5.3);
 //! 2. per-task decode cache on/off (Section 6.3);
 //! 3. task-parallel vs. level-synchronous round scheduling
 //!    (Section 6.3 / Listing 2);
-//! 4. jump-table refinement rounds on/off.
+//! 4. the serial (1-thread) reference.
 
 use pba_bench::report::{secs, Table};
 use pba_bench::workload;

@@ -25,5 +25,5 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    println!("(scaled-down stand-ins; see DESIGN.md for the substitution rationale)");
+    println!("(scaled-down stand-ins; see the pba-gen crate docs for the substitution rationale)");
 }

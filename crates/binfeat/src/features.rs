@@ -1,6 +1,6 @@
 //! Per-binary feature extraction.
 
-use pba_cfg::{Cfg, EdgeKind, Function};
+use pba_cfg::{Cfg, EdgeKind};
 use pba_concurrent::fxhash::FxBuildHasher;
 use pba_dataflow::{liveness_on, BinaryIr, CfgView, ExecutorKind, FuncIr};
 use pba_loops::loop_forest_on;
@@ -90,17 +90,11 @@ pub fn control_flow_features(cfg: &Cfg, ir: &FuncIr, out: &mut Vec<u64>) {
     out.push(h(&("cf-nloops", forest.loops.len().min(16))));
 }
 
-/// Data-flow features: live-register counts at block entries.
-pub fn data_flow_features(cfg: &Cfg, f: &Function, out: &mut Vec<u64>) {
-    let ir = FuncIr::build(cfg, f);
-    let live = liveness_on(&ir, ir.graph(), ExecutorKind::Serial);
-    data_flow_features_from(&ir, &live, out);
-}
-
-/// [`data_flow_features`] from a precomputed liveness result — the shape
-/// [`extract_cfg_features`] uses so the whole-binary engine driver
-/// (`pba_dataflow::run_per_function_ir`) computes each function's
-/// analyses exactly once, over the shared decode-once arena.
+/// Data-flow features: live-register counts at block entries, from a
+/// precomputed liveness result — the shape [`extract_cfg_features`] uses
+/// so the whole-binary engine driver (`pba_dataflow::run_per_function_ir`)
+/// computes each function's analyses exactly once, over the shared
+/// decode-once arena.
 pub fn data_flow_features_from(
     ir: &FuncIr,
     live: &pba_dataflow::LivenessResult,

@@ -193,10 +193,7 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
     }
 
     /// Fetch the entry's backing `Arc` without locking the entry.
-    ///
-    /// Escape hatch for snapshot iteration and for callers that manage
-    /// entry locking themselves.
-    pub fn get_arc(&self, key: &K) -> Option<Arc<RwLock<V>>> {
+    fn get_arc(&self, key: &K) -> Option<Arc<RwLock<V>>> {
         let shard = self.shard_for(key);
         let map = shard.read();
         map.get(key).map(Arc::clone)
@@ -251,25 +248,6 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
         for (k, arc) in self.snapshot() {
             let g = arc.read();
             f(&k, &g);
-        }
-    }
-
-    /// Remove entries for which `keep` returns false. Entry read locks are
-    /// taken one at a time; intended for quiescent phases.
-    pub fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) {
-        for s in self.shards.iter() {
-            let mut map = s.write();
-            map.retain(|k, arc| {
-                let g = arc.read();
-                keep(k, &g)
-            });
-        }
-    }
-
-    /// Drop all entries.
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            s.write().clear();
         }
     }
 }
@@ -394,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_retain() {
+    fn snapshot_keys_and_for_each() {
         let m: ConcurrentHashMap<u64, u64> = ConcurrentHashMap::new();
         for k in 0..100 {
             m.insert(k, k * 2);
@@ -402,11 +380,9 @@ mod tests {
         let mut keys = m.snapshot_keys();
         keys.sort_unstable();
         assert_eq!(keys, (0..100).collect::<Vec<_>>());
-        m.retain(|_, v| v % 4 == 0);
-        assert_eq!(m.len(), 50);
         let mut sum = 0;
         m.for_each(|_, v| sum += *v);
-        assert_eq!(sum, (0..100).map(|k| k * 2).filter(|v| v % 4 == 0).sum::<u64>());
+        assert_eq!(sum, (0..100).map(|k| k * 2).sum::<u64>());
     }
 
     #[test]

@@ -12,6 +12,10 @@ use std::collections::HashSet;
 
 type Stripe = RwLock<HashSet<u64, FxBuildHasher>>;
 
+/// Stripe count; a power of two, since an address's stripe is the top
+/// bits of its hash.
+const STRIPES: usize = 128;
+
 /// A concurrent set of 64-bit addresses.
 pub struct AddressSet {
     stripes: Box<[Stripe]>,
@@ -25,19 +29,13 @@ impl Default for AddressSet {
 }
 
 impl AddressSet {
-    /// Create with the default stripe count (128).
+    /// Create an empty set.
     pub fn new() -> Self {
-        Self::with_stripes(128)
-    }
-
-    /// Create with `n` stripes (rounded up to a power of two).
-    pub fn with_stripes(n: usize) -> Self {
-        let n = n.next_power_of_two().max(2);
         AddressSet {
-            stripes: (0..n)
+            stripes: (0..STRIPES)
                 .map(|_| RwLock::new(HashSet::with_hasher(FxBuildHasher::default())))
                 .collect(),
-            shift: 64 - n.trailing_zeros(),
+            shift: 64 - STRIPES.trailing_zeros(),
         }
     }
 
@@ -65,32 +63,6 @@ impl AddressSet {
     pub fn contains(&self, addr: u64) -> bool {
         self.stripe(addr).read().contains(&addr)
     }
-
-    /// Total element count (exact only in quiescence).
-    pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Whether the set is empty (exact only in quiescence).
-    pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Drain all addresses into a vector (quiescent use only).
-    pub fn snapshot(&self) -> Vec<u64> {
-        let mut v = Vec::with_capacity(self.len());
-        for s in self.stripes.iter() {
-            v.extend(s.read().iter().copied());
-        }
-        v
-    }
-
-    /// Remove everything.
-    pub fn clear(&self) {
-        for s in self.stripes.iter() {
-            s.write().clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +77,6 @@ mod tests {
         assert!(!s.insert(0x400));
         assert!(s.contains(0x400));
         assert!(!s.contains(0x401));
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -131,19 +102,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(total.load(std::sync::atomic::Ordering::Relaxed), 1000);
-        assert_eq!(s.len(), 1000);
-    }
-
-    #[test]
-    fn snapshot_returns_all() {
-        let s = AddressSet::with_stripes(4);
-        for a in (0..64).map(|i| i * 16) {
-            s.insert(a);
-        }
-        let mut v = s.snapshot();
-        v.sort_unstable();
-        assert_eq!(v, (0..64).map(|i| i * 16).collect::<Vec<_>>());
-        s.clear();
-        assert!(s.is_empty());
+        assert!((0..1000u64).all(|a| s.contains(a)));
     }
 }

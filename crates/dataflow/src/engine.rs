@@ -1,5 +1,5 @@
 //! The generic dataflow engine: one fixpoint, many analyses, three
-//! executors.
+//! executors behind one entry point, [`ExecutorKind::run`].
 //!
 //! The paper's thesis is that once the CFG is finalized and read-only,
 //! *any* client analysis can run in parallel. This module is the
@@ -8,13 +8,14 @@
 //! [`DataflowSpec`] — direction, lattice bottom, boundary fact, meet,
 //! and block transfer — and an executor drives the Kildall worklist to
 //! the least fixpoint. Because every spec here is monotone over a
-//! finite-height lattice, the fixpoint is *unique*, so the
-//! [`SerialExecutor`] (priority worklist in reverse postorder, from
-//! [`pba_cfg::order`]), the [`ParallelExecutor`] (round-based rayon
-//! worklist, after the `parallel-dataflow` exemplar), and the
-//! [`AsyncExecutor`] (barrier-free worklist on work-stealing deques)
-//! are interchangeable by construction — the property
-//! `tests/engine_equiv.rs` checks on randomized binaries.
+//! finite-height lattice, the fixpoint is *unique*, so the executor is
+//! a runtime value, not a type: [`ExecutorKind::Serial`] (priority
+//! worklist in reverse postorder, from [`pba_cfg::order`]),
+//! [`ExecutorKind::Parallel`] (round-based rayon worklist, after the
+//! `parallel-dataflow` exemplar) and [`ExecutorKind::Async`]
+//! (barrier-free worklist on work-stealing deques) are interchangeable
+//! by construction — the property `tests/engine_equiv.rs` checks on
+//! randomized binaries.
 //!
 //! Since the decode-once refactor the hot loop is also
 //! *allocation-free*: facts live in dense `Vec`s indexed by block, the
@@ -27,11 +28,11 @@
 //!
 //! # The barrier-free executor
 //!
-//! [`ParallelExecutor`] pays a full fork/join barrier per round: every
-//! round waits for its slowest block before any block of the next round
-//! starts, so a skewed propagation chain serializes on the stragglers.
-//! [`AsyncExecutor`] drops the barrier entirely. A block is a task;
-//! each visit recomputes the block's input from its
+//! [`ExecutorKind::Parallel`] pays a full fork/join barrier per round:
+//! every round waits for its slowest block before any block of the next
+//! round starts, so a skewed propagation chain serializes on the
+//! stragglers. [`ExecutorKind::Async`] drops the barrier entirely. A
+//! block is a task; each visit recomputes the block's input from its
 //! direction-predecessors' *published* outputs, runs
 //! [`DataflowSpec::transfer_into`] into a reused scratch fact, and on
 //! change publishes the new output and signals the block's
@@ -64,11 +65,11 @@
 //! within 2× of serial on one worker).
 //!
 //! Two levels of parallelism mirror the paper's phase structure:
-//! *within* a function via [`ParallelExecutor`] / [`AsyncExecutor`],
-//! and *across* functions via [`run_all_ir`] / [`run_per_function_ir`],
-//! which fan work over a size-sorted list of one decoded
-//! [`crate::ir::BinaryIr`]'s functions on a sized rayon pool (the
-//! Listing 7 `schedule(dynamic)` shape).
+//! *within* a function via [`ExecutorKind::Parallel`] /
+//! [`ExecutorKind::Async`], and *across* functions via [`run_all_ir`] /
+//! [`run_per_function_ir`], which fan work over a size-sorted list of
+//! one decoded [`crate::ir::BinaryIr`]'s functions on a sized rayon pool
+//! (the Listing 7 `schedule(dynamic)` shape).
 
 use crate::ir::{BinaryIr, FuncIr};
 use crate::liveness::{liveness_on, LivenessResult};
@@ -86,7 +87,8 @@ use std::sync::{Arc, OnceLock};
 
 /// Executor work counters, exposed for benchmarks: visits performed (all
 /// executors) and the async executor's enqueue/steal traffic. Monotonic
-/// and global; [`stats::reset`] zeroes them between measurement rows.
+/// and process-global: a measurement reads the difference across the
+/// section it measures.
 pub mod stats {
     pub use pba_concurrent::stats::Counter;
 
@@ -96,13 +98,6 @@ pub mod stats {
     pub static ASYNC_ENQUEUED: Counter = Counter::new();
     /// Tasks an async worker obtained by stealing from a sibling.
     pub static ASYNC_STOLEN: Counter = Counter::new();
-
-    /// Zero all counters (between benchmark iterations).
-    pub fn reset() {
-        VISITS.reset();
-        ASYNC_ENQUEUED.reset();
-        ASYNC_STOLEN.reset();
-    }
 }
 
 /// Which way facts flow.
@@ -169,42 +164,6 @@ pub trait DataflowSpec {
     ) -> Option<Self::Fact> {
         let _ = (src, dst, kind, fact);
         None
-    }
-}
-
-/// What [`DataflowResults::into_dense`] yields: the shared block list
-/// and dense address index, then the dense input and output fact
-/// vectors.
-pub type DenseResults<F> = (Arc<Vec<u64>>, Arc<BlockIndex>, Vec<F>, Vec<F>);
-
-/// Fixpoint facts per block, in direction-relative terms: `input` is the
-/// fact flowing *into* the block (at block entry for forward problems,
-/// at block exit for backward ones) and `output` is `transfer(input)`.
-///
-/// Facts are stored densely, indexed like the [`FlowGraph`]'s block
-/// list (shared by `Arc`, so packaging a result allocates nothing per
-/// block): `input[i]` and `output[i]` belong to `blocks()[i]`.
-#[derive(Debug, Clone, Default)]
-pub struct DataflowResults<F> {
-    blocks: Arc<Vec<u64>>,
-    index: Arc<BlockIndex>,
-    /// Fact flowing into each block (dense, graph order).
-    pub input: Vec<F>,
-    /// Fact flowing out of each block (dense, graph order).
-    pub output: Vec<F>,
-}
-
-impl<F> DataflowResults<F> {
-    /// Block addresses, in dense-index order (the fact vectors' order).
-    pub fn blocks(&self) -> &[u64] {
-        &self.blocks
-    }
-
-    /// Decompose into the shared block list/index and the dense fact
-    /// vectors — how the client analyses repackage engine results into
-    /// their own dense result types without copying.
-    pub fn into_dense(self) -> DenseResults<F> {
-        (self.blocks, self.index, self.input, self.output)
     }
 }
 
@@ -278,11 +237,6 @@ impl FlowGraph {
             fwd: OnceLock::new(),
             bwd: OnceLock::new(),
         }
-    }
-
-    /// Dense index of `block`, if present.
-    pub fn index_of(&self, block: u64) -> Option<usize> {
-        self.index.get(block)
     }
 
     /// The shared address → dense-id index (the one map every dense
@@ -424,25 +378,89 @@ fn recompute_input_into<S: DataflowSpec>(
     }
 }
 
-/// Package the dense fact vectors as results sharing the graph's block
-/// list and index.
-fn package<F>(graph: &FlowGraph, input: Vec<F>, output: Vec<F>) -> DataflowResults<F> {
-    DataflowResults {
-        blocks: Arc::clone(&graph.blocks),
-        index: Arc::clone(&graph.index),
-        input,
-        output,
+/// The block-count threshold at which [`ExecutorKind::Auto`] switches a
+/// function from the serial to the async executor. Below it, task and
+/// queue overhead dwarfs the transfer work; above it, the worklist is
+/// wide enough for idle pool workers to steal a useful share (the
+/// `pba-gen` Skewed-profile giant the `skewed_dataflow` suite workload
+/// measures sits past it).
+pub fn auto_block_threshold() -> usize {
+    2048
+}
+
+/// Which executor drives a [`DataflowSpec`] to its fixpoint; every
+/// analysis takes it as a runtime value and [`ExecutorKind::run`] is the
+/// one place an executor is called.
+///
+/// The thread count of `Parallel` and `Async` means the same for both:
+/// 0 inherits the ambient rayon context (no pool is built — the cheap,
+/// composable default under an enclosing `install`, such as
+/// [`run_per_function_ir`]'s pool); an explicit count builds a dedicated
+/// pool per `run`, which is for ablations, not hot paths.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum ExecutorKind {
+    /// Priority worklist in reverse postorder, on the calling thread.
+    #[default]
+    Serial,
+    /// Round-based parallel worklist with its thread count. Since the
+    /// work-stealing shim, `Parallel(0)` composes with
+    /// [`run_per_function_ir`]: a worker's nested rounds split into its
+    /// own deque, where idle pool workers steal them.
+    Parallel(usize),
+    /// Barrier-free worklist on work-stealing deques (see the module
+    /// docs), with its thread count.
+    Async(usize),
+    /// Pick per function: `Serial` below [`auto_block_threshold`]
+    /// blocks, `Async(0)` at or above it. The right default for
+    /// whole-binary drivers on skewed workloads: the one giant function
+    /// goes on the barrier-free worklist (stealable, no per-round join),
+    /// the thousands of small ones stay on the cheap serial worklist.
+    /// The large side is the async executor rather than the round-based
+    /// one because it keeps the same stealing behavior without the
+    /// per-round barrier.
+    Auto,
+}
+
+impl ExecutorKind {
+    /// Run `spec` over `graph` to its least fixpoint with the selected
+    /// executor. Returns the dense `(input, output)` fact vectors, in
+    /// direction-relative terms: `input[i]` is the fact flowing *into*
+    /// `graph.blocks[i]` (at block entry for forward problems, at block
+    /// exit for backward ones) and `output[i]` is its transfer.
+    pub fn run<S: DataflowSpec + Sync>(
+        &self,
+        spec: &S,
+        graph: &FlowGraph,
+    ) -> (Vec<S::Fact>, Vec<S::Fact>) {
+        if graph.blocks.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
+        match *self {
+            ExecutorKind::Serial => serial_fixpoint(spec, graph),
+            ExecutorKind::Parallel(threads) => on_pool(threads, || round_fixpoint(spec, graph)),
+            ExecutorKind::Async(threads) => on_pool(threads, || async_fixpoint(spec, graph)),
+            ExecutorKind::Auto if graph.blocks.len() >= auto_block_threshold() => {
+                async_fixpoint(spec, graph)
+            }
+            ExecutorKind::Auto => serial_fixpoint(spec, graph),
+        }
     }
 }
 
-/// Something that can drive a [`DataflowSpec`] to its fixpoint.
-pub trait DataflowExecutor {
-    /// Run `spec` over `graph` to the least fixpoint. (`Sync` so specs
-    /// can cross executor threads; serial execution doesn't exercise it.)
-    fn run<S: DataflowSpec + Sync>(&self, spec: &S, graph: &FlowGraph) -> DataflowResults<S::Fact>;
+/// Run `f` on a dedicated pool of `threads` workers, or in the ambient
+/// rayon context when `threads` is 0.
+fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    match threads {
+        0 => f(),
+        t => rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build()
+            .expect("executor pool")
+            .install(f),
+    }
 }
 
-/// Priority-worklist serial executor.
+/// The priority-worklist serial fixpoint.
 ///
 /// Blocks are visited in reverse postorder (direction-adjusted, ranks
 /// memoized on the graph), the order that settles acyclic regions in
@@ -450,47 +468,39 @@ pub trait DataflowExecutor {
 /// the whole function. The visit loop owns two scratch facts and writes
 /// through [`DataflowSpec::transfer_into`] / `clone_from`, so specs
 /// with in-place transfers run the whole fixpoint without allocating.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
+fn serial_fixpoint<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> (Vec<S::Fact>, Vec<S::Fact>) {
+    let n = graph.blocks.len();
+    let dir = spec.direction();
+    let mut input: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
+    let mut output: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
+    let info = graph.dir_info(dir);
+    let seeds = seed_facts(spec, graph, info);
 
-impl DataflowExecutor for SerialExecutor {
-    fn run<S: DataflowSpec + Sync>(&self, spec: &S, graph: &FlowGraph) -> DataflowResults<S::Fact> {
-        let n = graph.blocks.len();
-        let dir = spec.direction();
-        let mut input: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-        let mut output: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-        if n == 0 {
-            return package(graph, input, output);
-        }
-        let info = graph.dir_info(dir);
-        let seeds = seed_facts(spec, graph, info);
+    // Min-heap on RPO rank (BinaryHeap is a max-heap; invert).
+    let mut heap: BinaryHeap<(std::cmp::Reverse<u32>, usize)> =
+        (0..n).map(|i| (std::cmp::Reverse(info.rank[i]), i)).collect();
+    let mut queued = vec![true; n];
 
-        // Min-heap on RPO rank (BinaryHeap is a max-heap; invert).
-        let mut heap: BinaryHeap<(std::cmp::Reverse<u32>, usize)> =
-            (0..n).map(|i| (std::cmp::Reverse(info.rank[i]), i)).collect();
-        let mut queued = vec![true; n];
-
-        let mut in_scratch = spec.bottom(graph.blocks[0]);
-        let mut out_scratch = spec.bottom(graph.blocks[0]);
-        while let Some((_, b)) = heap.pop() {
-            queued[b] = false;
-            stats::VISITS.inc();
-            in_scratch.clone_from(&seeds[b]);
-            recompute_input_into(spec, graph, &output, dir, b, &mut in_scratch);
-            spec.transfer_into(graph.blocks[b], &in_scratch, &mut out_scratch);
-            input[b].clone_from(&in_scratch);
-            if out_scratch != output[b] {
-                std::mem::swap(&mut output[b], &mut out_scratch);
-                for &(s, _) in &graph.dir_succs(dir)[b] {
-                    if !queued[s] {
-                        queued[s] = true;
-                        heap.push((std::cmp::Reverse(info.rank[s]), s));
-                    }
+    let mut in_scratch = spec.bottom(graph.blocks[0]);
+    let mut out_scratch = spec.bottom(graph.blocks[0]);
+    while let Some((_, b)) = heap.pop() {
+        queued[b] = false;
+        stats::VISITS.inc();
+        in_scratch.clone_from(&seeds[b]);
+        recompute_input_into(spec, graph, &output, dir, b, &mut in_scratch);
+        spec.transfer_into(graph.blocks[b], &in_scratch, &mut out_scratch);
+        input[b].clone_from(&in_scratch);
+        if out_scratch != output[b] {
+            std::mem::swap(&mut output[b], &mut out_scratch);
+            for &(s, _) in &graph.dir_succs(dir)[b] {
+                if !queued[s] {
+                    queued[s] = true;
+                    heap.push((std::cmp::Reverse(info.rank[s]), s));
                 }
             }
         }
-        package(graph, input, output)
     }
+    (input, output)
 }
 
 /// A raw slot pointer the round executor hands to its parallel body:
@@ -514,135 +524,76 @@ impl<T> SlotPtr<T> {
     }
 }
 
-/// Round-based parallel executor (the shape of the
-/// `gabizon103/parallel-dataflow` exemplar): each round recomputes every
-/// dirty block from a snapshot of the current outputs on a rayon pool,
-/// then merges and marks direction-successors of changed blocks dirty.
+/// The round-based parallel fixpoint (the shape of the
+/// `gabizon103/parallel-dataflow` exemplar) on the current rayon
+/// context: each round recomputes every dirty block from a snapshot of
+/// the current outputs, then merges and marks direction-successors of
+/// changed blocks dirty.
 ///
 /// Reads within a round may see the previous round's facts; monotonicity
 /// makes that a matter of round count, not of the fixpoint reached.
 ///
-/// This executor is the ablation baseline the barrier-free
-/// [`AsyncExecutor`] is measured against, so its constant factors are
-/// kept honest: the batch list, the next-round list, and the per-round
-/// result facts are all buffers reused across rounds — a round
-/// allocates no fact and no worklist storage. Each round's results are
-/// written in place (inputs directly, outputs into a dense scratch
-/// vector swapped element-wise on change during the merge).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelExecutor {
-    /// Worker threads for the intra-function rounds. 0 = inherit the
-    /// ambient rayon context (no pool is built — the cheap, composable
-    /// default under an enclosing `install`); an explicit count builds a
-    /// dedicated pool per `run`, which is for ablations, not hot paths.
-    pub threads: usize,
-}
+/// This executor is the ablation baseline the barrier-free one is
+/// measured against, so its constant factors are kept honest: the batch
+/// list, the next-round list, and the per-round result facts are all
+/// buffers reused across rounds — a round allocates no fact and no
+/// worklist storage. Each round's results are written in place (inputs
+/// directly, outputs into a dense scratch vector swapped element-wise on
+/// change during the merge).
+fn round_fixpoint<S: DataflowSpec + Sync>(
+    spec: &S,
+    graph: &FlowGraph,
+) -> (Vec<S::Fact>, Vec<S::Fact>) {
+    let n = graph.blocks.len();
+    let dir = spec.direction();
+    let mut input: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
+    let mut output: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
+    let info = graph.dir_info(dir);
+    let seeds = seed_facts(spec, graph, info);
 
-impl DataflowExecutor for ParallelExecutor {
-    fn run<S: DataflowSpec + Sync>(&self, spec: &S, graph: &FlowGraph) -> DataflowResults<S::Fact> {
-        let n = graph.blocks.len();
-        let dir = spec.direction();
-        let mut input: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-        let mut output: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-        if n == 0 {
-            return package(graph, input, output);
+    // Round buffers, allocated once: the current batch, the next
+    // batch (deduplicated by `queued`), and a dense scratch vector
+    // the round's outputs land in before the merge swaps changed
+    // facts into `output`.
+    let mut batch: Vec<usize> = (0..n).collect();
+    let mut next: Vec<usize> = Vec::with_capacity(n);
+    let mut queued = vec![false; n];
+    let mut round_out: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
+
+    while !batch.is_empty() {
+        let inp_ptr = SlotPtr(input.as_mut_ptr());
+        let out_ptr = SlotPtr(round_out.as_mut_ptr());
+        let seeds_ref = &seeds;
+        let output_ref = &output;
+        batch.par_iter().for_each(|&b| {
+            stats::VISITS.inc();
+            // SAFETY: batch indices are distinct (the `queued` flags
+            // deduplicate), so slot `b` of each buffer is written by
+            // exactly one task; `output` and `seeds` are only read.
+            let inp = unsafe { &mut *inp_ptr.get().add(b) };
+            let outp = unsafe { &mut *out_ptr.get().add(b) };
+            inp.clone_from(&seeds_ref[b]);
+            recompute_input_into(spec, graph, output_ref, dir, b, inp);
+            spec.transfer_into(graph.blocks[b], inp, outp);
+        });
+        next.clear();
+        for &b in &batch {
+            queued[b] = false;
         }
-        let info = graph.dir_info(dir);
-        let seeds = seed_facts(spec, graph, info);
-
-        let pool = match self.threads {
-            0 => None,
-            t => Some(rayon::ThreadPoolBuilder::new().num_threads(t).build().expect("pool")),
-        };
-
-        // Round buffers, allocated once: the current batch, the next
-        // batch (deduplicated by `queued`), and a dense scratch vector
-        // the round's outputs land in before the merge swaps changed
-        // facts into `output`.
-        let mut batch: Vec<usize> = (0..n).collect();
-        let mut next: Vec<usize> = Vec::with_capacity(n);
-        let mut queued = vec![false; n];
-        let mut round_out: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-
-        while !batch.is_empty() {
-            let inp_ptr = SlotPtr(input.as_mut_ptr());
-            let out_ptr = SlotPtr(round_out.as_mut_ptr());
-            let seeds_ref = &seeds;
-            let output_ref = &output;
-            let batch_ref = &batch;
-            let round = || {
-                batch_ref.par_iter().for_each(|&b| {
-                    stats::VISITS.inc();
-                    // Safety: batch indices are distinct (the `queued`
-                    // flags deduplicate), so slot `b` of each buffer is
-                    // written by exactly one task; `output` and `seeds`
-                    // are only read.
-                    let inp = unsafe { &mut *inp_ptr.get().add(b) };
-                    let outp = unsafe { &mut *out_ptr.get().add(b) };
-                    inp.clone_from(&seeds_ref[b]);
-                    recompute_input_into(spec, graph, output_ref, dir, b, inp);
-                    spec.transfer_into(graph.blocks[b], inp, outp);
-                });
-            };
-            match &pool {
-                Some(p) => p.install(round),
-                None => round(),
-            }
-            next.clear();
-            for &b in &batch {
-                queued[b] = false;
-            }
-            for &b in &batch {
-                if round_out[b] != output[b] {
-                    std::mem::swap(&mut output[b], &mut round_out[b]);
-                    for &(s, _) in &graph.dir_succs(dir)[b] {
-                        if !queued[s] {
-                            queued[s] = true;
-                            next.push(s);
-                        }
+        for &b in &batch {
+            if round_out[b] != output[b] {
+                std::mem::swap(&mut output[b], &mut round_out[b]);
+                for &(s, _) in &graph.dir_succs(dir)[b] {
+                    if !queued[s] {
+                        queued[s] = true;
+                        next.push(s);
                     }
                 }
             }
-            std::mem::swap(&mut batch, &mut next);
         }
-        package(graph, input, output)
+        std::mem::swap(&mut batch, &mut next);
     }
-}
-
-/// Barrier-free work-stealing executor: the per-block worklist on
-/// Chase–Lev deques described in the module docs' third-executor
-/// section. A block is a task; visits publish outputs through
-/// [`pba_concurrent::FactSlots`] and re-enqueue direction-successors
-/// onto the running worker's own deque (idle workers steal);
-/// termination is [`pba_concurrent::TaskSet`]'s in-flight protocol.
-///
-/// Interchangeable with [`SerialExecutor`] / [`ParallelExecutor`] by
-/// monotonicity (unique least fixpoint); preferable to the round-based
-/// executor on skewed propagation chains, which no longer wait on a
-/// per-round barrier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsyncExecutor {
-    /// Worker count. 0 = inherit the ambient rayon context (the cheap,
-    /// composable default under an enclosing `install`); an explicit
-    /// count builds a dedicated pool per `run`, which is for ablations,
-    /// not hot paths.
-    pub threads: usize,
-}
-
-impl DataflowExecutor for AsyncExecutor {
-    fn run<S: DataflowSpec + Sync>(&self, spec: &S, graph: &FlowGraph) -> DataflowResults<S::Fact> {
-        if graph.blocks.is_empty() {
-            return package(graph, Vec::new(), Vec::new());
-        }
-        match self.threads {
-            0 => async_fixpoint(spec, graph),
-            t => {
-                let pool =
-                    rayon::ThreadPoolBuilder::new().num_threads(t).build().expect("async pool");
-                pool.install(|| async_fixpoint(spec, graph))
-            }
-        }
-    }
+    (input, output)
 }
 
 /// [`recompute_input_into`] against concurrently-published outputs: each
@@ -674,7 +625,10 @@ fn recompute_input_from_slots<S: DataflowSpec>(
 /// [`run_per_function_ir`]'s pool composes (an occupied pool degrades to
 /// fewer active workers, never deadlocks — any single worker loop can
 /// drain the whole graph alone).
-fn async_fixpoint<S: DataflowSpec + Sync>(spec: &S, graph: &FlowGraph) -> DataflowResults<S::Fact> {
+fn async_fixpoint<S: DataflowSpec + Sync>(
+    spec: &S,
+    graph: &FlowGraph,
+) -> (Vec<S::Fact>, Vec<S::Fact>) {
     let n = graph.blocks.len();
     let dir = spec.direction();
     let info = graph.dir_info(dir);
@@ -726,7 +680,7 @@ fn async_fixpoint<S: DataflowSpec + Sync>(spec: &S, graph: &FlowGraph) -> Datafl
     for (b, inp) in input.iter_mut().enumerate() {
         recompute_input_into(spec, graph, &output, dir, b, inp);
     }
-    package(graph, input, output)
+    (input, output)
 }
 
 /// One async worker loop: pop own deque (LIFO), else take a seed from
@@ -811,69 +765,6 @@ fn async_worker<S: DataflowSpec + Sync>(
     }
 }
 
-/// Block count at which [`ExecutorKind::Auto`] switches a function from
-/// the serial to the async executor. Below it, task and queue overhead
-/// dwarfs the transfer work; above it, the worklist is wide enough for
-/// idle pool workers to steal a useful share (the `pba-gen`
-/// Skewed-profile giant the `skewed_dataflow` suite workload measures
-/// sits past it).
-pub const AUTO_BLOCK_THRESHOLD: usize = 2048;
-
-/// The block-count threshold [`ExecutorKind::Auto`] uses:
-/// [`AUTO_BLOCK_THRESHOLD`].
-pub fn auto_block_threshold() -> usize {
-    AUTO_BLOCK_THRESHOLD
-}
-
-/// Executor selection for APIs that take it as a runtime value.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum ExecutorKind {
-    /// [`SerialExecutor`].
-    #[default]
-    Serial,
-    /// [`ParallelExecutor`] with its thread count (0 = inherit the
-    /// ambient rayon context — see [`ParallelExecutor::threads`]. Since
-    /// the work-stealing shim, `Parallel(0)` composes with
-    /// [`run_per_function_ir`]: a worker's nested rounds split into its
-    /// own deque, where idle pool workers steal them).
-    Parallel(usize),
-    /// [`AsyncExecutor`] with its thread count (same 0 = ambient
-    /// convention as `Parallel`).
-    Async(usize),
-    /// Pick per function: [`SerialExecutor`] below
-    /// [`auto_block_threshold`] blocks, [`AsyncExecutor`] (ambient
-    /// threads) at or above it. The right default for whole-binary
-    /// drivers on skewed workloads: the one giant function goes on the
-    /// barrier-free worklist (stealable, no per-round join), the
-    /// thousands of small ones stay on the cheap serial worklist. The
-    /// large side is the async executor rather than the round-based
-    /// [`ParallelExecutor`] because it keeps the same stealing behavior
-    /// without the per-round barrier.
-    Auto,
-}
-
-impl ExecutorKind {
-    /// Run `spec` over `graph` with the selected executor.
-    pub fn run<S: DataflowSpec + Sync>(
-        &self,
-        spec: &S,
-        graph: &FlowGraph,
-    ) -> DataflowResults<S::Fact> {
-        match *self {
-            ExecutorKind::Serial => SerialExecutor.run(spec, graph),
-            ExecutorKind::Parallel(threads) => ParallelExecutor { threads }.run(spec, graph),
-            ExecutorKind::Async(threads) => AsyncExecutor { threads }.run(spec, graph),
-            ExecutorKind::Auto => {
-                if graph.blocks.len() >= auto_block_threshold() {
-                    AsyncExecutor { threads: 0 }.run(spec, graph)
-                } else {
-                    SerialExecutor.run(spec, graph)
-                }
-            }
-        }
-    }
-}
-
 /// The three standard per-function analyses, engine-computed.
 #[derive(Debug)]
 pub struct FuncAnalyses {
@@ -947,6 +838,8 @@ mod tests {
     use crate::view::VecView;
     use pba_cfg::EdgeKind;
     use pba_concurrent::Counter;
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
 
     /// A toy forward "block counting" spec: each block's output is
     /// `max(inputs) + 1`; the fixpoint is the longest acyclic distance
@@ -1004,11 +897,11 @@ mod tests {
     fn serial_reaches_expected_fixpoint() {
         let view = diamond();
         let graph = FlowGraph::build(&view);
-        let r = SerialExecutor.run(&Depth::new(100), &graph);
-        let at = |b: u64| graph.index_of(b).unwrap();
-        assert_eq!(r.input[at(1)], 1);
-        assert_eq!(r.output[at(1)], 2);
-        assert_eq!(r.input[at(4)], 3, "join takes the max over both arms");
+        let (input, output) = ExecutorKind::Serial.run(&Depth::new(100), &graph);
+        let at = |b: u64| graph.index().get(b).unwrap();
+        assert_eq!(input[at(1)], 1);
+        assert_eq!(output[at(1)], 2);
+        assert_eq!(input[at(4)], 3, "join takes the max over both arms");
     }
 
     #[test]
@@ -1017,18 +910,18 @@ mod tests {
         view.edges.push((4, 1, EdgeKind::Direct)); // loop back
         let graph = FlowGraph::build(&view);
         let spec = Depth::new(17);
-        let a = SerialExecutor.run(&spec, &graph);
+        let a = ExecutorKind::Serial.run(&spec, &graph);
         let serial_calls = spec.into_calls.get();
         assert!(serial_calls > 0, "serial hot loop goes through transfer_into");
-        let b = ParallelExecutor { threads: 4 }.run(&spec, &graph);
+        let b = ExecutorKind::Parallel(4).run(&spec, &graph);
         let parallel_calls = spec.into_calls.get();
         assert!(parallel_calls > serial_calls, "parallel rounds too");
-        let c = AsyncExecutor { threads: 4 }.run(&spec, &graph);
+        let c = ExecutorKind::Async(4).run(&spec, &graph);
         assert!(spec.into_calls.get() > parallel_calls, "async visits too");
-        assert_eq!(a.input, b.input);
-        assert_eq!(a.output, b.output);
-        assert_eq!(a.input, c.input, "async input diverges");
-        assert_eq!(a.output, c.output, "async output diverges");
+        assert_eq!(a.0, b.0);
+        assert_eq!(a.1, b.1);
+        assert_eq!(a.0, c.0, "async input diverges");
+        assert_eq!(a.1, c.1, "async output diverges");
     }
 
     #[test]
@@ -1037,11 +930,11 @@ mod tests {
         view.edges.push((4, 1, EdgeKind::Direct)); // loop back
         let graph = FlowGraph::build(&view);
         let spec = Depth::new(17);
-        let serial = SerialExecutor.run(&spec, &graph);
+        let serial = ExecutorKind::Serial.run(&spec, &graph);
         for threads in [1usize, 2, 4, 8] {
-            let r = AsyncExecutor { threads }.run(&spec, &graph);
-            assert_eq!(serial.input, r.input, "{threads} threads");
-            assert_eq!(serial.output, r.output, "{threads} threads");
+            let r = ExecutorKind::Async(threads).run(&spec, &graph);
+            assert_eq!(serial.0, r.0, "{threads} threads");
+            assert_eq!(serial.1, r.1, "{threads} threads");
         }
     }
 
@@ -1060,10 +953,10 @@ mod tests {
         // Per-instance transfer counters (the global `stats` counters
         // are shared with concurrently-running tests).
         let serial_spec = Depth::new(u32::MAX);
-        SerialExecutor.run(&serial_spec, &graph);
+        ExecutorKind::Serial.run(&serial_spec, &graph);
         let serial_visits = serial_spec.into_calls.get();
         let async_spec = Depth::new(u32::MAX);
-        AsyncExecutor { threads: 1 }.run(&async_spec, &graph);
+        ExecutorKind::Async(1).run(&async_spec, &graph);
         let async_visits = async_spec.into_calls.get();
         assert!(
             async_visits <= serial_visits * 2,
@@ -1077,25 +970,25 @@ mod tests {
         let view = diamond();
         let graph = FlowGraph::build(&view);
         let spec = Depth::new(100);
-        let serial = SerialExecutor.run(&spec, &graph);
+        let serial = ExecutorKind::Serial.run(&spec, &graph);
         let auto = ExecutorKind::Auto.run(&spec, &graph);
-        assert_eq!(serial.input, auto.input);
-        assert_eq!(serial.output, auto.output);
+        assert_eq!(serial.0, auto.0);
+        assert_eq!(serial.1, auto.1);
 
         // A chain longer than the threshold (parallel side).
-        let n = AUTO_BLOCK_THRESHOLD as u64 + 10;
+        let n = auto_block_threshold() as u64 + 10;
         let view = VecView::new(
             1,
             (1..=n).map(|b| (b, b + 1, vec![])).collect(),
             (1..n).map(|b| (b, b + 1, EdgeKind::Direct)).collect(),
         );
         let graph = FlowGraph::build(&view);
-        assert!(graph.blocks.len() >= AUTO_BLOCK_THRESHOLD);
+        assert!(graph.blocks.len() >= auto_block_threshold());
         let spec = Depth::new(u32::MAX);
-        let serial = SerialExecutor.run(&spec, &graph);
+        let serial = ExecutorKind::Serial.run(&spec, &graph);
         let auto = ExecutorKind::Auto.run(&spec, &graph);
-        assert_eq!(serial.input, auto.input);
-        assert_eq!(serial.output, auto.output);
+        assert_eq!(serial.0, auto.0);
+        assert_eq!(serial.1, auto.1);
     }
 
     #[test]
@@ -1117,5 +1010,55 @@ mod tests {
         let a = graph.dir_info(Direction::Forward) as *const DirInfo;
         let b = graph.dir_info(Direction::Forward) as *const DirInfo;
         assert_eq!(a, b, "same memoized DirInfo");
+    }
+
+    /// A forward spec that records the rayon pool width each visit runs
+    /// under.
+    struct PoolWidth(Mutex<BTreeSet<usize>>);
+
+    impl DataflowSpec for PoolWidth {
+        type Fact = u32;
+        fn direction(&self) -> Direction {
+            Direction::Forward
+        }
+        fn bottom(&self, _b: u64) -> u32 {
+            0
+        }
+        fn boundary(&self, _b: u64) -> u32 {
+            1
+        }
+        fn meet(&self, into: &mut u32, incoming: &u32) {
+            *into = (*into).max(*incoming);
+        }
+        fn transfer(&self, _b: u64, input: &u32) -> u32 {
+            self.0.lock().unwrap().insert(rayon::current_num_threads());
+            *input
+        }
+    }
+
+    #[test]
+    fn explicit_thread_counts_get_their_pool_and_zero_inherits_the_enclosing_one() {
+        let n = 64u64;
+        let view = VecView::new(
+            1,
+            (1..=n).map(|b| (b, b + 1, vec![])).collect(),
+            (1..n).map(|b| (b, b + 1, EdgeKind::Direct)).collect(),
+        );
+        let graph = FlowGraph::build(&view);
+        // Pool widths seen by `exec`'s visits when run inside an
+        // enclosing pool of `enclosing` workers.
+        let widths = |exec: ExecutorKind, enclosing: usize| {
+            let spec = PoolWidth(Mutex::new(BTreeSet::new()));
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(enclosing).build().unwrap();
+            pool.install(|| exec.run(&spec, &graph));
+            spec.0.into_inner().unwrap()
+        };
+        for t in [1usize, 3] {
+            let only_t = BTreeSet::from([t]);
+            assert_eq!(widths(ExecutorKind::Parallel(t), 2), only_t, "Parallel({t}) in a 2-pool");
+            assert_eq!(widths(ExecutorKind::Async(t), 2), only_t, "Async({t}) in a 2-pool");
+            assert_eq!(widths(ExecutorKind::Parallel(0), t), only_t, "Parallel(0) in a {t}-pool");
+            assert_eq!(widths(ExecutorKind::Async(0), t), only_t, "Async(0) in a {t}-pool");
+        }
     }
 }

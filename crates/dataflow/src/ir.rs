@@ -155,7 +155,7 @@ impl FuncIr {
 
     /// The summary bits of `block`, if it is a member.
     pub fn summary(&self, block: u64) -> Option<&BlockSummary> {
-        self.graph.index_of(block).map(|i| &self.summaries[i])
+        self.graph.index().get(block).map(|i| &self.summaries[i])
     }
 
     /// Total decoded instructions across the function's blocks.
@@ -167,7 +167,7 @@ impl FuncIr {
     /// (what [`BinaryIr`]'s storage accounting and the sharing tests
     /// inspect; analyses use the borrowing [`CfgView::insns`]).
     pub fn block_insns(&self, block: u64) -> Option<&Arc<[Insn]>> {
-        self.graph.index_of(block).map(|i| &self.block_insns[i])
+        self.graph.index().get(block).map(|i| &self.block_insns[i])
     }
 
     /// Estimated heap bytes of the function's structure — adjacency,
@@ -203,19 +203,19 @@ impl CfgView for FuncIr {
     }
 
     fn block_range(&self, block: u64) -> (u64, u64) {
-        self.graph.index_of(block).map(|i| self.ranges[i]).unwrap_or((block, block))
+        self.graph.index().get(block).map(|i| self.ranges[i]).unwrap_or((block, block))
     }
 
     fn succ_edges(&self, block: u64) -> &[(u64, EdgeKind)] {
-        self.graph.index_of(block).map(|i| self.succs[i].as_slice()).unwrap_or(&[])
+        self.graph.index().get(block).map(|i| self.succs[i].as_slice()).unwrap_or(&[])
     }
 
     fn pred_edges(&self, block: u64) -> &[(u64, EdgeKind)] {
-        self.graph.index_of(block).map(|i| self.preds[i].as_slice()).unwrap_or(&[])
+        self.graph.index().get(block).map(|i| self.preds[i].as_slice()).unwrap_or(&[])
     }
 
     fn insns(&self, block: u64) -> &[Insn] {
-        match self.graph.index_of(block) {
+        match self.graph.index().get(block) {
             Some(i) => &self.block_insns[i],
             None => &[],
         }

@@ -5,7 +5,7 @@
 //! * **jump-table analysis** (AC within CFG construction) — backward
 //!   slicing from an indirect jump plus symbolic evaluation of the target
 //!   expression, the only place Dyninst lifts instructions to an IR.
-//!   [`slice::slice_indirect_jump`] reproduces that: it walks
+//!   [`slice::slice_indirect_jump_with`] reproduces that: it walks
 //!   definitions backward along control-flow paths, substitutes them into
 //!   a symbolic [`expr::Expr`], recognizes the absolute and PC-relative
 //!   table dispatch patterns, and extracts the `cmp`+`ja` bound guarding
@@ -71,16 +71,20 @@
 //!
 //! The fixpoint machinery itself lives in [`engine`]: analyses describe
 //! themselves as a [`engine::DataflowSpec`] (direction, lattice bottom,
-//! boundary fact, meet, block transfer) and an executor drives the
-//! worklist — [`engine::SerialExecutor`] with a reverse-postorder
-//! priority queue, [`engine::ParallelExecutor`] with a round-based
-//! rayon worklist, or [`engine::AsyncExecutor`] with a barrier-free
+//! boundary fact, meet, block transfer) and [`engine::ExecutorKind::run`]
+//! drives the worklist with the executor it names —
+//! [`engine::ExecutorKind::Serial`] with a reverse-postorder priority
+//! queue, [`engine::ExecutorKind::Parallel`] with a round-based rayon
+//! worklist, or [`engine::ExecutorKind::Async`] with a barrier-free
 //! per-block worklist on work-stealing deques (stale reads tolerated by
 //! monotonicity, torn reads prevented by `pba-concurrent`'s striped
 //! fact slots). Monotone specs over finite lattices have a unique
 //! least fixpoint, so the three executors return identical results by
 //! construction (property-tested in `tests/engine_equiv.rs`). Liveness,
-//! reaching definitions and stack height are all spec'd this way;
+//! reaching definitions and stack height are all spec'd this way, each
+//! with one entry point over a prebuilt [`engine::FlowGraph`]
+//! ([`liveness::liveness_on`], [`reaching::reaching_defs_on`],
+//! [`stack::stack_heights_on`]);
 //! [`engine::run_all_ir`] fans all three across the functions of a
 //! [`ir::BinaryIr`] on a sized rayon pool — the paper's "parallel
 //! analysis over a read-only CFG" phase.
@@ -95,20 +99,15 @@ pub mod stack;
 pub mod view;
 
 pub use engine::{
-    auto_block_threshold, run_all_ir, run_per_function_ir, AsyncExecutor, DataflowExecutor,
-    DataflowResults, DataflowSpec, Direction, ExecutorKind, FlowGraph, FuncAnalyses,
-    ParallelExecutor, SerialExecutor, AUTO_BLOCK_THRESHOLD,
+    auto_block_threshold, run_all_ir, run_per_function_ir, DataflowSpec, Direction, ExecutorKind,
+    FlowGraph, FuncAnalyses,
 };
 pub use expr::Expr;
 pub use ir::{BinaryIr, BlockSummary, FuncIr};
-pub use liveness::{liveness, liveness_on, liveness_with, LivenessResult};
-pub use reaching::{reaching_defs, reaching_defs_on, reaching_defs_with, Def, ReachingDefs};
+pub use liveness::{liveness_on, LivenessResult};
+pub use reaching::{reaching_defs_on, Def, ReachingDefs};
 pub use slice::{
-    collect_indirect_jumps, slice_indirect_jump, slice_indirect_jump_with, JumpTableForm, PathFact,
-    SliceOutcome,
+    collect_indirect_jumps, slice_indirect_jump_with, JumpTableForm, PathFact, SliceOutcome,
 };
-pub use stack::{
-    stack_heights, stack_heights_and_extent_on, stack_heights_on, stack_heights_with, Height,
-    StackResult,
-};
+pub use stack::{stack_heights_and_extent_on, stack_heights_on, Height, StackResult};
 pub use view::{CfgView, VecView};

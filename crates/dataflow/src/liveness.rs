@@ -152,25 +152,20 @@ impl DataflowSpec for LivenessSpec {
     // allocation-free, no override needed.
 }
 
-/// Run liveness over one function (serial executor).
-pub fn liveness(view: &dyn CfgView) -> LivenessResult {
-    liveness_with(view, ExecutorKind::Serial)
-}
-
-/// Run liveness over one function with an explicit executor.
-pub fn liveness_with(view: &dyn CfgView, exec: ExecutorKind) -> LivenessResult {
-    liveness_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`liveness_with`] over a prebuilt [`FlowGraph`] (so whole-binary
-/// drivers can share one graph — and its memoized RPO ranks — across
-/// all analyses; [`crate::ir::FuncIr::graph`] is that graph).
+/// Run liveness over one function's [`FlowGraph`] with `exec` (so
+/// whole-binary drivers can share one graph — and its memoized RPO
+/// ranks — across all analyses; [`crate::ir::FuncIr::graph`] is that
+/// graph).
 pub fn liveness_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> LivenessResult {
     let spec = LivenessSpec::build(view);
-    let r = exec.run(&spec, graph);
     // Direction-relative input is the block's live-out set.
-    let (blocks, index, live_out, live_in) = r.into_dense();
-    LivenessResult { blocks, index, live_in, live_out }
+    let (live_out, live_in) = exec.run(&spec, graph);
+    LivenessResult {
+        blocks: Arc::clone(&graph.blocks),
+        index: Arc::clone(graph.index()),
+        live_in,
+        live_out,
+    }
 }
 
 /// Walk a block's instructions backward to compute liveness *before*
@@ -219,7 +214,7 @@ mod tests {
         pba_isa::x86::encode::ret(&mut code);
         let end = 0x1000 + code.len() as u64;
         let view = VecView::new(0x1000, vec![(0x1000, end, decode_seq(&code, 0x1000))], vec![]);
-        let r = liveness(&view);
+        let r = liveness_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         let live_in = r.live_in(0x1000);
         assert!(live_in.contains(Reg::RDI), "rdi is an argument use");
         assert!(live_in.contains(Reg::RSI));
@@ -272,7 +267,7 @@ mod tests {
                 (0x3000, 0x4000, EdgeKind::Fallthrough),
             ],
         );
-        let r = liveness(&view);
+        let r = liveness_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         let live_in = r.live_in(0x1000);
         assert!(live_in.contains(Reg::RDI));
         assert!(live_in.contains(Reg::RSI), "used on the b1 path");
@@ -293,7 +288,7 @@ mod tests {
         pba_isa::x86::encode::ret(&mut code);
         let end = 0x1000 + code.len() as u64;
         let view = VecView::new(0x1000, vec![(0x1000, end, decode_seq(&code, 0x1000))], vec![]);
-        let r = liveness(&view);
+        let r = liveness_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         let per = per_insn_liveness(&view, &r, 0x1000);
         // Before the call: argument registers live.
         let before_call = per[1].1;
@@ -333,7 +328,7 @@ mod tests {
                 (0x2000, 0x3000, EdgeKind::CondNotTaken),
             ],
         );
-        let r = liveness(&view);
+        let r = liveness_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         // rsi live around the loop (used every iteration).
         assert!(r.live_in(0x2000).contains(Reg::RSI));
         assert!(r.live_out(0x2000).contains(Reg::RSI), "live across the back edge");

@@ -256,24 +256,20 @@ impl DataflowSpec for ReachingSpec {
     }
 }
 
-/// Run reaching definitions over one function (serial executor).
-pub fn reaching_defs(view: &dyn CfgView) -> ReachingDefs {
-    reaching_defs_with(view, ExecutorKind::Serial)
-}
-
-/// Run reaching definitions over one function with an explicit executor.
-pub fn reaching_defs_with(view: &dyn CfgView, exec: ExecutorKind) -> ReachingDefs {
-    reaching_defs_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`reaching_defs_with`] over a prebuilt [`FlowGraph`] (so whole-binary
-/// drivers can share one graph — and its memoized RPO ranks — across
-/// all analyses; [`crate::ir::FuncIr::graph`] is that graph).
+/// Run reaching definitions over one function's [`FlowGraph`] with
+/// `exec` (so whole-binary drivers can share one graph — and its
+/// memoized RPO ranks — across all analyses;
+/// [`crate::ir::FuncIr::graph`] is that graph).
 pub fn reaching_defs_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> ReachingDefs {
     let spec = ReachingSpec::build(view);
-    let r = exec.run(&spec, graph);
-    let (blocks, index, reach_in, _out) = r.into_dense();
-    ReachingDefs { defs: spec.defs, def_ids: spec.def_ids, blocks, index, reach_in }
+    let (reach_in, _out) = exec.run(&spec, graph);
+    ReachingDefs {
+        defs: spec.defs,
+        def_ids: spec.def_ids,
+        blocks: Arc::clone(&graph.blocks),
+        index: Arc::clone(graph.index()),
+        reach_in,
+    }
 }
 
 #[cfg(test)]
@@ -316,7 +312,7 @@ mod tests {
             ],
             vec![(0x1000, b1, EdgeKind::Fallthrough), (b1, b2, EdgeKind::Fallthrough)],
         );
-        let rd = reaching_defs(&view);
+        let rd = reaching_defs_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         let rax: Vec<Def> =
             rd.reaching_at_entry(b2).into_iter().filter(|d| d.reg == Reg::RAX).collect();
         assert_eq!(rax, vec![Def { addr: b1, reg: Reg::RAX }]);
@@ -346,7 +342,7 @@ mod tests {
             ],
             vec![(0x1000, 0x2000, EdgeKind::Direct)],
         );
-        let rd = reaching_defs(&view);
+        let rd = reaching_defs_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         let at_succ: Vec<Def> =
             rd.reaching_at_entry(0x2000).into_iter().filter(|d| d.reg == Reg::RAX).collect();
         assert_eq!(
@@ -390,7 +386,7 @@ mod tests {
                 (0x3000, 0x4000, EdgeKind::Fallthrough),
             ],
         );
-        let rd = reaching_defs(&view);
+        let rd = reaching_defs_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         let at_join: Vec<Def> =
             rd.reaching_at_entry(0x4000).into_iter().filter(|d| d.reg == Reg::RAX).collect();
         assert_eq!(at_join.len(), 2, "both definitions reach the join: {at_join:?}");
@@ -425,7 +421,7 @@ mod tests {
                 (0x2000, 0x3000, EdgeKind::CondNotTaken),
             ],
         );
-        let rd = reaching_defs(&view);
+        let rd = reaching_defs_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         let at_loop: Vec<Def> =
             rd.reaching_at_entry(0x2000).into_iter().filter(|d| d.reg == Reg::RCX).collect();
         // Both the init and the in-loop redefinition reach the header.

@@ -22,14 +22,13 @@
 //! block and the fixpoint cannot oscillate; combined with states dying
 //! at [`MAX_DEPTH`] edge crossings, termination is unconditional.
 //!
-//! [`slice_indirect_jump`] builds the spec and its one [`FlowGraph`] —
-//! the jump's backward cone, numbered densely in address order — runs
-//! it under the [`crate::engine::SerialExecutor`] (see
-//! [`slice_indirect_jump_with`] for an explicit executor — the spec is
-//! executor-agnostic), and reads the per-path facts back out of the
-//! block boundaries.
+//! [`slice_indirect_jump_with`] builds the spec and its one
+//! [`FlowGraph`] — the jump's backward cone, numbered densely in address
+//! order — runs it under the given [`ExecutorKind`] (the spec is
+//! executor-agnostic; the parser uses [`ExecutorKind::Serial`]), and
+//! reads the per-path facts back out of the block boundaries.
 
-use crate::engine::{DataflowSpec, Direction, FlowGraph};
+use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::expr::Expr;
 use crate::view::CfgView;
 use pba_cfg::EdgeKind;
@@ -452,7 +451,7 @@ impl DataflowSpec for SliceSpec<'_> {
     }
 
     fn transfer(&self, block: u64, input: &PathSet) -> PathSet {
-        let i = self.graph.index_of(block).expect("cone block");
+        let i = self.graph.index().get(block).expect("cone block");
         let mut out = PathSet { states: BTreeSet::new() };
         for s in &input.states {
             let expr = walk_back(self.insns[i], 0, s.expr.clone());
@@ -483,7 +482,7 @@ impl DataflowSpec for SliceSpec<'_> {
         fact: &PathSet,
     ) -> Option<PathSet> {
         let mut out = PathSet { states: BTreeSet::new() };
-        let src_insns = self.insns[self.graph.index_of(src).expect("cone block")];
+        let src_insns = self.insns[self.graph.index().get(src).expect("cone block")];
         for s in fact.states.iter().filter(|s| !s.is_terminal()) {
             // The bound closest to the jump wins; tracked registers are
             // those of the expression *before* it is walked through the
@@ -511,30 +510,25 @@ pub struct SliceOutcome {
 }
 
 /// Run the engine-backed slice for the indirect jump terminating
-/// `jump_block`. Returns `None` if the terminator is not an indirect
-/// jump.
-pub fn slice_indirect_jump(view: &dyn CfgView, jump_block: u64) -> Option<SliceOutcome> {
-    slice_indirect_jump_with(view, jump_block, crate::engine::ExecutorKind::Serial)
-}
-
-/// [`slice_indirect_jump`] under an explicit executor. Below
-/// [`MAX_PATHS`] the spec is monotone, so both executors reach the same
-/// fixpoint by construction. Widening is the caveat: whether a block
-/// ever sees an input big enough to trip its sticky bit depends on
-/// which *intermediate* predecessor outputs the schedule publishes, so
-/// executor agreement on widening-heavy graphs is an empirical
-/// property, not an a-priori one — `tests/slice_equiv.rs` pins it on
-/// the generated corpus and on a fan-out that widens, and both
-/// executors are individually deterministic, so any divergence shows
-/// up as a hard test failure rather than a flake.
+/// `jump_block` under `exec`. Returns `None` if the terminator is not an
+/// indirect jump. Below [`MAX_PATHS`] the spec is monotone, so every
+/// executor reaches the same fixpoint by construction. Widening is the
+/// caveat: whether a block ever sees an input big enough to trip its
+/// sticky bit depends on which *intermediate* predecessor outputs the
+/// schedule publishes, so executor agreement on widening-heavy graphs
+/// is an empirical property, not an a-priori one —
+/// `tests/slice_equiv.rs` pins it on the generated corpus and on a
+/// fan-out that widens, and both executors are individually
+/// deterministic, so any divergence shows up as a hard test failure
+/// rather than a flake.
 pub fn slice_indirect_jump_with(
     view: &dyn CfgView,
     jump_block: u64,
-    exec: crate::engine::ExecutorKind,
+    exec: ExecutorKind,
 ) -> Option<SliceOutcome> {
     let spec = SliceSpec::build(view, jump_block)?;
-    let results = exec.run(&spec, &spec.graph);
-    let facts = results.output.iter().flat_map(|o| o.states.iter().map(PathState::fact)).collect();
+    let (_, output) = exec.run(&spec, &spec.graph);
+    let facts = output.iter().flat_map(|o| o.states.iter().map(PathState::fact)).collect();
     let widened = spec.widened.iter().any(|w| w.load(Ordering::Relaxed));
     Some(SliceOutcome { facts, widened })
 }
@@ -564,14 +558,15 @@ pub fn collect_indirect_jumps(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DataflowExecutor, SerialExecutor};
     use crate::view::VecView;
     use pba_isa::x86::{decode_one, encode};
     use pba_isa::MemRef;
 
     /// The per-path facts of the indirect jump terminating `jump_block`.
     fn facts_of(view: &dyn CfgView, jump_block: u64) -> Vec<PathFact> {
-        slice_indirect_jump(view, jump_block).expect("indirect jump").facts
+        slice_indirect_jump_with(view, jump_block, ExecutorKind::Serial)
+            .expect("indirect jump")
+            .facts
     }
 
     fn decode_seq(bytes: &[u8], base: u64) -> Vec<Insn> {
@@ -687,7 +682,7 @@ mod tests {
         encode::ret(&mut code);
         let insns = decode_seq(&code, 0x1000);
         let view = VecView::new(0x1000, vec![(0x1000, 0x1001, insns)], vec![]);
-        assert!(slice_indirect_jump(&view, 0x1000).is_none());
+        assert!(slice_indirect_jump_with(&view, 0x1000, ExecutorKind::Serial).is_none());
     }
 
     /// A jump block whose predecessor subgraph is detached from the
@@ -885,7 +880,8 @@ mod tests {
         }
         let view = VecView::new(0x1000, block_data, edges);
 
-        let outcome = slice_indirect_jump(&view, 0x9000).expect("indirect jump");
+        let outcome =
+            slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Serial).expect("indirect jump");
         assert!(outcome.widened, "the diamond fan-out must trip MAX_PATHS widening");
         let hit = outcome
             .facts
@@ -909,8 +905,8 @@ mod tests {
         // cap (+1 for the Top marker widening leaves behind, +1 for the
         // jump block's seed which joins after widening).
         let spec = SliceSpec::build(&view, 0x9000).expect("spec");
-        let results = SerialExecutor.run(&spec, &spec.graph);
-        for (b, fact) in results.blocks().iter().zip(&results.output) {
+        let (_, output) = ExecutorKind::Serial.run(&spec, &spec.graph);
+        for (b, fact) in spec.graph.blocks.iter().zip(&output) {
             assert!(
                 fact.states.len() <= MAX_PATHS + 2,
                 "block {b:#x} holds {} states",
@@ -926,9 +922,10 @@ mod tests {
     fn pred_edge_from_a_non_block_changes_nothing() {
         let mut view = absolute_table_view();
         view.edges.push((0x7000, 0x2000, EdgeKind::Direct));
-        let baseline = slice_indirect_jump(&absolute_table_view(), 0x2000);
+        let baseline =
+            slice_indirect_jump_with(&absolute_table_view(), 0x2000, ExecutorKind::Serial);
         assert!(baseline.as_ref().is_some_and(|o| o.facts.iter().any(|f| f.bound == Some(5))));
-        assert_eq!(slice_indirect_jump(&view, 0x2000), baseline);
+        assert_eq!(slice_indirect_jump_with(&view, 0x2000, ExecutorKind::Serial), baseline);
     }
 
     /// The slice is local to the jump's backward cone: a jump at the end
@@ -967,10 +964,11 @@ mod tests {
         edges.retain(|e| e.0 >= at(keep));
         let cut = VecView::new(at(keep), block_data, edges);
 
-        let outcome = slice_indirect_jump(&full, at(11)).expect("indirect jump");
+        let outcome =
+            slice_indirect_jump_with(&full, at(11), ExecutorKind::Serial).expect("indirect jump");
         assert_eq!(outcome.facts.len(), MAX_DEPTH + 1, "one state per cone block: {outcome:?}");
         assert!(outcome.facts.iter().all(|f| f.form.is_some() && f.bound.is_none()));
-        assert_eq!(slice_indirect_jump(&cut, at(11)), Some(outcome));
+        assert_eq!(slice_indirect_jump_with(&cut, at(11), ExecutorKind::Serial), Some(outcome));
     }
 
     #[test]

@@ -203,24 +203,19 @@ impl DataflowSpec for StackSpec<'_> {
     // allocation-free, no override needed.
 }
 
-/// Run the forward fixpoint over one function (serial executor).
-pub fn stack_heights(view: &dyn CfgView) -> StackResult {
-    stack_heights_with(view, ExecutorKind::Serial)
-}
-
-/// Run the forward fixpoint over one function with an explicit executor.
-pub fn stack_heights_with(view: &dyn CfgView, exec: ExecutorKind) -> StackResult {
-    stack_heights_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`stack_heights_with`] over a prebuilt [`FlowGraph`] (so whole-binary
-/// drivers can share one graph — and its memoized RPO ranks — across
-/// all analyses; [`crate::ir::FuncIr::graph`] is that graph).
+/// Run the forward fixpoint over one function's [`FlowGraph`] with
+/// `exec` (so whole-binary drivers can share one graph — and its
+/// memoized RPO ranks — across all analyses;
+/// [`crate::ir::FuncIr::graph`] is that graph).
 pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> StackResult {
     let spec = StackSpec::build(view);
-    let r = exec.run(&spec, graph);
-    let (blocks, index, at_entry, at_exit) = r.into_dense();
-    StackResult { blocks, index, at_entry, at_exit }
+    let (at_entry, at_exit) = exec.run(&spec, graph);
+    StackResult {
+        blocks: Arc::clone(&graph.blocks),
+        index: Arc::clone(graph.index()),
+        at_entry,
+        at_exit,
+    }
 }
 
 /// Run the fixpoint over a prebuilt [`FlowGraph`] and also report the
@@ -344,7 +339,7 @@ mod tests {
         encode::patch_rel32(&mut code, j, 0x100);
         let end = 0x1000 + code.len() as u64;
         let view = VecView::new(0x1000, vec![(0x1000, end, decode_seq(&code, 0x1000))], vec![]);
-        let r = stack_heights(&view);
+        let r = stack_heights_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         assert_eq!(r.exit_frame(0x1000).unwrap().sp, Height::Known(0));
     }
 
@@ -357,7 +352,7 @@ mod tests {
         encode::patch_rel32(&mut code, j, 0x100);
         let end = 0x1000 + code.len() as u64;
         let view = VecView::new(0x1000, vec![(0x1000, end, decode_seq(&code, 0x1000))], vec![]);
-        let r = stack_heights(&view);
+        let r = stack_heights_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         assert_eq!(r.exit_frame(0x1000).unwrap().sp, Height::Known(-8));
     }
 
@@ -392,7 +387,7 @@ mod tests {
                 (0x2000, 0x3000, EdgeKind::Direct),
             ],
         );
-        let r = stack_heights(&view);
+        let r = stack_heights_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
         // b1 entered at height -8 (after push); b3 joins -8 (from b0 via
         // taken edge... wait, taken edge goes to 0x3000 directly at -8)
         // and -8 via b1 — actually both paths carry -8 here, so force a

@@ -1,9 +1,9 @@
 //! Engine equivalence properties, on randomized `pba-gen` binaries:
 //!
-//! 1. `SerialExecutor`, `ParallelExecutor`, and the barrier-free
-//!    `AsyncExecutor` (1/2/4/8 threads each) reach identical fixpoints
-//!    for all three analyses — the engine's central "interchangeable by
-//!    construction" claim; all executors drive the allocation-free
+//! 1. `ExecutorKind::Serial`, `ExecutorKind::Parallel`, and the
+//!    barrier-free `ExecutorKind::Async` (1/2/4/8 threads each) reach
+//!    identical fixpoints for all three analyses — the engine's central
+//!    "interchangeable by construction" claim; all executors drive the allocation-free
 //!    `transfer_into` path, so this also pins that the borrowed-view +
 //!    in-place engine is byte-identical to the reference fixpoints
 //!    (plus a directed Skewed-profile case, where one giant function
@@ -19,8 +19,7 @@
 
 use pba_dataflow::engine::ExecutorKind;
 use pba_dataflow::{
-    liveness, liveness_with, reaching_defs, reaching_defs_with, stack_heights, stack_heights_with,
-    BinaryIr, CfgView, Def, FuncIr,
+    liveness_on, reaching_defs_on, stack_heights_on, BinaryIr, CfgView, Def, FlowGraph, FuncIr,
 };
 use pba_gen::{generate, GenConfig};
 use pba_isa::{ControlFlow, Reg, RegSet};
@@ -218,17 +217,18 @@ proptest! {
 
         for f in cfg_graph.functions.values() {
             let view = FuncIr::build(&cfg_graph, f);
+            let graph = FlowGraph::build(&view);
 
             // --- liveness ---
-            let serial = liveness(&view);
+            let serial = liveness_on(&view, &graph, ExecutorKind::Serial);
             let (ref_in, ref_out) = reference_liveness(&view);
             for &b in view.blocks() {
                 prop_assert_eq!(serial.live_in(b), ref_in[&b], "engine liveness != legacy ({})", f.name);
                 prop_assert_eq!(serial.live_out(b), ref_out[&b]);
             }
             for t in THREADS {
-                let par = liveness_with(&view, ExecutorKind::Parallel(t));
-                let asy = liveness_with(&view, ExecutorKind::Async(t));
+                let par = liveness_on(&view, &graph, ExecutorKind::Parallel(t));
+                let asy = liveness_on(&view, &graph, ExecutorKind::Async(t));
                 for &b in view.blocks() {
                     prop_assert_eq!(par.live_in(b), serial.live_in(b), "liveness in, {} threads", t);
                     prop_assert_eq!(par.live_out(b), serial.live_out(b), "liveness out, {} threads", t);
@@ -238,15 +238,15 @@ proptest! {
             }
 
             // --- stack heights ---
-            let serial = stack_heights(&view);
+            let serial = stack_heights_on(&view, &graph, ExecutorKind::Serial);
             let (ref_entry, ref_exit) = reference_stack(&view);
             for &b in view.blocks() {
                 prop_assert_eq!(serial.entry_frame(b), Some(ref_entry[&b]), "engine stack != legacy ({})", f.name);
                 prop_assert_eq!(serial.exit_frame(b), Some(ref_exit[&b]));
             }
             for t in THREADS {
-                let par = stack_heights_with(&view, ExecutorKind::Parallel(t));
-                let asy = stack_heights_with(&view, ExecutorKind::Async(t));
+                let par = stack_heights_on(&view, &graph, ExecutorKind::Parallel(t));
+                let asy = stack_heights_on(&view, &graph, ExecutorKind::Async(t));
                 for &b in view.blocks() {
                     prop_assert_eq!(par.entry_frame(b), serial.entry_frame(b), "stack entry, {} threads", t);
                     prop_assert_eq!(par.exit_frame(b), serial.exit_frame(b), "stack exit, {} threads", t);
@@ -256,7 +256,7 @@ proptest! {
             }
 
             // --- reaching definitions ---
-            let serial = reaching_defs(&view);
+            let serial = reaching_defs_on(&view, &graph, ExecutorKind::Serial);
             let reference = reference_reaching(&view);
             for &b in &f.blocks {
                 let mut got = serial.reaching_at_entry(b);
@@ -268,8 +268,8 @@ proptest! {
                 }
             }
             for t in THREADS {
-                let par = reaching_defs_with(&view, ExecutorKind::Parallel(t));
-                let asy = reaching_defs_with(&view, ExecutorKind::Async(t));
+                let par = reaching_defs_on(&view, &graph, ExecutorKind::Parallel(t));
+                let asy = reaching_defs_on(&view, &graph, ExecutorKind::Async(t));
                 prop_assert_eq!(&par.defs, &serial.defs);
                 prop_assert_eq!(&asy.defs, &serial.defs);
                 for &b in &f.blocks {
@@ -295,10 +295,11 @@ proptest! {
             prop_assert_eq!(all_ir.len(), cfg_graph.functions.len());
             for f in cfg_graph.functions.values() {
                 let view = FuncIr::build(&cfg_graph, f);
+                let graph = FlowGraph::build(&view);
                 let b = &all_ir[&f.entry];
-                let lone = liveness(&view);
-                let stack = stack_heights(&view);
-                let rd = reaching_defs(&view);
+                let lone = liveness_on(&view, &graph, ExecutorKind::Serial);
+                let stack = stack_heights_on(&view, &graph, ExecutorKind::Serial);
+                let rd = reaching_defs_on(&view, &graph, ExecutorKind::Serial);
                 for &blk in view.blocks() {
                     prop_assert_eq!(b.liveness.live_in(blk), lone.live_in(blk));
                     prop_assert_eq!(b.stack.entry_frame(blk), stack.entry_frame(blk));
@@ -329,16 +330,17 @@ fn async_matches_serial_on_skewed_corpus() {
 
     for f in cfg_graph.functions.values() {
         let view = FuncIr::build(&cfg_graph, f);
-        let live = liveness(&view);
-        let stack = stack_heights(&view);
-        let rd = reaching_defs(&view);
+        let graph = FlowGraph::build(&view);
+        let live = liveness_on(&view, &graph, ExecutorKind::Serial);
+        let stack = stack_heights_on(&view, &graph, ExecutorKind::Serial);
+        let rd = reaching_defs_on(&view, &graph, ExecutorKind::Serial);
         let mut execs: Vec<ExecutorKind> =
             THREADS.iter().map(|&t| ExecutorKind::Async(t)).collect();
         execs.push(ExecutorKind::Auto);
         for exec in execs {
-            let l = liveness_with(&view, exec);
-            let s = stack_heights_with(&view, exec);
-            let r = reaching_defs_with(&view, exec);
+            let l = liveness_on(&view, &graph, exec);
+            let s = stack_heights_on(&view, &graph, exec);
+            let r = reaching_defs_on(&view, &graph, exec);
             for &b in view.blocks() {
                 assert_eq!(l.live_in(b), live.live_in(b), "{exec:?} liveness at {b:#x}");
                 assert_eq!(l.live_out(b), live.live_out(b), "{exec:?} liveness at {b:#x}");

@@ -129,8 +129,9 @@ pub struct SessionStats {
 /// session, concurrent callers block on the in-flight computation and
 /// then share the result (via [`pba_concurrent::Memo`] /
 /// [`pba_concurrent::ConcurrentHashMap`]), and failures are memoized
-/// just like successes. A future server shards and caches exactly this
-/// handle: one session per binary, artifacts reused across requests.
+/// just like successes. The daemon's `pba_serve::SessionCache` caches
+/// exactly this handle: one session per binary, artifacts reused across
+/// requests.
 pub struct Session {
     config: SessionConfig,
     /// The shared input image. Cloning is an `Arc` bump; the first

@@ -108,7 +108,8 @@ fn shared_block_layout_is_output_invariant_across_pct_shared() {
         let cfg_graph = session.cfg().expect("cfg");
         for f in cfg_graph.functions.values() {
             let view = pba_dataflow::FuncIr::build(cfg_graph, f);
-            let lone = pba_dataflow::liveness(&view);
+            let graph = pba_dataflow::FlowGraph::build(&view);
+            let lone = pba_dataflow::liveness_on(&view, &graph, pba_dataflow::ExecutorKind::Serial);
             let shared = &df[&f.entry];
             for &b in view.blocks() {
                 assert_eq!(

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on binaries we cannot ship (export-controlled LLNL
 //! codes, a 7.7 GiB TensorFlow build, 113 coreutils/tar binaries with
-//! GCC-RTL-derived ground truth). This crate is the substitution
-//! documented in DESIGN.md: it emits *real ELF64/x86-64 binaries* whose
+//! GCC-RTL-derived ground truth). This crate is the substitution: it
+//! emits *real ELF64/x86-64 binaries* whose
 //! control-flow constructs exercise every challenge the paper names —
 //!
 //! * functions sharing code (common error blocks branched into from

@@ -1,5 +1,6 @@
-//! Parse-engine configuration, including the ablation toggles DESIGN.md
-//! calls out.
+//! Parse-engine configuration: the thread count and the paper's three
+//! ablation toggles (function scheduling, eager non-returning-call
+//! notification, the per-task decode cache).
 
 /// How newly discovered functions are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,15 +27,6 @@ pub struct ParseConfig {
     pub eager_noreturn: bool,
     /// Per-task decode cache (Section 6.3's thread-local cache).
     pub decode_cache: bool,
-    /// Upper bound on scanned jump-table entries when no bound was
-    /// recovered (over-approximation cap; finalization clamps further).
-    pub max_jt_entries: usize,
-    /// Safety cap on post-traversal jump-table re-analysis rounds (the
-    /// fixed-point iteration of Section 5.3). The fixed point is driven
-    /// by monotone inputs (the discovered-table set and the graph only
-    /// grow), so it converges long before a generous cap; the cap only
-    /// guards against pathological inputs.
-    pub jt_refine_rounds: usize,
 }
 
 impl Default for ParseConfig {
@@ -44,8 +36,6 @@ impl Default for ParseConfig {
             scheduling: Scheduling::Task,
             eager_noreturn: true,
             decode_cache: true,
-            max_jt_entries: 1024,
-            jt_refine_rounds: 32,
         }
     }
 }

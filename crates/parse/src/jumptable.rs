@@ -1,13 +1,13 @@
 //! Jump-table target evaluation.
 //!
-//! The slicing analysis ([`pba_dataflow::slice_indirect_jump`])
+//! The slicing analysis ([`pba_dataflow::slice_indirect_jump_with`])
 //! recognizes the dispatch *form*; this module reads the actual table
 //! bytes and produces targets:
 //!
 //! * **bounded** tables (a `cmp`+`ja` guard was found on some path) read
 //!   exactly `bound` entries — the minimum over the per-path bounds;
 //! * **unbounded** tables (masked guards, over-deep guards) scan until
-//!   an entry stops looking like a code address or the configured cap —
+//!   an entry stops looking like a code address or the entry cap —
 //!   the deliberate over-approximation that the finalization stage
 //!   clamps with the non-overlapping-tables observation (Section 5.4).
 

@@ -7,7 +7,7 @@
 //! a stale snapshot can only under-approximate (and the fixed-point
 //! rounds recover whatever was missed; Section 5.3).
 //!
-//! It serves slicing only: [`pba_dataflow::slice_indirect_jump`] needs
+//! It serves slicing only: [`pba_dataflow::slice_indirect_jump_with`] needs
 //! predecessor edges and instructions, which is what the maps and the
 //! lazy decode below are for. The status sweeps, which only ask whether
 //! a subgraph holds a `ret`, walk the shared maps directly

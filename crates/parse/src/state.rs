@@ -261,18 +261,12 @@ impl<'i> State<'i> {
         match acc.status {
             RetStatus::Returns => CallDisposition::Fallthrough,
             RetStatus::NoReturn => CallDisposition::NoFallthrough,
+            // Both modes wait here; they differ in when the status
+            // resolves (`notify_returns` / `add_tail_dependency`).
             RetStatus::Unset => {
-                if self.cfg.eager_noreturn {
-                    acc.waiters.push((call_end, caller));
-                    self.stats.noreturn_waits.inc();
-                    CallDisposition::Waiting
-                } else {
-                    // Deferred ablation: always wait; statuses resolve in
-                    // rounds between scopes.
-                    acc.waiters.push((call_end, caller));
-                    self.stats.noreturn_waits.inc();
-                    CallDisposition::Waiting
-                }
+                acc.waiters.push((call_end, caller));
+                self.stats.noreturn_waits.inc();
+                CallDisposition::Waiting
             }
         }
     }

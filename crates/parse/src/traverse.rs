@@ -26,10 +26,21 @@ use crate::ParseResult;
 use crossbeam::queue::SegQueue;
 use pba_cfg::EdgeKind;
 use pba_concurrent::fxhash::{FxHashMap, FxHashSet};
-use pba_dataflow::slice_indirect_jump;
+use pba_dataflow::{slice_indirect_jump_with, ExecutorKind};
 use pba_isa::{ControlFlow, Insn};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+
+/// Upper bound on scanned jump-table entries when no bound was
+/// recovered (over-approximation cap; finalization clamps further).
+const MAX_JT_ENTRIES: usize = 1024;
+
+/// Safety cap on post-traversal jump-table re-analysis rounds (the
+/// fixed-point iteration of Section 5.3). The fixed point is driven by
+/// monotone inputs (the discovered-table set and the graph only grow),
+/// so it converges long before a generous cap; the cap only guards
+/// against pathological inputs.
+const JT_REFINE_ROUNDS: usize = 32;
 
 /// One traversal work item.
 #[derive(Debug, Clone, Copy)]
@@ -369,7 +380,7 @@ fn create_edges<'i: 'scope, 'scope>(
 /// Slice the indirect jump ending `block` over a snapshot and decide
 /// its table, folding the widening signal into the parse stats.
 fn sliced_decision(state: &State<'_>, view: &SnapshotView, block: u64) -> Option<TableDecision> {
-    let outcome = slice_indirect_jump(view, block)?;
+    let outcome = slice_indirect_jump_with(view, block, ExecutorKind::Serial)?;
     if outcome.widened {
         state.stats.jt_widened.inc();
     }
@@ -404,7 +415,7 @@ fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) ->
         }
         Some(d) => {
             state.stats.jt_bounded.inc();
-            apply_decision(state, e, block_start, &d, state.cfg.max_jt_entries).unwrap_or_default()
+            apply_decision(state, e, block_start, &d, MAX_JT_ENTRIES).unwrap_or_default()
         }
     }
 }
@@ -535,9 +546,9 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
         let next_table = table_addrs.iter().flatten().copied().filter(|&a| a > table_addr).min();
         let max_entries = match next_table {
             Some(n) if decision.bound.is_none() && stride > 0 => {
-                (((n - table_addr) / stride as u64) as usize).min(state.cfg.max_jt_entries)
+                (((n - table_addr) / stride as u64) as usize).min(MAX_JT_ENTRIES)
             }
-            _ => state.cfg.max_jt_entries,
+            _ => MAX_JT_ENTRIES,
         };
         let Some(new_blocks) = apply_decision(state, e, cur_start, decision, max_entries) else {
             continue;
@@ -611,7 +622,7 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
             }
         }
 
-        let mut jt_rounds_left = cfg.jt_refine_rounds;
+        let mut jt_rounds_left = JT_REFINE_ROUNDS;
         let mut refine_memo = RefineMemo::default();
         loop {
             // Drain pending work into a batch.

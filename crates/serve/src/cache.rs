@@ -1,14 +1,13 @@
 //! The keyed session cache: `content_hash → Arc<Session>`, LRU-evicted
 //! under a `resident_bytes` budget.
 //!
-//! This is ROADMAP direction 1's cache unit made concrete. A `Session`
-//! already memoizes every artifact at most once and prices itself via
-//! [`pba_driver::SessionStats::resident_bytes`]; the cache adds the
-//! cross-request layer: requests for the same binary — from any
+//! A `Session` already memoizes every artifact at most once and prices
+//! itself via [`pba_driver::SessionStats::resident_bytes`]; the cache
+//! adds the cross-request layer: requests for the same binary — from any
 //! connection, in any order — share one live session, so the second
-//! `struct` query recomputes *nothing*. Sessions are keyed by the image's cached
-//! FNV-1a content hash, so the same binary arriving inline or by path
-//! hits the same entry.
+//! `struct` query recomputes *nothing*. Sessions are keyed by the image's
+//! cached FNV-1a content hash, so the same binary arriving inline or by
+//! path hits the same entry.
 //!
 //! Eviction is least-recently-used by total resident bytes: after each
 //! analysis request (when artifact memoization may have grown a
