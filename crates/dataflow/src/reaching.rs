@@ -2,20 +2,25 @@
 //!
 //! The forward companion to liveness: which definition sites can supply
 //! a register's value at each point. Feature extractors and slicing
-//! refinements consume the def-use chains; the analysis is the standard
-//! gen/kill bit-vector problem with definitions indexed densely,
-//! expressed as a [`ReachingSpec`] and solved by the generic engine
-//! ([`crate::engine`]). The spec reads each block's (already decoded)
-//! instructions through the borrowing [`CfgView`], and its
-//! [`DataflowSpec::transfer_into`] writes the bit vector in place, so
-//! the engine's fixpoint loop allocates nothing per visit.
+//! refinements consume the def-use chains; the analysis is a
+//! [`ReachingSpec`] solved by the generic engine ([`crate::engine`])
+//! over dense bitsets of definition ids. The ids of each register's
+//! defs form one contiguous range, so a block's transfer — the classic
+//! `(in & !kill) | gen` — is "clear the range of each register the
+//! block writes, then set the block's last def of it": the spec is
+//! built in linear time, and a visit touches only the words of the
+//! registers its block defines, in place, allocating nothing.
 
 use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::view::CfgView;
 use pba_cfg::BlockIndex;
-use pba_isa::Reg;
-use std::collections::HashMap;
+use pba_isa::{Reg, RegSet};
+use std::collections::{hash_map::Entry, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
+
+/// Register ids a [`RegSet`] can hold (the width of its mask).
+const REGS: usize = u32::BITS as usize;
 
 /// A definition site: instruction address + register defined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,37 +57,30 @@ impl BitSet {
         self.0[i / 64] |= 1 << (i % 64);
     }
 
-    fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
-    }
-
     fn get(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
 
-    fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            let next = *a | b;
-            changed |= next != *a;
-            *a = next;
+    /// Clear every bit in `range`, a word at a time.
+    fn clear_range(&mut self, range: Range<usize>) {
+        if range.is_empty() {
+            return;
         }
-        changed
+        let (first, last) = (range.start / 64, (range.end - 1) / 64);
+        let head = !0u64 << (range.start % 64);
+        let tail = !0u64 >> (63 - (range.end - 1) % 64);
+        if first == last {
+            self.0[first] &= !(head & tail);
+        } else {
+            self.0[first] &= !head;
+            self.0[first + 1..last].fill(0);
+            self.0[last] &= !tail;
+        }
     }
 
-    fn transfer(&self, gen: &BitSet, kill: &BitSet) -> BitSet {
-        BitSet(
-            self.0.iter().zip(&gen.0).zip(&kill.0).map(|((&inn, &g), &k)| (inn & !k) | g).collect(),
-        )
-    }
-
-    /// `self = (input & !kill) | gen`, word by word into the existing
-    /// buffer (resized only if the widths disagree, which a single
-    /// spec's facts never do).
-    fn transfer_from(&mut self, input: &BitSet, gen: &BitSet, kill: &BitSet) {
-        self.0.resize(input.0.len(), 0);
-        for (((o, &inn), &g), &k) in self.0.iter_mut().zip(&input.0).zip(&gen.0).zip(&kill.0) {
-            *o = (inn & !k) | g;
+    fn union_with(&mut self, other: &BitSet) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= b;
         }
     }
 
@@ -106,7 +104,9 @@ impl BitSet {
 /// over the function's block list with address-keyed accessors.
 #[derive(Debug, Default)]
 pub struct ReachingDefs {
-    /// All definition sites, indexed by id.
+    /// All definition sites, indexed by id. Ids are grouped by register
+    /// (ascending [`Reg`], then in first-seen order over the view's
+    /// blocks and instructions), not in address order.
     pub defs: Vec<Def>,
     def_ids: HashMap<Def, usize>,
     blocks: Arc<Vec<u64>>,
@@ -115,7 +115,8 @@ pub struct ReachingDefs {
 }
 
 impl ReachingDefs {
-    /// Definitions reaching the entry of `block`.
+    /// Definitions reaching the entry of `block`, in id order (grouped
+    /// by register, as in [`ReachingDefs::defs`]).
     pub fn reaching_at_entry(&self, block: u64) -> Vec<Def> {
         self.index
             .get(block)
@@ -147,81 +148,73 @@ impl ReachingDefs {
     }
 }
 
-/// Reaching definitions as a [`DataflowSpec`]: forward bit-vector
-/// problem whose facts are dense [`BitSet`]s over definition ids.
+/// Reaching definitions as a [`DataflowSpec`]: a forward bit-vector
+/// problem whose facts are dense [`BitSet`]s over definition ids,
+/// grouped into one id range per register, with each block reduced to
+/// the last def of each register it writes.
 pub struct ReachingSpec {
     /// All definition sites, indexed by bit position.
     defs: Vec<Def>,
     /// Reverse index: definition site → bit position.
     def_ids: HashMap<Def, usize>,
-    /// Bit count (defs.len()).
-    n: usize,
-    /// Dense block index over the view's block list; gen/kill are keyed
-    /// through it so the engine's per-visit lookups are binary searches
-    /// over a flat sorted array, not hash probes.
+    /// Dense block index over the view's block list, so the engine's
+    /// per-visit lookups are binary searches, not hash probes.
     index: BlockIndex,
-    gen: Vec<BitSet>,
-    kill: Vec<BitSet>,
+    /// Per block, for each register it writes, that register's id range
+    /// (the kill) and the block's last def of it (the gen): block `i`'s
+    /// are `last_defs[offsets[i]..offsets[i + 1]]`.
+    last_defs: Vec<(Range<usize>, usize)>,
+    offsets: Vec<usize>,
 }
 
 impl ReachingSpec {
-    /// Index every definition site in `view` and precompute per-block
-    /// gen/kill vectors. Instructions are read from the view's decoded
-    /// slices — nothing is decoded here.
+    /// Index every definition site in `view` by register (ascending
+    /// [`Reg`], first-seen order within one) and list each block's last
+    /// def per register it writes. Instructions are read from the
+    /// view's decoded slices — nothing is decoded here.
     pub fn build(view: &dyn CfgView) -> ReachingSpec {
         let blocks = view.blocks();
-
-        // Index all defs.
-        let mut defs: Vec<Def> = Vec::new();
-        let mut def_ids: HashMap<Def, usize> = HashMap::new();
+        let mut by_reg: Vec<Vec<u64>> = vec![Vec::new(); REGS];
         for &b in blocks {
             for i in view.insns(b) {
                 for r in i.regs_written().iter() {
-                    let d = Def { addr: i.addr, reg: r };
-                    let next = defs.len();
-                    def_ids.entry(d).or_insert_with(|| {
-                        defs.push(d);
-                        next
-                    });
+                    by_reg[r.0 as usize].push(i.addr);
                 }
             }
         }
-        let n = defs.len();
-
-        // Per-register def id lists (for kills).
-        let mut by_reg: HashMap<Reg, Vec<usize>> = HashMap::new();
-        for (i, d) in defs.iter().enumerate() {
-            by_reg.entry(d.reg).or_default().push(i);
+        // Register `r`'s defs get the ids `reg_start[r]..reg_start[r + 1]`.
+        let mut defs: Vec<Def> = Vec::new();
+        let mut def_ids: HashMap<Def, usize> = HashMap::new();
+        let mut reg_start = [0; REGS + 1];
+        for (r, addrs) in by_reg.iter().enumerate() {
+            for &addr in addrs {
+                let d = Def { addr, reg: Reg(r as u8) };
+                if let Entry::Vacant(slot) = def_ids.entry(d) {
+                    slot.insert(defs.len());
+                    defs.push(d);
+                }
+            }
+            reg_start[r + 1] = defs.len();
         }
 
-        // Block gen/kill, dense over the view's block list.
+        // Walking each block backwards, the first def seen of a register
+        // is the one that flows out; earlier same-block defs are killed.
         let index = BlockIndex::new(blocks);
-        let mut gen: Vec<BitSet> = (0..blocks.len()).map(|_| BitSet::with_len(n)).collect();
-        let mut kill: Vec<BitSet> = (0..blocks.len()).map(|_| BitSet::with_len(n)).collect();
-        for (bi, &b) in blocks.iter().enumerate() {
-            let g = &mut gen[bi];
-            let k = &mut kill[bi];
-            for i in view.insns(b) {
-                for r in i.regs_written().iter() {
-                    // A new def of r kills all other defs of r —
-                    // *including* earlier gens of r in this same block,
-                    // whose gen bits are retracted so only the last def
-                    // per register flows out of the block. (A historical
-                    // quirk kept earlier same-block gens alive; fixed
-                    // deliberately, with the oracle in
-                    // tests/engine_equiv.rs updated in the same change.)
-                    for &other in by_reg.get(&r).into_iter().flatten() {
-                        k.set(other);
-                        g.clear(other);
-                    }
-                    let id = def_ids[&Def { addr: i.addr, reg: r }];
-                    // un-kill & gen this def.
-                    k.clear(id);
-                    g.set(id);
+        let mut last_defs = Vec::new();
+        let mut offsets = vec![0];
+        for &b in blocks {
+            let mut seen = RegSet::EMPTY;
+            for i in view.insns(b).iter().rev() {
+                let last = i.regs_written().minus(seen);
+                seen = seen.union(last);
+                for r in last.iter() {
+                    let kill = reg_start[r.0 as usize]..reg_start[r.0 as usize + 1];
+                    last_defs.push((kill, def_ids[&Def { addr: i.addr, reg: r }]));
                 }
             }
+            offsets.push(last_defs.len());
         }
-        ReachingSpec { defs, def_ids, n, index, gen, kill }
+        ReachingSpec { defs, def_ids, index, last_defs, offsets }
     }
 }
 
@@ -233,12 +226,12 @@ impl DataflowSpec for ReachingSpec {
     }
 
     fn bottom(&self, _block: u64) -> BitSet {
-        BitSet::with_len(self.n)
+        BitSet::with_len(self.defs.len())
     }
 
     fn boundary(&self, _block: u64) -> BitSet {
         // Nothing reaches the function entry from outside.
-        BitSet::with_len(self.n)
+        BitSet::with_len(self.defs.len())
     }
 
     fn meet(&self, into: &mut BitSet, incoming: &BitSet) {
@@ -246,13 +239,18 @@ impl DataflowSpec for ReachingSpec {
     }
 
     fn transfer(&self, block: u64, input: &BitSet) -> BitSet {
-        let i = self.index.get(block).expect("spec covers every graph block");
-        input.transfer(&self.gen[i], &self.kill[i])
+        let mut out = BitSet::default();
+        self.transfer_into(block, input, &mut out);
+        out
     }
 
     fn transfer_into(&self, block: u64, input: &BitSet, out: &mut BitSet) {
+        out.clone_from(input);
         let i = self.index.get(block).expect("spec covers every graph block");
-        out.transfer_from(input, &self.gen[i], &self.kill[i]);
+        for (kill, id) in &self.last_defs[self.offsets[i]..self.offsets[i + 1]] {
+            out.clear_range(kill.clone());
+            out.set(*id);
+        }
     }
 }
 
@@ -431,23 +429,107 @@ mod tests {
     }
 
     #[test]
-    fn bitset_clone_from_reuses_and_matches() {
-        let mut a = BitSet::with_len(130);
-        a.set(0);
-        a.set(129);
-        let mut b = BitSet::with_len(130);
-        b.clone_from(&a);
-        assert_eq!(a, b);
-        // In-place transfer equals the allocating one.
-        let mut gen = BitSet::with_len(130);
-        gen.set(64);
-        let mut kill = BitSet::with_len(130);
-        kill.set(129);
-        let fresh = a.transfer(&gen, &kill);
-        let mut inplace = BitSet::with_len(130);
-        inplace.set(77); // stale garbage that must be overwritten
-        inplace.transfer_from(&a, &gen, &kill);
-        assert_eq!(fresh, inplace);
-        assert!(inplace.get(64) && inplace.get(0) && !inplace.get(129) && !inplace.get(77));
+    fn clear_range_matches_bit_by_bit_oracle() {
+        // Every range of a 130-bit set: empty ranges, single bits, ranges
+        // starting and ending mid-word, whole words, and ranges ending at
+        // the last bit — from a full set and from a sparse pattern.
+        const N: usize = 130;
+        let patterns: [fn(usize) -> bool; 2] = [|_| true, |i| i % 3 != 1];
+        for pattern in patterns {
+            let mut start = BitSet::with_len(N);
+            (0..N).filter(|&i| pattern(i)).for_each(|i| start.set(i));
+            for lo in 0..=N {
+                for hi in lo..=N {
+                    let mut got = BitSet::with_len(N);
+                    got.set(5); // stale bits that clone_from must overwrite
+                    got.clone_from(&start);
+                    got.clear_range(lo..hi);
+                    for i in 0..N {
+                        let want = pattern(i) && !(lo..hi).contains(&i);
+                        assert_eq!(got.get(i), want, "clear {lo}..{hi}: bit {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_register_run_crosses_words() {
+        // A 140-block chain F0..F139, each block defining rcx, with rax
+        // defined in F10 and F100 and rdx in F20 and F120, then a diamond
+        // whose left arm redefines rax and whose right arm redefines rdx.
+        // Ids are grouped by register (rax 0..3, rcx 3..143, rdx 143..146,
+        // then the diamond's flags), so rcx's range starts and ends
+        // mid-word, sharing its first word with rax and its last with rdx.
+        // Block addresses (which order the ids) are laid out so every
+        // boundary id matters: the last rax def in the chain (F100) has
+        // rax's highest id, the last rdx def in the chain (F120) has rdx's
+        // lowest, and rcx's lowest (F0) and highest (F138) ids are both
+        // killed later in the chain.
+        const N: usize = 140;
+        let mut order: Vec<usize> = vec![0, 120, N - 1];
+        order.extend((1..N - 1).filter(|&k| k != 120));
+        let addr = |k: usize| 0x1000 + 0x100 * order.iter().position(|&o| o == k).unwrap() as u64;
+        let (head, left, right, join) = (0x1_0000u64, 0x800u64, 0x1_2000u64, 0x1_3000u64);
+
+        let mut blocks = vec![];
+        let mut edges = vec![];
+        let def = |code: &mut Vec<u8>, reg: Reg, at: u64| {
+            let d = Def { addr: at + code.len() as u64, reg };
+            encode::mov_ri32(code, reg, 1);
+            d
+        };
+        let (mut rax_last, mut rdx_last, mut rcx_last) = (None, None, None);
+        for k in 0..N {
+            let (at, mut code) = (addr(k), vec![]);
+            rcx_last = Some(def(&mut code, Reg::RCX, at));
+            if k == 10 || k == 100 {
+                rax_last = Some(def(&mut code, Reg::RAX, at));
+            }
+            if k == 20 || k == 120 {
+                rdx_last = Some(def(&mut code, Reg::RDX, at));
+            }
+            blocks.push((at, at + code.len() as u64, decode_seq(&code, at)));
+            edges.push((at, if k + 1 < N { addr(k + 1) } else { head }, EdgeKind::Direct));
+        }
+        let mut c = vec![];
+        encode::cmp_ri(&mut c, Reg::RDI, 0);
+        let flags = Def { addr: head, reg: Reg::FLAGS };
+        blocks.push((head, head + c.len() as u64, decode_seq(&c, head)));
+        let mut c = vec![];
+        let rax_left = def(&mut c, Reg::RAX, left);
+        blocks.push((left, left + c.len() as u64, decode_seq(&c, left)));
+        let mut c = vec![];
+        let rdx_right = def(&mut c, Reg::RDX, right);
+        blocks.push((right, right + c.len() as u64, decode_seq(&c, right)));
+        let mut c = vec![];
+        encode::ret(&mut c);
+        blocks.push((join, join + 1, decode_seq(&c, join)));
+        blocks.sort_by_key(|b| b.0);
+        edges.extend([
+            (head, left, EdgeKind::CondNotTaken),
+            (head, right, EdgeKind::CondTaken),
+            (left, join, EdgeKind::Direct),
+            (right, join, EdgeKind::Direct),
+        ]);
+        let view = VecView::new(addr(0), blocks, edges);
+        let (rax, rcx, rdx) = (rax_last.unwrap(), rcx_last.unwrap(), rdx_last.unwrap());
+
+        for exec in [ExecutorKind::Serial, ExecutorKind::Async(2)] {
+            let rd = reaching_defs_on(&view, &FlowGraph::build(&view), exec);
+            let count = |r: Reg| rd.defs.iter().filter(|d| d.reg == r).count();
+            assert_eq!([count(Reg::RAX), count(Reg::RCX), count(Reg::RDX)], [3, N, 3]);
+            let sorted = |b: u64| {
+                let mut v = rd.reaching_at_entry(b);
+                v.sort_unstable();
+                v
+            };
+            let mut want = vec![rax, rcx, rdx];
+            want.sort_unstable();
+            assert_eq!(sorted(head), want, "{exec:?}: one def per register leaves the chain");
+            let mut want = vec![rax, rax_left, rcx, rdx, rdx_right, flags];
+            want.sort_unstable();
+            assert_eq!(sorted(join), want, "{exec:?}: the last def per path reaches the join");
+        }
     }
 }
