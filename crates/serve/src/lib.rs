@@ -24,9 +24,10 @@
 //!
 //! The architecture is the classic server / adapter / handler split:
 //!
-//! * [`proto`] — the wire format: 4-byte big-endian length prefix +
-//!   JSON payload, typed [`proto::Request`] / [`proto::Response`] enums
-//!   (full frame layout and field tables in the module docs);
+//! * [`proto`] — the wire format: 4-byte big-endian length prefix, a
+//!   JSON header, then the raw bytes of any binary shipped inline;
+//!   typed [`proto::Request`] / [`proto::Response`] enums (full frame
+//!   layout, error cases and field tables in the module docs);
 //! * [`cache`] — [`cache::SessionCache`], the LRU of live sessions;
 //! * [`handler`] — [`handler::ServeShared`], the pure
 //!   `Request → Response` core (drivable without a socket);

@@ -1,29 +1,36 @@
 //! The wire protocol: length-prefixed frames carrying typed
-//! request/response enums as JSON.
+//! request/response enums as a JSON header and a raw byte tail.
 //!
 //! ## Frame layout
 //!
 //! Every message — in either direction — is one *frame*:
 //!
 //! ```text
-//! +------------------+----------------------------+
-//! | len: u32 (BE)    | payload: len bytes of JSON |
-//! +------------------+----------------------------+
+//! +--------------+---------------------------+---------------------------+
+//! | len: u32 BE  | header: one JSON value    | tail: inline operands'    |
+//! |              | (UTF-8)                   | raw bytes, in header order|
+//! +--------------+---------------------------+---------------------------+
+//!                 \_____________________ len bytes _____________________/
 //! ```
 //!
-//! The length prefix counts payload bytes only and must not exceed
+//! The length prefix counts header and tail bytes and must not exceed
 //! [`MAX_FRAME`]; a peer announcing a larger frame is answered with one
 //! error frame and disconnected (the stream cannot be resynchronized
-//! past a frame the server refuses to read). The payload is UTF-8 JSON
+//! past a frame the server refuses to read). The header is UTF-8 JSON
 //! in the serde-shim data model: a tagged object whose `"kind"` field
-//! selects the [`Request`] / [`Response`] variant.
+//! selects the [`Request`] / [`Response`] variant. The tail starts at
+//! the byte after the header's last one — no separator, no whitespace —
+//! and is empty unless the message ships a binary inline. A frame
+//! without one is exactly its JSON text: every [`Response`] and the
+//! `path` / `stats` / `evict` / `shutdown` requests.
 //!
 //! One write per frame, Nagle off: a frame leaves in one vectored
-//! write (prefix and payload together, the payload not copied), and
-//! every TCP stream of the daemon and its client has `TCP_NODELAY` set.
-//! A frame split into two writes with Nagle on holds its payload back
-//! until the peer's delayed ACK of the prefix — some 40 ms per
-//! direction on Linux. Neither setting is configurable.
+//! write (prefix, header and each operand together, none of them
+//! copied behind another), and every TCP stream of the daemon and its
+//! client has `TCP_NODELAY` set. A frame split into two writes with
+//! Nagle on holds its payload back until the peer's delayed ACK of the
+//! prefix — some 40 ms per direction on Linux. Neither setting is
+//! configurable.
 //!
 //! Both enums derive their codec with
 //! `#[serde(tag = "kind", rename_all = "snake_case")]`, so the tables
@@ -31,7 +38,7 @@
 //! snake_case) comes first, then the variant's fields in declaration
 //! order. An `Option` field (`hash?`) may be omitted and decodes as
 //! `None`; unknown keys are ignored. Only [`BinSpec`] is hand-written,
-//! because it hides the hex encoding.
+//! because its wire form is untagged.
 //!
 //! ## Requests
 //!
@@ -47,10 +54,31 @@
 //! | `evict` | `hash?` | evict one session (or all when `hash` is null) |
 //! | `shutdown` | — | acknowledge, then stop the daemon |
 //!
-//! A binary operand ([`BinSpec`]) is either `{"path": "..."}` — a
+//! A binary operand ([`BinSpec`]) is either `{"path":"..."}` — a
 //! *server-local* path the daemon opens itself (memory-mapped via
 //! `ImageBytes`, so a resident session pins page cache, not heap) — or
-//! `{"bytes": "<hex>"}`, the image shipped inline.
+//! `{"bytes":N}`, the image shipped inline as the next `N` bytes of the
+//! tail. A two-operand `similarity` is
+//! `{"kind":"similarity","a":{"bytes":3},"b":{"bytes":2}}` followed by
+//! `a`'s three bytes, then `b`'s two.
+//!
+//! ## Byte strings and their errors
+//!
+//! The frame codec ([`write_message`] / [`decode_message`]) is the one
+//! place that knows about the tail. On the way out, each
+//! [`Value::Bytes`] in the message becomes `{"bytes":N}` in the header
+//! and its bytes join the tail, in the order the header names them. On
+//! the way in, every object whose only member is `bytes` holding an
+//! unsigned integer `N` takes the next `N` tail bytes (one copy each)
+//! as a [`Value::Bytes`], which [`BinSpec`] decodes as an inline image.
+//! Each of these is an [`Error::Protocol`] for that frame alone — it
+//! arrived whole, so the connection stays in sync and usable:
+//!
+//! - a header that is not one JSON value, or not UTF-8;
+//! - a `{"bytes":N}` that runs past the end of the tail;
+//! - tail bytes left over after the last operand;
+//! - a `bytes` member that is not a tail length (negative, fractional,
+//!   or the hex string an inline image once travelled as).
 //!
 //! ## Responses
 //!
@@ -67,7 +95,8 @@
 //! `structure_builds` is still 1. Failures of any kind come back as one
 //! `{"kind":"error","code":...,"message":...}` frame, where `code` is
 //! the server-side [`Error::exit_code`] — the connection stays usable
-//! after an analysis error, and is closed after a framing error.
+//! after an analysis error or an undecodable frame, and is closed after
+//! a framing error (an oversized announcement or a torn frame).
 
 use pba_driver::{Error, SessionStats};
 use serde::{Deserialize, Serialize, Value};
@@ -79,7 +108,7 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// A binary operand: shipped inline or named by server-local path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BinSpec {
-    /// The raw ELF image, hex-encoded on the wire.
+    /// The raw ELF image, shipped in the frame's tail.
     Bytes(Vec<u8>),
     /// A path the *server* resolves and memory-maps.
     Path(String),
@@ -295,11 +324,11 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------
-// Hex encoding for inline binaries (JSON has no byte-string type and
-// the serde shim has no serde_bytes; hex keeps the payload greppable
-// and the decoder trivial).
+// Hex helpers. Inline binaries no longer travel as hex; these stay only
+// because the benchmark suite (`suite/src/wl_serve.rs`) still times
+// them, and go with its next edit.
 
-/// Lower-case hex encoding.
+/// Lower-case hex encoding (not on the wire; see above).
 pub fn hex_encode(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -309,7 +338,8 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-/// Strict hex decoding (even length, [0-9a-fA-F] only).
+/// Strict hex decoding (even length, [0-9a-fA-F] only; not on the
+/// wire).
 pub fn hex_decode(s: &str) -> Result<Vec<u8>, serde::Error> {
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(2) {
@@ -321,8 +351,6 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, serde::Error> {
             .map(|d| d as u8)
             .ok_or_else(|| serde::Error(format!("invalid hex digit {:?}", b as char)))
     };
-    // Sized up front, so the image moves into a session without a
-    // shrinking reallocation.
     let mut out = Vec::with_capacity(bytes.len() / 2);
     for p in bytes.chunks_exact(2) {
         out.push(nib(p[0])? << 4 | nib(p[1])?);
@@ -330,40 +358,89 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, serde::Error> {
     Ok(out)
 }
 
-// The binary operand keeps a hand-written codec: it hides the hex
-// encoding, and its wire form is an untagged one-key object.
+// The binary operand keeps a hand-written codec: its wire form is
+// untagged, a one-key `path` object or a byte string.
 
 impl Serialize for BinSpec {
     fn to_value(&self) -> Value {
-        let (key, text) = match self {
-            BinSpec::Bytes(b) => ("bytes", hex_encode(b)),
-            BinSpec::Path(p) => ("path", p.clone()),
-        };
-        Value::Object(vec![(key.to_string(), Value::Str(text))])
+        match self {
+            BinSpec::Bytes(b) => Value::Bytes(b.clone()),
+            BinSpec::Path(p) => Value::Object(vec![("path".to_string(), Value::Str(p.clone()))]),
+        }
     }
 }
 
 impl Deserialize for BinSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        if let Ok(p) = serde::__field(v, "path") {
-            return Ok(BinSpec::Path(p));
+    fn from_value(v: Value) -> Result<Self, serde::Error> {
+        match v {
+            Value::Bytes(b) => Ok(BinSpec::Bytes(b)),
+            mut v => serde::__field(&mut v, "path").map(BinSpec::Path).map_err(|_| {
+                serde::Error("binary operand needs `path`, or `bytes` with a tail length".into())
+            }),
         }
-        let hex: String = serde::__field(v, "bytes")
-            .map_err(|_| serde::Error("binary operand needs `path` or `bytes`".into()))?;
-        Ok(BinSpec::Bytes(hex_decode(&hex)?))
     }
 }
 
 // ---------------------------------------------------------------------
 // Framing.
 
-/// Serialize a message and write it as one frame (see [`write_frame`]).
+/// Serialize a message and write it as one frame: its JSON header, then
+/// the bytes of each [`Value::Bytes`] in it, in header order (see the
+/// module docs), all in one vectored write as [`write_frame`] does.
 pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Error> {
-    let json = serde_json::to_string(msg).map_err(|e| Error::Protocol(e.to_string()))?;
-    write_frame(w, json.as_bytes())
+    let mut value = msg.to_value();
+    let mut tail = Vec::new();
+    detach_tail(&mut value, &mut tail);
+    let header = serde_json::to_string(&value).map_err(|e| Error::Protocol(e.to_string()))?;
+    let mut parts = Vec::with_capacity(1 + tail.len());
+    parts.push(header.as_bytes());
+    parts.extend(tail.iter().map(Vec::as_slice));
+    write_parts(w, &parts)
 }
 
-/// Write one length-prefixed frame.
+/// Move every byte string out of `v` into `tail`, in the order the
+/// header text will name them, leaving `{"bytes":N}` in its place.
+fn detach_tail(v: &mut Value, tail: &mut Vec<Vec<u8>>) {
+    match v {
+        Value::Bytes(b) => {
+            let bytes = std::mem::take(b);
+            *v = Value::Object(vec![("bytes".into(), Value::U64(bytes.len() as u64))]);
+            tail.push(bytes);
+        }
+        Value::Array(items) => items.iter_mut().for_each(|item| detach_tail(item, tail)),
+        Value::Object(fields) => fields.iter_mut().for_each(|(_, f)| detach_tail(f, tail)),
+        _ => {}
+    }
+}
+
+/// Give each `{"bytes":N}` in `v` the next `N` bytes of `tail`, in
+/// header order, copying each slice once; `tail` is left holding what
+/// no operand claimed.
+fn attach_tail(v: &mut Value, tail: &mut &[u8]) -> Result<(), Error> {
+    match v {
+        Value::Object(fields) => match &fields[..] {
+            [(key, Value::U64(n))] if key == "bytes" => {
+                let (bytes, rest) = usize::try_from(*n)
+                    .ok()
+                    .and_then(|n| tail.split_at_checked(n))
+                    .ok_or_else(|| {
+                        Error::Protocol(format!(
+                            "operand of {n} bytes runs past the frame's tail ({} bytes left)",
+                            tail.len()
+                        ))
+                    })?;
+                *v = Value::Bytes(bytes.to_vec());
+                *tail = rest;
+            }
+            _ => fields.iter_mut().try_for_each(|(_, f)| attach_tail(f, tail))?,
+        },
+        Value::Array(items) => items.iter_mut().try_for_each(|item| attach_tail(item, tail))?,
+        _ => {}
+    }
+    Ok(())
+}
+
+/// Write one length-prefixed frame whose payload is `payload` as is.
 ///
 /// The length prefix and the payload leave in one vectored write, so a
 /// sink that takes the whole frame sees exactly one `write_vectored`
@@ -371,11 +448,20 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Er
 /// behind its prefix (see the module docs for why). A short write
 /// resumes where the sink stopped.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), Error> {
-    if payload.len() > MAX_FRAME {
-        return Err(Error::Protocol(format!("frame of {} bytes exceeds MAX_FRAME", payload.len())));
+    write_parts(w, &[payload])
+}
+
+/// Write one frame whose payload is `parts`, back to back, in one
+/// vectored write behind the length prefix.
+fn write_parts(w: &mut impl Write, parts: &[&[u8]]) -> Result<(), Error> {
+    let n = parts.iter().fold(0usize, |n, p| n.saturating_add(p.len()));
+    if n > MAX_FRAME {
+        return Err(Error::Protocol(format!("frame of {n} bytes exceeds MAX_FRAME")));
     }
-    let len = (payload.len() as u32).to_be_bytes();
-    write_all_vectored(w, &mut [IoSlice::new(&len), IoSlice::new(payload)])
+    let len = (n as u32).to_be_bytes();
+    let mut bufs: Vec<IoSlice<'_>> =
+        std::iter::once(&len[..]).chain(parts.iter().copied()).map(IoSlice::new).collect();
+    write_all_vectored(w, &mut bufs)
         .and_then(|()| w.flush())
         .map_err(|e| Error::Protocol(format!("write failed: {e}")))
 }
@@ -430,11 +516,21 @@ pub fn read_message<T: Deserialize>(r: &mut impl Read) -> Result<Option<T>, Erro
     decode_message(&payload).map(Some)
 }
 
-/// Decode one frame payload into a typed message.
+/// Decode one frame payload — JSON header, then the tail — into a typed
+/// message (see the module docs for the errors).
 pub fn decode_message<T: Deserialize>(payload: &[u8]) -> Result<T, Error> {
-    let text =
-        std::str::from_utf8(payload).map_err(|_| Error::Protocol("frame is not UTF-8".into()))?;
-    serde_json::from_str(text).map_err(|e| Error::Protocol(e.to_string()))
+    let protocol = |e: serde::Error| Error::Protocol(e.to_string());
+    let (mut value, header_len) =
+        serde_json::from_slice_prefix::<Value>(payload).map_err(protocol)?;
+    let mut tail = &payload[header_len..];
+    attach_tail(&mut value, &mut tail)?;
+    if !tail.is_empty() {
+        return Err(Error::Protocol(format!(
+            "{} bytes left in the frame's tail after its last operand",
+            tail.len()
+        )));
+    }
+    T::from_value(value).map_err(protocol)
 }
 
 /// Fill `buf`, tolerating read timeouts while `keep_waiting()` holds.
@@ -483,10 +579,12 @@ fn read_full(
 mod tests {
     use super::*;
 
+    /// Encodes `msg` as a frame and decodes it back.
     fn round_trip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(msg: &T) {
-        let json = serde_json::to_string(msg).unwrap();
-        let back: T = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, msg, "wire round trip of {json}");
+        let mut frame = Vec::new();
+        write_message(&mut frame, msg).unwrap();
+        let back: T = decode_message(&frame[4..]).unwrap();
+        assert_eq!(&back, msg, "wire round trip of {:?}", String::from_utf8_lossy(&frame));
     }
 
     #[test]
@@ -508,6 +606,11 @@ mod tests {
             a: BinSpec::Path("/a".into()),
             b: BinSpec::Bytes(vec![9]),
         });
+        round_trip(&Request::Similarity {
+            a: BinSpec::Bytes(vec![0x00, 0xff]),
+            b: BinSpec::Path("/b".into()),
+        });
+        round_trip(&Request::Similarity { a: BinSpec::Bytes(vec![]), b: BinSpec::Bytes(vec![9]) });
         round_trip(&Request::CorpusIngest { bin: BinSpec::Path("/corp/a".into()) });
         round_trip(&Request::CorpusTopk { bin: BinSpec::Bytes(vec![0xaa]), k: 5, exact: false });
         round_trip(&Request::CorpusTopk { bin: BinSpec::Path("/q".into()), k: 1, exact: true });
@@ -575,31 +678,48 @@ mod tests {
         assert_eq!(serde_json::from_str::<T>(text).unwrap(), msg, "decode of {text}");
     }
 
+    /// Pins a message that ships binaries inline: the frame is the
+    /// length prefix, the JSON `header`, then `tail`, and it decodes back
+    /// to `msg`.
+    fn pinned_frame(msg: Request, header: &str, tail: &[u8]) {
+        let mut frame = Vec::new();
+        write_message(&mut frame, &msg).unwrap();
+        let mut want = ((header.len() + tail.len()) as u32).to_be_bytes().to_vec();
+        want.extend_from_slice(header.as_bytes());
+        want.extend_from_slice(tail);
+        assert_eq!(frame, want, "frame of {header}");
+        assert_eq!(decode_message::<Request>(&frame[4..]).unwrap(), msg, "decode of {header}");
+    }
+
     #[test]
     fn request_wire_text_is_pinned() {
-        pinned(
+        pinned_frame(
             Request::Struct { bin: BinSpec::Bytes(vec![0x7f, 0x45]) },
-            r#"{"kind":"struct","bin":{"bytes":"7f45"}}"#,
+            r#"{"kind":"struct","bin":{"bytes":2}}"#,
+            &[0x7f, 0x45],
         );
         pinned(
             Request::Features { bin: BinSpec::Path("/bin/true".into()) },
             r#"{"kind":"features","bin":{"path":"/bin/true"}}"#,
         );
-        pinned(
+        pinned_frame(
             Request::SliceFunc { bin: BinSpec::Bytes(vec![0xde, 0xad]), entry: 0x401000 },
-            r#"{"kind":"slice_func","bin":{"bytes":"dead"},"entry":4198400}"#,
+            r#"{"kind":"slice_func","bin":{"bytes":2},"entry":4198400}"#,
+            &[0xde, 0xad],
         );
-        pinned(
+        pinned_frame(
             Request::Similarity { a: BinSpec::Path("/a".into()), b: BinSpec::Bytes(vec![9]) },
-            r#"{"kind":"similarity","a":{"path":"/a"},"b":{"bytes":"09"}}"#,
+            r#"{"kind":"similarity","a":{"path":"/a"},"b":{"bytes":1}}"#,
+            &[0x09],
         );
         pinned(
             Request::CorpusIngest { bin: BinSpec::Path("/corp/a".into()) },
             r#"{"kind":"corpus_ingest","bin":{"path":"/corp/a"}}"#,
         );
-        pinned(
+        pinned_frame(
             Request::CorpusTopk { bin: BinSpec::Bytes(vec![0xaa]), k: 5, exact: true },
-            r#"{"kind":"corpus_topk","bin":{"bytes":"aa"},"k":5,"exact":true}"#,
+            r#"{"kind":"corpus_topk","bin":{"bytes":1},"k":5,"exact":true}"#,
+            &[0xaa],
         );
         pinned(Request::Stats, r#"{"kind":"stats"}"#);
         pinned(Request::Evict { hash: Some(42) }, r#"{"kind":"evict","hash":42}"#);
@@ -750,13 +870,44 @@ mod tests {
             want.extend_from_slice(payload);
             assert_eq!(sink.bytes, want);
         }
-        let msg = Request::Struct { bin: BinSpec::Bytes(vec![0x7f; 4096]) };
-        let mut sink = CountingSink::default();
-        write_message(&mut sink, &msg).unwrap();
-        assert_eq!(sink.writes, 1);
-        let json = serde_json::to_string(&msg).unwrap();
-        assert_eq!(&sink.bytes[..4], &(json.len() as u32).to_be_bytes());
-        assert_eq!(&sink.bytes[4..], json.as_bytes());
+        let one = Request::Struct { bin: BinSpec::Bytes(vec![0x7f; 4096]) };
+        let two = Request::Similarity {
+            a: BinSpec::Bytes(vec![0x01; 3000]),
+            b: BinSpec::Bytes(vec![0x02; 5000]),
+        };
+        for (msg, header, tail) in [
+            (&one, r#"{"kind":"struct","bin":{"bytes":4096}}"#, vec![0x7f; 4096]),
+            (
+                &two,
+                r#"{"kind":"similarity","a":{"bytes":3000},"b":{"bytes":5000}}"#,
+                [vec![0x01; 3000], vec![0x02; 5000]].concat(),
+            ),
+        ] {
+            let mut sink = CountingSink::default();
+            write_message(&mut sink, msg).unwrap();
+            assert_eq!(sink.writes, 1, "{header}");
+            assert_eq!(&sink.bytes[..4], &((header.len() + tail.len()) as u32).to_be_bytes());
+            assert_eq!(&sink.bytes[4..4 + header.len()], header.as_bytes());
+            assert_eq!(&sink.bytes[4 + header.len()..], &tail[..]);
+        }
+    }
+
+    #[test]
+    fn a_frame_without_inline_bytes_is_its_json_text() {
+        fn check<T: Serialize>(msg: &T) {
+            let json = serde_json::to_string(msg).unwrap();
+            let mut frame = Vec::new();
+            write_message(&mut frame, msg).unwrap();
+            assert_eq!(&frame[..4], &(json.len() as u32).to_be_bytes());
+            assert_eq!(&frame[4..], json.as_bytes());
+        }
+        check(&Request::Features { bin: BinSpec::Path("/x".into()) });
+        check(&Request::Stats);
+        check(&Request::Evict { hash: None });
+        check(&Request::Shutdown);
+        let stats = SessionStats::default();
+        check(&Response::Features { hit: true, stats, features: vec![(1, 2)] });
+        check(&Response::Error { code: 76, message: "x".into() });
     }
 
     /// A sink that takes at most three bytes per call.
@@ -828,6 +979,74 @@ mod tests {
                 Err(Error::Protocol(msg)) => assert!(msg.contains(want), "{msg}"),
                 other => panic!("expected protocol error, got {other:?}"),
             }
+        }
+    }
+
+    /// `header` then `tail` as one frame payload.
+    fn payload(header: &str, tail: &[u8]) -> Vec<u8> {
+        [header.as_bytes(), tail].concat()
+    }
+
+    /// Decoding `payload` fails with a protocol error whose message
+    /// contains `want`.
+    fn refused(payload: &[u8], want: &str) {
+        match decode_message::<Request>(payload) {
+            Err(Error::Protocol(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected protocol error containing {want:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_tails_are_protocol_errors() {
+        let header = |n: &str| format!(r#"{{"kind":"struct","bin":{{"bytes":{n}}}}}"#);
+        // A short tail, and a length past every tail (no allocation:
+        // the length is checked before anything is copied).
+        refused(&payload(&header("3"), &[0x7f, 0x45]), "runs past the frame's tail");
+        refused(&payload(&header("18446744073709551615"), b"x"), "runs past the frame's tail");
+        // Bytes left over, after an operand and after a header that
+        // claims none.
+        refused(&payload(&header("1"), &[0x7f, 0x45]), "1 bytes left in the frame's tail");
+        refused(&payload(r#"{"kind":"stats"}"#, b"\x00\xff"), "2 bytes left in the frame's tail");
+        refused(&payload(r#"{"kind":"stats"}"#, b" "), "1 bytes left in the frame's tail");
+        // A `bytes` member that is not a tail length, the old hex form
+        // included: it claims no tail, and names no binary.
+        for n in ["-1", "1.5", r#""7f45""#] {
+            refused(&payload(&header(n), &[0x7f, 0x45]), "2 bytes left in the frame's tail");
+            refused(&payload(&header(n), &[]), "binary operand needs");
+        }
+    }
+
+    #[test]
+    fn a_header_must_be_whole_utf8_json() {
+        // Not UTF-8, inside a string and outside one.
+        refused(b"{\"kind\":\"struct\",\"bin\":{\"path\":\"\xff\"}}", "invalid UTF-8");
+        refused(b"{\"kind\":\"stats\"\xff}", "bad object");
+        refused(b"\xff{\"kind\":\"stats\"}", "bad number");
+        // A header cut short runs into its tail, which is not JSON.
+        let whole = payload(r#"{"kind":"struct","bin":{"bytes":2}}"#, &[0x7f, 0x45]);
+        for cut in [1, 10, 20, 33] {
+            let torn = [&whole[..cut], &[0xff, 0x7f, 0x45][..]].concat();
+            assert!(
+                matches!(decode_message::<Request>(&torn), Err(Error::Protocol(_))),
+                "header cut at {cut}"
+            );
+        }
+        refused(&payload(r#"{"kind":"str"#, b"\x7f\x45"), "unterminated string");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn two_arbitrary_operands_round_trip(
+            a in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            b in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+        ) {
+            let msg = Request::Similarity { a: BinSpec::Bytes(a.clone()), b: BinSpec::Bytes(b.clone()) };
+            let mut frame = Vec::new();
+            write_message(&mut frame, &msg).unwrap();
+            proptest::prop_assert!(frame.ends_with(&[a, b].concat()));
+            proptest::prop_assert_eq!(decode_message::<Request>(&frame[4..]).unwrap(), msg);
         }
     }
 }

@@ -307,6 +307,29 @@ fn protocol_abuse_is_connection_scoped() {
 }
 
 #[test]
+fn short_tail_is_answered_and_the_connection_serves_on() {
+    let handle = spawn_tcp(usize::MAX);
+    // A whole frame whose header claims a 4096-byte operand but whose
+    // tail holds four: an error frame, and the stream is still in sync.
+    let mut s = raw_tcp(&handle);
+    write_frame(&mut s, b"{\"kind\":\"struct\",\"bin\":{\"bytes\":4096}}\x7fELF").unwrap();
+    match read_message::<Response>(&mut s).unwrap().unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, 76);
+            assert!(message.contains("runs past the frame's tail"), "{message}");
+        }
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    write_message(&mut s, &Request::Stats).unwrap();
+    match read_message::<Response>(&mut s).unwrap().unwrap() {
+        Response::Stats { serve, .. } => assert_eq!(serve.errors, 1, "the short tail, once"),
+        other => panic!("connection must survive a short tail, got {other:?}"),
+    }
+    drop(s);
+    assert_eq!(handle.stop().unwrap().errors, 1);
+}
+
+#[test]
 fn deeply_nested_frame_is_answered_not_a_crash() {
     let handle = spawn_tcp(usize::MAX);
     // 1 MiB of `[`: decoding recursed once per byte and overflowed the

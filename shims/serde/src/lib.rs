@@ -8,13 +8,16 @@
 //! non-generic internally tagged enums of unit and named-field variants
 //! under exactly `#[serde(tag = "...", rename_all = "snake_case")]` —
 //! the one attribute the shim accepts.
+//!
+//! Deserialization consumes its [`Value`], so strings and byte strings
+//! move into the decoded type instead of being copied out of the tree.
 
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
 
 /// Self-describing data tree (the shim's entire data model).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub enum Value {
     /// JSON null / a missing field.
     Null,
@@ -32,6 +35,28 @@ pub enum Value {
     Array(Vec<Value>),
     /// Object with insertion-ordered keys.
     Object(Vec<(String, Value)>),
+    /// Raw bytes. JSON text has no form for them (`serde_json` refuses
+    /// to render one); a codec that frames JSON beside raw bytes
+    /// decides how they travel.
+    Bytes(Vec<u8>),
+}
+
+impl std::fmt::Debug for Value {
+    /// As derived, except that byte strings show only their length: an
+    /// error message naming a value must not grow with an inline image.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Null => f.write_str("Null"),
+            Value::Bool(b) => f.debug_tuple("Bool").field(b).finish(),
+            Value::U64(n) => f.debug_tuple("U64").field(n).finish(),
+            Value::I64(n) => f.debug_tuple("I64").field(n).finish(),
+            Value::F64(x) => f.debug_tuple("F64").field(x).finish(),
+            Value::Str(s) => f.debug_tuple("Str").field(s).finish(),
+            Value::Array(items) => f.debug_tuple("Array").field(items).finish(),
+            Value::Object(fields) => f.debug_tuple("Object").field(fields).finish(),
+            Value::Bytes(b) => write!(f, "Bytes(<{} bytes>)", b.len()),
+        }
+    }
 }
 
 /// Serialization error (shared with the `serde_json` shim).
@@ -54,20 +79,21 @@ pub trait Serialize {
 
 /// Rebuild a value from the [`Value`] data model.
 pub trait Deserialize: Sized {
-    /// Parse `value` into `Self`.
-    fn from_value(value: &Value) -> Result<Self, Error>;
+    /// Parse `value` into `Self`, moving its strings and byte strings.
+    fn from_value(value: Value) -> Result<Self, Error>;
 }
 
-/// Look up a struct field or enum tag by name (used by derived
-/// `Deserialize` impls). Missing keys deserialize as [`Value::Null`], so
-/// `Option` fields may be omitted.
-pub fn __field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
+/// Take a struct field or enum tag out of an object by name (used by
+/// derived `Deserialize` impls); the first key of that name wins, and
+/// its slot is left [`Value::Null`]. Missing keys deserialize as
+/// [`Value::Null`], so `Option` fields may be omitted.
+pub fn __field<T: Deserialize>(value: &mut Value, name: &str) -> Result<T, Error> {
     let Value::Object(fields) = value else {
         return Err(Error(format!("expected object looking up `{name}`")));
     };
-    match fields.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::from_value(v),
-        None => T::from_value(&Value::Null).map_err(|_| Error(format!("missing field `{name}`"))),
+    match fields.iter_mut().find(|(k, _)| k == name) {
+        Some((_, v)) => T::from_value(std::mem::replace(v, Value::Null)),
+        None => T::from_value(Value::Null).map_err(|_| Error(format!("missing field `{name}`"))),
     }
 }
 
@@ -77,10 +103,10 @@ macro_rules! impl_uint {
             fn to_value(&self) -> Value { Value::U64(*self as u64) }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
+            fn from_value(value: Value) -> Result<Self, Error> {
                 match value {
-                    Value::U64(n) => <$t>::try_from(*n).map_err(|_| Error(format!("{n} out of range"))),
-                    Value::I64(n) => <$t>::try_from(*n).map_err(|_| Error(format!("{n} out of range"))),
+                    Value::U64(n) => <$t>::try_from(n).map_err(|_| Error(format!("{n} out of range"))),
+                    Value::I64(n) => <$t>::try_from(n).map_err(|_| Error(format!("{n} out of range"))),
                     other => Err(Error(format!("expected integer, got {other:?}"))),
                 }
             }
@@ -96,10 +122,10 @@ macro_rules! impl_int {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
+            fn from_value(value: Value) -> Result<Self, Error> {
                 match value {
-                    Value::U64(n) => <$t>::try_from(*n).map_err(|_| Error(format!("{n} out of range"))),
-                    Value::I64(n) => <$t>::try_from(*n).map_err(|_| Error(format!("{n} out of range"))),
+                    Value::U64(n) => <$t>::try_from(n).map_err(|_| Error(format!("{n} out of range"))),
+                    Value::I64(n) => <$t>::try_from(n).map_err(|_| Error(format!("{n} out of range"))),
                     other => Err(Error(format!("expected integer, got {other:?}"))),
                 }
             }
@@ -117,11 +143,11 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    fn from_value(value: Value) -> Result<Self, Error> {
         match value {
-            Value::F64(x) => Ok(*x),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
+            Value::F64(x) => Ok(x),
+            Value::U64(n) => Ok(n as f64),
+            Value::I64(n) => Ok(n as f64),
             other => Err(Error(format!("expected number, got {other:?}"))),
         }
     }
@@ -140,9 +166,9 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    fn from_value(value: Value) -> Result<Self, Error> {
         match value {
-            Value::Bool(b) => Ok(*b),
+            Value::Bool(b) => Ok(b),
             other => Err(Error(format!("expected bool, got {other:?}"))),
         }
     }
@@ -155,9 +181,9 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    fn from_value(value: Value) -> Result<Self, Error> {
         match value {
-            Value::Str(s) => Ok(s.clone()),
+            Value::Str(s) => Ok(s),
             other => Err(Error(format!("expected string, got {other:?}"))),
         }
     }
@@ -182,9 +208,9 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    fn from_value(value: Value) -> Result<Self, Error> {
         match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
+            Value::Array(items) => items.into_iter().map(T::from_value).collect(),
             other => Err(Error(format!("expected array, got {other:?}"))),
         }
     }
@@ -203,7 +229,7 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize + Default + Copy, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    fn from_value(value: Value) -> Result<Self, Error> {
         let items: Vec<T> = Vec::from_value(value)?;
         if items.len() != N {
             return Err(Error(format!("expected array of {N}, got {}", items.len())));
@@ -224,7 +250,7 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    fn from_value(value: Value) -> Result<Self, Error> {
         match value {
             Value::Null => Ok(None),
             other => T::from_value(other).map(Some),
@@ -240,14 +266,15 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, Error> {
+            fn from_value(value: Value) -> Result<Self, Error> {
                 match value {
                     Value::Array(items) => {
                         let expected = [$($idx),+].len();
                         if items.len() != expected {
                             return Err(Error(format!("expected {expected}-tuple")));
                         }
-                        Ok(($($name::from_value(&items[$idx])?,)+))
+                        let mut items = items.into_iter();
+                        Ok(($($name::from_value(items.next().expect("length checked"))?,)+))
                     }
                     other => Err(Error(format!("expected array, got {other:?}"))),
                 }
@@ -287,7 +314,7 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
+    fn from_value(value: Value) -> Result<Self, Error> {
+        Ok(value)
     }
 }

@@ -229,8 +229,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse(input).unwrap_or_else(|e| panic!("derive(Deserialize): {e}"));
     let build = |path: &str, fields: &[String]| {
-        let inits: String =
-            fields.iter().map(|f| format!("{f}: ::serde::__field(value, \"{f}\")?,")).collect();
+        let inits: String = fields
+            .iter()
+            .map(|f| format!("{f}: ::serde::__field(&mut value, \"{f}\")?,"))
+            .collect();
         format!("Ok({path} {{ {inits} }})")
     };
     let body = match shape {
@@ -243,7 +245,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 })
                 .collect();
             format!(
-                "let tag: String = ::serde::__field(value, {tag})?;\n\
+                "let tag: String = ::serde::__field(&mut value, {tag})?;\n\
                  match tag.as_str() {{\n\
                      {arms}\n\
                      other => Err(::serde::Error(format!(\"unknown {name} {{}} {{:?}}\", {tag}, other))),\n\
@@ -253,7 +255,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+             fn from_value(mut value: ::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
                  {body}\n\
              }}\n\
          }}"
