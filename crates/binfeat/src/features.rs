@@ -115,7 +115,7 @@ pub fn data_flow_features_from(
 /// Extract all three feature families from an already-constructed CFG
 /// and its shared decode-once [`BinaryIr`], timing each stage
 /// separately. `threads` sizes the rayon pool (0 = all available),
-/// `exec` picks the per-function dataflow executor, and the stage
+/// `_exec` is ignored (see [`ExecutorKind`]), and the stage
 /// structure mirrors Listing 7 (parallel `for schedule(dynamic)` over
 /// size-sorted functions with a reduction). No stage decodes an
 /// instruction: every read is a borrow of the IR's arenas.
@@ -129,7 +129,7 @@ pub fn extract_cfg_features(
     cfg: &Cfg,
     ir: &BinaryIr,
     threads: usize,
-    exec: ExecutorKind,
+    _exec: ExecutorKind,
 ) -> BinaryFeatures {
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
 
@@ -172,7 +172,7 @@ pub fn extract_cfg_features(
     // duration and the function list is walked once, not twice.
     let t = Instant::now();
     let df_features = pba_dataflow::run_per_function_ir(ir, threads, |fir| {
-        let live = liveness_on(fir, fir.graph(), exec);
+        let live = liveness_on(fir, fir.graph(), ExecutorKind::Serial);
         let mut v = Vec::new();
         data_flow_features_from(fir, &live, &mut v);
         v

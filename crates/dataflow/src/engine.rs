@@ -1,102 +1,50 @@
-//! The generic dataflow engine: one fixpoint, many analyses, three
-//! executors behind one entry point, [`ExecutorKind::run`].
+//! The generic dataflow engine: one fixpoint, many analyses.
 //!
 //! The paper's thesis is that once the CFG is finalized and read-only,
 //! *any* client analysis can run in parallel. This module is the
 //! machinery that makes that true for dataflow analyses rather than
 //! per-analysis luck: an analysis describes itself as a
 //! [`DataflowSpec`] — direction, lattice bottom, boundary fact, meet,
-//! and block transfer — and an executor drives the Kildall worklist to
-//! the least fixpoint. Because every spec here is monotone over a
-//! finite-height lattice, the fixpoint is *unique*, so the executor is
-//! a runtime value, not a type: [`ExecutorKind::Serial`] (priority
-//! worklist in reverse postorder, from [`pba_cfg::order`]),
-//! [`ExecutorKind::Parallel`] (round-based rayon worklist, after the
-//! `parallel-dataflow` exemplar) and [`ExecutorKind::Async`]
-//! (barrier-free worklist on work-stealing deques) are interchangeable
-//! by construction — the property `tests/engine_equiv.rs` checks on
-//! randomized binaries.
+//! and block transfer — and [`fixpoint`] drives the Kildall worklist to
+//! the least fixpoint: a priority worklist in reverse postorder (from
+//! [`pba_cfg::order`]) on the calling thread.
 //!
-//! Since the decode-once refactor the hot loop is also
-//! *allocation-free*: facts live in dense `Vec`s indexed by block, the
-//! worklist priority is the [`FlowGraph`]'s memoized dense RPO ranks
-//! (computed at most once per direction, shared by every analysis that
-//! reuses the graph), and each visit recomputes its input into a reused
-//! scratch fact and writes its output through
+//! The hot loop is *allocation-free*: facts live in dense `Vec`s indexed
+//! by block, the worklist priority is the [`FlowGraph`]'s memoized dense
+//! RPO ranks (computed at most once per direction, shared by every
+//! analysis that reuses the graph), and each visit recomputes its input
+//! into a reused scratch fact and writes its output through
 //! [`DataflowSpec::transfer_into`] — no per-visit fact allocation for
 //! the bit-vector analyses.
 //!
-//! # The barrier-free executor
-//!
-//! [`ExecutorKind::Parallel`] pays a full fork/join barrier per round:
-//! every round waits for its slowest block before any block of the next
-//! round starts, so a skewed propagation chain serializes on the
-//! stragglers. [`ExecutorKind::Async`] drops the barrier entirely. A
-//! block is a task; each visit recomputes the block's input from its
-//! direction-predecessors' *published* outputs, runs
-//! [`DataflowSpec::transfer_into`] into a reused scratch fact, and on
-//! change publishes the new output and signals the block's
-//! direction-successors — re-enqueued onto the running worker's own
-//! Chase–Lev deque, where idle workers steal them.
-//!
-//! Why is that safe? Two different hazards, two different answers:
-//!
-//! * **Stale reads are safe by monotonicity.** A visit may read a
-//!   predecessor's output an instant before that predecessor publishes
-//!   a newer value — exactly the cross-round staleness the round-based
-//!   executor already tolerates. The publish-then-signal protocol
-//!   guarantees the reader is re-signaled (its [`pba_concurrent::TaskSet`]
-//!   state goes dirty-or-queued), so the missed value is re-read on a
-//!   later visit; since facts only grow toward the unique least
-//!   fixpoint, arriving late costs revisits, never correctness.
-//! * **Torn reads are not** — half-old, half-new bytes of a multi-word
-//!   fact are not a lattice element at all. Outputs therefore live in
-//!   [`pba_concurrent::FactSlots`], whose striped locks make every
-//!   publish and read atomic per slot: readers see possibly-stale,
-//!   never-torn facts.
-//!
-//! Termination is the in-flight protocol of
-//! [`pba_concurrent::TaskSet`]: workers spin (then yield) until no task
-//! is queued or running, which — because successors are signaled
-//! *before* a visit retires — can only happen at the fixpoint. Blocks
-//! are seeded through a FIFO injector in direction-RPO rank order, so
-//! the first sweep visits blocks in the serial executor's priority
-//! order and the visit count stays comparable (a unit test asserts
-//! within 2× of serial on one worker).
-//!
-//! Two levels of parallelism mirror the paper's phase structure:
-//! *within* a function via [`ExecutorKind::Parallel`] /
-//! [`ExecutorKind::Async`], and *across* functions via [`run_all_ir`] /
-//! [`run_per_function_ir`], which fan work over a size-sorted list of
-//! one decoded [`crate::ir::BinaryIr`]'s functions on a sized rayon pool
-//! (the Listing 7 `schedule(dynamic)` shape).
+//! Parallelism is *across* functions, as in the paper: [`run_all_ir`] /
+//! [`run_per_function_ir`] fan work over a size-sorted list of one
+//! decoded [`crate::ir::BinaryIr`]'s functions on a sized rayon pool
+//! (the Listing 7 `schedule(dynamic)` shape), each function's fixpoints
+//! on one worker.
 
 use crate::ir::{BinaryIr, FuncIr};
 use crate::liveness::{liveness_on, LivenessResult};
 use crate::reaching::{reaching_defs_on, ReachingDefs};
 use crate::stack::{stack_heights_on, StackResult};
 use crate::view::CfgView;
-use crossbeam::deque::{Injector, Stealer, Worker};
 use pba_cfg::order::rpo_ranks_dense;
 use pba_cfg::{BlockIndex, EdgeKind};
-use pba_concurrent::{FactSlots, TaskSet};
 use rayon::prelude::*;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Executor work counters, exposed for benchmarks: visits performed (all
-/// executors) and the async executor's enqueue/steal traffic. Monotonic
-/// and process-global: a measurement reads the difference across the
-/// section it measures.
+/// Engine work counters, exposed for benchmarks. Monotonic and
+/// process-global: a measurement reads the difference across the section
+/// it measures.
 pub mod stats {
     pub use pba_concurrent::stats::Counter;
 
-    /// Block visits (one input-recompute + transfer), by any executor.
+    /// Block visits (one input-recompute + transfer) by [`super::fixpoint`].
     pub static VISITS: Counter = Counter::new();
-    /// Tasks pushed onto an async worker's deque or the seed injector.
+    /// Kept for the benchmark suite, which reads it; always 0.
     pub static ASYNC_ENQUEUED: Counter = Counter::new();
-    /// Tasks an async worker obtained by stealing from a sibling.
+    /// Kept for the benchmark suite, which reads it; always 0.
     pub static ASYNC_STOLEN: Counter = Counter::new();
 }
 
@@ -113,9 +61,12 @@ pub enum Direction {
 ///
 /// Implementations must be monotone: `transfer` may only grow (in the
 /// lattice order implied by `meet`) when its input grows. Every spec in
-/// this crate is; the engine's executor-independence depends on it.
+/// this crate is; the uniqueness of the least fixpoint, and so the
+/// independence of results from visit order, depends on it.
 pub trait DataflowSpec {
-    /// The lattice element attached to each block boundary.
+    /// The lattice element attached to each block boundary. `Send +
+    /// Sync` lets facts cross threads: the benchmark suite's round-based
+    /// baseline shares and returns them across rayon workers.
     type Fact: Clone + PartialEq + Send + Sync;
 
     /// Which way facts flow.
@@ -137,7 +88,7 @@ pub trait DataflowSpec {
 
     /// Apply `block`'s transfer function, writing the result into `out`
     /// (whose prior contents are arbitrary and must be fully
-    /// overwritten). The executors call *this* on their hot path with a
+    /// overwritten). [`fixpoint`] calls *this* on its hot path with a
     /// reused scratch fact; the default falls back to [`Self::transfer`]
     /// and costs one fact allocation per visit, so specs whose facts
     /// heap-allocate (bit vectors, sets) should override it with an
@@ -180,10 +131,10 @@ struct DirInfo {
     reachable: usize,
 }
 
-/// The CFG shape the executors iterate over, precomputed once per
+/// The CFG shape [`fixpoint`] iterates over, precomputed once per
 /// function from a [`CfgView`]: dense indices, successor/predecessor
 /// adjacency, the entry block, and (memoized per direction) the
-/// RPO ranks the serial worklist prioritizes by. Shared via
+/// RPO ranks the worklist prioritizes by. Shared via
 /// [`crate::ir::FuncIr`], one graph serves every analysis of a function
 /// and the rank computation happens at most once per direction.
 #[derive(Debug)]
@@ -272,8 +223,7 @@ impl FlowGraph {
     }
 
     /// The direction's sources and RPO ranks, computed on first use and
-    /// memoized — every later analysis over this graph (and every
-    /// executor run) reuses them.
+    /// memoized — every later analysis over this graph reuses them.
     fn dir_info(&self, dir: Direction) -> &DirInfo {
         let cell = match dir {
             Direction::Forward => &self.fwd,
@@ -347,14 +297,11 @@ fn seed_facts<S: DataflowSpec>(spec: &S, graph: &FlowGraph, info: &DirInfo) -> V
         .collect()
 }
 
-/// One shared step: recompute block `b`'s input by meeting its
-/// direction-predecessors' outputs into `into`, which the caller has
-/// already reset to the block's seed fact (boundary at sources, bottom
-/// elsewhere) — by `clone_from` on a reused scratch in the serial loop,
-/// or by the initializing clone itself in the parallel rounds. Each
-/// incoming fact first passes the spec's
-/// [`DataflowSpec::edge_transfer`] for the CFG edge it arrives over
-/// (identity unless overridden).
+/// Recompute block `b`'s input by meeting its direction-predecessors'
+/// outputs into `into`, which the caller has already reset to the
+/// block's seed fact (boundary at sources, bottom elsewhere). Each
+/// incoming fact first passes the spec's [`DataflowSpec::edge_transfer`]
+/// for the CFG edge it arrives over (identity unless overridden).
 fn recompute_input_into<S: DataflowSpec>(
     spec: &S,
     graph: &FlowGraph,
@@ -378,103 +325,80 @@ fn recompute_input_into<S: DataflowSpec>(
     }
 }
 
-/// The block-count threshold at which [`ExecutorKind::Auto`] switches a
-/// function from the serial to the async executor. Below it, task and
-/// queue overhead dwarfs the transfer work; above it, the worklist is
-/// wide enough for idle pool workers to steal a useful share (the
-/// `pba-gen` Skewed-profile giant the `skewed_dataflow` suite workload
-/// measures sits past it).
+/// Kept for the benchmark suite, which names it until it drops
+/// [`ExecutorKind`]: the suite sizes its "giant function" filters by it.
+/// No product code reads it.
 pub fn auto_block_threshold() -> usize {
     2048
 }
 
-/// Which executor drives a [`DataflowSpec`] to its fixpoint; every
-/// analysis takes it as a runtime value and [`ExecutorKind::run`] is the
-/// one place an executor is called.
-///
-/// The thread count of `Parallel` and `Async` means the same for both:
-/// 0 inherits the ambient rayon context (no pool is built — the cheap,
-/// composable default under an enclosing `install`, such as
-/// [`run_per_function_ir`]'s pool); an explicit count builds a dedicated
-/// pool per `run`, which is for ablations, not hot paths.
+/// Kept for the benchmark suite, which names every value until it drops
+/// the type. Every value runs the one [`fixpoint`]; the `exec`
+/// parameters that take this type ignore it, and no product code
+/// branches on it.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum ExecutorKind {
-    /// Priority worklist in reverse postorder, on the calling thread.
+    /// The one fixpoint; what product code passes.
     #[default]
     Serial,
-    /// Round-based parallel worklist with its thread count. Since the
-    /// work-stealing shim, `Parallel(0)` composes with
-    /// [`run_per_function_ir`]: a worker's nested rounds split into its
-    /// own deque, where idle pool workers steal them.
+    /// Same as `Serial`; the thread count is ignored.
     Parallel(usize),
-    /// Barrier-free worklist on work-stealing deques (see the module
-    /// docs), with its thread count.
+    /// Same as `Serial`; the thread count is ignored.
     Async(usize),
-    /// Pick per function: `Serial` below [`auto_block_threshold`]
-    /// blocks, `Async(0)` at or above it. The right default for
-    /// whole-binary drivers on skewed workloads: the one giant function
-    /// goes on the barrier-free worklist (stealable, no per-round join),
-    /// the thousands of small ones stay on the cheap serial worklist.
-    /// The large side is the async executor rather than the round-based
-    /// one because it keeps the same stealing behavior without the
-    /// per-round barrier.
+    /// Same as `Serial`.
     Auto,
 }
 
-impl ExecutorKind {
-    /// Run `spec` over `graph` to its least fixpoint with the selected
-    /// executor. Returns the dense `(input, output)` fact vectors, in
-    /// direction-relative terms: `input[i]` is the fact flowing *into*
-    /// `graph.blocks[i]` (at block entry for forward problems, at block
-    /// exit for backward ones) and `output[i]` is its transfer.
-    pub fn run<S: DataflowSpec + Sync>(
-        &self,
-        spec: &S,
-        graph: &FlowGraph,
-    ) -> (Vec<S::Fact>, Vec<S::Fact>) {
-        if graph.blocks.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        match *self {
-            ExecutorKind::Serial => serial_fixpoint(spec, graph),
-            ExecutorKind::Parallel(threads) => on_pool(threads, || round_fixpoint(spec, graph)),
-            ExecutorKind::Async(threads) => on_pool(threads, || async_fixpoint(spec, graph)),
-            ExecutorKind::Auto if graph.blocks.len() >= auto_block_threshold() => {
-                async_fixpoint(spec, graph)
-            }
-            ExecutorKind::Auto => serial_fixpoint(spec, graph),
-        }
-    }
-}
-
-/// Run `f` on a dedicated pool of `threads` workers, or in the ambient
-/// rayon context when `threads` is 0.
-fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    match threads {
-        0 => f(),
-        t => rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .expect("executor pool")
-            .install(f),
-    }
-}
-
-/// The priority-worklist serial fixpoint.
+/// Run `spec` over `graph` to its least fixpoint. Returns the dense
+/// `(input, output)` fact vectors, in direction-relative terms:
+/// `input[i]` is the fact flowing *into* `graph.blocks[i]` (at block
+/// entry for forward problems, at block exit for backward ones) and
+/// `output[i]` is its transfer.
 ///
-/// Blocks are visited in reverse postorder (direction-adjusted, ranks
-/// memoized on the graph), the order that settles acyclic regions in
-/// one pass; every block is visited at least once so the results cover
-/// the whole function. The visit loop owns two scratch facts and writes
-/// through [`DataflowSpec::transfer_into`] / `clone_from`, so specs
-/// with in-place transfers run the whole fixpoint without allocating.
-fn serial_fixpoint<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> (Vec<S::Fact>, Vec<S::Fact>) {
-    let n = graph.blocks.len();
+/// The worklist is a priority queue on reverse-postorder rank
+/// (direction-adjusted, ranks memoized on the graph), the order that
+/// settles acyclic regions in one pass; every block is visited at least
+/// once so the results cover the whole function. The visit loop owns
+/// two scratch facts and writes through [`DataflowSpec::transfer_into`]
+/// / `clone_from`, so specs with in-place transfers run the whole
+/// fixpoint without allocating.
+///
+/// Only two fact vectors are live: the per-block seeds and the outputs.
+/// Inputs are not recorded per visit; they are recomputed once, from the
+/// settled outputs, into the seeds' storage after the loop. That keeps
+/// peak fact memory at two vectors instead of three: a reaching-
+/// definitions fact holds one bit per def, so on a giant function each
+/// fact vector is blocks × defs bits and a third one raises peak memory.
+/// The recomputed inputs are the ones the last visits saw: a predecessor
+/// whose output changes re-queues the block, so every block's last visit
+/// comes after its predecessors' last changes.
+pub fn fixpoint<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> (Vec<S::Fact>, Vec<S::Fact>) {
+    let (mut seeds, output) = settle(spec, graph);
     let dir = spec.direction();
-    let mut input: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-    let mut output: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
+    for (b, input) in seeds.iter_mut().enumerate() {
+        recompute_input_into(spec, graph, &output, dir, b, input);
+    }
+    (seeds, output)
+}
+
+/// [`fixpoint`]'s outputs alone, skipping the input pass, for a caller
+/// that reads only outputs: the jump-table slice, whose edge transfer
+/// builds a new path set per edge, so the pass is not free.
+pub(crate) fn fixpoint_outputs<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> Vec<S::Fact> {
+    settle(spec, graph).1
+}
+
+/// The worklist loop of [`fixpoint`]: returns the per-block seeds and
+/// the settled outputs.
+fn settle<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> (Vec<S::Fact>, Vec<S::Fact>) {
+    let n = graph.blocks.len();
+    if n == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    let dir = spec.direction();
     let info = graph.dir_info(dir);
     let seeds = seed_facts(spec, graph, info);
+    let mut output: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
 
     // Min-heap on RPO rank (BinaryHeap is a max-heap; invert).
     let mut heap: BinaryHeap<(std::cmp::Reverse<u32>, usize)> =
@@ -489,7 +413,6 @@ fn serial_fixpoint<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> (Vec<S::Fact
         in_scratch.clone_from(&seeds[b]);
         recompute_input_into(spec, graph, &output, dir, b, &mut in_scratch);
         spec.transfer_into(graph.blocks[b], &in_scratch, &mut out_scratch);
-        input[b].clone_from(&in_scratch);
         if out_scratch != output[b] {
             std::mem::swap(&mut output[b], &mut out_scratch);
             for &(s, _) in &graph.dir_succs(dir)[b] {
@@ -500,269 +423,7 @@ fn serial_fixpoint<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> (Vec<S::Fact
             }
         }
     }
-    (input, output)
-}
-
-/// A raw slot pointer the round executor hands to its parallel body:
-/// batch indices are distinct, so each task has exclusive access to its
-/// own slots (`input[b]`, `round_out[b]`) while the snapshot vectors are
-/// only read.
-struct SlotPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SlotPtr<T> {}
-unsafe impl<T: Send> Sync for SlotPtr<T> {}
-impl<T> Clone for SlotPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SlotPtr<T> {}
-impl<T> SlotPtr<T> {
-    /// Get the pointer (method access keeps closures capturing the
-    /// whole Send/Sync wrapper, not the raw field).
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-/// The round-based parallel fixpoint (the shape of the
-/// `gabizon103/parallel-dataflow` exemplar) on the current rayon
-/// context: each round recomputes every dirty block from a snapshot of
-/// the current outputs, then merges and marks direction-successors of
-/// changed blocks dirty.
-///
-/// Reads within a round may see the previous round's facts; monotonicity
-/// makes that a matter of round count, not of the fixpoint reached.
-///
-/// This executor is the ablation baseline the barrier-free one is
-/// measured against, so its constant factors are kept honest: the batch
-/// list, the next-round list, and the per-round result facts are all
-/// buffers reused across rounds — a round allocates no fact and no
-/// worklist storage. Each round's results are written in place (inputs
-/// directly, outputs into a dense scratch vector swapped element-wise on
-/// change during the merge).
-fn round_fixpoint<S: DataflowSpec + Sync>(
-    spec: &S,
-    graph: &FlowGraph,
-) -> (Vec<S::Fact>, Vec<S::Fact>) {
-    let n = graph.blocks.len();
-    let dir = spec.direction();
-    let mut input: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-    let mut output: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-    let info = graph.dir_info(dir);
-    let seeds = seed_facts(spec, graph, info);
-
-    // Round buffers, allocated once: the current batch, the next
-    // batch (deduplicated by `queued`), and a dense scratch vector
-    // the round's outputs land in before the merge swaps changed
-    // facts into `output`.
-    let mut batch: Vec<usize> = (0..n).collect();
-    let mut next: Vec<usize> = Vec::with_capacity(n);
-    let mut queued = vec![false; n];
-    let mut round_out: Vec<S::Fact> = graph.blocks.iter().map(|&b| spec.bottom(b)).collect();
-
-    while !batch.is_empty() {
-        let inp_ptr = SlotPtr(input.as_mut_ptr());
-        let out_ptr = SlotPtr(round_out.as_mut_ptr());
-        let seeds_ref = &seeds;
-        let output_ref = &output;
-        batch.par_iter().for_each(|&b| {
-            stats::VISITS.inc();
-            // SAFETY: batch indices are distinct (the `queued` flags
-            // deduplicate), so slot `b` of each buffer is written by
-            // exactly one task; `output` and `seeds` are only read.
-            let inp = unsafe { &mut *inp_ptr.get().add(b) };
-            let outp = unsafe { &mut *out_ptr.get().add(b) };
-            inp.clone_from(&seeds_ref[b]);
-            recompute_input_into(spec, graph, output_ref, dir, b, inp);
-            spec.transfer_into(graph.blocks[b], inp, outp);
-        });
-        next.clear();
-        for &b in &batch {
-            queued[b] = false;
-        }
-        for &b in &batch {
-            if round_out[b] != output[b] {
-                std::mem::swap(&mut output[b], &mut round_out[b]);
-                for &(s, _) in &graph.dir_succs(dir)[b] {
-                    if !queued[s] {
-                        queued[s] = true;
-                        next.push(s);
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut batch, &mut next);
-    }
-    (input, output)
-}
-
-/// [`recompute_input_into`] against concurrently-published outputs: each
-/// predecessor fact is read (and edge-adjusted, and met) under its slot's
-/// stripe lock, so the value folded in is possibly stale, never torn.
-fn recompute_input_from_slots<S: DataflowSpec>(
-    spec: &S,
-    graph: &FlowGraph,
-    out: &FactSlots<S::Fact>,
-    dir: Direction,
-    b: usize,
-    into: &mut S::Fact,
-) {
-    let addr = graph.blocks[b];
-    for &(p, kind) in &graph.dir_preds(dir)[b] {
-        let (src, dst) = match dir {
-            Direction::Forward => (graph.blocks[p], addr),
-            Direction::Backward => (addr, graph.blocks[p]),
-        };
-        out.with(p, |fact| match spec.edge_transfer(src, dst, kind, fact) {
-            Some(adjusted) => spec.meet(into, &adjusted),
-            None => spec.meet(into, fact),
-        });
-    }
-}
-
-/// The barrier-free fixpoint on the current rayon registry: one worker
-/// loop per available thread, run as scope tasks so nesting under
-/// [`run_per_function_ir`]'s pool composes (an occupied pool degrades to
-/// fewer active workers, never deadlocks — any single worker loop can
-/// drain the whole graph alone).
-fn async_fixpoint<S: DataflowSpec + Sync>(
-    spec: &S,
-    graph: &FlowGraph,
-) -> (Vec<S::Fact>, Vec<S::Fact>) {
-    let n = graph.blocks.len();
-    let dir = spec.direction();
-    let info = graph.dir_info(dir);
-    let seeds = seed_facts(spec, graph, info);
-    let outputs: FactSlots<S::Fact> =
-        FactSlots::new(graph.blocks.iter().map(|&b| spec.bottom(b)).collect());
-    let tasks = TaskSet::new(n);
-    let injector: Injector<usize> = Injector::new();
-    let abort = AtomicBool::new(false);
-
-    // Seed every block through the FIFO injector in direction-RPO rank
-    // order: the workers' first sweep then visits blocks in the serial
-    // executor's priority order, which settles acyclic regions in one
-    // pass and keeps the total visit count comparable to serial.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| info.rank[i]);
-    for i in order {
-        let push = tasks.signal(i);
-        debug_assert!(push, "seeding an idle task always enqueues");
-        injector.push(i);
-        stats::ASYNC_ENQUEUED.inc();
-    }
-
-    let workers = rayon::current_num_threads().min(n).max(1);
-    let deques: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<usize>> = deques.iter().map(|d| d.stealer()).collect();
-    {
-        let (seeds, outputs, tasks, injector, stealers, abort) =
-            (&seeds, &outputs, &tasks, &injector, &stealers[..], &abort);
-        rayon::scope(|s| {
-            for (w, deque) in deques.into_iter().enumerate() {
-                s.spawn(move |_| {
-                    async_worker(
-                        spec, graph, dir, seeds, outputs, tasks, injector, stealers, abort, deque,
-                        w,
-                    );
-                });
-            }
-        });
-    }
-
-    let output = outputs.into_inner();
-    // Final input pass: recompute every block's input from the settled
-    // outputs. The serial executor's recorded inputs equal this meet as
-    // well (a later predecessor change would have re-enqueued and
-    // revisited the block), so results stay byte-identical across
-    // executors. `seeds` is consumed as the starting values.
-    let mut input = seeds;
-    for (b, inp) in input.iter_mut().enumerate() {
-        recompute_input_into(spec, graph, &output, dir, b, inp);
-    }
-    (input, output)
-}
-
-/// One async worker loop: pop own deque (LIFO), else take a seed from
-/// the injector (FIFO), else steal from a sibling; visit until the
-/// task set drains.
-#[allow(clippy::too_many_arguments)]
-fn async_worker<S: DataflowSpec + Sync>(
-    spec: &S,
-    graph: &FlowGraph,
-    dir: Direction,
-    seeds: &[S::Fact],
-    outputs: &FactSlots<S::Fact>,
-    tasks: &TaskSet,
-    injector: &Injector<usize>,
-    stealers: &[Stealer<usize>],
-    abort: &AtomicBool,
-    deque: Worker<usize>,
-    w: usize,
-) {
-    // A panicking visit (spec code) would leave its block claimed
-    // forever and sibling workers spinning on a count that can never
-    // drain; flag them down before the unwind leaves this frame, then
-    // let rayon's scope propagate the panic.
-    struct AbortOnPanic<'a>(&'a AtomicBool);
-    impl Drop for AbortOnPanic<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-    let _guard = AbortOnPanic(abort);
-
-    let first = graph.blocks[0];
-    let mut in_scratch = spec.bottom(first);
-    let mut out_scratch = spec.bottom(first);
-    loop {
-        if abort.load(Ordering::SeqCst) {
-            return;
-        }
-        let next = deque.pop().or_else(|| injector.steal().success()).or_else(|| {
-            for off in 1..stealers.len() {
-                let j = (w + off) % stealers.len();
-                if let Some(t) = stealers[j].steal().success() {
-                    stats::ASYNC_STOLEN.inc();
-                    return Some(t);
-                }
-            }
-            None
-        });
-        let Some(b) = next else {
-            if tasks.in_flight() == 0 {
-                return;
-            }
-            std::thread::yield_now();
-            continue;
-        };
-        // Claim before reading inputs: a predecessor publishing after
-        // this point marks the block dirty and forces a re-visit, so no
-        // published value can be missed for good.
-        tasks.claim(b);
-        stats::VISITS.inc();
-        in_scratch.clone_from(&seeds[b]);
-        recompute_input_from_slots(spec, graph, outputs, dir, b, &mut in_scratch);
-        spec.transfer_into(graph.blocks[b], &in_scratch, &mut out_scratch);
-        // Publish, then signal, then retire — in that order: successors
-        // signaled here are counted in-flight before this block's count
-        // can drop, so the in-flight count only reaches zero at the
-        // fixpoint.
-        if outputs.publish_if_changed(b, &out_scratch) {
-            for &(s, _) in &graph.dir_succs(dir)[b] {
-                if tasks.signal(s) {
-                    deque.push(s);
-                    stats::ASYNC_ENQUEUED.inc();
-                }
-            }
-        }
-        if tasks.finish(b) {
-            deque.push(b);
-            stats::ASYNC_ENQUEUED.inc();
-        }
-    }
+    (seeds, output)
 }
 
 /// The three standard per-function analyses, engine-computed.
@@ -788,25 +449,28 @@ impl FuncAnalyses {
 /// The three standard analyses of one function, off its IR — one
 /// decoded arena, one graph, memoized RPO ranks shared by all three
 /// fixpoints.
-fn func_analyses(ir: &FuncIr, exec: ExecutorKind) -> FuncAnalyses {
+fn func_analyses(ir: &FuncIr) -> FuncAnalyses {
     let graph = ir.graph();
     FuncAnalyses {
-        liveness: liveness_on(ir, graph, exec),
-        reaching: reaching_defs_on(ir, graph, exec),
-        stack: stack_heights_on(ir, graph, exec),
+        liveness: liveness_on(ir, graph, ExecutorKind::Serial),
+        reaching: reaching_defs_on(ir, graph, ExecutorKind::Serial),
+        stack: stack_heights_on(ir, graph, ExecutorKind::Serial),
     }
 }
 
 /// Run the three standard analyses over every function of a prebuilt
 /// [`BinaryIr`], fanning functions across a rayon pool of `threads`
-/// workers, each function's fixpoints on `exec`.
+/// workers. `_exec` is ignored (see [`ExecutorKind`]).
 ///
 /// This is the paper's "parallel analysis over a read-only CFG" phase:
-/// no decoding, no graph building — the analyses only run fixpoints.
-/// Across-function parallelism is where the throughput is, so
-/// [`ExecutorKind::Serial`] is the usual per-function executor.
-pub fn run_all_ir(ir: &BinaryIr, threads: usize, exec: ExecutorKind) -> HashMap<u64, FuncAnalyses> {
-    run_per_function_ir(ir, threads, |fir| func_analyses(fir, exec))
+/// no decoding, no graph building — the analyses only run fixpoints,
+/// each function's on one worker.
+pub fn run_all_ir(
+    ir: &BinaryIr,
+    threads: usize,
+    _exec: ExecutorKind,
+) -> HashMap<u64, FuncAnalyses> {
+    run_per_function_ir(ir, threads, func_analyses)
 }
 
 /// The whole-binary fan-out underneath [`run_all_ir`]: apply `analyze`
@@ -835,26 +499,19 @@ pub fn run_per_function_ir<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::{stack_heights_on, Height};
     use crate::view::VecView;
     use pba_cfg::EdgeKind;
     use pba_concurrent::Counter;
-    use std::collections::BTreeSet;
-    use std::sync::Mutex;
+    use pba_isa::x86::{decode_one, encode};
+    use pba_isa::{Insn, Reg};
 
     /// A toy forward "block counting" spec: each block's output is
-    /// `max(inputs) + 1`; the fixpoint is the longest acyclic distance
-    /// from entry, saturating on cycles at the block count (capped).
-    /// Counts its `transfer_into` calls so tests can pin that the
-    /// executors actually drive the in-place path.
+    /// `max(inputs) + 1`, so on an acyclic graph the fixpoint is the
+    /// longest distance from entry. Counts its `transfer_into` calls so
+    /// tests can pin that the fixpoint drives the in-place path.
     struct Depth {
-        cap: u32,
         into_calls: Counter,
-    }
-
-    impl Depth {
-        fn new(cap: u32) -> Depth {
-            Depth { cap, into_calls: Counter::new() }
-        }
     }
 
     impl DataflowSpec for Depth {
@@ -872,7 +529,7 @@ mod tests {
             *into = (*into).max(*incoming);
         }
         fn transfer(&self, _b: u64, input: &u32) -> u32 {
-            (*input + 1).min(self.cap)
+            *input + 1
         }
         fn transfer_into(&self, b: u64, input: &u32, out: &mut u32) {
             self.into_calls.inc();
@@ -897,98 +554,95 @@ mod tests {
     fn serial_reaches_expected_fixpoint() {
         let view = diamond();
         let graph = FlowGraph::build(&view);
-        let (input, output) = ExecutorKind::Serial.run(&Depth::new(100), &graph);
+        let spec = Depth { into_calls: Counter::new() };
+        let (input, output) = fixpoint(&spec, &graph);
         let at = |b: u64| graph.index().get(b).unwrap();
         assert_eq!(input[at(1)], 1);
         assert_eq!(output[at(1)], 2);
         assert_eq!(input[at(4)], 3, "join takes the max over both arms");
+        assert_eq!(spec.into_calls.get(), 4, "RPO settles an acyclic graph in one pass");
     }
 
-    #[test]
-    fn executors_agree_on_cyclic_graph_and_use_transfer_into() {
-        let mut view = diamond();
-        view.edges.push((4, 1, EdgeKind::Direct)); // loop back
-        let graph = FlowGraph::build(&view);
-        let spec = Depth::new(17);
-        let a = ExecutorKind::Serial.run(&spec, &graph);
-        let serial_calls = spec.into_calls.get();
-        assert!(serial_calls > 0, "serial hot loop goes through transfer_into");
-        let b = ExecutorKind::Parallel(4).run(&spec, &graph);
-        let parallel_calls = spec.into_calls.get();
-        assert!(parallel_calls > serial_calls, "parallel rounds too");
-        let c = ExecutorKind::Async(4).run(&spec, &graph);
-        assert!(spec.into_calls.get() > parallel_calls, "async visits too");
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
-        assert_eq!(a.0, c.0, "async input diverges");
-        assert_eq!(a.1, c.1, "async output diverges");
+    /// A view that counts [`CfgView::insns`] calls, per test rather
+    /// than in the process-global [`stats::VISITS`]. The stack-height
+    /// spec reads a block's instructions once per transfer of a reached
+    /// block, so the count is the number of transfers that did work.
+    struct CountingView {
+        inner: VecView,
+        insns_calls: Counter,
     }
 
-    #[test]
-    fn async_matches_serial_across_thread_counts() {
-        let mut view = diamond();
-        view.edges.push((4, 1, EdgeKind::Direct)); // loop back
-        let graph = FlowGraph::build(&view);
-        let spec = Depth::new(17);
-        let serial = ExecutorKind::Serial.run(&spec, &graph);
-        for threads in [1usize, 2, 4, 8] {
-            let r = ExecutorKind::Async(threads).run(&spec, &graph);
-            assert_eq!(serial.0, r.0, "{threads} threads");
-            assert_eq!(serial.1, r.1, "{threads} threads");
+    impl CfgView for CountingView {
+        fn entry(&self) -> u64 {
+            self.inner.entry()
+        }
+        fn blocks(&self) -> &[u64] {
+            self.inner.blocks()
+        }
+        fn block_range(&self, block: u64) -> (u64, u64) {
+            self.inner.block_range(block)
+        }
+        fn succ_edges(&self, block: u64) -> &[(u64, EdgeKind)] {
+            self.inner.succ_edges(block)
+        }
+        fn pred_edges(&self, block: u64) -> &[(u64, EdgeKind)] {
+            self.inner.pred_edges(block)
+        }
+        fn insns(&self, block: u64) -> &[Insn] {
+            self.insns_calls.inc();
+            self.inner.insns(block)
         }
     }
 
     #[test]
-    fn async_visit_count_stays_near_serial_on_a_chain() {
-        // On one worker, seeds drain from the FIFO injector in rank
-        // order, so the first sweep settles a chain exactly like the
-        // serial priority worklist: the visit count must not run away.
-        let n = 512u64;
-        let view = VecView::new(
-            1,
-            (1..=n).map(|b| (b, b + 1, vec![])).collect(),
-            (1..n).map(|b| (b, b + 1, EdgeKind::Direct)).collect(),
-        );
-        let graph = FlowGraph::build(&view);
-        // Per-instance transfer counters (the global `stats` counters
-        // are shared with concurrently-running tests).
-        let serial_spec = Depth::new(u32::MAX);
-        ExecutorKind::Serial.run(&serial_spec, &graph);
-        let serial_visits = serial_spec.into_calls.get();
-        let async_spec = Depth::new(u32::MAX);
-        ExecutorKind::Async(1).run(&async_spec, &graph);
-        let async_visits = async_spec.into_calls.get();
-        assert!(
-            async_visits <= serial_visits * 2,
-            "async {async_visits} visits vs serial {serial_visits}: runaway re-enqueue"
-        );
-    }
-
-    #[test]
-    fn auto_matches_serial_on_both_sides_of_the_threshold() {
-        // Small graph (serial side).
-        let view = diamond();
-        let graph = FlowGraph::build(&view);
-        let spec = Depth::new(100);
-        let serial = ExecutorKind::Serial.run(&spec, &graph);
-        let auto = ExecutorKind::Auto.run(&spec, &graph);
-        assert_eq!(serial.0, auto.0);
-        assert_eq!(serial.1, auto.1);
-
-        // A chain longer than the threshold (parallel side).
+    fn every_executor_kind_runs_the_one_fixpoint() {
+        // `push` blocks past the old Auto threshold: an entry whose arms
+        // (one block, two blocks) meet at block 4 with different heights,
+        // then a chain from block 4 with a back edge to it. The RPO
+        // worklist visits the join once, after both arms, then sweeps the
+        // chain and revisits the join once for the back edge; a schedule
+        // that reaches the join through the short arm first sweeps the
+        // chain twice.
         let n = auto_block_threshold() as u64 + 10;
-        let view = VecView::new(
-            1,
-            (1..=n).map(|b| (b, b + 1, vec![])).collect(),
-            (1..n).map(|b| (b, b + 1, EdgeKind::Direct)).collect(),
-        );
+        let mut push = vec![];
+        encode::push_r(&mut push, Reg::RAX);
+        let at = |i: u64| 0x1000 + 0x10 * i;
+        let blocks =
+            (0..n).map(|i| (at(i), at(i) + 1, vec![decode_one(&push, at(i)).unwrap()])).collect();
+        let mut edges = vec![
+            (at(0), at(1), EdgeKind::CondTaken),
+            (at(0), at(2), EdgeKind::CondNotTaken),
+            (at(1), at(4), EdgeKind::Direct),
+            (at(2), at(3), EdgeKind::Fallthrough),
+            (at(3), at(4), EdgeKind::Direct),
+            (at(n - 1), at(4), EdgeKind::Direct),
+        ];
+        edges.extend((5..n).map(|i| (at(i - 1), at(i), EdgeKind::Fallthrough)));
+        let view =
+            CountingView { inner: VecView::new(at(0), blocks, edges), insns_calls: Counter::new() };
         let graph = FlowGraph::build(&view);
-        assert!(graph.blocks.len() >= auto_block_threshold());
-        let spec = Depth::new(u32::MAX);
-        let serial = ExecutorKind::Serial.run(&spec, &graph);
-        let auto = ExecutorKind::Auto.run(&spec, &graph);
-        assert_eq!(serial.0, auto.0);
-        assert_eq!(serial.1, auto.1);
+        assert!(graph.blocks.len() > auto_block_threshold());
+
+        let serial = stack_heights_on(&view, &graph, ExecutorKind::Serial);
+        let serial_calls = view.insns_calls.get();
+        assert_eq!(serial_calls, n + 1, "one sweep, then the join once more");
+        assert_eq!(serial.exit_frame(at(n - 1)).unwrap().sp, Height::Top, "the arms disagree");
+        let execs = [
+            ExecutorKind::Parallel(0),
+            ExecutorKind::Parallel(2),
+            ExecutorKind::Async(0),
+            ExecutorKind::Async(2),
+            ExecutorKind::Auto,
+        ];
+        for exec in execs {
+            let before = view.insns_calls.get();
+            let r = stack_heights_on(&view, &graph, exec);
+            assert_eq!(view.insns_calls.get() - before, serial_calls, "{exec:?} transfer calls");
+            for &b in view.blocks() {
+                assert_eq!(r.entry_frame(b), serial.entry_frame(b), "{exec:?} at {b:#x}");
+                assert_eq!(r.exit_frame(b), serial.exit_frame(b), "{exec:?} at {b:#x}");
+            }
+        }
     }
 
     #[test]
@@ -1010,55 +664,5 @@ mod tests {
         let a = graph.dir_info(Direction::Forward) as *const DirInfo;
         let b = graph.dir_info(Direction::Forward) as *const DirInfo;
         assert_eq!(a, b, "same memoized DirInfo");
-    }
-
-    /// A forward spec that records the rayon pool width each visit runs
-    /// under.
-    struct PoolWidth(Mutex<BTreeSet<usize>>);
-
-    impl DataflowSpec for PoolWidth {
-        type Fact = u32;
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
-        fn bottom(&self, _b: u64) -> u32 {
-            0
-        }
-        fn boundary(&self, _b: u64) -> u32 {
-            1
-        }
-        fn meet(&self, into: &mut u32, incoming: &u32) {
-            *into = (*into).max(*incoming);
-        }
-        fn transfer(&self, _b: u64, input: &u32) -> u32 {
-            self.0.lock().unwrap().insert(rayon::current_num_threads());
-            *input
-        }
-    }
-
-    #[test]
-    fn explicit_thread_counts_get_their_pool_and_zero_inherits_the_enclosing_one() {
-        let n = 64u64;
-        let view = VecView::new(
-            1,
-            (1..=n).map(|b| (b, b + 1, vec![])).collect(),
-            (1..n).map(|b| (b, b + 1, EdgeKind::Direct)).collect(),
-        );
-        let graph = FlowGraph::build(&view);
-        // Pool widths seen by `exec`'s visits when run inside an
-        // enclosing pool of `enclosing` workers.
-        let widths = |exec: ExecutorKind, enclosing: usize| {
-            let spec = PoolWidth(Mutex::new(BTreeSet::new()));
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(enclosing).build().unwrap();
-            pool.install(|| exec.run(&spec, &graph));
-            spec.0.into_inner().unwrap()
-        };
-        for t in [1usize, 3] {
-            let only_t = BTreeSet::from([t]);
-            assert_eq!(widths(ExecutorKind::Parallel(t), 2), only_t, "Parallel({t}) in a 2-pool");
-            assert_eq!(widths(ExecutorKind::Async(t), 2), only_t, "Async({t}) in a 2-pool");
-            assert_eq!(widths(ExecutorKind::Parallel(0), t), only_t, "Parallel(0) in a {t}-pool");
-            assert_eq!(widths(ExecutorKind::Async(0), t), only_t, "Async(0) in a {t}-pool");
-        }
     }
 }

@@ -71,23 +71,22 @@
 //!
 //! The fixpoint machinery itself lives in [`engine`]: analyses describe
 //! themselves as a [`engine::DataflowSpec`] (direction, lattice bottom,
-//! boundary fact, meet, block transfer) and [`engine::ExecutorKind::run`]
-//! drives the worklist with the executor it names —
-//! [`engine::ExecutorKind::Serial`] with a reverse-postorder priority
-//! queue, [`engine::ExecutorKind::Parallel`] with a round-based rayon
-//! worklist, or [`engine::ExecutorKind::Async`] with a barrier-free
-//! per-block worklist on work-stealing deques (stale reads tolerated by
-//! monotonicity, torn reads prevented by `pba-concurrent`'s striped
-//! fact slots). Monotone specs over finite lattices have a unique
-//! least fixpoint, so the three executors return identical results by
-//! construction (property-tested in `tests/engine_equiv.rs`). Liveness,
+//! boundary fact, meet, block transfer) and [`engine::fixpoint`] drives
+//! the one worklist, a reverse-postorder priority queue on the calling
+//! thread, holding two fact vectors (seeds and outputs) and recomputing
+//! the inputs once from the settled outputs. Monotone specs over finite
+//! lattices have a unique least fixpoint, which `tests/engine_equiv.rs`
+//! checks against the original bespoke worklist loops. Liveness,
 //! reaching definitions and stack height are all spec'd this way, each
 //! with one entry point over a prebuilt [`engine::FlowGraph`]
 //! ([`liveness::liveness_on`], [`reaching::reaching_defs_on`],
 //! [`stack::stack_heights_on`]);
 //! [`engine::run_all_ir`] fans all three across the functions of a
 //! [`ir::BinaryIr`] on a sized rayon pool — the paper's "parallel
-//! analysis over a read-only CFG" phase.
+//! analysis over a read-only CFG" phase, parallel *between* functions.
+//! [`engine::ExecutorKind`] and the `exec` parameters that take it are
+//! kept only because the benchmark suite names them; every value runs
+//! the one fixpoint.
 
 pub mod engine;
 pub mod expr;
@@ -99,8 +98,8 @@ pub mod stack;
 pub mod view;
 
 pub use engine::{
-    auto_block_threshold, run_all_ir, run_per_function_ir, DataflowSpec, Direction, ExecutorKind,
-    FlowGraph, FuncAnalyses,
+    auto_block_threshold, fixpoint, run_all_ir, run_per_function_ir, DataflowSpec, Direction,
+    ExecutorKind, FlowGraph, FuncAnalyses,
 };
 pub use expr::Expr;
 pub use ir::{BinaryIr, BlockSummary, FuncIr};

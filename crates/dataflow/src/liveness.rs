@@ -4,7 +4,7 @@
 //! at a point if some path to a use avoids an intervening definition.
 //! Block-level transfer functions are precomputed (`gen`/`kill` masks)
 //! into a [`LivenessSpec`]; the fixpoint itself is the generic engine's
-//! ([`crate::engine`]), so liveness runs under either executor.
+//! ([`crate::engine::fixpoint`]).
 //! [`RegSet`] facts are `Copy`, so with the engine's scratch-fact loop a
 //! liveness fixpoint performs no per-visit allocation at all.
 //!
@@ -13,7 +13,7 @@
 //! * at a call: argument registers are considered used and caller-saved
 //!   registers killed (the callee may clobber them).
 
-use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
+use crate::engine::{fixpoint, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::view::CfgView;
 use pba_cfg::BlockIndex;
 use pba_isa::{ControlFlow, Reg, RegSet};
@@ -152,14 +152,14 @@ impl DataflowSpec for LivenessSpec {
     // allocation-free, no override needed.
 }
 
-/// Run liveness over one function's [`FlowGraph`] with `exec` (so
-/// whole-binary drivers can share one graph — and its memoized RPO
-/// ranks — across all analyses; [`crate::ir::FuncIr::graph`] is that
-/// graph).
-pub fn liveness_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> LivenessResult {
+/// Run liveness over one function's [`FlowGraph`] (so whole-binary
+/// drivers can share one graph — and its memoized RPO ranks — across all
+/// analyses; [`crate::ir::FuncIr::graph`] is that graph). `_exec` is
+/// ignored (see [`ExecutorKind`]).
+pub fn liveness_on(view: &dyn CfgView, graph: &FlowGraph, _exec: ExecutorKind) -> LivenessResult {
     let spec = LivenessSpec::build(view);
     // Direction-relative input is the block's live-out set.
-    let (live_out, live_in) = exec.run(&spec, graph);
+    let (live_out, live_in) = fixpoint(&spec, graph);
     LivenessResult {
         blocks: Arc::clone(&graph.blocks),
         index: Arc::clone(graph.index()),

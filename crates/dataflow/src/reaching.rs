@@ -11,7 +11,7 @@
 //! built in linear time, and a visit touches only the words of the
 //! registers its block defines, in place, allocating nothing.
 
-use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
+use crate::engine::{fixpoint, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::view::CfgView;
 use pba_cfg::BlockIndex;
 use pba_isa::{Reg, RegSet};
@@ -254,13 +254,17 @@ impl DataflowSpec for ReachingSpec {
     }
 }
 
-/// Run reaching definitions over one function's [`FlowGraph`] with
-/// `exec` (so whole-binary drivers can share one graph — and its
-/// memoized RPO ranks — across all analyses;
-/// [`crate::ir::FuncIr::graph`] is that graph).
-pub fn reaching_defs_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> ReachingDefs {
+/// Run reaching definitions over one function's [`FlowGraph`] (so
+/// whole-binary drivers can share one graph — and its memoized RPO
+/// ranks — across all analyses; [`crate::ir::FuncIr::graph`] is that
+/// graph). `_exec` is ignored (see [`ExecutorKind`]).
+pub fn reaching_defs_on(
+    view: &dyn CfgView,
+    graph: &FlowGraph,
+    _exec: ExecutorKind,
+) -> ReachingDefs {
     let spec = ReachingSpec::build(view);
-    let (reach_in, _out) = exec.run(&spec, graph);
+    let (reach_in, _out) = fixpoint(&spec, graph);
     ReachingDefs {
         defs: spec.defs,
         def_ids: spec.def_ids,
@@ -515,21 +519,19 @@ mod tests {
         let view = VecView::new(addr(0), blocks, edges);
         let (rax, rcx, rdx) = (rax_last.unwrap(), rcx_last.unwrap(), rdx_last.unwrap());
 
-        for exec in [ExecutorKind::Serial, ExecutorKind::Async(2)] {
-            let rd = reaching_defs_on(&view, &FlowGraph::build(&view), exec);
-            let count = |r: Reg| rd.defs.iter().filter(|d| d.reg == r).count();
-            assert_eq!([count(Reg::RAX), count(Reg::RCX), count(Reg::RDX)], [3, N, 3]);
-            let sorted = |b: u64| {
-                let mut v = rd.reaching_at_entry(b);
-                v.sort_unstable();
-                v
-            };
-            let mut want = vec![rax, rcx, rdx];
-            want.sort_unstable();
-            assert_eq!(sorted(head), want, "{exec:?}: one def per register leaves the chain");
-            let mut want = vec![rax, rax_left, rcx, rdx, rdx_right, flags];
-            want.sort_unstable();
-            assert_eq!(sorted(join), want, "{exec:?}: the last def per path reaches the join");
-        }
+        let rd = reaching_defs_on(&view, &FlowGraph::build(&view), ExecutorKind::Serial);
+        let count = |r: Reg| rd.defs.iter().filter(|d| d.reg == r).count();
+        assert_eq!([count(Reg::RAX), count(Reg::RCX), count(Reg::RDX)], [3, N, 3]);
+        let sorted = |b: u64| {
+            let mut v = rd.reaching_at_entry(b);
+            v.sort_unstable();
+            v
+        };
+        let mut want = vec![rax, rcx, rdx];
+        want.sort_unstable();
+        assert_eq!(sorted(head), want, "one def per register leaves the chain");
+        let mut want = vec![rax, rax_left, rcx, rdx, rdx_right, flags];
+        want.sort_unstable();
+        assert_eq!(sorted(join), want, "the last def per path reaches the join");
     }
 }

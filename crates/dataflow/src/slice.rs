@@ -24,17 +24,16 @@
 //!
 //! [`slice_indirect_jump_with`] builds the spec and its one
 //! [`FlowGraph`] — the jump's backward cone, numbered densely in address
-//! order — runs it under the given [`ExecutorKind`] (the spec is
-//! executor-agnostic; the parser uses [`ExecutorKind::Serial`]), and
-//! reads the per-path facts back out of the block boundaries.
+//! order — runs it to its fixpoint, and reads the per-path facts back out
+//! of the block boundaries.
 
-use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
+use crate::engine::{fixpoint_outputs, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::expr::Expr;
 use crate::view::CfgView;
 use pba_cfg::EdgeKind;
 use pba_isa::{insn::AluKind, insn::Cond, insn::ShiftKind, Insn, Op, Place, Reg, Value};
+use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Recognized jump-table dispatch forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,15 +367,11 @@ struct SliceSpec<'a> {
     /// block widens it keeps widening. Widening shrinks a fact
     /// (non-monotone), so without stickiness a cyclic CFG straddling
     /// [`MAX_PATHS`] could oscillate between widened and unwidened
-    /// fixpoint candidates and the executor's worklist would never
-    /// drain. Sticky widening means each block takes the one
-    /// non-monotone step at most once; between and after those finitely
-    /// many events the system is monotone, so the fixpoint iteration
-    /// terminates. No executor transfers one block on two workers at
-    /// once, so a plain flag per block keeps the bit sticky; it
-    /// publishes no other data and the executor's join orders the final
-    /// read, so `Relaxed` suffices.
-    widened: Vec<AtomicBool>,
+    /// fixpoint candidates and the worklist would never drain. Sticky
+    /// widening means each block takes the one non-monotone step at most
+    /// once; between and after those finitely many events the system is
+    /// monotone, so the fixpoint iteration terminates.
+    widened: Vec<Cell<bool>>,
 }
 
 impl<'a> SliceSpec<'a> {
@@ -421,7 +416,7 @@ impl<'a> SliceSpec<'a> {
             edges.extend(view.succ_edges(b).iter().map(|&(d, kind)| (b, d, kind)));
         }
         let insns = cone.iter().map(|&b| view.insns(b)).collect();
-        let widened = cone.iter().map(|_| AtomicBool::new(false)).collect();
+        let widened = cone.iter().map(|_| Cell::new(false)).collect();
         let graph = FlowGraph::from_parts(cone, view.entry(), &edges);
         Some(SliceSpec { jump_block, seed, graph, insns, widened })
     }
@@ -461,8 +456,8 @@ impl DataflowSpec for SliceSpec<'_> {
         // MAX_PATHS keeps widening even if its input later shrinks, so
         // the one output-shrinking step happens at most once per block
         // and the fixpoint cannot oscillate.
-        if self.widened[i].load(Ordering::Relaxed) || out.states.len() > MAX_PATHS {
-            self.widened[i].store(true, Ordering::Relaxed);
+        if self.widened[i].get() || out.states.len() > MAX_PATHS {
+            self.widened[i].set(true);
             out.widen();
         }
         if block == self.jump_block {
@@ -510,33 +505,30 @@ pub struct SliceOutcome {
 }
 
 /// Run the engine-backed slice for the indirect jump terminating
-/// `jump_block` under `exec`. Returns `None` if the terminator is not an
-/// indirect jump. Below [`MAX_PATHS`] the spec is monotone, so every
-/// executor reaches the same fixpoint by construction. Widening is the
+/// `jump_block`. Returns `None` if the terminator is not an indirect
+/// jump. `_exec` is ignored (see [`ExecutorKind`]). Below [`MAX_PATHS`]
+/// the spec is monotone, so its fixpoint is unique. Widening is the
 /// caveat: whether a block ever sees an input big enough to trip its
 /// sticky bit depends on which *intermediate* predecessor outputs the
-/// schedule publishes, so executor agreement on widening-heavy graphs
-/// is an empirical property, not an a-priori one —
-/// `tests/slice_equiv.rs` pins it on the generated corpus and on a
-/// fan-out that widens, and both executors are individually
-/// deterministic, so any divergence shows up as a hard test failure
-/// rather than a flake.
+/// worklist order produces. The order is deterministic (RPO priority),
+/// so the outcome is too; `tests/slice_equiv.rs` pins it on the
+/// generated corpus and on a fan-out that widens.
 pub fn slice_indirect_jump_with(
     view: &dyn CfgView,
     jump_block: u64,
-    exec: ExecutorKind,
+    _exec: ExecutorKind,
 ) -> Option<SliceOutcome> {
     let spec = SliceSpec::build(view, jump_block)?;
-    let (_, output) = exec.run(&spec, &spec.graph);
+    let output = fixpoint_outputs(&spec, &spec.graph);
     let facts = output.iter().flat_map(|o| o.states.iter().map(PathState::fact)).collect();
-    let widened = spec.widened.iter().any(|w| w.load(Ordering::Relaxed));
+    let widened = spec.widened.iter().any(Cell::get);
     Some(SliceOutcome { facts, widened })
 }
 
 /// Every `(function entry, jump block)` pair of a finalized CFG whose
 /// block terminator is an indirect branch — the work list a
-/// whole-binary slicing sweep fans out over (shared by the slice bench
-/// and the executor-equivalence tests). Sorted for determinism.
+/// whole-binary slicing sweep fans out over (shared by the benchmark
+/// suite and the corpus slice tests). Sorted for determinism.
 pub fn collect_indirect_jumps(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
     let mut jumps = Vec::new();
     for f in cfg.functions.values() {
@@ -905,7 +897,7 @@ mod tests {
         // cap (+1 for the Top marker widening leaves behind, +1 for the
         // jump block's seed which joins after widening).
         let spec = SliceSpec::build(&view, 0x9000).expect("spec");
-        let (_, output) = ExecutorKind::Serial.run(&spec, &spec.graph);
+        let output = fixpoint_outputs(&spec, &spec.graph);
         for (b, fact) in spec.graph.blocks.iter().zip(&output) {
             assert!(
                 fact.states.len() <= MAX_PATHS + 2,

@@ -14,7 +14,7 @@
 //! [`CfgView`] — nothing is decoded or copied here, and [`Frame`] facts
 //! are `Copy`, so the fixpoint allocates nothing per visit.
 
-use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
+use crate::engine::{fixpoint, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::view::CfgView;
 use pba_cfg::BlockIndex;
 use pba_isa::{insn::AluKind, ControlFlow, Op, Place, Reg, Value};
@@ -203,13 +203,13 @@ impl DataflowSpec for StackSpec<'_> {
     // allocation-free, no override needed.
 }
 
-/// Run the forward fixpoint over one function's [`FlowGraph`] with
-/// `exec` (so whole-binary drivers can share one graph — and its
-/// memoized RPO ranks — across all analyses;
-/// [`crate::ir::FuncIr::graph`] is that graph).
-pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> StackResult {
+/// Run the forward fixpoint over one function's [`FlowGraph`] (so
+/// whole-binary drivers can share one graph — and its memoized RPO
+/// ranks — across all analyses; [`crate::ir::FuncIr::graph`] is that
+/// graph). `_exec` is ignored (see [`ExecutorKind`]).
+pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph, _exec: ExecutorKind) -> StackResult {
     let spec = StackSpec::build(view);
-    let (at_entry, at_exit) = exec.run(&spec, graph);
+    let (at_entry, at_exit) = fixpoint(&spec, graph);
     StackResult {
         blocks: Arc::clone(&graph.blocks),
         index: Arc::clone(graph.index()),
@@ -229,9 +229,8 @@ pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKin
 pub fn stack_heights_and_extent_on(
     view: &dyn CfgView,
     graph: &FlowGraph,
-    exec: ExecutorKind,
 ) -> (StackResult, Option<i64>) {
-    let res = stack_heights_on(view, graph, exec);
+    let res = stack_heights_on(view, graph, ExecutorKind::Serial);
 
     let mut min_known: Option<i64> = None;
     let mut note = |h: Height| {

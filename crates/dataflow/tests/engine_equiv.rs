@@ -1,20 +1,13 @@
 //! Engine equivalence properties, on randomized `pba-gen` binaries:
 //!
-//! 1. `ExecutorKind::Serial`, `ExecutorKind::Parallel`, and the
-//!    barrier-free `ExecutorKind::Async` (1/2/4/8 threads each) reach
-//!    identical fixpoints for all three analyses — the engine's central
-//!    "interchangeable by construction" claim; all executors drive the allocation-free
-//!    `transfer_into` path, so this also pins that the borrowed-view +
-//!    in-place engine is byte-identical to the reference fixpoints
-//!    (plus a directed Skewed-profile case, where one giant function
-//!    crosses the Auto threshold and exercises the async executor's
-//!    stealing on a deep propagation chain);
-//! 2. the engine reproduces the bespoke worklist loops byte-for-byte
+//! 1. the engine reproduces the bespoke worklist loops byte-for-byte
 //!    (the original fixpoints are kept here as reference
 //!    implementations; the reaching-defs oracle carries the deliberate
 //!    gen-retraction fix — a later same-block redefinition now retracts
-//!    the earlier def's gen bits);
-//! 3. the `BinaryIr`-backed `run_all_ir` agrees with per-function
+//!    the earlier def's gen bits). The engine drives the allocation-free
+//!    `transfer_into` path and recomputes inputs from settled outputs,
+//!    so this pins both against the reference fixpoints;
+//! 2. the `BinaryIr`-backed `run_all_ir` agrees with per-function
 //!    invocation.
 
 use pba_dataflow::engine::ExecutorKind;
@@ -25,9 +18,6 @@ use pba_gen::{generate, GenConfig};
 use pba_isa::{ControlFlow, Reg, RegSet};
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-/// Thread counts the parallel executor is swept over.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn arb_config() -> impl Strategy<Value = GenConfig> {
     (any::<u64>(), 6usize..24, 0.0f64..0.5, 0.0f64..0.2, 0.0f64..0.2, 0.0f64..0.25).prop_map(
@@ -206,8 +196,8 @@ fn reference_reaching(view: &dyn CfgView) -> HashMap<u64, Vec<Def>> {
 }
 
 proptest! {
-    // Each case parses a binary and runs 3 analyses × 6 configurations
-    // over every function; keep the count moderate.
+    // Each case parses a binary and runs 3 analyses and their reference
+    // loops over every function; keep the count moderate.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
@@ -226,16 +216,6 @@ proptest! {
                 prop_assert_eq!(serial.live_in(b), ref_in[&b], "engine liveness != legacy ({})", f.name);
                 prop_assert_eq!(serial.live_out(b), ref_out[&b]);
             }
-            for t in THREADS {
-                let par = liveness_on(&view, &graph, ExecutorKind::Parallel(t));
-                let asy = liveness_on(&view, &graph, ExecutorKind::Async(t));
-                for &b in view.blocks() {
-                    prop_assert_eq!(par.live_in(b), serial.live_in(b), "liveness in, {} threads", t);
-                    prop_assert_eq!(par.live_out(b), serial.live_out(b), "liveness out, {} threads", t);
-                    prop_assert_eq!(asy.live_in(b), serial.live_in(b), "async liveness in, {} threads", t);
-                    prop_assert_eq!(asy.live_out(b), serial.live_out(b), "async liveness out, {} threads", t);
-                }
-            }
 
             // --- stack heights ---
             let serial = stack_heights_on(&view, &graph, ExecutorKind::Serial);
@@ -243,16 +223,6 @@ proptest! {
             for &b in view.blocks() {
                 prop_assert_eq!(serial.entry_frame(b), Some(ref_entry[&b]), "engine stack != legacy ({})", f.name);
                 prop_assert_eq!(serial.exit_frame(b), Some(ref_exit[&b]));
-            }
-            for t in THREADS {
-                let par = stack_heights_on(&view, &graph, ExecutorKind::Parallel(t));
-                let asy = stack_heights_on(&view, &graph, ExecutorKind::Async(t));
-                for &b in view.blocks() {
-                    prop_assert_eq!(par.entry_frame(b), serial.entry_frame(b), "stack entry, {} threads", t);
-                    prop_assert_eq!(par.exit_frame(b), serial.exit_frame(b), "stack exit, {} threads", t);
-                    prop_assert_eq!(asy.entry_frame(b), serial.entry_frame(b), "async stack entry, {} threads", t);
-                    prop_assert_eq!(asy.exit_frame(b), serial.exit_frame(b), "async stack exit, {} threads", t);
-                }
             }
 
             // --- reaching definitions ---
@@ -265,22 +235,6 @@ proptest! {
                 // Point lookups agree with the materialized sets.
                 for d in &reference[&b] {
                     prop_assert!(serial.def_reaches_entry(b, *d));
-                }
-            }
-            for t in THREADS {
-                let par = reaching_defs_on(&view, &graph, ExecutorKind::Parallel(t));
-                let asy = reaching_defs_on(&view, &graph, ExecutorKind::Async(t));
-                prop_assert_eq!(&par.defs, &serial.defs);
-                prop_assert_eq!(&asy.defs, &serial.defs);
-                for &b in &f.blocks {
-                    let mut a = par.reaching_at_entry(b);
-                    let mut y = asy.reaching_at_entry(b);
-                    let mut s = serial.reaching_at_entry(b);
-                    a.sort_unstable();
-                    y.sort_unstable();
-                    s.sort_unstable();
-                    prop_assert_eq!(&a, &s, "reaching, {} threads", t);
-                    prop_assert_eq!(&y, &s, "async reaching, {} threads", t);
                 }
             }
         }
@@ -305,55 +259,6 @@ proptest! {
                     prop_assert_eq!(b.stack.entry_frame(blk), stack.entry_frame(blk));
                 }
                 prop_assert_eq!(&b.reaching.defs, &rd.defs);
-            }
-        }
-    }
-}
-
-/// The Skewed-profile corpus: one giant function (past the Auto
-/// threshold, thousands of blocks of deep diamond chains) among hundreds
-/// of small ones — the workload the barrier-free executor exists for.
-/// All three analyses must be byte-identical to serial at every thread
-/// count, and `Auto` (which now routes the giant to `Async`) must match
-/// too.
-#[test]
-fn async_matches_serial_on_skewed_corpus() {
-    let mut gen_cfg = pba_gen::Profile::Skewed.config(0xA51C);
-    gen_cfg.num_funcs = 40; // scale the small-function tail down for test time
-    let g = generate(&gen_cfg);
-    let elf = pba_elf::Elf::parse(g.elf).unwrap();
-    let input = pba_parse::ParseInput::from_elf(&elf).unwrap();
-    let cfg_graph = pba_parse::parse_parallel(&input, 2).cfg;
-    let giant =
-        cfg_graph.functions.values().map(|f| f.blocks.len()).max().expect("non-empty corpus");
-    assert!(giant > 1000, "Skewed profile must keep its giant function ({giant} blocks)");
-
-    for f in cfg_graph.functions.values() {
-        let view = FuncIr::build(&cfg_graph, f);
-        let graph = FlowGraph::build(&view);
-        let live = liveness_on(&view, &graph, ExecutorKind::Serial);
-        let stack = stack_heights_on(&view, &graph, ExecutorKind::Serial);
-        let rd = reaching_defs_on(&view, &graph, ExecutorKind::Serial);
-        let mut execs: Vec<ExecutorKind> =
-            THREADS.iter().map(|&t| ExecutorKind::Async(t)).collect();
-        execs.push(ExecutorKind::Auto);
-        for exec in execs {
-            let l = liveness_on(&view, &graph, exec);
-            let s = stack_heights_on(&view, &graph, exec);
-            let r = reaching_defs_on(&view, &graph, exec);
-            for &b in view.blocks() {
-                assert_eq!(l.live_in(b), live.live_in(b), "{exec:?} liveness at {b:#x}");
-                assert_eq!(l.live_out(b), live.live_out(b), "{exec:?} liveness at {b:#x}");
-                assert_eq!(s.entry_frame(b), stack.entry_frame(b), "{exec:?} stack at {b:#x}");
-                assert_eq!(s.exit_frame(b), stack.exit_frame(b), "{exec:?} stack at {b:#x}");
-            }
-            assert_eq!(r.defs, rd.defs, "{exec:?} def table");
-            for &b in view.blocks() {
-                let mut got = r.reaching_at_entry(b);
-                let mut want = rd.reaching_at_entry(b);
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "{exec:?} reaching at {b:#x}");
             }
         }
     }

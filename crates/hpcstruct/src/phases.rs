@@ -156,8 +156,8 @@ fn convert_inline(files: &[String], inl: &InlinedSub) -> InlineScope {
 
 /// Run phases 3 and 5–7 over already-built artifacts: the line map, the
 /// skeleton, the parallel query phase (loops, statements, inline scopes,
-/// stack frames — per-function dataflow runs on `exec`), and
-/// serialization. `ir` is the shared decode-once analysis IR
+/// stack frames), and serialization. `_exec` is ignored (see
+/// [`ExecutorKind`]). `ir` is the shared decode-once analysis IR
 /// (`Session::ir()`); every instruction this pipeline reads — loop
 /// discovery, the stack-frame fixpoint, the statement walk — is a
 /// borrow of its arenas, so the query phases decode nothing. `pre`
@@ -168,7 +168,7 @@ pub fn analyze_artifacts(
     cfg_graph: &Cfg,
     ir: &BinaryIr,
     cfg: &HsConfig,
-    exec: ExecutorKind,
+    _exec: ExecutorKind,
     pre: ArtifactTimes,
 ) -> HsOutput {
     // 0 = all available, uniformly: the pool builder owns the mapping.
@@ -207,7 +207,7 @@ pub fn analyze_artifacts(
     // per-function closures below then read its results.
     let t = Instant::now();
     let frame_of = pba_dataflow::run_per_function_ir(ir, cfg.threads, |fir| {
-        pba_dataflow::stack_heights_and_extent_on(fir, fir.graph(), exec).1
+        pba_dataflow::stack_heights_and_extent_on(fir, fir.graph()).1
     });
     // Map entries to DWARF subprograms once: a sorted array queried by
     // binary search (entries are read-only from here on).
@@ -417,24 +417,6 @@ mod tests {
         let bytes = sample();
         let a = run(&bytes, 1, "t");
         let b = run(&bytes, 4, "t");
-        assert_eq!(a.structure, b.structure);
-        assert_eq!(a.text, b.text);
-    }
-
-    #[test]
-    fn executor_choice_does_not_change_output() {
-        let bytes = sample();
-        let elf = pba_elf::Elf::parse(bytes.clone()).unwrap();
-        let di =
-            pba_dwarf::decode_parallel(pba_dwarf::decode::DebugSlices::from_elf(&elf)).unwrap();
-        let input = ParseInput::from_elf(&elf).unwrap();
-        let parsed = parse_parallel(&input, 2);
-        let ir = BinaryIr::build(&parsed.cfg, 2);
-        let hs = HsConfig { threads: 2, name: "t".into() };
-        let a =
-            analyze_artifacts(&di, &parsed.cfg, &ir, &hs, ExecutorKind::Serial, Default::default());
-        let b =
-            analyze_artifacts(&di, &parsed.cfg, &ir, &hs, ExecutorKind::Auto, Default::default());
         assert_eq!(a.structure, b.structure);
         assert_eq!(a.text, b.text);
     }

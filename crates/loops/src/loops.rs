@@ -101,38 +101,23 @@ pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
     }
 
     // 2. Natural-loop bodies, merged by header. Membership is a dense
-    // bit vector over the graph's block ids; blocks outside the view
-    // (edges into the function from elsewhere) spill into a small
-    // address set, preserving the historical flood semantics exactly.
-    let mut bodies: HashMap<u64, (Vec<bool>, BTreeSet<u64>)> = HashMap::new();
+    // bit vector over the graph's block ids: every block the flood can
+    // reach is a view block, because `CfgView` edges name members only.
+    let mut bodies: HashMap<u64, Vec<bool>> = HashMap::new();
+    let id = |b: u64| index.get(b).expect("CfgView edges name member blocks");
     for &(tail, header) in &back_edges {
-        let (marks, extra) =
-            bodies.entry(header).or_insert_with(|| (vec![false; index.len()], BTreeSet::new()));
-        marks[index.get(header).expect("header is a view block")] = true;
-        // Backward flood from tail, stopping at the header.
+        let marks = bodies.entry(header).or_insert_with(|| vec![false; index.len()]);
+        // Backward flood from tail; the header is marked first, so the
+        // flood stops there.
+        marks[id(header)] = true;
         let mut work = vec![tail];
         while let Some(n) = work.pop() {
-            match index.get(n) {
-                Some(i) if marks[i] => continue,
-                Some(i) => marks[i] = true,
-                None => {
-                    if !extra.insert(n) {
-                        continue;
-                    }
-                }
-            }
-            if n == header {
+            let i = id(n);
+            if marks[i] {
                 continue;
             }
-            for &(p, _) in view.pred_edges(n) {
-                let seen = match index.get(p) {
-                    Some(j) => marks[j],
-                    None => extra.contains(&p),
-                };
-                if !seen {
-                    work.push(p);
-                }
-            }
+            marks[i] = true;
+            work.extend(view.pred_edges(n).iter().map(|&(p, _)| p).filter(|&p| !marks[id(p)]));
         }
     }
 
@@ -140,10 +125,9 @@ pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
     // parents precede children.
     let mut loops: Vec<Loop> = bodies
         .into_iter()
-        .map(|(header, (marks, extra))| {
-            let mut body = extra;
+        .map(|(header, marks)| {
             // `BlockIndex::iter` is address-ascending: in-order inserts.
-            body.extend(index.iter().filter(|&(_, i)| marks[i]).map(|(a, _)| a));
+            let body = index.iter().filter(|&(_, i)| marks[i]).map(|(a, _)| a).collect();
             Loop { header, body, children: vec![], depth: 1 }
         })
         .collect();
@@ -166,6 +150,8 @@ pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
             }
         }
     }
+    // A parent always has a smaller index than its child, so its depth
+    // is final by the time the child reads it: one pass sets them all.
     let mut roots = Vec::new();
     for i in 0..n {
         match parent[i] {
@@ -174,16 +160,6 @@ pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
                 loops[p].children.push(i);
             }
             None => roots.push(i),
-        }
-    }
-    // Depths must be recomputed top-down because `depth` above read the
-    // parent's depth mid-construction; with size-descending order parents
-    // are processed first, so a single pass suffices — but nested chains
-    // need propagation.
-    let order: Vec<usize> = (0..n).collect();
-    for &i in &order {
-        if let Some(p) = parent[i] {
-            loops[i].depth = loops[p].depth + 1;
         }
     }
 

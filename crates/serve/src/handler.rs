@@ -267,8 +267,7 @@ pub fn sorted_features(session: &Session) -> Result<Vec<(u64, u64)>, Error> {
 pub fn slice_function(session: &Session, entry: u64) -> Result<Vec<SliceJump>, Error> {
     let ir = session.ir()?;
     let fir = ir.func(entry).ok_or_else(|| Error::FunctionNotFound(format!("{entry:#x}")))?;
-    let exec = session.config().executor;
-    Ok(indirect_jumps(fir).filter_map(|block| slice_row(fir, block, exec)).collect())
+    Ok(indirect_jumps(fir).filter_map(|block| slice_row(fir, block)).collect())
 }
 
 /// The member blocks of `fir` that end in an indirect jump, ascending.
@@ -279,8 +278,8 @@ fn indirect_jumps(fir: &FuncIr) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// One `slice_func` row: the jump at `block` sliced within `fir`.
-fn slice_row(fir: &FuncIr, block: u64, exec: ExecutorKind) -> Option<SliceJump> {
-    pba_dataflow::slice_indirect_jump_with(fir, block, exec).map(|o| SliceJump {
+fn slice_row(fir: &FuncIr, block: u64) -> Option<SliceJump> {
+    pba_dataflow::slice_indirect_jump_with(fir, block, ExecutorKind::Serial).map(|o| SliceJump {
         block,
         widened: o.widened,
         facts: o.facts.len() as u64,
@@ -312,14 +311,12 @@ mod tests {
                 Session::open(generate(&cfg).elf, SessionConfig::default().with_threads(2));
             let scan = pba_dataflow::collect_indirect_jumps(session.cfg().unwrap());
             let ir = session.ir().unwrap();
-            let exec = session.config().executor;
             let mut found = 0;
             for fir in ir.funcs() {
                 let want: Vec<u64> =
                     scan.iter().filter(|&&(f, _)| f == fir.entry()).map(|&(_, b)| b).collect();
                 assert_eq!(indirect_jumps(fir).collect::<Vec<_>>(), want, "{:#x}", fir.entry());
-                let rows: Vec<SliceJump> =
-                    want.iter().filter_map(|&b| slice_row(fir, b, exec)).collect();
+                let rows: Vec<SliceJump> = want.iter().filter_map(|&b| slice_row(fir, b)).collect();
                 assert_eq!(slice_function(&session, fir.entry()).unwrap(), rows);
                 found += want.len();
             }

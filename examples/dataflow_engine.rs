@@ -6,8 +6,7 @@
 //! cargo run --example dataflow_engine --release [THREADS]
 //! ```
 
-use pba::dataflow::engine::ExecutorKind;
-use pba::dataflow::{run_all_ir, BinaryIr, Height};
+use pba::dataflow::{run_all_ir, BinaryIr, ExecutorKind, Height};
 use pba::gen::{generate, GenConfig};
 use pba::parse::{parse_parallel, ParseInput};
 use std::time::Instant;
@@ -38,18 +37,14 @@ fn main() {
     println!("IR: {} instructions decoded in {:?}", ir.unique_block_insn_count(), t.elapsed());
 
     // The whole-binary driver: every function × three analyses, fanned
-    // across a rayon pool, under each per-function executor (both reach
-    // the same fixpoint; the serial run's facts are sampled below).
+    // across a rayon pool, each function's fixpoints on one worker.
     let t = Instant::now();
     let analyses = run_all_ir(&ir, threads, ExecutorKind::Serial);
-    let t_serial = t.elapsed();
-    let t = Instant::now();
-    std::hint::black_box(run_all_ir(&ir, threads, ExecutorKind::Parallel(threads)));
-    let t_parallel = t.elapsed();
-
-    println!("run_all_ir({threads} threads) over {} functions:", analyses.len());
-    println!("  {:<14} {t_serial:?}", "serial-exec");
-    println!("  {:<14} {t_parallel:?}", "parallel-exec");
+    println!(
+        "run_all_ir({threads} threads) over {} functions in {:?}",
+        analyses.len(),
+        t.elapsed()
+    );
 
     // Sample what the engine computed: the densest function's facts.
     let densest =

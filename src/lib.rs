@@ -55,12 +55,12 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`session`] | `pba-driver` | the [`Session`] handle: lazily-memoized artifact accessors (incl. the decode-once `ir()`), [`SessionConfig`], unified [`Error`], `resident_bytes` accounting for every memoized artifact |
-//! | [`concurrent`] | `pba-concurrent` | accessor-style concurrent hash map (TBB analogue), striped sets, counters, the block-or-share [`concurrent::Memo`] cell, the torn-read-free [`concurrent::FactSlots`] + single-residency [`concurrent::TaskSet`] behind `ExecutorKind::Async` |
+//! | [`concurrent`] | `pba-concurrent` | accessor-style concurrent hash map (TBB analogue), striped sets, counters, the block-or-share [`concurrent::Memo`] cell |
 //! | [`elf`] | `pba-elf` | ELF64 reader/writer, mini-demangler, the mmap-or-heap [`elf::ImageBytes`] shared input image |
 //! | [`isa`] | `pba-isa` | architecture-independent instructions; x86-64 + rv-lite codecs |
 //! | [`dwarf`] | `pba-dwarf` | DWARF-modeled debug info: encoder + parallel per-CU decoder |
 //! | [`cfg`](mod@cfg) | `pba-cfg` | CFG model with dense [`cfg::BlockIndex`]-backed adjacency, the six-operation algebra, the partial order, the reverse-postorder ranking |
-//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run by `ExecutorKind::run` — `Serial`, round-based `Parallel`, barrier-free `Async`, or size-picked `Auto` — with allocation-free fixpoints), the memory plane (`Arc<[Insn]>` shared block storage in `FuncIr`/`BinaryIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation |
+//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run to its least fixpoint by one allocation-free RPO worklist, `fixpoint`; parallel across functions by `run_all_ir`), the memory plane (`Arc<[Insn]>` shared block storage in `FuncIr`/`BinaryIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation |
 //! | [`loops`] | `pba-loops` | dominators (dense `Vec<u32>` idoms over the shared block index), natural loops, nesting forests |
 //! | [`parse`] | `pba-parse` | the serial & parallel CFG construction engine |
 //! | [`gen`] | `pba-gen` | synthetic workload generator with exact ground truth |
@@ -80,7 +80,7 @@ pub use pba_loops as loops;
 pub use pba_parse as parse;
 pub use pba_serve as serve;
 
-pub use pba_driver::{Error, ExecutorKind, Session, SessionConfig, SessionStats};
+pub use pba_driver::{Error, Session, SessionConfig, SessionStats};
 
 /// Program-structure recovery (the hpcstruct case study). The
 /// byte-level [`hpcstruct::analyze`] is a thin session layer from
