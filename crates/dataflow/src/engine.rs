@@ -507,11 +507,19 @@ mod tests {
     use pba_isa::{Insn, Reg};
 
     /// A toy forward "block counting" spec: each block's output is
-    /// `max(inputs) + 1`, so on an acyclic graph the fixpoint is the
-    /// longest distance from entry. Counts its `transfer_into` calls so
-    /// tests can pin that the fixpoint drives the in-place path.
+    /// `max(inputs) + 1`; the fixpoint is the longest acyclic distance
+    /// from entry, saturating on cycles at the cap. Counts its
+    /// `transfer_into` calls so tests can pin that the fixpoint drives
+    /// the in-place path.
     struct Depth {
+        cap: u32,
         into_calls: Counter,
+    }
+
+    impl Depth {
+        fn new(cap: u32) -> Depth {
+            Depth { cap, into_calls: Counter::new() }
+        }
     }
 
     impl DataflowSpec for Depth {
@@ -529,7 +537,7 @@ mod tests {
             *into = (*into).max(*incoming);
         }
         fn transfer(&self, _b: u64, input: &u32) -> u32 {
-            *input + 1
+            (*input + 1).min(self.cap)
         }
         fn transfer_into(&self, b: u64, input: &u32, out: &mut u32) {
             self.into_calls.inc();
@@ -554,7 +562,7 @@ mod tests {
     fn serial_reaches_expected_fixpoint() {
         let view = diamond();
         let graph = FlowGraph::build(&view);
-        let spec = Depth { into_calls: Counter::new() };
+        let spec = Depth::new(100);
         let (input, output) = fixpoint(&spec, &graph);
         let at = |b: u64| graph.index().get(b).unwrap();
         assert_eq!(input[at(1)], 1);
@@ -594,16 +602,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_executor_kind_runs_the_one_fixpoint() {
-        // `push` blocks past the old Auto threshold: an entry whose arms
-        // (one block, two blocks) meet at block 4 with different heights,
-        // then a chain from block 4 with a back edge to it. The RPO
-        // worklist visits the join once, after both arms, then sweeps the
-        // chain and revisits the join once for the back edge; a schedule
-        // that reaches the join through the short arm first sweeps the
-        // chain twice.
-        let n = auto_block_threshold() as u64 + 10;
+    /// `n` one-`push` blocks: an entry whose arms (one block, two
+    /// blocks) meet at block 4 with different heights, then a chain from
+    /// block 4 with a back edge to it. The RPO worklist visits the join
+    /// once, after both arms, then sweeps the chain and revisits the join
+    /// once for the back edge; a schedule that reaches the join through
+    /// the short arm first sweeps the chain twice.
+    fn looped_pushes(n: u64) -> CountingView {
+        assert!(n >= 6, "the loop needs blocks past the join");
         let mut push = vec![];
         encode::push_r(&mut push, Reg::RAX);
         let at = |i: u64| 0x1000 + 0x10 * i;
@@ -618,31 +624,95 @@ mod tests {
             (at(n - 1), at(4), EdgeKind::Direct),
         ];
         edges.extend((5..n).map(|i| (at(i - 1), at(i), EdgeKind::Fallthrough)));
-        let view =
-            CountingView { inner: VecView::new(at(0), blocks, edges), insns_calls: Counter::new() };
-        let graph = FlowGraph::build(&view);
-        assert!(graph.blocks.len() > auto_block_threshold());
+        CountingView { inner: VecView::new(at(0), blocks, edges), insns_calls: Counter::new() }
+    }
 
-        let serial = stack_heights_on(&view, &graph, ExecutorKind::Serial);
-        let serial_calls = view.insns_calls.get();
+    /// Stack heights on a [`looped_pushes`] view under `Serial` and then
+    /// under each of `execs`: every one must give the serial facts with
+    /// the serial number of transfers.
+    fn assert_match_serial(view: &CountingView, graph: &FlowGraph, execs: &[ExecutorKind]) {
+        let n = view.blocks().len() as u64;
+        let exit = *view.blocks().iter().max().unwrap();
+        let before = view.insns_calls.get();
+        let serial = stack_heights_on(view, graph, ExecutorKind::Serial);
+        let serial_calls = view.insns_calls.get() - before;
         assert_eq!(serial_calls, n + 1, "one sweep, then the join once more");
-        assert_eq!(serial.exit_frame(at(n - 1)).unwrap().sp, Height::Top, "the arms disagree");
-        let execs = [
-            ExecutorKind::Parallel(0),
-            ExecutorKind::Parallel(2),
-            ExecutorKind::Async(0),
-            ExecutorKind::Async(2),
-            ExecutorKind::Auto,
-        ];
-        for exec in execs {
+        assert_eq!(serial.exit_frame(exit).unwrap().sp, Height::Top, "the arms disagree");
+        for &exec in execs {
             let before = view.insns_calls.get();
-            let r = stack_heights_on(&view, &graph, exec);
+            let r = stack_heights_on(view, graph, exec);
             assert_eq!(view.insns_calls.get() - before, serial_calls, "{exec:?} transfer calls");
             for &b in view.blocks() {
                 assert_eq!(r.entry_frame(b), serial.entry_frame(b), "{exec:?} at {b:#x}");
                 assert_eq!(r.exit_frame(b), serial.exit_frame(b), "{exec:?} at {b:#x}");
             }
         }
+    }
+
+    #[test]
+    fn executors_agree_on_cyclic_graph_and_use_transfer_into() {
+        let mut view = diamond();
+        view.edges.push((4, 1, EdgeKind::Direct)); // loop back
+        let graph = FlowGraph::build(&view);
+        let spec = Depth::new(17);
+        let (input, output) = fixpoint(&spec, &graph);
+        assert!(spec.into_calls.get() > 0, "the hot loop goes through transfer_into");
+        assert!(output.iter().all(|&d| d == 17), "the loop saturates every block at the cap");
+        assert!(input.iter().all(|&d| d == 17), "inputs are recomputed from settled outputs");
+
+        let view = looped_pushes(8);
+        let graph = FlowGraph::build(&view);
+        let execs = [ExecutorKind::Parallel(0), ExecutorKind::Parallel(4), ExecutorKind::Async(4)];
+        assert_match_serial(&view, &graph, &execs);
+    }
+
+    #[test]
+    fn async_matches_serial_across_thread_counts() {
+        let view = looped_pushes(8);
+        let graph = FlowGraph::build(&view);
+        let execs = [0usize, 1, 2, 4, 8].map(ExecutorKind::Async);
+        assert_match_serial(&view, &graph, &execs);
+    }
+
+    #[test]
+    fn async_visit_count_stays_near_serial_on_a_chain() {
+        let n = 512u64;
+        let mut push = vec![];
+        encode::push_r(&mut push, Reg::RAX);
+        let at = |i: u64| 0x1000 + 0x10 * i;
+        let view = CountingView {
+            inner: VecView::new(
+                at(0),
+                (0..n)
+                    .map(|i| (at(i), at(i) + 1, vec![decode_one(&push, at(i)).unwrap()]))
+                    .collect(),
+                (1..n).map(|i| (at(i - 1), at(i), EdgeKind::Fallthrough)).collect(),
+            ),
+            insns_calls: Counter::new(),
+        };
+        let graph = FlowGraph::build(&view);
+        stack_heights_on(&view, &graph, ExecutorKind::Serial);
+        let serial_visits = view.insns_calls.get();
+        assert_eq!(serial_visits, n, "RPO settles a chain in one sweep");
+        stack_heights_on(&view, &graph, ExecutorKind::Async(1));
+        let async_visits = view.insns_calls.get() - serial_visits;
+        assert!(
+            async_visits <= serial_visits * 2,
+            "async {async_visits} visits vs serial {serial_visits}: runaway re-enqueue"
+        );
+    }
+
+    #[test]
+    fn auto_matches_serial_on_both_sides_of_the_threshold() {
+        let small = looped_pushes(8);
+        let graph = FlowGraph::build(&small);
+        assert!(graph.blocks.len() < auto_block_threshold());
+        assert_match_serial(&small, &graph, &[ExecutorKind::Auto]);
+
+        let large = looped_pushes(auto_block_threshold() as u64 + 10);
+        let graph = FlowGraph::build(&large);
+        assert!(graph.blocks.len() > auto_block_threshold());
+        assert_match_serial(&large, &graph, &[ExecutorKind::Auto]);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!    `transfer_into` path and recomputes inputs from settled outputs,
 //!    so this pins both against the reference fixpoints;
 //! 2. the `BinaryIr`-backed `run_all_ir` agrees with per-function
-//!    invocation.
+//!    invocation;
+//! 3. on a Skewed-profile corpus, whose giant function crosses the Auto
+//!    threshold, every `ExecutorKind` value gives the serial facts.
 
 use pba_dataflow::engine::ExecutorKind;
 use pba_dataflow::{
@@ -259,6 +261,53 @@ proptest! {
                     prop_assert_eq!(b.stack.entry_frame(blk), stack.entry_frame(blk));
                 }
                 prop_assert_eq!(&b.reaching.defs, &rd.defs);
+            }
+        }
+    }
+}
+
+/// The Skewed-profile corpus: one giant function (past the Auto
+/// threshold, thousands of blocks of deep diamond chains) among hundreds
+/// of small ones. All three analyses must be byte-identical to serial
+/// under every `Async` thread count and under `Auto`.
+#[test]
+fn async_matches_serial_on_skewed_corpus() {
+    let mut gen_cfg = pba_gen::Profile::Skewed.config(0xA51C);
+    gen_cfg.num_funcs = 40; // scale the small-function tail down for test time
+    let g = generate(&gen_cfg);
+    let elf = pba_elf::Elf::parse(g.elf).unwrap();
+    let input = pba_parse::ParseInput::from_elf(&elf).unwrap();
+    let cfg_graph = pba_parse::parse_parallel(&input, 2).cfg;
+    let giant =
+        cfg_graph.functions.values().map(|f| f.blocks.len()).max().expect("non-empty corpus");
+    assert!(giant > 1000, "Skewed profile must keep its giant function ({giant} blocks)");
+
+    for f in cfg_graph.functions.values() {
+        let view = FuncIr::build(&cfg_graph, f);
+        let graph = FlowGraph::build(&view);
+        let live = liveness_on(&view, &graph, ExecutorKind::Serial);
+        let stack = stack_heights_on(&view, &graph, ExecutorKind::Serial);
+        let rd = reaching_defs_on(&view, &graph, ExecutorKind::Serial);
+        let mut execs: Vec<ExecutorKind> =
+            [1usize, 2, 4, 8].iter().map(|&t| ExecutorKind::Async(t)).collect();
+        execs.push(ExecutorKind::Auto);
+        for exec in execs {
+            let l = liveness_on(&view, &graph, exec);
+            let s = stack_heights_on(&view, &graph, exec);
+            let r = reaching_defs_on(&view, &graph, exec);
+            for &b in view.blocks() {
+                assert_eq!(l.live_in(b), live.live_in(b), "{exec:?} liveness at {b:#x}");
+                assert_eq!(l.live_out(b), live.live_out(b), "{exec:?} liveness at {b:#x}");
+                assert_eq!(s.entry_frame(b), stack.entry_frame(b), "{exec:?} stack at {b:#x}");
+                assert_eq!(s.exit_frame(b), stack.exit_frame(b), "{exec:?} stack at {b:#x}");
+            }
+            assert_eq!(r.defs, rd.defs, "{exec:?} def table");
+            for &b in view.blocks() {
+                let mut got = r.reaching_at_entry(b);
+                let mut want = rd.reaching_at_entry(b);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{exec:?} reaching at {b:#x}");
             }
         }
     }

@@ -420,4 +420,22 @@ mod tests {
         assert_eq!(a.structure, b.structure);
         assert_eq!(a.text, b.text);
     }
+
+    #[test]
+    fn executor_choice_does_not_change_output() {
+        let bytes = sample();
+        let elf = pba_elf::Elf::parse(bytes.clone()).unwrap();
+        let di =
+            pba_dwarf::decode_parallel(pba_dwarf::decode::DebugSlices::from_elf(&elf)).unwrap();
+        let input = ParseInput::from_elf(&elf).unwrap();
+        let parsed = parse_parallel(&input, 2);
+        let ir = BinaryIr::build(&parsed.cfg, 2);
+        let hs = HsConfig { threads: 2, name: "t".into() };
+        let a =
+            analyze_artifacts(&di, &parsed.cfg, &ir, &hs, ExecutorKind::Serial, Default::default());
+        let b =
+            analyze_artifacts(&di, &parsed.cfg, &ir, &hs, ExecutorKind::Auto, Default::default());
+        assert_eq!(a.structure, b.structure);
+        assert_eq!(a.text, b.text);
+    }
 }
