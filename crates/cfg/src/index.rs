@@ -1,9 +1,12 @@
-//! Dense block indexing: the address → dense-id map every analysis
-//! layer shares.
+//! Dense block indexing: the address → dense-id map the analysis graphs
+//! share.
 //!
 //! A finalized CFG names blocks by start address, but every dense
-//! representation (fact vectors, adjacency lists, RPO ranks, dominator
-//! arrays) wants a compact `0..n` id per block. [`BlockIndex`] is that
+//! representation the analyses build over it (the dataflow flow graph's
+//! fact vectors and adjacency lists, RPO ranks, dominator arrays, loop
+//! bodies) wants a compact `0..n` id per block. The [`Cfg`](crate::Cfg)
+//! itself needs none: its edge arrays are sorted by address and searched
+//! directly. [`BlockIndex`] is that
 //! mapping, stored as a sorted `(addr, id)` array and queried by binary
 //! search — half the footprint of a hash map of the same size, no
 //! per-entry heap boxes, cache-friendly, and cheaply shareable behind an

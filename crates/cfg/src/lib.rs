@@ -23,10 +23,12 @@
 //!   and [`order::rpo_ranks_dense`], the one reverse-postorder numbering that
 //!   dominators and the dataflow engine's worklist share.
 //! * [`index`] — the shared dense block index: [`BlockIndex`] maps block
-//!   start addresses to stable `u32` ranks by binary search, so CFG
-//!   adjacency, dominators, loop bodies, and the dataflow specs key
-//!   their per-block storage by rank into plain `Vec`s instead of
-//!   addr-keyed hash maps (the memory plane's ID scheme).
+//!   start addresses to stable `u32` ranks by binary search, so the
+//!   analysis graphs' adjacency, dominators, loop bodies, and the
+//!   dataflow specs key their per-block storage by rank into plain
+//!   `Vec`s instead of addr-keyed hash maps (the memory plane's ID
+//!   scheme). [`Cfg`] keeps none: its edges sit in address-sorted
+//!   arrays that are searched directly.
 
 pub mod index;
 pub mod model;

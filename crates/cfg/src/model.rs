@@ -6,11 +6,13 @@
 //! becomes read-only and different threads can safely perform analysis
 //! independently" (paper Section 7.2). All containers here are plain
 //! (non-concurrent); `&Cfg` is `Sync` and that is all the parallel
-//! application pattern needs.
+//! application pattern needs. Edges are stored once, in the
+//! `(src, dst, kind)` order finalization already emits them in, plus one
+//! by-target copy for in-edges: adjacency is a binary search into those
+//! two arrays, with no per-block lists and no block index.
 
-use crate::index::BlockIndex;
 use pba_isa::{decoder_for, Arch, Insn};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Edge classification, following Dyninst's ParseAPI taxonomy.
@@ -198,105 +200,74 @@ impl CodeRegion {
 }
 
 /// A finalized control-flow graph.
+///
+/// Each edge is stored once in one array sorted by `(src, dst, kind)`,
+/// plus one by-target copy sorted by `(dst, src, kind)`; a block's out-
+/// and in-edges are contiguous runs of those two arrays.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     /// Blocks keyed by start address.
     pub blocks: BTreeMap<u64, Block>,
-    /// All edges.
-    pub edges: BTreeSet<Edge>,
     /// Functions keyed by entry address.
     pub functions: BTreeMap<u64, Function>,
     /// The code the graph was parsed from.
     pub code: Arc<CodeRegion>,
-    /// Dense ids for every edge endpoint (derived; built by
-    /// [`Cfg::index`]). The adjacency below is indexed by it, replacing
-    /// the former addr-keyed hash maps.
-    edge_nodes: BlockIndex,
-    /// Out-edge adjacency, indexed by [`Cfg::edge_nodes`] id.
-    succs: Vec<Vec<Edge>>,
-    /// In-edge adjacency, indexed by [`Cfg::edge_nodes`] id.
-    preds: Vec<Vec<Edge>>,
+    /// Every edge once, sorted by `(src, dst, kind)`.
+    edges: Vec<Edge>,
+    /// The same edges sorted by `(dst, src, kind)`.
+    by_dst: Vec<Edge>,
 }
 
 impl Cfg {
-    /// Assemble a CFG and build its edge indexes.
+    /// Assemble a CFG from `edges` in any order (duplicates are dropped).
     pub fn new(
         blocks: BTreeMap<u64, Block>,
-        edges: BTreeSet<Edge>,
+        mut edges: Vec<Edge>,
         functions: BTreeMap<u64, Function>,
         code: Arc<CodeRegion>,
     ) -> Cfg {
-        let mut cfg = Cfg {
-            blocks,
-            edges,
-            functions,
-            code,
-            edge_nodes: BlockIndex::default(),
-            succs: Vec::new(),
-            preds: Vec::new(),
-        };
-        cfg.index();
-        cfg
+        edges.sort_unstable();
+        edges.dedup();
+        let mut by_dst = edges.clone();
+        by_dst.sort_unstable_by_key(|e| (e.dst, e.src, e.kind));
+        Cfg { blocks, functions, code, edges, by_dst }
     }
 
-    fn index(&mut self) {
-        let mut nodes: Vec<u64> = self.edges.iter().flat_map(|e| [e.src, e.dst]).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        self.edge_nodes = BlockIndex::new(&nodes);
-        self.succs = vec![Vec::new(); nodes.len()];
-        self.preds = vec![Vec::new(); nodes.len()];
-        for &e in &self.edges {
-            self.succs[self.edge_nodes.get(e.src).expect("src indexed")].push(e);
-            self.preds[self.edge_nodes.get(e.dst).expect("dst indexed")].push(e);
-        }
-        for v in self.succs.iter_mut().chain(self.preds.iter_mut()) {
-            v.sort_unstable();
-        }
+    /// Every edge, sorted by `(src, dst, kind)`.
+    pub fn edges(&self) -> &[Edge] {
+        &self.edges
     }
 
-    /// Outgoing edges of the block starting at `b` (address-keyed seam
-    /// over the dense adjacency).
+    /// Outgoing edges of the block starting at `b`, by `(dst, kind)`.
     pub fn out_edges(&self, b: u64) -> &[Edge] {
-        self.edge_nodes.get(b).map(|i| self.succs[i].as_slice()).unwrap_or(&[])
+        let (lo, hi) =
+            (self.edges.partition_point(|e| e.src < b), self.edges.partition_point(|e| e.src <= b));
+        &self.edges[lo..hi]
     }
 
-    /// Incoming edges of the block starting at `b` (address-keyed seam
-    /// over the dense adjacency).
+    /// Incoming edges of the block starting at `b`, by `(src, kind)`.
     pub fn in_edges(&self, b: u64) -> &[Edge] {
-        self.edge_nodes.get(b).map(|i| self.preds[i].as_slice()).unwrap_or(&[])
+        let (lo, hi) = (
+            self.by_dst.partition_point(|e| e.dst < b),
+            self.by_dst.partition_point(|e| e.dst <= b),
+        );
+        &self.by_dst[lo..hi]
     }
 
-    /// Total instruction count (re-decodes; cheap enough for reporting).
-    pub fn insn_count(&self) -> usize {
-        self.blocks.values().map(|b| self.code.insns(b.start, b.end).len()).sum()
-    }
-
-    /// Estimated heap bytes held by this graph: blocks, edges, function
-    /// membership, the dense edge adjacency, and the retained code
-    /// bytes. An estimate (node-based containers are costed per entry),
-    /// used by the session's resident-size accounting.
+    /// Estimated heap bytes held by this graph: blocks, both edge
+    /// arrays, function membership, and the retained code bytes. An
+    /// estimate (node-based containers are costed per entry), used by
+    /// the session's resident-size accounting.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let blocks = self.blocks.len() * (size_of::<u64>() + size_of::<Block>());
-        let edges = self.edges.len() * size_of::<Edge>();
+        let edges = (self.edges.capacity() + self.by_dst.capacity()) * size_of::<Edge>();
         let functions: usize = self
             .functions
             .values()
             .map(|f| size_of::<Function>() + f.name.capacity() + f.blocks.capacity() * 8)
             .sum();
-        let adjacency: usize = self
-            .succs
-            .iter()
-            .chain(self.preds.iter())
-            .map(|v| size_of::<Vec<Edge>>() + v.capacity() * size_of::<Edge>())
-            .sum();
-        blocks
-            + edges
-            + functions
-            + adjacency
-            + self.edge_nodes.heap_bytes()
-            + self.code.bytes.capacity()
+        blocks + edges + functions + self.code.bytes.capacity()
     }
 
     /// Structural equality key: blocks, edges and function membership,
@@ -308,7 +279,7 @@ impl Cfg {
     pub fn canonical(&self) -> CanonicalCfg {
         CanonicalCfg {
             blocks: self.blocks.values().map(|b| (b.start, b.end)).collect(),
-            edges: self.edges.iter().copied().collect(),
+            edges: self.edges.clone(),
             functions: self
                 .functions
                 .values()
@@ -342,8 +313,7 @@ mod tests {
         let mut blocks = BTreeMap::new();
         blocks.insert(0x1000, Block { start: 0x1000, end: 0x1003 });
         blocks.insert(0x1003, Block { start: 0x1003, end: 0x1004 });
-        let mut edges = BTreeSet::new();
-        edges.insert(Edge { src: 0x1000, dst: 0x1003, kind: EdgeKind::Fallthrough });
+        let edges = vec![Edge { src: 0x1000, dst: 0x1003, kind: EdgeKind::Fallthrough }];
         let mut functions = BTreeMap::new();
         functions.insert(
             0x1000,
@@ -363,6 +333,48 @@ mod tests {
         assert_eq!(cfg.out_edges(0x1000).len(), 1);
         assert_eq!(cfg.in_edges(0x1003).len(), 1);
         assert!(cfg.out_edges(0x1003).is_empty());
+
+        // Any order, duplicates included: stored once, each array sorted.
+        let e = |src, dst, kind| Edge { src, dst, kind };
+        let (a, b, c) = (0x1000, 0x1003, 0x0F00);
+        let cfg = Cfg::new(
+            BTreeMap::new(),
+            vec![
+                e(b, a, EdgeKind::Direct),
+                e(a, c, EdgeKind::Call),
+                e(a, b, EdgeKind::CondTaken),
+                e(c, b, EdgeKind::Direct),
+                e(a, b, EdgeKind::CondTaken),
+                e(a, b, EdgeKind::Fallthrough),
+                e(b, a, EdgeKind::Direct),
+            ],
+            BTreeMap::new(),
+            region(),
+        );
+        assert_eq!(
+            cfg.edges(),
+            &[
+                e(c, b, EdgeKind::Direct),
+                e(a, c, EdgeKind::Call),
+                e(a, b, EdgeKind::Fallthrough),
+                e(a, b, EdgeKind::CondTaken),
+                e(b, a, EdgeKind::Direct),
+            ]
+        );
+        assert_eq!(cfg.out_edges(a), &cfg.edges()[1..4]);
+        assert_eq!(cfg.out_edges(b), &[e(b, a, EdgeKind::Direct)]);
+        // In-edges by source, then kind (not kind first).
+        assert_eq!(
+            cfg.in_edges(b),
+            &[
+                e(c, b, EdgeKind::Direct),
+                e(a, b, EdgeKind::Fallthrough),
+                e(a, b, EdgeKind::CondTaken),
+            ]
+        );
+        assert_eq!(cfg.in_edges(a), &[e(b, a, EdgeKind::Direct)]);
+        assert_eq!(cfg.in_edges(c), &[e(a, c, EdgeKind::Call)]);
+        assert!(cfg.in_edges(0x1001).is_empty() && cfg.out_edges(0x3000).is_empty());
     }
 
     #[test]

@@ -232,23 +232,41 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
         out
     }
 
-    /// Collect `(key, Arc)` pairs for offline iteration, e.g. the
-    /// finalization phase walking every block after traversal quiesces.
-    pub fn snapshot(&self) -> Vec<(K, Arc<RwLock<V>>)> {
-        let mut out = Vec::with_capacity(self.len());
+    /// Visit each entry under its read lock, with no shard lock held. The
+    /// callback must not touch this map (deadlock risk); intended for
+    /// quiescent phases.
+    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
+        let mut entries = Vec::with_capacity(self.len());
         for s in self.shards.iter() {
-            out.extend(s.read().iter().map(|(k, v)| (k.clone(), Arc::clone(v))));
+            entries.extend(s.read().iter().map(|(k, v)| (k.clone(), Arc::clone(v))));
         }
-        out
+        for (k, arc) in entries {
+            f(&k, &arc.read());
+        }
     }
 
-    /// Visit each entry under its read lock. The callback must not touch
-    /// this map (deadlock risk); intended for quiescent phases.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for (k, arc) in self.snapshot() {
-            let g = arc.read();
-            f(&k, &g);
+    /// Consume the map into its `(key, value)` pairs, in no particular
+    /// order: the hand-off from a concurrent phase to code that owns the
+    /// data outright (the parser's finalization). A value is moved out of
+    /// its entry; one that an accessor still holds is cloned under the
+    /// entry's read lock instead, so a reader never blocks the hand-off
+    /// and a writer on another thread is waited for, never torn. As with
+    /// [`Self::find`], a write accessor held by the calling thread itself
+    /// deadlocks.
+    pub fn into_entries(self) -> Vec<(K, V)>
+    where
+        V: Clone,
+    {
+        let mut out = Vec::with_capacity(self.len());
+        for shard in self.shards.into_vec() {
+            out.extend(shard.into_inner().into_iter().map(|(k, arc)| {
+                let v = Arc::try_unwrap(arc)
+                    .map(RwLock::into_inner)
+                    .unwrap_or_else(|arc| arc.read().clone());
+                (k, v)
+            }));
         }
+        out
     }
 }
 
@@ -369,6 +387,36 @@ mod tests {
         assert!(m.remove(&9).is_some());
         assert_eq!(*acc, 99, "accessor outlives removal");
         assert!(m.find(&9).is_none());
+    }
+
+    #[test]
+    fn into_entries_moves_free_values_and_clones_held_ones() {
+        let m: ConcurrentHashMap<u64, Vec<u64>> = ConcurrentHashMap::with_shards(4);
+        for k in 0..8 {
+            m.insert(k, vec![k]);
+        }
+        // A reader on this thread: its entry is cloned, not waited on.
+        let reader = m.find(&3).unwrap();
+        // A writer still holds its accessor when the hand-off starts on
+        // another thread: however the two interleave, the hand-off comes
+        // back with the writer's value, never a torn or lost one.
+        let (mut writer, _) = m.insert_with(9, Vec::new);
+        let started = Barrier::new(2);
+        let mut entries = std::thread::scope(|scope| {
+            let handoff = scope.spawn(|| {
+                started.wait();
+                m.into_entries()
+            });
+            started.wait();
+            writer.push(99);
+            drop(writer);
+            handoff.join().unwrap()
+        });
+        entries.sort_unstable();
+        let mut want: Vec<(u64, Vec<u64>)> = (0..8).map(|k| (k, vec![k])).collect();
+        want.push((9, vec![99]));
+        assert_eq!(entries, want);
+        assert_eq!(*reader, vec![3], "the held accessor still reads its own copy");
     }
 
     #[test]

@@ -355,7 +355,7 @@ mod tests {
     use pba_cfg::{Block, CodeRegion, Edge, RetStatus};
     use pba_isa::x86::encode;
     use pba_isa::{Arch, Reg};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     #[test]
     fn from_view_preserves_shape_and_summaries() {
@@ -372,10 +372,10 @@ mod tests {
             (0x1000, Block { start: 0x1000, end: b1 }),
             (b1, Block { start: b1, end }),
         ]);
-        let edges = BTreeSet::from([
+        let edges = vec![
             Edge { src: 0x1000, dst: b1, kind: EdgeKind::CallFallthrough },
             Edge { src: 0x1000, dst: 0x1500, kind: EdgeKind::Call },
-        ]);
+        ];
         let f = Function {
             entry: 0x1000,
             name: "f".into(),

@@ -1,6 +1,11 @@
 //! CFG finalization (paper Section 5.4): remove wrong elements,
 //! determine function boundaries. No new CFG elements are added.
 //!
+//! Finalization owns the traversal state: it takes each concurrent map
+//! apart with `into_entries` into a plain map or list before step 1, so
+//! every step below edits owned data and no concurrent map survives
+//! traversal.
+//!
 //! 1. **Jump-table finalization** — only now are all table locations
 //!    known, so unbounded (over-approximated) tables are clamped at the
 //!    next table's start ("compilers do not emit overlapping jump
@@ -22,47 +27,43 @@
 //! kind in place, so the adjacency is built once and never rebuilt.
 //! Reachability marks a `Vec<u32>` stamp per worker instead of
 //! inserting into a set, and the memberships of a round that corrected
-//! nothing are the final ones.
+//! nothing are the final ones. The surviving edges leave in that same
+//! array order, which is the `Cfg`'s `(src, dst, kind)` order.
 
-use crate::state::{RawJumpTable, State};
+use crate::state::{FuncState, RawJumpTable, State};
+use crate::stats::ParseStats;
 use crate::ParseResult;
 use pba_cfg::{Block, Cfg, Edge, EdgeKind, Function, RetStatus};
 use pba_concurrent::fxhash::FxHashMap;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+
+/// Out-edges keyed by source block end, as traversal recorded them.
+type EdgeLists = FxHashMap<u64, Vec<(u64, EdgeKind)>>;
 
 /// Clamp over-approximated jump tables against the next table start.
-fn clamp_jump_tables(state: &State<'_>) {
-    let mut tables: Vec<RawJumpTable> =
-        state.jts.snapshot().into_iter().map(|(_, v)| v.read().clone()).collect();
+fn clamp_jump_tables(mut tables: Vec<RawJumpTable>, edges: &mut EdgeLists, stats: &ParseStats) {
     tables.sort_by_key(|t| t.table_addr);
     let starts: Vec<u64> = tables.iter().filter(|t| t.stride > 0).map(|t| t.table_addr).collect();
 
-    for t in &tables {
+    for t in &mut tables {
         if t.stride == 0 {
             continue;
         }
         if !t.bounded {
             // The next table that starts after ours bounds our extent.
             if let Some(next) = starts.iter().copied().find(|&s| s > t.table_addr) {
-                let max_entries = ((next - t.table_addr) / t.stride as u64) as usize;
-                if t.targets.len() > max_entries {
-                    if let Some(mut acc) = state.jts.find_mut(&t.block_end) {
-                        acc.targets.truncate(max_entries);
-                    }
-                }
+                t.targets.truncate(((next - t.table_addr) / t.stride as u64) as usize);
             }
         }
         // Drop every indirect edge at this jump that is not in the final
         // target set — covers both the clamp above and stale edges from
         // earlier (wider) refinement rounds.
-        let final_targets: Vec<u64> =
-            state.jts.find(&t.block_end).map(|a| a.targets.clone()).unwrap_or_default();
-        if let Some(mut acc) = state.edges.find_mut(&t.block_end) {
-            acc.retain(|&(d, k)| {
-                let keep = k != EdgeKind::Indirect || final_targets.contains(&d);
+        if let Some(list) = edges.get_mut(&t.block_end) {
+            list.retain(|&(d, k)| {
+                let keep = k != EdgeKind::Indirect || t.targets.contains(&d);
                 if !keep {
-                    state.stats.jt_edges_clamped.inc();
+                    stats.jt_edges_clamped.inc();
                 }
                 keep
             });
@@ -75,49 +76,49 @@ fn clamp_jump_tables(state: &State<'_>) {
 /// `[a, b) →ft [b, c)` where `b` is not a real control-flow boundary any
 /// more; merging restores the original block (and with it, clean linear
 /// decoding). Only pure split artifacts qualify: the fall-through must
-/// be `[a, b)`'s sole out-edge and `[b, c)`'s sole in-edge.
-fn merge_split_remnants(state: &State<'_>) {
+/// be `[a, b)`'s sole out-edge and `[b, c)`'s sole in-edge. `blocks` maps
+/// start → end, `block_ends` end → start.
+fn merge_split_remnants(
+    blocks: &mut FxHashMap<u64, u64>,
+    block_ends: &mut FxHashMap<u64, u64>,
+    edges: &mut EdgeLists,
+    funcs: &FxHashMap<u64, FuncState>,
+) {
     loop {
         // In-degree over all current edges.
         let mut indeg: FxHashMap<u64, usize> = FxHashMap::default();
-        let snapshot = state.edges.snapshot();
-        for (_, list) in &snapshot {
-            for &(dst, _) in list.read().iter() {
-                *indeg.entry(dst).or_insert(0) += 1;
-            }
+        for &(dst, _) in edges.values().flatten() {
+            *indeg.entry(dst).or_insert(0) += 1;
         }
+        // A function entry is a real boundary even with no incoming
+        // edges (multi-entry functions, Power-style secondary entries):
+        // never merge it away.
+        let artifacts: Vec<u64> = edges
+            .iter()
+            .filter(|&(&b, list)| {
+                list[..] == [(b, EdgeKind::Fallthrough)]
+                    && indeg.get(&b) == Some(&1)
+                    && !funcs.contains_key(&b)
+            })
+            .map(|(&b, _)| b)
+            .collect();
         let mut merged_any = false;
-        for (src_end, list) in &snapshot {
-            let is_pure_ft = {
-                let l = list.read();
-                l.len() == 1 && l[0] == (*src_end, EdgeKind::Fallthrough)
-            };
-            if !is_pure_ft || indeg.get(src_end).copied().unwrap_or(0) != 1 {
-                continue;
-            }
-            let b = *src_end;
-            // A function entry is a real boundary even with no incoming
-            // edges (multi-entry functions, Power-style secondary
-            // entries): never merge it away.
-            if state.funcs.contains_key(&b) {
-                continue;
-            }
+        for b in artifacts {
             // [a, b) and [b, c) must both exist.
-            let Some(a) = state.block_ends.find(&b).map(|x| *x) else { continue };
-            let Some(c) = state.blocks.find(&b).map(|x| x.end) else { continue };
+            let (Some(&a), Some(&c)) = (block_ends.get(&b), blocks.get(&b)) else { continue };
             if c == 0 || a == b {
                 continue;
             }
             // Merge: extend [a, b) to c, drop [b, c) and the artifact.
-            if let Some(mut acc) = state.blocks.find_mut(&a) {
-                acc.end = c;
+            if let Some(end) = blocks.get_mut(&a) {
+                *end = c;
             }
-            state.blocks.remove(&b);
-            state.block_ends.remove(&b);
-            if let Some(mut acc) = state.block_ends.find_mut(&c) {
-                *acc = a;
+            blocks.remove(&b);
+            block_ends.remove(&b);
+            if let Some(start) = block_ends.get_mut(&c) {
+                *start = a;
             }
-            state.edges.remove(&b);
+            edges.remove(&b);
             merged_any = true;
         }
         if !merged_any {
@@ -163,7 +164,10 @@ impl DenseGraph {
     /// target is not a block are dropped. Where one source has several
     /// edges to one target, the last kind other than `Fallthrough`
     /// stands (a split's implicit link never hides a real branch).
-    fn new(mut blocks: Vec<(u64, u64)>, edge_lists: Vec<(u64, Vec<(u64, EdgeKind)>)>) -> Self {
+    fn new(
+        mut blocks: Vec<(u64, u64)>,
+        edge_lists: impl IntoIterator<Item = (u64, Vec<(u64, EdgeKind)>)>,
+    ) -> Self {
         blocks.sort_unstable();
         let id_of_start: FxHashMap<u64, u32> =
             blocks.iter().enumerate().map(|(i, &(s, _))| (s, i as u32)).collect();
@@ -314,39 +318,29 @@ impl DenseGraph {
 
 /// Finalize: consume the traversal state, return the CFG + stats.
 pub fn finalize(state: State<'_>) -> ParseResult {
+    // Traversal has quiesced: take every map apart into owned data, so
+    // nothing below locks an entry or clones a value.
+    let State { input, blocks, block_ends, edges, funcs, jts, stats, .. } = state;
+    let mut blocks: FxHashMap<u64, u64> =
+        blocks.into_entries().into_iter().map(|(s, rec)| (s, rec.end)).collect();
+    let mut block_ends: FxHashMap<u64, u64> = block_ends.into_entries().into_iter().collect();
+    let mut edges: EdgeLists = edges.into_entries().into_iter().collect();
+    let funcs: FxHashMap<u64, FuncState> = funcs.into_entries().into_iter().collect();
+    let tables: Vec<RawJumpTable> = jts.into_entries().into_iter().map(|(_, t)| t).collect();
+
     // ---- step 1: jump-table clamping + split repair ----
-    clamp_jump_tables(&state);
-    merge_split_remnants(&state);
+    clamp_jump_tables(tables, &mut edges, &stats);
+    merge_split_remnants(&mut blocks, &mut block_ends, &mut edges, &funcs);
 
     // ---- materialize blocks & edges on dense ids ----
-    let blocks: Vec<(u64, u64)> = state
-        .blocks
-        .snapshot()
-        .into_iter()
-        .filter_map(|(s, rec)| {
-            let end = rec.read().end;
-            (end > s).then_some((s, end))
-        })
-        .collect();
-    // The state is consumed here: take the lists, don't copy them.
-    let edge_lists: Vec<(u64, Vec<(u64, EdgeKind)>)> = state
-        .edges
-        .snapshot()
-        .into_iter()
-        .map(|(end, list)| (end, std::mem::take(&mut *list.write())))
-        .collect();
-    let mut graph = DenseGraph::new(blocks, edge_lists);
+    let mut graph =
+        DenseGraph::new(blocks.into_iter().filter(|&(s, end)| end > s).collect(), edges);
 
     // Function set: entry block id → (entry, name, status, seeded). Ids
     // ascend with addresses, so this iterates in entry order.
-    let mut funcs: BTreeMap<u32, (Option<String>, RetStatus, bool)> = state
-        .funcs
-        .snapshot()
+    let mut funcs: BTreeMap<u32, (Option<String>, RetStatus, bool)> = funcs
         .into_iter()
-        .filter_map(|(entry, st)| {
-            let st = st.read();
-            Some((graph.id_of(entry)?, (st.name.clone(), st.status, st.seeded)))
-        })
+        .filter_map(|(entry, st)| Some((graph.id_of(entry)?, (st.name, st.status, st.seeded))))
         .collect();
 
     // ---- step 2: tail-call correction + boundaries (iterative) ----
@@ -369,7 +363,7 @@ pub fn finalize(state: State<'_>) -> ParseResult {
         for (e, new_kind) in flips {
             graph.kinds[e] = new_kind;
             flipped[e] = true;
-            state.stats.tailcall_flips.inc();
+            stats.tailcall_flips.inc();
             // A new tail call labels a function entry (O_FEI).
             if new_kind == EdgeKind::TailCall {
                 funcs.entry(graph.dst[e]).or_insert_with(|| (None, RetStatus::Unset, false));
@@ -412,7 +406,9 @@ pub fn finalize(state: State<'_>) -> ParseResult {
         .filter(|(_, &live)| live)
         .map(|(&(s, e), _)| (s, Block { start: s, end: e }))
         .collect();
-    let final_edges: BTreeSet<Edge> = (0..graph.kinds.len())
+    // Dense edge order is `(source, target)` with one kind per pair, and
+    // ids ascend with addresses: this is already the `Cfg`'s edge order.
+    let final_edges: Vec<Edge> = (0..graph.kinds.len())
         .filter(|&e| live[graph.src[e] as usize] && live[graph.dst[e] as usize])
         .map(|e| Edge {
             src: start_of(graph.src[e]),
@@ -438,8 +434,8 @@ pub fn finalize(state: State<'_>) -> ParseResult {
         })
         .collect();
 
-    let cfg = Cfg::new(final_blocks, final_edges, final_funcs, state.input.code.clone());
-    ParseResult { cfg, stats: state.stats }
+    let cfg = Cfg::new(final_blocks, final_edges, final_funcs, input.code.clone());
+    ParseResult { cfg, stats }
 }
 
 #[cfg(test)]
@@ -452,7 +448,7 @@ mod tests {
     fn graph(starts: &[u64], edges: &[(u64, &[(u64, EdgeKind)])]) -> DenseGraph {
         DenseGraph::new(
             starts.iter().map(|&s| (s, s + 0x10)).collect(),
-            edges.iter().map(|&(src, list)| (src + 0x10, list.to_vec())).collect(),
+            edges.iter().map(|&(src, list)| (src + 0x10, list.to_vec())),
         )
     }
 

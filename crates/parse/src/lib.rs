@@ -71,9 +71,13 @@
 //!   part is a table read and a comparison, and it is what converges
 //!   the clamp.
 //!
-//! Finalization works on dense block ids (blocks sorted by address
-//! once, edges in one `(source, target)`-sorted array with CSR offsets,
-//! reachability by stamp array): see [`finalize`].
+//! Finalization takes the traversal state by value: each concurrent map
+//! is taken apart into plain owned maps (`ConcurrentHashMap::into_entries`),
+//! so no accessor map survives traversal and finalization locks nothing.
+//! It then works on dense block ids (blocks sorted by address once,
+//! edges in one `(source, target)`-sorted array with CSR offsets,
+//! reachability by stamp array) and hands that edge array to the
+//! [`pba_cfg::Cfg`] as it stands: see [`finalize`].
 //!
 //! `parse_serial` is the same engine on a one-thread pool — the paper's
 //! serial baseline — and the determinism tests assert that any thread

@@ -484,16 +484,11 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
     // (jump end, function, current jump block) per table. The jump's
     // block may have been split since discovery; the current owner of
     // the end is the block that actually holds the indirect jump now.
-    let tables: Vec<(u64, u64, u64)> = state
-        .jts
-        .snapshot()
-        .into_iter()
-        .map(|(e, jt)| {
-            let jt = jt.read();
-            let cur_start = state.block_ends.find(&e).map(|a| *a).unwrap_or(jt.block_start);
-            (e, jt.func, cur_start)
-        })
-        .collect();
+    let mut tables: Vec<(u64, u64, u64)> = Vec::new();
+    state.jts.for_each(|&e, jt| {
+        let cur_start = state.block_ends.find(&e).map(|a| *a).unwrap_or(jt.block_start);
+        tables.push((e, jt.func, cur_start));
+    });
 
     // Slice: one view per function, shared by its tables, and only for
     // functions whose subgraph changed. Slices read the graph and write

@@ -102,9 +102,19 @@ proptest! {
             prev_end = b.end;
         }
         // Edges reference existing blocks.
-        for e in &cfg.edges {
+        for e in cfg.edges() {
             prop_assert!(cfg.blocks.contains_key(&e.src), "dangling edge src {:#x}", e.src);
             prop_assert!(cfg.blocks.contains_key(&e.dst), "dangling edge dst {:#x}", e.dst);
+        }
+        // Adjacency contract: the edge array is strictly increasing, and
+        // each block's out-/in-edges are exactly its edges in
+        // `(src, dst, kind)` order.
+        prop_assert!(cfg.edges().windows(2).all(|w| w[0] < w[1]), "edges not strictly sorted");
+        for &b in cfg.blocks.keys() {
+            let out: Vec<_> = cfg.edges().iter().filter(|e| e.src == b).copied().collect();
+            let inc: Vec<_> = cfg.edges().iter().filter(|e| e.dst == b).copied().collect();
+            prop_assert_eq!(cfg.out_edges(b), &out[..], "out-edges of {:#x}", b);
+            prop_assert_eq!(cfg.in_edges(b), &inc[..], "in-edges of {:#x}", b);
         }
         // Functions: entry is a member block; members exist; every block
         // belongs to at least one function.

@@ -28,7 +28,7 @@ fn main() {
         "parsed: {} functions, {} blocks, {} edges ({} threads)",
         cfg.functions.len(),
         cfg.blocks.len(),
-        cfg.edges.len(),
+        cfg.edges().len(),
         session.config().effective_threads()
     );
     let s = session.parse_stats().expect("stats follow the parse");

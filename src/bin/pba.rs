@@ -201,7 +201,7 @@ fn run(args: &[String]) -> Result<i32, Error> {
             println!("parsed in {:.1} ms on {threads} threads", dt * 1e3);
             println!("functions          {:>10}", cfg.functions.len());
             println!("blocks             {:>10}", cfg.blocks.len());
-            println!("edges              {:>10}", cfg.edges.len());
+            println!("edges              {:>10}", cfg.edges().len());
             println!("insns decoded      {:>10}", s.insns_decoded);
             println!("cache hits         {:>10}", s.cache_hits);
             println!("split iterations   {:>10}", s.split_iterations);
