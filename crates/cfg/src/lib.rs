@@ -35,7 +35,7 @@ pub mod model;
 pub mod ops;
 pub mod order;
 
-pub use index::BlockIndex;
+pub use index::{BlockIndex, Csr};
 pub use model::{Block, Cfg, CodeRegion, Edge, EdgeKind, Function, RetStatus};
 pub use ops::{AbsGraph, CodeOracle, SyntheticCode};
 pub use order::graph_le;

@@ -141,7 +141,7 @@ pub struct CodeRegion {
     /// The text bytes.
     pub bytes: Vec<u8>,
     /// Instructions decoded from this region through block reads
-    /// ([`CodeRegion::insns`] — the path every analysis consumer takes;
+    /// ([`CodeRegion::insns_into`] — the path every analysis consumer takes;
     /// clones share the counter). The decode-once invariant of the
     /// shared analysis IR is asserted against exactly this number.
     decodes: Arc<pba_concurrent::Counter>,
@@ -153,7 +153,7 @@ impl CodeRegion {
         CodeRegion { arch, base, bytes, decodes: Arc::new(pba_concurrent::Counter::new()) }
     }
 
-    /// How many instructions block reads ([`CodeRegion::insns`]) have
+    /// How many instructions block reads ([`CodeRegion::insns_into`]) have
     /// decoded from this region so far (across all clones sharing it).
     /// Monotonic; sample before/after a pipeline to measure its decode
     /// work. Counted once per block read, not per instruction, so the
@@ -176,12 +176,20 @@ impl CodeRegion {
         decoder_for(self.arch).decode(&self.bytes[off..], addr).ok()
     }
 
-    /// Iterate the instructions of `[start, end)` in address order.
-    /// Stops early on a decode failure (which a finalized CFG's blocks
-    /// never trigger). Adds the decoded count to [`Self::decode_count`]
-    /// in one batched increment.
+    /// The instructions of `[start, end)` in address order (see
+    /// [`Self::insns_into`]).
     pub fn insns(&self, start: u64, end: u64) -> Vec<Insn> {
         let mut out = Vec::new();
+        self.insns_into(start, end, &mut out);
+        out
+    }
+
+    /// Append the instructions of `[start, end)` to `out` in address
+    /// order. Stops early on a decode failure (which a finalized CFG's
+    /// blocks never trigger). Adds the decoded count to
+    /// [`Self::decode_count`] in one batched increment.
+    pub fn insns_into(&self, start: u64, end: u64, out: &mut Vec<Insn>) {
+        let before = out.len();
         let mut at = start;
         while at < end {
             match self.decode(at) {
@@ -192,10 +200,9 @@ impl CodeRegion {
                 None => break,
             }
         }
-        if !out.is_empty() {
-            self.decodes.add(out.len() as u64);
+        if out.len() > before {
+            self.decodes.add((out.len() - before) as u64);
         }
-        out
     }
 }
 

@@ -18,6 +18,7 @@
 //! reverse-postorder numbering over a dense adjacency that dominator
 //! construction and the dataflow engine's worklist priority both use.
 
+use crate::index::Csr;
 use crate::model::EdgeKind;
 use crate::ops::{AbsEdge, AbsGraph};
 
@@ -82,7 +83,7 @@ pub fn graph_le(a: &AbsGraph, b: &AbsGraph) -> bool {
     a.funcs.iter().all(|f| b.funcs.contains(f))
 }
 
-/// Reverse-postorder *ranks* over a dense-index adjacency: `succs[i]`
+/// Reverse-postorder *ranks* over a dense-index adjacency: `succs.row(i)`
 /// lists the successors of block `i` as `(index, payload)` pairs and
 /// `roots` seeds the traversal. Returns `(rank, reachable)` where
 /// `rank[i]` = position of block `i` in the reverse postorder and
@@ -93,8 +94,8 @@ pub fn graph_le(a: &AbsGraph, b: &AbsGraph) -> bool {
 /// allocation — this is the form the dataflow engine's worklist
 /// priority consumes, and the reachable cut is what dominator
 /// construction keys its RPO walk on.
-pub fn rpo_ranks_dense<E>(succs: &[Vec<(usize, E)>], roots: &[usize]) -> (Vec<u32>, usize) {
-    let n = succs.len();
+pub fn rpo_ranks_dense<E>(succs: &Csr<(u32, E)>, roots: &[usize]) -> (Vec<u32>, usize) {
+    let n = succs.rows();
     let mut seen = vec![false; n];
     let mut po: Vec<usize> = Vec::with_capacity(n);
     // Iterative DFS: (block, next successor index to try).
@@ -106,7 +107,8 @@ pub fn rpo_ranks_dense<E>(succs: &[Vec<(usize, E)>], roots: &[usize]) -> (Vec<u3
         seen[root] = true;
         stack.push((root, 0));
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if let Some(&(s, _)) = succs[b].get(*i) {
+            if let Some(&(s, _)) = succs.row(b).get(*i) {
+                let s = s as usize;
                 *i += 1;
                 if !seen[s] {
                     seen[s] = true;
@@ -139,8 +141,9 @@ mod tests {
     use crate::ops::{construct_reference, SynCf, SynInsn, SyntheticCode};
 
     /// Adjacency with unit payloads from plain successor lists.
-    fn adj(succs: &[&[usize]]) -> Vec<Vec<(usize, ())>> {
-        succs.iter().map(|s| s.iter().map(|&d| (d, ())).collect()).collect()
+    fn adj(succs: &[&[usize]]) -> Csr<(u32, ())> {
+        let pairs = succs.iter().enumerate().flat_map(|(i, s)| s.iter().map(move |&d| (i, d)));
+        Csr::group(succs.len(), pairs.map(|(i, d)| (i, (d as u32, ()))))
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::reaching::{reaching_defs_on, ReachingDefs};
 use crate::stack::{stack_heights_on, StackResult};
 use crate::view::CfgView;
 use pba_cfg::order::rpo_ranks_dense;
-use pba_cfg::{BlockIndex, EdgeKind};
+use pba_cfg::{BlockIndex, Csr, EdgeKind};
 use rayon::prelude::*;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -133,8 +133,8 @@ struct DirInfo {
 
 /// The CFG shape [`fixpoint`] iterates over, precomputed once per
 /// function from a [`CfgView`]: dense indices, successor/predecessor
-/// adjacency, the entry block, and (memoized per direction) the
-/// RPO ranks the worklist prioritizes by. Shared via
+/// adjacency as [`Csr`] rows, the entry block, and (memoized per
+/// direction) the RPO ranks the worklist prioritizes by. Shared via
 /// [`crate::ir::FuncIr`], one graph serves every analysis of a function
 /// and the rank computation happens at most once per direction.
 #[derive(Debug)]
@@ -143,8 +143,8 @@ pub struct FlowGraph {
     /// results packaged from this graph).
     pub blocks: Arc<Vec<u64>>,
     index: Arc<BlockIndex>,
-    succs: Vec<Vec<(usize, EdgeKind)>>,
-    preds: Vec<Vec<(usize, EdgeKind)>>,
+    pub(crate) succs: Csr<(u32, EdgeKind)>,
+    pub(crate) preds: Csr<(u32, EdgeKind)>,
     entry: Option<usize>,
     fwd: OnceLock<DirInfo>,
     bwd: OnceLock<DirInfo>,
@@ -153,34 +153,32 @@ pub struct FlowGraph {
 impl FlowGraph {
     /// Capture `view`'s intra-procedural shape.
     pub fn build(view: &dyn CfgView) -> FlowGraph {
-        let blocks: Vec<u64> = view.blocks().to_vec();
-        let entry = view.entry();
-        let mut edges = Vec::new();
-        for &b in &blocks {
-            for &(s, kind) in view.succ_edges(b) {
-                edges.push((b, s, kind));
-            }
-        }
-        FlowGraph::from_parts(blocks, entry, &edges)
+        let blocks = view.blocks();
+        let edges =
+            blocks.iter().flat_map(|&b| view.succ_edges(b).iter().map(move |&(s, k)| (b, s, k)));
+        FlowGraph::from_parts(blocks, view.entry(), edges)
     }
 
     /// Assemble a graph from an explicit block list and edge list
     /// (edges whose endpoints are not in `blocks` are dropped). This is
     /// what [`crate::ir::FuncIr`] and the slice's cone restriction use
-    /// to build graphs without an intermediate view.
-    pub fn from_parts(blocks: Vec<u64>, entry: u64, edges: &[(u64, u64, EdgeKind)]) -> FlowGraph {
-        let index = BlockIndex::new(&blocks);
-        let mut succs = vec![Vec::new(); blocks.len()];
-        let mut preds = vec![Vec::new(); blocks.len()];
-        for &(src, dst, kind) in edges {
-            if let (Some(i), Some(j)) = (index.get(src), index.get(dst)) {
-                succs[i].push((j, kind));
-                preds[j].push((i, kind));
-            }
-        }
+    /// to build graphs without an intermediate view. Each block's
+    /// successors and predecessors keep the order of `edges`.
+    pub fn from_parts(
+        blocks: &[u64],
+        entry: u64,
+        edges: impl IntoIterator<Item = (u64, u64, EdgeKind)>,
+    ) -> FlowGraph {
+        let index = BlockIndex::new(blocks);
+        let dense: Vec<(usize, usize, EdgeKind)> = edges
+            .into_iter()
+            .filter_map(|(src, dst, kind)| Some((index.get(src)?, index.get(dst)?, kind)))
+            .collect();
+        let succs = Csr::group(blocks.len(), dense.iter().map(|&(i, j, k)| (i, (j as u32, k))));
+        let preds = Csr::group(blocks.len(), dense.iter().map(|&(i, j, k)| (j, (i as u32, k))));
         let entry = index.get(entry);
         FlowGraph {
-            blocks: Arc::new(blocks),
+            blocks: Arc::new(blocks.to_vec()),
             index: Arc::new(index),
             succs,
             preds,
@@ -201,13 +199,13 @@ impl FlowGraph {
         match dir {
             Direction::Forward => self.entry.into_iter().collect(),
             Direction::Backward => {
-                (0..self.blocks.len()).filter(|&i| self.succs[i].is_empty()).collect()
+                (0..self.blocks.len()).filter(|&i| self.succs.row(i).is_empty()).collect()
             }
         }
     }
 
     /// Edges pointing into a block, under `dir`.
-    fn dir_preds(&self, dir: Direction) -> &[Vec<(usize, EdgeKind)>] {
+    fn dir_preds(&self, dir: Direction) -> &Csr<(u32, EdgeKind)> {
         match dir {
             Direction::Forward => &self.preds,
             Direction::Backward => &self.succs,
@@ -215,7 +213,7 @@ impl FlowGraph {
     }
 
     /// Edges leaving a block, under `dir`.
-    fn dir_succs(&self, dir: Direction) -> &[Vec<(usize, EdgeKind)>] {
+    fn dir_succs(&self, dir: Direction) -> &Csr<(u32, EdgeKind)> {
         match dir {
             Direction::Forward => &self.succs,
             Direction::Backward => &self.preds,
@@ -261,16 +259,10 @@ impl FlowGraph {
     /// adjacency. Fixed once the graph exists; the memoized direction
     /// metadata is [`FlowGraph::rank_heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let adjacency: usize = self
-            .succs
-            .iter()
-            .chain(self.preds.iter())
-            .map(|v| {
-                size_of::<Vec<(usize, EdgeKind)>>() + v.capacity() * size_of::<(usize, EdgeKind)>()
-            })
-            .sum();
-        self.blocks.capacity() * size_of::<u64>() + self.index.heap_bytes() + adjacency
+        self.blocks.capacity() * std::mem::size_of::<u64>()
+            + self.index.heap_bytes()
+            + self.succs.heap_bytes()
+            + self.preds.heap_bytes()
     }
 
     /// Heap bytes of the direction metadata (RPO ranks, source flags)
@@ -311,7 +303,8 @@ fn recompute_input_into<S: DataflowSpec>(
     into: &mut S::Fact,
 ) {
     let addr = graph.blocks[b];
-    for &(p, kind) in &graph.dir_preds(dir)[b] {
+    for &(p, kind) in graph.dir_preds(dir).row(b) {
+        let p = p as usize;
         // Reconstruct the CFG-oriented edge: forward problems receive
         // facts along `p → b`, backward ones along `b → p`.
         let (src, dst) = match dir {
@@ -415,7 +408,8 @@ fn settle<S: DataflowSpec>(spec: &S, graph: &FlowGraph) -> (Vec<S::Fact>, Vec<S:
         spec.transfer_into(graph.blocks[b], &in_scratch, &mut out_scratch);
         if out_scratch != output[b] {
             std::mem::swap(&mut output[b], &mut out_scratch);
-            for &(s, _) in &graph.dir_succs(dir)[b] {
+            for &(s, _) in graph.dir_succs(dir).row(b) {
+                let s = s as usize;
                 if !queued[s] {
                     queued[s] = true;
                     heap.push((std::cmp::Reverse(info.rank[s]), s));

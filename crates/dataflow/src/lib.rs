@@ -48,14 +48,14 @@
 //!
 //! ## The decode-once IR and the memory plane
 //!
-//! [`ir::FuncIr`] is the per-function artifact every analysis shares:
-//! per-block decoded-instruction arenas, the intra-procedural
-//! adjacency, the [`engine::FlowGraph`] with memoized RPO ranks, and
-//! per-block summary bits (`ends_in_call`, terminator kind).
-//! [`ir::BinaryIr`] maps the whole binary, decoding each unique block
-//! exactly once — and *storing* it exactly once: each unique block is
-//! one `Arc<[Insn]>`, and functions sharing a block (error paths,
-//! outlined `.cold` fragments) hold handles to the same storage, so a
+//! [`ir::BinaryIr`] is the artifact every analysis shares, stored flat:
+//! one instruction arena for the whole binary — each unique block
+//! decoded exactly once, in parallel chunks, into one `Vec<Insn>` in
+//! block-address order — and one [`ir::FuncIr`] per function holding
+//! its blocks' arena ids, its intra-procedural adjacency as
+//! [`pba_cfg::Csr`] rows, and the [`engine::FlowGraph`] (itself CSR)
+//! with memoized RPO ranks. Functions sharing a block (error paths,
+//! outlined `.cold` fragments) read the same arena slice, so a
 //! resident session pins what its unique data costs
 //! ([`ir::BinaryIr::shared_insn_bytes`]). Downstream, the analyses are
 //! dense end-to-end: every spec and result keys per-block facts by the
@@ -102,7 +102,7 @@ pub use engine::{
     ExecutorKind, FlowGraph, FuncAnalyses,
 };
 pub use expr::Expr;
-pub use ir::{BinaryIr, BlockSummary, FuncIr};
+pub use ir::{BinaryIr, FuncIr};
 pub use liveness::{liveness_on, LivenessResult};
 pub use reaching::{reaching_defs_on, Def, ReachingDefs};
 pub use slice::{

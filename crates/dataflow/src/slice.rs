@@ -411,13 +411,11 @@ impl<'a> SliceSpec<'a> {
             level = level.end..cone.len();
         }
         cone.sort_unstable();
-        let mut edges = Vec::new();
-        for &b in &cone {
-            edges.extend(view.succ_edges(b).iter().map(|&(d, kind)| (b, d, kind)));
-        }
+        let edges =
+            cone.iter().flat_map(|&b| view.succ_edges(b).iter().map(move |&(d, k)| (b, d, k)));
+        let graph = FlowGraph::from_parts(&cone, view.entry(), edges);
         let insns = cone.iter().map(|&b| view.insns(b)).collect();
         let widened = cone.iter().map(|_| Cell::new(false)).collect();
-        let graph = FlowGraph::from_parts(cone, view.entry(), &edges);
         Some(SliceSpec { jump_block, seed, graph, insns, widened })
     }
 }

@@ -5,10 +5,11 @@
 //! asking for a block's instructions, the block list, or an adjacency
 //! list costs neither a decode nor an allocation. Three implementations
 //! exist: [`crate::ir::FuncIr`] over a finalized [`pba_cfg::Cfg`] (the
-//! one the applications use — one decoded-instruction arena per
-//! function, built once), the parser's internal snapshot of a function
-//! mid-construction (what jump-table slicing runs on while the CFG is
-//! still growing), and [`VecView`] for unit tests.
+//! one the applications use — slices of the binary's one
+//! decoded-instruction arena, built once), the parser's internal
+//! snapshot of a function mid-construction (what jump-table slicing
+//! runs on while the CFG is still growing), and [`VecView`] for unit
+//! tests.
 
 use pba_cfg::EdgeKind;
 use pba_isa::Insn;
@@ -43,9 +44,8 @@ pub trait CfgView: Sync {
     fn insns(&self, block: u64) -> &[Insn];
 
     /// Whether the block's last instruction is a call with a
-    /// fall-through (affects liveness at call boundaries).
-    /// [`crate::ir::FuncIr`] overrides this with a precomputed summary
-    /// bit; the default reads the (already decoded) terminator.
+    /// fall-through (affects liveness at call boundaries). Read off the
+    /// (already decoded) terminator.
     fn ends_in_call(&self, block: u64) -> bool {
         self.insns(block)
             .last()

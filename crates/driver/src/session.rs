@@ -282,13 +282,13 @@ impl Session {
         self.parse_result().map(|r| r.stats.snapshot())
     }
 
-    /// The decode-once analysis IR: one [`pba_dataflow::FuncIr`] per
-    /// function (instruction arena, adjacency, memoized RPO ranks,
-    /// block summaries), built in parallel with every unique block
-    /// decoded exactly once. Every downstream analysis artifact —
-    /// `dataflow()`, `structure()`, `features()`, the loop forests —
-    /// borrows this IR, so "decode once per binary" is a structural
-    /// invariant of the session (`tests/ir.rs` asserts it).
+    /// The decode-once analysis IR: one instruction arena for the
+    /// binary and one [`pba_dataflow::FuncIr`] per function (arena ids,
+    /// adjacency, memoized RPO ranks), built in parallel with every
+    /// unique block decoded exactly once. Every downstream analysis
+    /// artifact — `dataflow()`, `structure()`, `features()`, the loop
+    /// forests — borrows this IR, so "decode once per binary" is a
+    /// structural invariant of the session (`tests/ir.rs` asserts it).
     pub fn ir(&self) -> Result<&BinaryIr, Error> {
         self.ir
             .get_or_compute(|| {

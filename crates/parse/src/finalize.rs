@@ -22,9 +22,10 @@
 //! by start address once and a block's index in that order is its id
 //! (so ascending ids are ascending addresses, and every sorted output
 //! the `Cfg` wants falls out of plain iteration). Edges become one
-//! array sorted by `(source id, target id)` with CSR offsets for the
-//! out- and in-adjacency; a tail-call correction rewrites an edge's
-//! kind in place, so the adjacency is built once and never rebuilt.
+//! array sorted by `(source id, target id)` with [`Csr`] rows of edge
+//! ids for the out- and in-adjacency; a tail-call correction rewrites
+//! an edge's kind in place, so the adjacency is built once and never
+//! rebuilt.
 //! Reachability marks a `Vec<u32>` stamp per worker instead of
 //! inserting into a set, and the memberships of a round that corrected
 //! nothing are the final ones. The surviving edges leave in that same
@@ -33,7 +34,7 @@
 use crate::state::{FuncState, RawJumpTable, State};
 use crate::stats::ParseStats;
 use crate::ParseResult;
-use pba_cfg::{Block, Cfg, Edge, EdgeKind, Function, RetStatus};
+use pba_cfg::{Block, Cfg, Csr, Edge, EdgeKind, Function, RetStatus};
 use pba_concurrent::fxhash::FxHashMap;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -138,24 +139,10 @@ struct DenseGraph {
     /// Current classification of edge `e` (tail-call correction
     /// rewrites it in place).
     kinds: Vec<EdgeKind>,
-    /// Block `b`'s out-edges are `out_start[b]..out_start[b + 1]`.
-    out_start: Vec<u32>,
-    /// Block `b`'s in-edges are `in_edges[in_start[b]..in_start[b + 1]]`.
-    in_start: Vec<u32>,
-    in_edges: Vec<u32>,
-}
-
-/// Offsets of each of `n` buckets in an array sorted (or counted) by
-/// `bucket_of`: `offsets[b]..offsets[b + 1]` is bucket `b`.
-fn bucket_offsets(n: usize, bucket_of: impl Iterator<Item = u32>) -> Vec<u32> {
-    let mut offsets = vec![0u32; n + 1];
-    for b in bucket_of {
-        offsets[b as usize + 1] += 1;
-    }
-    for b in 0..n {
-        offsets[b + 1] += offsets[b];
-    }
-    offsets
+    /// Row `b`: the ids of block `b`'s out-edges, ascending.
+    outs: Csr<u32>,
+    /// Row `b`: the ids of block `b`'s in-edges, ascending.
+    ins: Csr<u32>,
 }
 
 impl DenseGraph {
@@ -194,27 +181,23 @@ impl DenseGraph {
         let src: Vec<u32> = edges.iter().map(|e| e.0).collect();
         let dst: Vec<u32> = edges.iter().map(|e| e.1).collect();
         let kinds: Vec<EdgeKind> = edges.iter().map(|e| e.2).collect();
-        let out_start = bucket_offsets(n, src.iter().copied());
-        let in_start = bucket_offsets(n, dst.iter().copied());
-        let mut fill = in_start.clone();
-        let mut in_edges = vec![0u32; edges.len()];
-        for (e, &d) in dst.iter().enumerate() {
-            in_edges[fill[d as usize] as usize] = e as u32;
-            fill[d as usize] += 1;
-        }
-        DenseGraph { blocks, src, dst, kinds, out_start, in_start, in_edges }
+        let ids_by = |end: &[u32]| {
+            Csr::group(n, end.iter().enumerate().map(|(e, &b)| (b as usize, e as u32)))
+        };
+        let (outs, ins) = (ids_by(&src), ids_by(&dst));
+        DenseGraph { blocks, src, dst, kinds, outs, ins }
     }
 
     fn id_of(&self, start: u64) -> Option<u32> {
         self.blocks.binary_search_by_key(&start, |b| b.0).ok().map(|i| i as u32)
     }
 
-    fn out_edges(&self, b: u32) -> std::ops::Range<usize> {
-        self.out_start[b as usize] as usize..self.out_start[b as usize + 1] as usize
+    fn out_edges(&self, b: u32) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.outs.row(b as usize).iter().map(|&e| e as usize)
     }
 
     fn in_edges(&self, b: u32) -> &[u32] {
-        &self.in_edges[self.in_start[b as usize] as usize..self.in_start[b as usize + 1] as usize]
+        self.ins.row(b as usize)
     }
 
     /// Per entry: its member blocks (ascending) by intra-procedural

@@ -7,7 +7,7 @@ use crate::cache::{Cached, SessionCache};
 use crate::proto::{BinSpec, Request, Response, ServeStats, SliceJump, TopkHit};
 use pba_binfeat::{rank_topk, CorpusIndex};
 use pba_concurrent::Counter;
-use pba_dataflow::{ExecutorKind, FuncIr};
+use pba_dataflow::{CfgView, ExecutorKind, FuncIr};
 use pba_driver::{Error, Session};
 use pba_elf::ImageBytes;
 use pba_isa::ControlFlow;
@@ -262,7 +262,8 @@ pub fn sorted_features(session: &Session) -> Result<Vec<(u64, u64)>, Error> {
 /// block address — the deterministic wire form of a `slice_func` query.
 /// This is what the handler serves and what the equivalence tests run
 /// in-process for comparison. The jumps are found in the function's own
-/// IR block summaries (no decoding, nothing outside the function read):
+/// IR, by each block's last instruction (no decoding, nothing outside
+/// the function read):
 /// the blocks [`pba_dataflow::collect_indirect_jumps`] lists for `entry`.
 pub fn slice_function(session: &Session, entry: u64) -> Result<Vec<SliceJump>, Error> {
     let ir = session.ir()?;
@@ -273,7 +274,7 @@ pub fn slice_function(session: &Session, entry: u64) -> Result<Vec<SliceJump>, E
 /// The member blocks of `fir` that end in an indirect jump, ascending.
 fn indirect_jumps(fir: &FuncIr) -> impl Iterator<Item = u64> + '_ {
     fir.blocks().iter().copied().filter(|&b| {
-        fir.summary(b).is_some_and(|s| s.terminator == Some(ControlFlow::IndirectBranch))
+        fir.insns(b).last().is_some_and(|i| i.control_flow() == ControlFlow::IndirectBranch)
     })
 }
 

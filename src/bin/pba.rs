@@ -42,6 +42,7 @@
 use pba::gen::{generate, GenConfig};
 use pba::serve::{BinSpec, Client, Request, Response, ServeAddr, ServeConfig, Server};
 use pba::{Error, Session, SessionConfig};
+use std::io::{self, Write};
 
 fn usage() -> ! {
     eprintln!(
@@ -70,14 +71,29 @@ fn parse_u64(s: &str) -> Result<u64, Error> {
     parsed.map_err(|_| Error::Protocol(format!("not a number: {s:?}")))
 }
 
+/// Why a subcommand stopped early: an analysis error, or a failed
+/// write to stdout.
+enum Stop {
+    Error(Error),
+    Stdout(io::Error),
+}
+
+impl From<Error> for Stop {
+    fn from(e: Error) -> Stop {
+        Stop::Error(e)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        Stop::Stdout(e)
+    }
+}
+
 /// One response, one line of JSON on stdout — greppable from scripts.
-/// A closed pipe (`pba query ... | head`) is not an error worth dying
-/// loudly for, so the write failure is swallowed.
-fn print_json<T: serde::Serialize>(msg: &T) -> Result<(), Error> {
-    use std::io::Write;
+fn print_json<T: serde::Serialize>(out: &mut impl Write, msg: &T) -> Result<(), Stop> {
     let line = serde_json::to_string(msg).map_err(|e| Error::Protocol(e.to_string()))?;
-    let _ = writeln!(std::io::stdout(), "{line}");
-    Ok(())
+    Ok(writeln!(out, "{line}")?)
 }
 
 /// The one JSON line `pba topk` prints: corpus size, exact-cosine
@@ -106,33 +122,39 @@ fn config(args: &[String], name: &str) -> SessionConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The single place analysis errors become exit codes.
-    match run(&args) {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let result = run(&args, &mut out);
+    let flushed = out.flush();
+    // The single place errors become exit codes. A closed stdout is a
+    // reader that has all it wanted (`pba ... | head`): a clean exit.
+    let e = match result.and_then(|code| Ok(flushed.map(|()| code)?)) {
         Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("pba: {e}");
-            std::process::exit(e.exit_code());
-        }
-    }
+        Err(Stop::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(Stop::Stdout(e)) => Error::Io { path: "stdout".into(), message: e.to_string() },
+        Err(Stop::Error(e)) => e,
+    };
+    eprintln!("pba: {e}");
+    std::process::exit(e.exit_code())
 }
 
-fn run(args: &[String]) -> Result<i32, Error> {
+fn run(args: &[String], out: &mut impl Write) -> Result<i32, Stop> {
     match args.first().map(String::as_str) {
         Some("functions") => {
             let path = args.get(1).unwrap_or_else(|| usage());
             let session = Session::open_path(path, config(args, path))?;
             let cfg = session.cfg()?;
-            println!("{:<40} {:>18} {:>7} {:>7}  status", "name", "entry", "blocks", "edges");
+            writeln!(out, "{:<40} {:>18} {:>7} {:>7}  status", "name", "entry", "blocks", "edges")?;
             for f in cfg.functions.values() {
                 let edges: usize = f.blocks.iter().map(|b| cfg.out_edges(*b).len()).sum();
-                println!(
+                writeln!(
+                    out,
                     "{:<40} {:>#18x} {:>7} {:>7}  {:?}",
                     pba::elf::demangle::pretty_name(&f.name),
                     f.entry,
                     f.blocks.len(),
                     edges,
                     f.ret_status
-                );
+                )?;
             }
             Ok(0)
         }
@@ -149,15 +171,15 @@ fn run(args: &[String]) -> Result<i32, Error> {
                         || pba::elf::demangle::pretty_name(&f.name).contains(name.as_str())
                 })
                 .ok_or_else(|| Error::FunctionNotFound(name.clone()))?;
-            println!("{} at {:#x}:", f.name, f.entry);
+            writeln!(out, "{} at {:#x}:", f.name, f.entry)?;
             for &b in &f.blocks {
                 let blk = &cfg.blocks[&b];
-                println!("  block [{:#x}, {:#x})", blk.start, blk.end);
+                writeln!(out, "  block [{:#x}, {:#x})", blk.start, blk.end)?;
                 for i in cfg.code.insns(blk.start, blk.end) {
-                    println!("    {:#x}  {}", i.addr, i.mnemonic());
+                    writeln!(out, "    {:#x}  {}", i.addr, i.mnemonic())?;
                 }
                 for e in cfg.out_edges(b) {
-                    println!("    -> {:#x} ({:?})", e.dst, e.kind);
+                    writeln!(out, "    -> {:#x} ({:?})", e.dst, e.kind)?;
                 }
             }
             Ok(0)
@@ -165,14 +187,14 @@ fn run(args: &[String]) -> Result<i32, Error> {
         Some("struct") => {
             let path = args.get(1).unwrap_or_else(|| usage());
             let session = Session::open_path(path, config(args, path))?;
-            let out = session.structure()?;
-            print!("{}", out.text);
+            let hs = session.structure()?;
+            write!(out, "{}", hs.text)?;
             eprintln!(
                 "# {} functions, {} loops, {} statements in {:.1} ms",
-                out.structure.functions.len(),
-                out.structure.loop_count(),
-                out.structure.stmt_count(),
-                out.times.total() * 1e3
+                hs.structure.functions.len(),
+                hs.structure.loop_count(),
+                hs.structure.stmt_count(),
+                hs.times.total() * 1e3
             );
             if args.iter().any(|a| a == "--stats") {
                 // One machine-readable line (the same SessionStats the
@@ -198,28 +220,28 @@ fn run(args: &[String]) -> Result<i32, Error> {
             let dt = t.elapsed().as_secs_f64();
             let s = session.parse_stats()?;
             let threads = session.config().effective_threads();
-            println!("parsed in {:.1} ms on {threads} threads", dt * 1e3);
-            println!("functions          {:>10}", cfg.functions.len());
-            println!("blocks             {:>10}", cfg.blocks.len());
-            println!("edges              {:>10}", cfg.edges().len());
-            println!("insns decoded      {:>10}", s.insns_decoded);
-            println!("cache hits         {:>10}", s.cache_hits);
-            println!("split iterations   {:>10}", s.split_iterations);
-            println!("noreturn waits     {:>10}", s.noreturn_waits);
-            println!("noreturn resumes   {:>10}", s.noreturn_resumes);
-            println!("jts bounded        {:>10}", s.jt_bounded);
-            println!("jts unbounded      {:>10}", s.jt_unbounded);
-            println!("jt edges clamped   {:>10}", s.jt_edges_clamped);
-            println!("tailcall flips     {:>10}", s.tailcall_flips);
-            println!("sweep walks        {:>10}", s.sweep_views);
-            println!("refine reanalyses  {:>10}", s.refine_reanalyses);
+            writeln!(out, "parsed in {:.1} ms on {threads} threads", dt * 1e3)?;
+            writeln!(out, "functions          {:>10}", cfg.functions.len())?;
+            writeln!(out, "blocks             {:>10}", cfg.blocks.len())?;
+            writeln!(out, "edges              {:>10}", cfg.edges().len())?;
+            writeln!(out, "insns decoded      {:>10}", s.insns_decoded)?;
+            writeln!(out, "cache hits         {:>10}", s.cache_hits)?;
+            writeln!(out, "split iterations   {:>10}", s.split_iterations)?;
+            writeln!(out, "noreturn waits     {:>10}", s.noreturn_waits)?;
+            writeln!(out, "noreturn resumes   {:>10}", s.noreturn_resumes)?;
+            writeln!(out, "jts bounded        {:>10}", s.jt_bounded)?;
+            writeln!(out, "jts unbounded      {:>10}", s.jt_unbounded)?;
+            writeln!(out, "jt edges clamped   {:>10}", s.jt_edges_clamped)?;
+            writeln!(out, "tailcall flips     {:>10}", s.tailcall_flips)?;
+            writeln!(out, "sweep walks        {:>10}", s.sweep_views)?;
+            writeln!(out, "refine reanalyses  {:>10}", s.refine_reanalyses)?;
             for (phase, ns) in [
                 ("traverse", s.traverse_ns),
                 ("sweep", s.sweep_ns),
                 ("refine", s.refine_ns),
                 ("finalize", s.finalize_ns),
             ] {
-                println!("{:<18} {:>8.1}ms", format!("{phase} phase"), ns as f64 * 1e-6);
+                writeln!(out, "{:<18} {:>8.1}ms", format!("{phase} phase"), ns as f64 * 1e-6)?;
             }
             Ok(0)
         }
@@ -244,29 +266,30 @@ fn run(args: &[String]) -> Result<i32, Error> {
                     eprintln!("mismatch: {} at {:#x}", f.name, f.entry);
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "selftest: {}/{} functions exact",
                 g.truth.functions.len() - bad,
                 g.truth.functions.len()
-            );
+            )?;
             Ok(if bad == 0 { 0 } else { 1 })
         }
         Some("gen") => {
-            let out = args.get(1).unwrap_or_else(|| usage());
-            if out.starts_with('-') {
+            let path = args.get(1).unwrap_or_else(|| usage());
+            if path.starts_with('-') {
                 // `pba gen --funcs 40` once wrote an ELF named `--funcs`.
                 eprintln!(
-                    "pba gen: output path {out:?} looks like an option (write ./{out} to mean it)"
+                    "pba gen: output path {path:?} looks like an option (write ./{path} to mean it)"
                 );
                 usage();
             }
             let funcs = flag(args, "--funcs").unwrap_or(64);
             let seed = flag(args, "--seed").unwrap_or(0x5E1F) as u64;
             let g = generate(&GenConfig { num_funcs: funcs, seed, ..Default::default() });
-            std::fs::write(out, &g.elf)
-                .map_err(|e| Error::Io { path: out.clone(), message: e.to_string() })?;
+            std::fs::write(path, &g.elf)
+                .map_err(|e| Error::Io { path: path.clone(), message: e.to_string() })?;
             eprintln!(
-                "# wrote {out}: {} bytes, {} functions (seed {seed:#x})",
+                "# wrote {path}: {} bytes, {} functions (seed {seed:#x})",
                 g.elf.len(),
                 g.truth.functions.len()
             );
@@ -282,7 +305,7 @@ fn run(args: &[String]) -> Result<i32, Error> {
             eprintln!("# pba daemon on {} (cache cap {cap_mib} MiB)", server.local_addr());
             let stats = server.run()?;
             // Lifetime counters as the daemon's last word, one JSON line.
-            print_json(&stats)?;
+            print_json(out, &stats)?;
             Ok(0)
         }
         Some("topk") => {
@@ -333,8 +356,8 @@ fn run(args: &[String]) -> Result<i32, Error> {
             query.features()?;
             let qf = match query.into_features() {
                 Some(Ok(f)) => f.index,
-                Some(Err(e)) => return Err(e),
-                None => return Err(Error::Protocol("query features unavailable".into())),
+                Some(Err(e)) => return Err(e.into()),
+                None => return Err(Error::Protocol("query features unavailable".into()).into()),
             };
             let result = index.query_topk(&qf, k, None);
             let hits = result
@@ -345,11 +368,10 @@ fn run(args: &[String]) -> Result<i32, Error> {
                     TopkHit { path: path.unwrap_or_default(), hash: h.hash, score: h.score }
                 })
                 .collect();
-            print_json(&TopkReport {
-                corpus: index.len() as u64,
-                candidates: result.candidates,
-                hits,
-            })?;
+            print_json(
+                out,
+                &TopkReport { corpus: index.len() as u64, candidates: result.candidates, hits },
+            )?;
             Ok(0)
         }
         Some("query") => {
@@ -397,7 +419,7 @@ fn run(args: &[String]) -> Result<i32, Error> {
                 eprintln!("pba: server error: {message}");
                 return Ok(*code);
             }
-            print_json(&reply)?;
+            print_json(out, &reply)?;
             Ok(0)
         }
         _ => usage(),

@@ -59,8 +59,8 @@
 //! | [`elf`] | `pba-elf` | ELF64 reader/writer, mini-demangler, the mmap-or-heap [`elf::ImageBytes`] shared input image |
 //! | [`isa`] | `pba-isa` | architecture-independent instructions; x86-64 + rv-lite codecs |
 //! | [`dwarf`] | `pba-dwarf` | DWARF-modeled debug info: encoder + parallel per-CU decoder |
-//! | [`cfg`](mod@cfg) | `pba-cfg` | CFG model with dense [`cfg::BlockIndex`]-backed adjacency, the six-operation algebra, the partial order, the reverse-postorder ranking |
-//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run to its least fixpoint by one allocation-free RPO worklist, `fixpoint`; parallel across functions by `run_all_ir`), the memory plane (`Arc<[Insn]>` shared block storage in `FuncIr`/`BinaryIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation |
+//! | [`cfg`](mod@cfg) | `pba-cfg` | CFG model with each edge stored once in address-sorted arrays, the dense [`cfg::BlockIndex`] and [`cfg::Csr`] adjacency the analysis graphs use, the six-operation algebra, the partial order, the reverse-postorder ranking |
+//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run to its least fixpoint by one allocation-free RPO worklist, `fixpoint`; parallel across functions by `run_all_ir`), the memory plane (one instruction arena per binary in `BinaryIr`, CSR adjacency in `FuncIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation |
 //! | [`loops`] | `pba-loops` | dominators (dense `Vec<u32>` idoms over the shared block index), natural loops, nesting forests |
 //! | [`parse`] | `pba-parse` | the serial & parallel CFG construction engine |
 //! | [`gen`] | `pba-gen` | synthetic workload generator with exact ground truth |

@@ -1,7 +1,8 @@
 //! The `pba` binary's argument handling, driven as a process.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// A fresh scratch directory; the binary runs with it as its cwd, so a
 /// misparsed output path cannot land in the repository.
@@ -78,5 +79,29 @@ fn topk_prints_one_json_line_with_the_query_as_its_own_best_hit() {
     let score = rest.find(r#","score":"#).unwrap_or_else(|| panic!("{line}"));
     assert!(rest[..score].bytes().all(|b| b.is_ascii_digit()), "hash is an integer: {line}");
     assert!(rest[score..].starts_with(r#","score":1.0}"#), "{line}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `pba functions <elf> | head -1`: the reader takes one line and closes
+/// the pipe while `pba` still has far more than a pipe buffer (64 KiB)
+/// to write. The run must end with exit 0, not a panic.
+#[test]
+fn a_reader_that_stops_after_one_line_ends_the_run_cleanly() {
+    let dir = scratch("pipe");
+    assert!(pba(&dir, &["gen", "big.elf", "--funcs", "2000"]).status.success());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pba"))
+        .current_dir(&dir)
+        .args(["functions", "big.elf"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(first.starts_with("name"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
