@@ -6,7 +6,9 @@
 //! digests below were generated at the commit before the parser's sweep
 //! / refine / finalize rewrite (`085b4e1`) and are checked in as
 //! constants: every thread count, scheduling and decode-cache setting
-//! must still reproduce them.
+//! must still reproduce them. The `SERVE_GOLDEN` rows (the daemon
+//! benchmark's switch-heavy shape) were added, generated the same way,
+//! before the jump-table slice was rewritten for cost.
 //!
 //! A digest is FNV-1a-64 over `cfg.canonical()` (blocks, edges,
 //! per-function membership and `ret_status`) followed by the sorted
@@ -58,6 +60,22 @@ const GOLDEN: [(&str, u64, u64, [u64; 7]); 21] = [
     ("skewed", 0x5eedba5e, 0x6e18e361a24b402e, [668, 914, 48, 214, 1, 0, 3432]),
     ("skewed", 0x1346233, 0x9b7cd3531b2c9ca5, [683, 932, 48, 223, 1, 0, 3189]),
 ];
+
+/// The switch-heavy shape the daemon benchmark serves (`serve()`): its
+/// parse is mostly jump-table slicing, which the profiles above exercise
+/// lightly. Same columns as [`GOLDEN`], one row per seed.
+#[rustfmt::skip]
+const SERVE_GOLDEN: [(&str, u64, u64, [u64; 7]); 3] = [
+    ("serve", 0xb, 0x255a15465efe728c, [2305, 3508, 140, 502, 107, 25, 9811]),
+    ("serve", 0x5eedba5e, 0x236abcafe125f775, [2232, 3398, 140, 452, 95, 37, 9331]),
+    ("serve", 0x1346233, 0xe4eddfea851a483a, [2245, 3408, 140, 505, 103, 29, 9400]),
+];
+
+/// 140 functions, every one with a switch: the daemon benchmark's
+/// working-set binaries without their debug info and appended variants.
+fn serve(seed: u64) -> GenConfig {
+    GenConfig { seed, num_funcs: 140, pct_switch: 1.0, debug_info: false, ..Default::default() }
+}
 
 /// The profile at a twentieth of its function count (at least 48), no
 /// debug info (the parser never reads it), a small giant for `Skewed`.
@@ -149,6 +167,29 @@ fn t1(input: &ParseInput) -> ParseResult {
     parse(input, &ParseConfig { threads: 1, ..Default::default() })
 }
 
+/// Check one golden row: the exact 1-thread counters, then the digest at
+/// every thread count, scheduling and decode-cache setting.
+fn check(name: &str, seed: u64, input: &ParseInput, want: u64, want_counters: [u64; 7]) {
+    let got = counters(&t1(input));
+    // `insns_decoded` may only go down; the rest are exact.
+    assert_eq!(got[..6], want_counters[..6], "{name} seed {seed:#x}: 1-thread counters");
+    assert!(got[6] <= want_counters[6], "{name} seed {seed:#x}: insns_decoded {}", got[6]);
+
+    for threads in [1usize, 2, 4] {
+        for scheduling in [Scheduling::Task, Scheduling::Rounds] {
+            for decode_cache in [true, false] {
+                let cfg = ParseConfig { threads, scheduling, decode_cache, ..Default::default() };
+                let got = digest(&parse(input, &cfg).cfg);
+                assert_eq!(
+                    got, want,
+                    "{name} seed {seed:#x}: {threads} threads, {scheduling:?}, \
+                     decode_cache={decode_cache}: digest {got:#018x} != golden {want:#018x}"
+                );
+            }
+        }
+    }
+}
+
 /// One test, not two: one-thread parses on different test threads share
 /// the pool's worker-less one-thread registry and run each other's
 /// tasks, which is harmless for the CFG but moves `insns_decoded` (a
@@ -160,43 +201,28 @@ fn digests_and_one_thread_counters_match_the_checked_in_constants() {
         for seed in SEEDS {
             let &(name, want_seed, want, want_counters) = rows.next().unwrap();
             assert_eq!((name, want_seed), (profile.name(), seed), "GOLDEN row order");
-            let input = input_for(&small(profile, seed));
-
-            let got = counters(&t1(&input));
-            // `insns_decoded` may only go down (ISSUE 18); the rest are exact.
-            assert_eq!(got[..6], want_counters[..6], "{name} seed {seed:#x}: 1-thread counters");
-            assert!(got[6] <= want_counters[6], "{name} seed {seed:#x}: insns_decoded {}", got[6]);
-
-            for threads in [1usize, 2, 4] {
-                for scheduling in [Scheduling::Task, Scheduling::Rounds] {
-                    for decode_cache in [true, false] {
-                        let cfg =
-                            ParseConfig { threads, scheduling, decode_cache, ..Default::default() };
-                        let got = digest(&parse(&input, &cfg).cfg);
-                        assert_eq!(
-                            got, want,
-                            "{name} seed {seed:#x}: {threads} threads, {scheduling:?}, \
-                             decode_cache={decode_cache}: digest {got:#018x} != golden {want:#018x}"
-                        );
-                    }
-                }
-            }
+            check(name, seed, &input_for(&small(profile, seed)), want, want_counters);
         }
+    }
+    for (&(name, want_seed, want, want_counters), seed) in SERVE_GOLDEN.iter().zip(SEEDS) {
+        assert_eq!(want_seed, seed, "SERVE_GOLDEN row order");
+        check(name, seed, &input_for(&serve(seed)), want, want_counters);
     }
 }
 
 #[test]
-#[ignore = "prints the GOLDEN table; run at the commit whose output is to be pinned"]
+#[ignore = "prints the GOLDEN and SERVE_GOLDEN tables; run at the commit whose output is to be pinned"]
 fn print_golden() {
+    let row = |name: &str, seed: u64, cfg: &GenConfig| {
+        let r = t1(&input_for(cfg));
+        println!("    ({name:?}, {seed:#x}, {:#018x}, {:?}),", digest(&r.cfg), counters(&r));
+    };
     for profile in PROFILES {
         for seed in SEEDS {
-            let r = t1(&input_for(&small(profile, seed)));
-            println!(
-                "    ({:?}, {seed:#x}, {:#018x}, {:?}),",
-                profile.name(),
-                digest(&r.cfg),
-                counters(&r)
-            );
+            row(profile.name(), seed, &small(profile, seed));
         }
+    }
+    for seed in SEEDS {
+        row("serve", seed, &serve(seed));
     }
 }
