@@ -65,7 +65,7 @@ fn main() {
     let input = ParseInput::from_elf(&elf).expect("parse input");
     println!("\nCFG construction from the inside (median of 9 parses):");
     println!(
-        "{:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17}",
+        "{:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17} {:>9} {:>8}",
         "threads",
         "parse",
         "traverse",
@@ -73,20 +73,24 @@ fn main() {
         "refine",
         "finalize",
         "sweep_views",
-        "refine_reanalyses"
+        "refine_reanalyses",
+        "jt_slices",
+        "jt_views"
     );
     for t in [1, threads] {
         let (wall, s) = median_parse(&input, t, 9);
 
         println!(
-            "{t:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17}",
+            "{t:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17} {:>9} {:>8}",
             secs(wall),
             secs(s.traverse_ns as f64 * 1e-9),
             secs(s.sweep_ns as f64 * 1e-9),
             secs(s.refine_ns as f64 * 1e-9),
             secs(s.finalize_ns as f64 * 1e-9),
             s.sweep_views,
-            s.refine_reanalyses
+            s.refine_reanalyses,
+            s.jt_slices,
+            s.jt_views
         );
     }
 }

@@ -29,7 +29,7 @@ use crate::reaching::{reaching_defs_on, ReachingDefs};
 use crate::stack::{stack_heights_on, StackResult};
 use crate::view::CfgView;
 use pba_cfg::order::rpo_ranks_dense;
-use pba_cfg::{BlockIndex, Csr, EdgeKind};
+use pba_cfg::{Csr, EdgeKind};
 use rayon::prelude::*;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -97,24 +97,25 @@ pub trait DataflowSpec {
         *out = self.transfer(block, input);
     }
 
-    /// Optional edge transfer: adjust the fact flowing along the CFG
-    /// edge `src → dst` (of `kind`) before it is met into the receiving
-    /// block's input. `fact` is the value leaving the direction-
-    /// predecessor (the source block's output for forward problems, the
-    /// destination block's output for backward ones). Return `None` for
-    /// identity — the default, which costs no clone; specs whose
-    /// transfer depends on *how* control reached a block (e.g. the
-    /// taken/not-taken side of a guarding branch in [`crate::slice`])
-    /// override it.
-    fn edge_transfer(
+    /// Meet the fact arriving over the CFG edge `src → dst` (of `kind`)
+    /// into the receiving block's input `into`. `fact` is the value
+    /// leaving the direction-predecessor (the source block's output for
+    /// forward problems, the destination block's output for backward
+    /// ones). The default is plain [`Self::meet`]; specs whose transfer
+    /// depends on *how* control reached a block (e.g. the taken/not-taken
+    /// side of a guarding branch in [`crate::slice`]) override it to
+    /// adjust each incoming element on its way into `into`, without
+    /// materializing the adjusted fact.
+    fn meet_edge(
         &self,
+        into: &mut Self::Fact,
         src: u64,
         dst: u64,
         kind: EdgeKind,
         fact: &Self::Fact,
-    ) -> Option<Self::Fact> {
-        let _ = (src, dst, kind, fact);
-        None
+    ) {
+        let _ = (src, dst, kind);
+        self.meet(into, fact);
     }
 }
 
@@ -132,17 +133,18 @@ struct DirInfo {
 }
 
 /// The CFG shape [`fixpoint`] iterates over, precomputed once per
-/// function from a [`CfgView`]: dense indices, successor/predecessor
-/// adjacency as [`Csr`] rows, the entry block, and (memoized per
-/// direction) the RPO ranks the worklist prioritizes by. Shared via
+/// function from a [`CfgView`]: dense indices (a block's index is its
+/// position in the address-sorted block list, found by binary search),
+/// successor/predecessor adjacency as [`Csr`] rows, the entry block, and
+/// (memoized per direction) the RPO ranks the worklist prioritizes by. Shared via
 /// [`crate::ir::FuncIr`], one graph serves every analysis of a function
 /// and the rank computation happens at most once per direction.
 #[derive(Debug)]
 pub struct FlowGraph {
-    /// Block start addresses, in dense-index order (shared with the
-    /// results packaged from this graph).
+    /// Block start addresses, ascending: the dense-index order (shared
+    /// with the results packaged from this graph, which look blocks up
+    /// in it by binary search too).
     pub blocks: Arc<Vec<u64>>,
-    index: Arc<BlockIndex>,
     pub(crate) succs: Csr<(u32, EdgeKind)>,
     pub(crate) preds: Csr<(u32, EdgeKind)>,
     entry: Option<usize>,
@@ -162,24 +164,30 @@ impl FlowGraph {
     /// Assemble a graph from an explicit block list and edge list
     /// (edges whose endpoints are not in `blocks` are dropped). This is
     /// what [`crate::ir::FuncIr`] and the slice's cone restriction use
-    /// to build graphs without an intermediate view. Each block's
+    /// to build graphs without an intermediate view. The graph numbers
+    /// the blocks in ascending address order, whatever order `blocks`
+    /// lists them in (duplicates are not allowed); each block's
     /// successors and predecessors keep the order of `edges`.
     pub fn from_parts(
         blocks: &[u64],
         entry: u64,
         edges: impl IntoIterator<Item = (u64, u64, EdgeKind)>,
     ) -> FlowGraph {
-        let index = BlockIndex::new(blocks);
+        let mut blocks = blocks.to_vec();
+        if !blocks.is_sorted() {
+            blocks.sort_unstable();
+        }
+        assert!(blocks.windows(2).all(|w| w[0] < w[1]), "duplicate block in a flow graph");
+        let id = |b: u64| blocks.binary_search(&b).ok();
         let dense: Vec<(usize, usize, EdgeKind)> = edges
             .into_iter()
-            .filter_map(|(src, dst, kind)| Some((index.get(src)?, index.get(dst)?, kind)))
+            .filter_map(|(src, dst, kind)| Some((id(src)?, id(dst)?, kind)))
             .collect();
         let succs = Csr::group(blocks.len(), dense.iter().map(|&(i, j, k)| (i, (j as u32, k))));
         let preds = Csr::group(blocks.len(), dense.iter().map(|&(i, j, k)| (j, (i as u32, k))));
-        let entry = index.get(entry);
+        let entry = id(entry);
         FlowGraph {
-            blocks: Arc::new(blocks.to_vec()),
-            index: Arc::new(index),
+            blocks: Arc::new(blocks),
             succs,
             preds,
             entry,
@@ -188,10 +196,11 @@ impl FlowGraph {
         }
     }
 
-    /// The shared address → dense-id index (the one map every dense
-    /// artifact built from this graph keys by).
-    pub fn index(&self) -> &Arc<BlockIndex> {
-        &self.index
+    /// The dense id of `block` (its position in [`FlowGraph::blocks`]),
+    /// if it is a member.
+    #[inline]
+    pub fn id(&self, block: u64) -> Option<usize> {
+        self.blocks.binary_search(&block).ok()
     }
 
     /// Direction-sources: blocks whose input carries the boundary fact.
@@ -255,12 +264,11 @@ impl FlowGraph {
         rpo
     }
 
-    /// Estimated heap bytes of the graph as built: block list, index,
+    /// Estimated heap bytes of the graph as built: block list and
     /// adjacency. Fixed once the graph exists; the memoized direction
     /// metadata is [`FlowGraph::rank_heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
         self.blocks.capacity() * std::mem::size_of::<u64>()
-            + self.index.heap_bytes()
             + self.succs.heap_bytes()
             + self.preds.heap_bytes()
     }
@@ -292,8 +300,8 @@ fn seed_facts<S: DataflowSpec>(spec: &S, graph: &FlowGraph, info: &DirInfo) -> V
 /// Recompute block `b`'s input by meeting its direction-predecessors'
 /// outputs into `into`, which the caller has already reset to the
 /// block's seed fact (boundary at sources, bottom elsewhere). Each
-/// incoming fact first passes the spec's [`DataflowSpec::edge_transfer`]
-/// for the CFG edge it arrives over (identity unless overridden).
+/// incoming fact goes through the spec's [`DataflowSpec::meet_edge`]
+/// for the CFG edge it arrives over (plain meet unless overridden).
 fn recompute_input_into<S: DataflowSpec>(
     spec: &S,
     graph: &FlowGraph,
@@ -311,10 +319,7 @@ fn recompute_input_into<S: DataflowSpec>(
             Direction::Forward => (graph.blocks[p], addr),
             Direction::Backward => (addr, graph.blocks[p]),
         };
-        match spec.edge_transfer(src, dst, kind, &out[p]) {
-            Some(adjusted) => spec.meet(into, &adjusted),
-            None => spec.meet(into, &out[p]),
-        }
+        spec.meet_edge(into, src, dst, kind, &out[p]);
     }
 }
 
@@ -432,9 +437,9 @@ pub struct FuncAnalyses {
 }
 
 impl FuncAnalyses {
-    /// Bytes of heap owned by the three fact sets. The block lists and
-    /// indices these results carry are `Arc`-shared with the function's
-    /// graph and counted once with the IR, not here.
+    /// Bytes of heap owned by the three fact sets. The block lists
+    /// these results carry are `Arc`-shared with the function's graph
+    /// and counted once with the IR, not here.
     pub fn heap_bytes(&self) -> usize {
         self.liveness.heap_bytes() + self.reaching.heap_bytes() + self.stack.heap_bytes()
     }
@@ -558,7 +563,7 @@ mod tests {
         let graph = FlowGraph::build(&view);
         let spec = Depth::new(100);
         let (input, output) = fixpoint(&spec, &graph);
-        let at = |b: u64| graph.index().get(b).unwrap();
+        let at = |b: u64| graph.id(b).unwrap();
         assert_eq!(input[at(1)], 1);
         assert_eq!(output[at(1)], 2);
         assert_eq!(input[at(4)], 3, "join takes the max over both arms");

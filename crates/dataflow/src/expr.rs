@@ -170,6 +170,59 @@ impl Expr {
         self.flatten_add(&mut atoms, &mut konst);
         (atoms, konst)
     }
+
+    /// Whether [`Expr::simplify`] returns this expression unchanged,
+    /// decided without building anything. A sum is simplified when it is
+    /// a left-leaning chain of simplified non-constant, non-sum atoms,
+    /// closed either by a second atom or by one non-zero constant; a
+    /// product when its scale is not 1 and its factor is simplified and
+    /// not constant. Almost every expression `simplify` returns passes
+    /// (a product by 1 of a sum is the exception), so callers that cache
+    /// this per expression can skip re-simplifying it.
+    pub fn is_simplified(&self) -> bool {
+        match self {
+            Expr::Top | Expr::Const(_) | Expr::Reg(_) => true,
+            Expr::Load { addr, .. } => addr.is_simplified(),
+            Expr::Mul(a, k) => *k != 1 && !matches!(**a, Expr::Const(_)) && a.is_simplified(),
+            Expr::Add(l, r) => {
+                let mut chain = match **r {
+                    Expr::Const(0) => return false,
+                    Expr::Const(_) => &**l,
+                    _ => self,
+                };
+                while let Expr::Add(rest, atom) = chain {
+                    if !atom.is_simplified_atom() {
+                        return false;
+                    }
+                    chain = rest;
+                }
+                chain.is_simplified_atom()
+            }
+        }
+    }
+
+    /// A simplified summand other than a constant or a nested sum.
+    fn is_simplified_atom(&self) -> bool {
+        !matches!(self, Expr::Add(..) | Expr::Const(_)) && self.is_simplified()
+    }
+
+    /// The one non-constant atom of a simplified expression read as a
+    /// sum, with the sum's constant: `(e, 0)` for a lone atom `e`,
+    /// `(a, k)` for `a + k`. `None` for a constant or a sum of two atoms
+    /// or more. Borrows; allocates nothing. Only meaningful when
+    /// [`Expr::is_simplified`] holds: it reads the atoms off the tree
+    /// instead of simplifying them again.
+    pub fn single_atom(&self) -> Option<(&Expr, u64)> {
+        match self {
+            Expr::Const(_) => None,
+            Expr::Add(l, r) => match (&**l, &**r) {
+                (Expr::Add(..), _) => None,
+                (atom, Expr::Const(k)) => Some((atom, *k)),
+                _ => None,
+            },
+            atom => Some((atom, 0)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ impl FuncIr {
 
     /// The arena id of `block`, if it is a member the CFG has.
     fn id(&self, block: u64) -> Option<u32> {
-        self.graph.index().get(block).map(|i| self.ids[i]).filter(|&id| id != NO_BLOCK)
+        self.graph.id(block).map(|i| self.ids[i]).filter(|&id| id != NO_BLOCK)
     }
 }
 
@@ -175,11 +175,11 @@ impl CfgView for FuncIr {
     }
 
     fn succ_edges(&self, block: u64) -> &[(u64, EdgeKind)] {
-        self.graph.index().get(block).map(|i| self.succs.row(i)).unwrap_or(&[])
+        self.graph.id(block).map(|i| self.succs.row(i)).unwrap_or(&[])
     }
 
     fn pred_edges(&self, block: u64) -> &[(u64, EdgeKind)] {
-        self.graph.index().get(block).map(|i| self.preds.row(i)).unwrap_or(&[])
+        self.graph.id(block).map(|i| self.preds.row(i)).unwrap_or(&[])
     }
 
     fn insns(&self, block: u64) -> &[Insn] {

@@ -20,9 +20,11 @@
 //!   block boundary, the meet is set union
 //!   (union-over-paths *is* the join), the block transfer substitutes
 //!   definitions backward through the block, and the engine's
-//!   edge-kind-aware [`engine::DataflowSpec::edge_transfer`] hook
+//!   edge-kind-aware [`engine::DataflowSpec::meet_edge`] hook
 //!   attaches guard bounds from `cmp`+`jcc` terminators according to
-//!   which branch side the path arrived through. Sets exceeding
+//!   which branch side the path arrived through. Each state's
+//!   expression is classified once, when it is made, and shared
+//!   between states (the cost model is in [`mod@slice`]). Sets exceeding
 //!   [`slice::MAX_PATHS`] widen to the classified forms they already
 //!   contain (guard-bounded forms kept preferentially, up to the hard
 //!   cap) — widening gives up on still-ambiguous paths, not on proven
@@ -58,10 +60,11 @@
 //! outlined `.cold` fragments) read the same arena slice, so a
 //! resident session pins what its unique data costs
 //! ([`ir::BinaryIr::shared_insn_bytes`]). Downstream, the analyses are
-//! dense end-to-end: every spec and result keys per-block facts by the
-//! graph's `pba_cfg::BlockIndex` rank into plain `Vec`s; addr-keyed
-//! lookups survive only where a caller at a public seam thinks in block
-//! addresses.
+//! dense end-to-end: every graph numbers its blocks in ascending
+//! address order, so a block's dense id is a binary search over the
+//! graph's (shared) block list, and every result keys its per-block
+//! facts by that id into plain `Vec`s; addr-keyed lookups survive only
+//! where a caller at a public seam thinks in block addresses.
 //! `pba::Session::ir()` memoizes the `BinaryIr` so decode-once is a
 //! structural invariant rather than per-consumer luck, and each
 //! artifact's `heap_bytes()` feeds the session's `resident_bytes`
@@ -106,7 +109,8 @@ pub use ir::{BinaryIr, FuncIr};
 pub use liveness::{liveness_on, LivenessResult};
 pub use reaching::{reaching_defs_on, Def, ReachingDefs};
 pub use slice::{
-    collect_indirect_jumps, slice_indirect_jump_with, JumpTableForm, PathFact, SliceOutcome,
+    backward_cone, collect_indirect_jumps, slice_cone, slice_indirect_jump_with, JumpTableForm,
+    PathFact, SliceOutcome,
 };
 pub use stack::{stack_heights_and_extent_on, stack_heights_on, Height, StackResult};
 pub use view::{CfgView, VecView};

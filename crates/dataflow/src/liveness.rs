@@ -25,7 +25,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct LivenessResult {
     blocks: Arc<Vec<u64>>,
-    index: Arc<BlockIndex>,
     live_in: Vec<RegSet>,
     live_out: Vec<RegSet>,
 }
@@ -36,20 +35,26 @@ impl LivenessResult {
         &self.blocks
     }
 
+    /// Dense index of `block` in the fact vectors: the graph's block
+    /// list is address-sorted.
+    fn id(&self, block: u64) -> Option<usize> {
+        self.blocks.binary_search(&block).ok()
+    }
+
     /// Bytes of heap owned by the fact vectors (the shared block list
-    /// and index belong to the function's graph, counted with the IR).
+    /// belongs to the function's graph, counted with the IR).
     pub fn heap_bytes(&self) -> usize {
         (self.live_in.capacity() + self.live_out.capacity()) * std::mem::size_of::<RegSet>()
     }
 
     /// Registers live at `block`'s entry (empty for non-members).
     pub fn live_in(&self, block: u64) -> RegSet {
-        self.index.get(block).map(|i| self.live_in[i]).unwrap_or(RegSet::EMPTY)
+        self.id(block).map(|i| self.live_in[i]).unwrap_or(RegSet::EMPTY)
     }
 
     /// Registers live at `block`'s exit (empty for non-members).
     pub fn live_out(&self, block: u64) -> RegSet {
-        self.index.get(block).map(|i| self.live_out[i]).unwrap_or(RegSet::EMPTY)
+        self.id(block).map(|i| self.live_out[i]).unwrap_or(RegSet::EMPTY)
     }
 
     /// Number of live registers at block entry (BinFeat's feature).
@@ -160,12 +165,7 @@ pub fn liveness_on(view: &dyn CfgView, graph: &FlowGraph, _exec: ExecutorKind) -
     let spec = LivenessSpec::build(view);
     // Direction-relative input is the block's live-out set.
     let (live_out, live_in) = fixpoint(&spec, graph);
-    LivenessResult {
-        blocks: Arc::clone(&graph.blocks),
-        index: Arc::clone(graph.index()),
-        live_in,
-        live_out,
-    }
+    LivenessResult { blocks: Arc::clone(&graph.blocks), live_in, live_out }
 }
 
 /// Walk a block's instructions backward to compute liveness *before*

@@ -110,7 +110,6 @@ pub struct ReachingDefs {
     pub defs: Vec<Def>,
     def_ids: HashMap<Def, usize>,
     blocks: Arc<Vec<u64>>,
-    index: Arc<BlockIndex>,
     reach_in: Vec<BitSet>,
 }
 
@@ -118,8 +117,7 @@ impl ReachingDefs {
     /// Definitions reaching the entry of `block`, in id order (grouped
     /// by register, as in [`ReachingDefs::defs`]).
     pub fn reaching_at_entry(&self, block: u64) -> Vec<Def> {
-        self.index
-            .get(block)
+        self.id(block)
             .map(|i| self.reach_in[i].iter_ones().map(|d| self.defs[d]).collect())
             .unwrap_or_default()
     }
@@ -128,7 +126,7 @@ impl ReachingDefs {
     /// no materialization).
     pub fn def_reaches_entry(&self, block: u64, def: Def) -> bool {
         let Some(&id) = self.def_ids.get(&def) else { return false };
-        self.index.get(block).is_some_and(|i| self.reach_in[i].get(id))
+        self.id(block).is_some_and(|i| self.reach_in[i].get(id))
     }
 
     /// Block addresses in the dense order of the fact vector.
@@ -136,8 +134,14 @@ impl ReachingDefs {
         &self.blocks
     }
 
+    /// Dense index of `block` in the fact vectors: the graph's block
+    /// list is address-sorted.
+    fn id(&self, block: u64) -> Option<usize> {
+        self.blocks.binary_search(&block).ok()
+    }
+
     /// Bytes of heap owned by the definition tables and fact vectors
-    /// (the shared block list and index belong to the function's graph,
+    /// (the shared block list belongs to the function's graph,
     /// counted with the IR).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -269,7 +273,6 @@ pub fn reaching_defs_on(
         defs: spec.defs,
         def_ids: spec.def_ids,
         blocks: Arc::clone(&graph.blocks),
-        index: Arc::clone(graph.index()),
         reach_in,
     }
 }

@@ -6,7 +6,7 @@
 //! edges — substituting each definition into the target expression.
 //! Along the way, `cmp index, N` + conditional-branch facts that bound
 //! the index on a path are collected via the engine's edge-kind-aware
-//! [`DataflowSpec::edge_transfer`] hook.
+//! [`DataflowSpec::meet_edge`] hook.
 //!
 //! The lattice fact is a bounded set of per-path states
 //! `(Expr, Option<(Reg, u64)>, depth)`; the meet is set union, so the
@@ -23,17 +23,50 @@
 //! at [`MAX_DEPTH`] edge crossings, termination is unconditional.
 //!
 //! [`slice_indirect_jump_with`] builds the spec and its one
-//! [`FlowGraph`] — the jump's backward cone, numbered densely in address
+//! [`FlowGraph`] — the jump's [`backward_cone`], found by a
+//! breadth-first walk with a visited set and numbered densely in address
 //! order — runs it to its fixpoint, and reads the per-path facts back out
-//! of the block boundaries.
+//! of the block boundaries. [`slice_cone`] is the same over a cone the
+//! caller already has: the parser computes it first, to compare it with
+//! the cone it last sliced.
+//!
+//! # Cost
+//!
+//! A path state crosses many more edges and blocks than there are
+//! instructions to walk, so the work per state is kept off the
+//! expression tree:
+//!
+//! * **Classified once.** A state's expression lives in a `Target`
+//!   made when the expression is made, holding its dispatch form (or
+//!   none), whether it died, its free registers, and whether it is
+//!   already simplified. Terminal checks, fact read-out and widening
+//!   read those fields; none re-simplifies or re-matches the tree.
+//! * **Shared.** States hold their `Target` behind an `Arc`: crossing an
+//!   edge, meeting into a set, or passing through a block that writes
+//!   none of the free registers copies a pointer. Only a block that
+//!   defines one of them rewrites the expression, and only a rewrite is
+//!   followed by a new match. The order of a path set is still the
+//!   structural order of the expressions (then bound, then depth), which
+//!   fixes what widening keeps and the order facts are read out in.
+//! * **Matched without allocating.** A simplified expression's sums are
+//!   flat, so `classify` reads the atoms in place
+//!   ([`Expr::is_simplified`], [`Expr::single_atom`]); only an
+//!   expression `simplify` does not settle in one pass falls back to the
+//!   flattening match.
+//! * **Read lazily.** A cone block is decoded, and its written registers
+//!   and guard worked out, the first time a live state needs them:
+//!   paths usually resolve next to the jump, and the rest of the cone is
+//!   never read.
 
 use crate::engine::{fixpoint_outputs, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::expr::Expr;
 use crate::view::CfgView;
 use pba_cfg::EdgeKind;
-use pba_isa::{insn::AluKind, insn::Cond, insn::ShiftKind, Insn, Op, Place, Reg, Value};
-use std::cell::Cell;
+use pba_concurrent::fxhash::FxHashSet;
+use pba_isa::{insn::AluKind, insn::Cond, insn::ShiftKind, Insn, Op, Place, Reg, RegSet, Value};
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Recognized jump-table dispatch forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,13 +130,10 @@ pub struct PathFact {
 }
 
 /// Apply the reverse transfer of one instruction to the wanted
-/// expression. Returns the updated expression.
-fn reverse_transfer(i: &Insn, wanted: Expr) -> Expr {
-    let written = i.regs_written();
-    // Fast reject: instruction doesn't define anything we track.
-    if written.intersect(wanted.free_regs()).is_empty() {
-        return wanted;
-    }
+/// expression, which mentions a register `i` writes (the caller checks:
+/// an instruction that writes none of the expression's free registers
+/// leaves it as it is). Returns the updated expression.
+fn rewrite(i: &Insn, wanted: Expr) -> Expr {
     match i.op {
         Op::Mov { dst: Place::Reg(r), src, width, sign_extend } => {
             let v = match src {
@@ -150,7 +180,7 @@ fn reverse_transfer(i: &Insn, wanted: Expr) -> Expr {
         _ => {
             // Any other write to a tracked register loses it.
             let mut w = wanted;
-            for r in written.iter() {
+            for r in i.regs_written().iter() {
                 if r.is_gpr() {
                     w = w.subst(r, &Expr::Top);
                 }
@@ -160,8 +190,8 @@ fn reverse_transfer(i: &Insn, wanted: Expr) -> Expr {
     }
 }
 
-/// Extract a bound from a predecessor's terminator: `cmp r, N` followed
-/// by a conditional branch whose `kind`-side edge we arrived through.
+/// The guard a block's terminator applies: `cmp r, n` (with `n >= 0`)
+/// followed by a conditional branch on the flags that compare set.
 ///
 /// The `cmp` need not be adjacent to the `jcc`: the scan walks back
 /// over any instruction that does not write a flag the condition reads
@@ -170,41 +200,105 @@ fn reverse_transfer(i: &Insn, wanted: Expr) -> Expr {
 /// CF-consuming `jb`/`jae` keeps the bound, while anything genuinely
 /// redefining a consumed flag (including unmodeled instructions, which
 /// conservatively write all flags) stops the scan.
-fn bound_from_pred(
-    insns: &[Insn],
-    edge_kind: EdgeKind,
-    tracked: pba_isa::RegSet,
-) -> Option<(Reg, u64)> {
-    let term = insns.last()?;
-    let Op::Jcc { cond, .. } = term.op else { return None };
-    // Find the instruction that last defined the flags the branch
-    // consumes; it must be the guarding compare.
-    let consumed = cond.flags_read();
-    let cmp = insns.iter().rev().skip(1).find(|i| i.flags_written().intersects(consumed))?;
-    let Op::Cmp { a: Value::Reg(r), b: Value::Imm(n), .. } = cmp.op else { return None };
-    if !tracked.contains(r) || n < 0 {
-        return None;
-    }
-    let n = n as u64;
-    // Which side of the branch leads to the jump table?
-    let via_taken = edge_kind == EdgeKind::CondTaken;
-    let bound = match (cond, via_taken) {
-        // cmp r, N ; ja default  → table side is fall-through: r <= N.
-        (Cond::A, false) => Some(n + 1),
-        // cmp r, N ; jae default → fall-through: r < N.
-        (Cond::Ae, false) => Some(n),
-        // cmp r, N ; jbe table   → taken side: r <= N.
-        (Cond::Be, true) => Some(n + 1),
-        // cmp r, N ; jb table    → taken side: r < N.
-        (Cond::B, true) => Some(n),
-        _ => None,
-    }?;
-    Some((r, bound))
+#[derive(Debug, Clone, Copy)]
+struct Guard {
+    cond: Cond,
+    reg: Reg,
+    n: u64,
 }
 
-/// Try to match the simplified expression against the known dispatch
-/// forms.
+impl Guard {
+    /// The guard ending `insns`, if its terminator is a conditional
+    /// branch on a register-immediate compare. Found once per block.
+    fn of_block(insns: &[Insn]) -> Option<Guard> {
+        let term = insns.last()?;
+        let Op::Jcc { cond, .. } = term.op else { return None };
+        // Find the instruction that last defined the flags the branch
+        // consumes; it must be the guarding compare.
+        let consumed = cond.flags_read();
+        let cmp = insns.iter().rev().skip(1).find(|i| i.flags_written().intersects(consumed))?;
+        let Op::Cmp { a: Value::Reg(reg), b: Value::Imm(n), .. } = cmp.op else { return None };
+        (n >= 0).then_some(Guard { cond, reg, n: n as u64 })
+    }
+
+    /// The exclusive bound this guard puts on a path that leaves its block
+    /// over an edge of `edge_kind` toward the jump, if it compares one of
+    /// the `tracked` registers.
+    fn bound(&self, edge_kind: EdgeKind, tracked: RegSet) -> Option<(Reg, u64)> {
+        if !tracked.contains(self.reg) {
+            return None;
+        }
+        let n = self.n;
+        // Which side of the branch leads to the jump table?
+        let via_taken = edge_kind == EdgeKind::CondTaken;
+        let bound = match (self.cond, via_taken) {
+            // cmp r, N ; ja default  → table side is fall-through: r <= N.
+            (Cond::A, false) => Some(n + 1),
+            // cmp r, N ; jae default → fall-through: r < N.
+            (Cond::Ae, false) => Some(n),
+            // cmp r, N ; jbe table   → taken side: r <= N.
+            (Cond::Be, true) => Some(n + 1),
+            // cmp r, N ; jb table    → taken side: r < N.
+            (Cond::B, true) => Some(n),
+            _ => None,
+        }?;
+        Some((self.reg, bound))
+    }
+}
+
+/// Try to match an expression against the known dispatch forms. The
+/// forms are read off the expression's simplified shape: when the
+/// expression (or, failing that, its simplification) is already in
+/// simplified form, its sums are flat and the match reads their atoms
+/// in place, allocating nothing.
 fn classify(e: &Expr) -> Option<JumpTableForm> {
+    if e.is_simplified() {
+        return classify_simplified(e);
+    }
+    let e = e.simplify();
+    if e.is_simplified() {
+        classify_simplified(&e)
+    } else {
+        classify_sum(&e)
+    }
+}
+
+/// `table + index*scale` with a single index register and a scale of
+/// at most 8, as `(table, index, scale)`: the table address of both
+/// forms. `addr` must be simplified.
+fn table_addr(addr: &Expr) -> Option<(u64, Reg, u8)> {
+    let (index, table) = addr.single_atom()?;
+    match index {
+        Expr::Reg(r) => Some((table, *r, 1)),
+        Expr::Mul(inner, k) if *k <= 8 => match **inner {
+            Expr::Reg(r) => Some((table, r, *k as u8)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// [`classify`] of an expression [`Expr::is_simplified`] holds for.
+fn classify_simplified(e: &Expr) -> Option<JumpTableForm> {
+    // Absolute: load8(table + idx*scale).
+    if let Expr::Load { width: 8, addr, .. } = e {
+        let (table, index, scale) = table_addr(addr)?;
+        return Some(JumpTableForm::Absolute { table, scale, index });
+    }
+    // Relative: base + sext(load4(table + idx*scale)).
+    match e.single_atom()? {
+        (Expr::Load { width: 4, addr, .. }, base) => {
+            let (table, index, scale) = table_addr(addr)?;
+            Some(JumpTableForm::Relative { table, base, scale, width: 4, index })
+        }
+        _ => None,
+    }
+}
+
+/// [`classify`] of a simplified expression that simplifying again would
+/// still change (a product by 1 of a sum leaves a nested sum behind):
+/// its sums are flattened, and their atoms simplified, as they are read.
+fn classify_sum(e: &Expr) -> Option<JumpTableForm> {
     fn match_table_addr(addr: &Expr) -> Option<(u64, Reg, u8)> {
         let (atoms, konst) = addr.as_sum();
         let mut index: Option<(Reg, u8)> = None;
@@ -222,20 +316,15 @@ fn classify(e: &Expr) -> Option<JumpTableForm> {
         Some((konst, r, s))
     }
 
-    let e = e.simplify();
-    // Absolute: load8(table + idx*scale).
-    if let Expr::Load { width: 8, addr, .. } = &e {
+    if let Expr::Load { width: 8, addr, .. } = e {
         let (table, index, scale) = match_table_addr(addr)?;
         return Some(JumpTableForm::Absolute { table, scale, index });
     }
-    // Relative: base + sext(load4(table + idx*scale)).
     let (atoms, base) = e.as_sum();
     if atoms.len() == 1 {
-        if let Expr::Load { width, sext: _, addr } = &atoms[0] {
-            if *width == 4 {
-                let (table, index, scale) = match_table_addr(addr)?;
-                return Some(JumpTableForm::Relative { table, base, scale, width: *width, index });
-            }
+        if let Expr::Load { width: 4, addr, .. } = &atoms[0] {
+            let (table, index, scale) = match_table_addr(addr)?;
+            return Some(JumpTableForm::Relative { table, base, scale, width: 4, index });
         }
     }
     None
@@ -246,27 +335,85 @@ pub const MAX_DEPTH: usize = 8;
 /// Maximum path states held per block fact before widening.
 pub const MAX_PATHS: usize = 64;
 
+/// A symbolic jump-target expression together with everything the slice
+/// asks of it — its dispatch form, whether it died, its free registers,
+/// whether it is already simplified — computed once, when the expression
+/// is made. Path states share it behind an `Arc`: crossing an edge,
+/// meeting into a set, or passing through a block that defines none of
+/// its registers copies a pointer, not the tree, and re-classifies
+/// nothing.
+#[derive(Debug)]
+struct Target {
+    /// The (simplified) expression.
+    expr: Expr,
+    /// `classify(expr)`: `None` for an unresolved or dead expression.
+    form: Option<JumpTableForm>,
+    /// The expression holds `Top`: the path died.
+    dead: bool,
+    /// Its free registers — the only ones a definition can rewrite.
+    regs: RegSet,
+    /// `simplify` returns it unchanged.
+    simplified: bool,
+}
+
+impl Target {
+    fn new(expr: Expr) -> Arc<Target> {
+        let dead = expr.has_top();
+        // A form is never found under a `Top`, so a dead expression
+        // needs no match.
+        let form = if dead { None } else { classify(&expr) };
+        let (regs, simplified) = (expr.free_regs(), expr.is_simplified());
+        Arc::new(Target { expr, form, dead, regs, simplified })
+    }
+}
+
 /// One backward path's state at a block boundary: the symbolic target
 /// expression as seen from here, the guard bound captured closest to the
 /// jump (if any), and how many edges the path has crossed.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+///
+/// Ordered by expression (structurally), then bound, then depth: the
+/// order the path sets iterate in, which fixes both which states
+/// widening keeps and the order the facts are read out in.
+#[derive(Debug, Clone)]
 struct PathState {
     /// Symbolic jump-target expression at this boundary.
-    expr: Expr,
+    target: Arc<Target>,
     /// First `(index reg, exclusive bound)` guard met on the path.
     bound: Option<(Reg, u64)>,
     /// Edge crossings from the jump block (caps at [`MAX_DEPTH`]).
     depth: usize,
 }
 
+impl Ord for PathState {
+    fn cmp(&self, other: &PathState) -> std::cmp::Ordering {
+        let expr = if Arc::ptr_eq(&self.target, &other.target) {
+            std::cmp::Ordering::Equal
+        } else {
+            self.target.expr.cmp(&other.target.expr)
+        };
+        expr.then(self.bound.cmp(&other.bound)).then(self.depth.cmp(&other.depth))
+    }
+}
+
+impl PartialOrd for PathState {
+    fn partial_cmp(&self, other: &PathState) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for PathState {
+    fn eq(&self, other: &PathState) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for PathState {}
+
 impl PathState {
-    /// The per-path result this state contributes to the union.
+    /// The per-path result this state contributes to the union. A dead
+    /// path contributes nothing (union semantics).
     fn fact(&self) -> PathFact {
-        if self.expr.has_top() {
-            // Dead path: contributes nothing (union semantics).
-            return PathFact { form: None, bound: None };
-        }
-        match classify(&self.expr) {
+        match self.target.form {
             Some(f) => PathFact {
                 form: Some(f),
                 bound: self.bound.and_then(|(r, b)| (f.index() == r).then_some(b)),
@@ -278,13 +425,9 @@ impl PathState {
     /// Terminal states stop crossing edges: the path died (`Top`),
     /// resolved completely (form + matching bound), or hit the depth cap.
     fn is_terminal(&self) -> bool {
-        if self.depth >= MAX_DEPTH || self.expr.has_top() {
-            return true;
-        }
-        match classify(&self.expr) {
-            Some(f) => self.bound.is_some_and(|(r, _)| f.index() == r),
-            None => false,
-        }
+        self.depth >= MAX_DEPTH
+            || self.target.dead
+            || self.target.form.is_some_and(|f| self.bound.is_some_and(|(r, _)| f.index() == r))
     }
 }
 
@@ -302,7 +445,7 @@ impl PathSet {
     /// The widening operator. Keeps only states whose expression already
     /// classifies as a dispatch form — frozen at [`MAX_DEPTH`] so they
     /// stop propagating — and collapses everything else into a single
-    /// `Top` marker. Still-ambiguous paths are given up on, the same
+    /// `top` marker. Still-ambiguous paths are given up on, the same
     /// trade the old DFS made with its global path cap; classified
     /// states survive up to the hard [`MAX_PATHS`] cap, those carrying
     /// a guard bound kept preferentially (a bounded form is what makes
@@ -310,59 +453,115 @@ impl PathSet {
     ///
     /// Note this is *unconditional*: whether to widen is decided per
     /// block by [`SliceSpec::transfer`], stickily — see there for why.
-    fn widen(&mut self) {
+    fn widen(&mut self, top: &Arc<Target>) {
         let classified = self
             .states
             .iter()
-            .filter(|s| !s.expr.has_top() && classify(&s.expr).is_some())
-            .map(|s| PathState { expr: s.expr.clone(), bound: s.bound, depth: MAX_DEPTH });
+            .filter(|s| s.target.form.is_some())
+            .map(|s| PathState { target: Arc::clone(&s.target), bound: s.bound, depth: MAX_DEPTH });
         let (bounded, bare): (Vec<PathState>, Vec<PathState>) =
             classified.partition(|s| s.bound.is_some());
         let kept: BTreeSet<PathState> = bounded.into_iter().chain(bare).take(MAX_PATHS).collect();
         self.states = kept;
-        self.states.insert(PathState { expr: Expr::Top, bound: None, depth: MAX_DEPTH });
+        self.states.insert(PathState { target: Arc::clone(top), bound: None, depth: MAX_DEPTH });
     }
 }
 
-/// Backward walk through a block, stopping as soon as the expression
-/// classifies: substituting past the resolution point would let
+/// Walk `expr` backward through `insns` (last first), stopping as soon
+/// as it classifies: substituting past the resolution point would let
 /// unrelated (or, in over-approximated split blocks, garbage)
-/// definitions clobber an already-complete dispatch pattern.
-fn walk_back(insns: &[Insn], skip_last: usize, mut expr: Expr) -> Expr {
-    for i in insns.iter().rev().skip(skip_last) {
-        if classify(&expr).is_some() {
+/// definitions clobber an already-complete dispatch pattern. `resolved`
+/// and `regs` are `classify(&expr).is_some()` and `expr.free_regs()`:
+/// an instruction that writes none of `regs` leaves the expression as
+/// it is, so only a rewrite is followed by a new match.
+fn walk_back<'i>(
+    insns: impl Iterator<Item = &'i Insn>,
+    mut expr: Expr,
+    mut resolved: bool,
+    mut regs: RegSet,
+) -> Expr {
+    for i in insns {
+        if resolved {
             break;
         }
-        expr = reverse_transfer(i, expr);
+        if i.regs_written().intersect(regs).is_empty() {
+            continue;
+        }
+        expr = rewrite(i, expr);
+        resolved = classify(&expr).is_some();
+        regs = expr.free_regs();
     }
     expr.simplify()
 }
 
+/// The blocks within [`MAX_DEPTH`] predecessor edges of `jump_block` in
+/// `view` — the only blocks a slice path state can reach — in ascending
+/// address order, `jump_block` included. `pred_edges` names member
+/// blocks only, so every block found is one of the view's.
+pub fn backward_cone(view: &dyn CfgView, jump_block: u64) -> Vec<u64> {
+    let mut cone = vec![jump_block];
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    seen.insert(jump_block);
+    let mut level = 0..1;
+    for _ in 0..MAX_DEPTH {
+        for i in level.clone() {
+            for &(p, _) in view.pred_edges(cone[i]) {
+                if seen.insert(p) {
+                    cone.push(p);
+                }
+            }
+        }
+        if level.end == cone.len() {
+            break;
+        }
+        level = level.end..cone.len();
+    }
+    cone.sort_unstable();
+    cone
+}
+
+/// What the slice reads of one block of the cone.
+struct ConeBlock<'a> {
+    /// The block's instructions, borrowed from the view's decode-once
+    /// slices; nothing is copied or re-decoded.
+    insns: &'a [Insn],
+    /// Registers the block writes: a state whose target mentions none
+    /// of them crosses the block unchanged.
+    written: RegSet,
+    /// The guard ending the block.
+    guard: Option<Guard>,
+}
+
 /// Backward jump-table slicing as a [`DataflowSpec`].
 ///
-/// * **Fact**: [`PathSet`] — bounded set of `(expr, bound, depth)` path
-///   states at each block boundary (entry side, since the problem is
-///   backward).
+/// * **Fact**: [`PathSet`] — bounded set of `(target, bound, depth)`
+///   path states at each block boundary (entry side, since the problem
+///   is backward).
 /// * **Meet**: set union.
 /// * **Transfer**: walk every state's expression backward through the
 ///   block's instructions, then enforce [`MAX_PATHS`] by sticky
 ///   widening; the jump block additionally injects the seed state (the
 ///   target expression walked back from the terminator).
-/// * **Edge transfer**: crossing the CFG edge `p → b` backward drops
-///   terminal states, bumps `depth`, and attaches the guard bound
-///   extracted from `p`'s `cmp`+`jcc` terminator for the edge kind
-///   actually taken — the part a direction-only engine cannot express,
-///   hence [`DataflowSpec::edge_transfer`].
+/// * **Edge meet**: crossing the CFG edge `p → b` backward drops
+///   terminal states, bumps `depth`, and attaches the guard bound of
+///   `p`'s `cmp`+`jcc` terminator for the edge kind actually taken —
+///   the part a direction-only engine cannot express, hence
+///   [`DataflowSpec::meet_edge`].
 struct SliceSpec<'a> {
     jump_block: u64,
     seed: PathSet,
-    /// The jump's backward cone (the blocks within [`MAX_DEPTH`]
-    /// predecessor edges, the only blocks a path state can ever reach)
-    /// in ascending address order: the one graph the spec runs on.
+    /// The jump's backward cone (see [`backward_cone`]), in ascending
+    /// address order: the one graph the spec runs on.
     graph: FlowGraph,
-    /// Instructions of each cone block, by dense id. Borrowed from the
-    /// view's decode-once slices; nothing is copied or re-decoded.
-    insns: Vec<&'a [Insn]>,
+    /// The view the cone is part of.
+    view: &'a dyn CfgView,
+    /// What the slice reads of each cone block, by dense id, looked up
+    /// the first time a live path state needs it: a cone block no state
+    /// reaches (most of a cone, once the paths resolve near the jump) is
+    /// never even decoded.
+    cone_blocks: Vec<OnceCell<ConeBlock<'a>>>,
+    /// The marker widening leaves behind.
+    top: Arc<Target>,
     /// Blocks whose transfer has widened, by dense id, stickily: once a
     /// block widens it keeps widening. Widening shrinks a fact
     /// (non-monotone), so without stickiness a cyclic CFG straddling
@@ -375,48 +574,53 @@ struct SliceSpec<'a> {
 }
 
 impl<'a> SliceSpec<'a> {
-    /// Build the spec for the indirect jump terminating `jump_block`.
-    /// Returns `None` when the block's terminator is not an indirect
-    /// jump.
-    fn build(view: &'a dyn CfgView, jump_block: u64) -> Option<SliceSpec<'a>> {
+    /// Build the spec for the indirect jump terminating `jump_block`,
+    /// over `cone` (its [`backward_cone`] in `view`). Returns `None` when
+    /// the block's terminator is not an indirect jump.
+    fn build(view: &'a dyn CfgView, jump_block: u64, cone: &[u64]) -> Option<SliceSpec<'a>> {
         let jinsns = view.insns(jump_block);
         let term = jinsns.last()?;
         let Op::JmpInd { src } = term.op else { return None };
 
-        let wanted = Expr::of_value(&src, 8, false);
         // The seed: the jump block walked backward, excluding the
         // terminator itself.
-        let start_expr = walk_back(jinsns, 1, wanted);
+        let wanted = Expr::of_value(&src, 8, false);
+        let (resolved, regs) = (classify(&wanted).is_some(), wanted.free_regs());
+        let start = walk_back(jinsns.iter().rev().skip(1), wanted, resolved, regs);
         let mut seed = PathSet::default();
-        seed.states.insert(PathState { expr: start_expr, bound: None, depth: 0 });
+        seed.states.insert(PathState { target: Target::new(start), bound: None, depth: 0 });
 
-        // BFS the backward cone: blocks within MAX_DEPTH predecessor
-        // edges of the jump. States die at MAX_DEPTH crossings, so
-        // facts outside the cone are empty by construction and the rest
-        // of the function is never touched. `pred_edges` names member
-        // blocks only, so every block found is one of the view's.
-        let mut cone = vec![jump_block];
-        let mut level = 0..1;
-        for _ in 0..MAX_DEPTH {
-            for i in level.clone() {
-                for &(p, _) in view.pred_edges(cone[i]) {
-                    if !cone.contains(&p) {
-                        cone.push(p);
-                    }
-                }
-            }
-            if level.end == cone.len() {
-                break;
-            }
-            level = level.end..cone.len();
-        }
-        cone.sort_unstable();
         let edges =
             cone.iter().flat_map(|&b| view.succ_edges(b).iter().map(move |&(d, k)| (b, d, k)));
-        let graph = FlowGraph::from_parts(&cone, view.entry(), edges);
-        let insns = cone.iter().map(|&b| view.insns(b)).collect();
+        let graph = FlowGraph::from_parts(cone, view.entry(), edges);
+        let cone_blocks = cone.iter().map(|_| OnceCell::new()).collect();
         let widened = cone.iter().map(|_| Cell::new(false)).collect();
-        Some(SliceSpec { jump_block, seed, graph, insns, widened })
+        let top = Target::new(Expr::Top);
+        Some(SliceSpec { jump_block, seed, graph, view, cone_blocks, top, widened })
+    }
+
+    /// Cone block `i`, read on first use.
+    fn cone_block(&self, i: usize) -> &ConeBlock<'a> {
+        self.cone_blocks[i].get_or_init(|| {
+            let insns = self.view.insns(self.graph.blocks[i]);
+            let written = insns.iter().fold(RegSet::EMPTY, |w, i| w.union(i.regs_written()));
+            ConeBlock { insns, written, guard: Guard::of_block(insns) }
+        })
+    }
+
+    /// `target` walked backward through cone block `i`.
+    fn walk(&self, i: usize, target: &Arc<Target>) -> Arc<Target> {
+        if target.form.is_some() || self.cone_block(i).written.intersect(target.regs).is_empty() {
+            // Nothing in the block rewrites it (or it already resolved):
+            // the walk would only simplify it.
+            return if target.simplified {
+                Arc::clone(target)
+            } else {
+                Target::new(target.expr.simplify())
+            };
+        }
+        let insns = self.cone_block(i).insns.iter().rev();
+        Target::new(walk_back(insns, target.expr.clone(), false, target.regs))
     }
 }
 
@@ -444,11 +648,11 @@ impl DataflowSpec for SliceSpec<'_> {
     }
 
     fn transfer(&self, block: u64, input: &PathSet) -> PathSet {
-        let i = self.graph.index().get(block).expect("cone block");
-        let mut out = PathSet { states: BTreeSet::new() };
+        let i = self.graph.id(block).expect("cone block");
+        let mut out = PathSet::default();
         for s in &input.states {
-            let expr = walk_back(self.insns[i], 0, s.expr.clone());
-            out.states.insert(PathState { expr, bound: s.bound, depth: s.depth });
+            let target = self.walk(i, &s.target);
+            out.states.insert(PathState { target, bound: s.bound, depth: s.depth });
         }
         // Sticky widening (see `widened`): a block that once exceeded
         // MAX_PATHS keeps widening even if its input later shrinks, so
@@ -456,7 +660,7 @@ impl DataflowSpec for SliceSpec<'_> {
         // and the fixpoint cannot oscillate.
         if self.widened[i].get() || out.states.len() > MAX_PATHS {
             self.widened[i].set(true);
-            out.widen();
+            out.widen(&self.top);
         }
         if block == self.jump_block {
             // The seed joins after widening: the jump block's own state
@@ -467,28 +671,24 @@ impl DataflowSpec for SliceSpec<'_> {
         out
     }
 
-    fn edge_transfer(
-        &self,
-        src: u64,
-        _dst: u64,
-        kind: EdgeKind,
-        fact: &PathSet,
-    ) -> Option<PathSet> {
-        let mut out = PathSet { states: BTreeSet::new() };
-        let src_insns = self.insns[self.graph.index().get(src).expect("cone block")];
-        for s in fact.states.iter().filter(|s| !s.is_terminal()) {
+    fn meet_edge(&self, into: &mut PathSet, src: u64, _dst: u64, kind: EdgeKind, fact: &PathSet) {
+        let mut live = fact.states.iter().filter(|s| !s.is_terminal()).peekable();
+        if live.peek().is_none() {
+            return;
+        }
+        let guard = self.cone_block(self.graph.id(src).expect("cone block")).guard;
+        for s in live {
             // The bound closest to the jump wins; tracked registers are
             // those of the expression *before* it is walked through the
             // guard block (the guard compares the value the dispatch
             // consumes).
-            let pbound = bound_from_pred(src_insns, kind, s.expr.free_regs());
-            out.states.insert(PathState {
-                expr: s.expr.clone(),
-                bound: s.bound.or(pbound),
+            let bound = s.bound.or_else(|| guard.and_then(|g| g.bound(kind, s.target.regs)));
+            into.states.insert(PathState {
+                target: Arc::clone(&s.target),
+                bound,
                 depth: s.depth + 1,
             });
         }
-        Some(out)
     }
 }
 
@@ -509,14 +709,22 @@ pub struct SliceOutcome {
 /// caveat: whether a block ever sees an input big enough to trip its
 /// sticky bit depends on which *intermediate* predecessor outputs the
 /// worklist order produces. The order is deterministic (RPO priority),
-/// so the outcome is too; `tests/slice_equiv.rs` pins it on the
-/// generated corpus and on a fan-out that widens.
+/// so the outcome is too; `tests/slice_golden.rs` pins it on the
+/// generated corpora and on a fan-out that widens.
 pub fn slice_indirect_jump_with(
     view: &dyn CfgView,
     jump_block: u64,
     _exec: ExecutorKind,
 ) -> Option<SliceOutcome> {
-    let spec = SliceSpec::build(view, jump_block)?;
+    slice_cone(view, jump_block, &backward_cone(view, jump_block))
+}
+
+/// [`slice_indirect_jump_with`] over a cone the caller already computed
+/// with [`backward_cone`] on the same view — what the parser does, since
+/// it compares the cone against the one it last sliced before deciding
+/// to slice at all.
+pub fn slice_cone(view: &dyn CfgView, jump_block: u64, cone: &[u64]) -> Option<SliceOutcome> {
+    let spec = SliceSpec::build(view, jump_block, cone)?;
     let output = fixpoint_outputs(&spec, &spec.graph);
     let facts = output.iter().flat_map(|o| o.states.iter().map(PathState::fact)).collect();
     let widened = spec.widened.iter().any(Cell::get);
@@ -894,7 +1102,7 @@ mod tests {
         // Spec-level: no block's fixpoint fact may exceed the widening
         // cap (+1 for the Top marker widening leaves behind, +1 for the
         // jump block's seed which joins after widening).
-        let spec = SliceSpec::build(&view, 0x9000).expect("spec");
+        let spec = SliceSpec::build(&view, 0x9000, &backward_cone(&view, 0x9000)).expect("spec");
         let output = fixpoint_outputs(&spec, &spec.graph);
         for (b, fact) in spec.graph.blocks.iter().zip(&output) {
             assert!(
@@ -959,6 +1167,67 @@ mod tests {
         assert_eq!(outcome.facts.len(), MAX_DEPTH + 1, "one state per cone block: {outcome:?}");
         assert!(outcome.facts.iter().all(|f| f.form.is_some() && f.bound.is_none()));
         assert_eq!(slice_indirect_jump_with(&cut, at(11), ExecutorKind::Serial), Some(outcome));
+    }
+
+    /// A pseudo-random expression over the shapes the slice builds —
+    /// sums with constants anywhere, products (by 1 too), loads of every
+    /// width, a few registers — including the ones `simplify` does not
+    /// reach a fixed point on in one pass (a product by 1 of a sum).
+    fn random_expr(seed: &mut u64, depth: u32) -> Expr {
+        let mut next = |n: u64| {
+            *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (*seed >> 33) % n
+        };
+        let leaf = depth == 0 || next(3) == 0;
+        if leaf {
+            return match next(6) {
+                0 => Expr::Const(0),
+                1 | 2 => Expr::Const([8, 0x601000, u64::MAX, 0x2100][next(4) as usize]),
+                3 => Expr::Top,
+                _ => Expr::Reg([Reg::RAX, Reg::RDI, Reg::RSI][next(3) as usize]),
+            };
+        }
+        let pick = next(4);
+        let width = [1u8, 4, 8][next(3) as usize];
+        let scale = [1u64, 4, 8, 16][next(4) as usize];
+        match pick {
+            0 | 1 => Expr::Add(
+                Box::new(random_expr(seed, depth - 1)),
+                Box::new(random_expr(seed, depth - 1)),
+            ),
+            2 => Expr::Mul(Box::new(random_expr(seed, depth - 1)), scale),
+            _ => Expr::Load { width, sext: false, addr: Box::new(random_expr(seed, depth - 1)) },
+        }
+    }
+
+    /// The allocation-free fast paths agree with the definitions they
+    /// shortcut: `is_simplified` only holds where `simplify` is the
+    /// identity, `single_atom` reads the same atom and constant
+    /// `as_sum` collects, and `classify` matches the original
+    /// simplify-then-flatten match on every expression, simplified or
+    /// not.
+    #[test]
+    fn fast_classification_matches_the_flattening_match() {
+        let mut seed = 0x51CE;
+        let (mut simplified, mut forms) = (0, 0);
+        for _ in 0..20_000 {
+            let e = random_expr(&mut seed, 5);
+            let s = e.simplify();
+            for x in [&e, &s] {
+                if x.is_simplified() {
+                    simplified += 1;
+                    assert_eq!(&x.simplify(), x, "is_simplified on {x:?}");
+                    let (atoms, k) = x.as_sum();
+                    let want = (atoms.len() == 1).then(|| (&atoms[0], k));
+                    assert_eq!(x.single_atom(), want, "single_atom of {x:?}");
+                }
+            }
+            let want = classify_sum(&s);
+            forms += want.is_some() as u32;
+            assert_eq!(classify(&e), want, "classify {e:?}");
+            assert_eq!(classify(&s), classify_sum(&s.simplify()), "classify {s:?}");
+        }
+        assert!(simplified > 5_000 && forms > 50, "{simplified} simplified, {forms} forms");
     }
 
     #[test]

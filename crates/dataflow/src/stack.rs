@@ -16,7 +16,6 @@
 
 use crate::engine::{fixpoint, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::view::CfgView;
-use pba_cfg::BlockIndex;
 use pba_isa::{insn::AluKind, ControlFlow, Op, Place, Reg, Value};
 use std::sync::Arc;
 
@@ -121,7 +120,6 @@ pub fn transfer(i: &pba_isa::Insn, f: Frame) -> Frame {
 #[derive(Debug, Clone, Default)]
 pub struct StackResult {
     blocks: Arc<Vec<u64>>,
-    index: Arc<BlockIndex>,
     at_entry: Vec<Frame>,
     at_exit: Vec<Frame>,
 }
@@ -132,20 +130,26 @@ impl StackResult {
         &self.blocks
     }
 
+    /// Dense index of `block` in the fact vectors: the graph's block
+    /// list is address-sorted.
+    fn id(&self, block: u64) -> Option<usize> {
+        self.blocks.binary_search(&block).ok()
+    }
+
     /// Bytes of heap owned by the fact vectors (the shared block list
-    /// and index belong to the function's graph, counted with the IR).
+    /// belongs to the function's graph, counted with the IR).
     pub fn heap_bytes(&self) -> usize {
         (self.at_entry.capacity() + self.at_exit.capacity()) * std::mem::size_of::<Frame>()
     }
 
     /// Frame state at `block`'s entry, if it is a member.
     pub fn entry_frame(&self, block: u64) -> Option<Frame> {
-        self.index.get(block).map(|i| self.at_entry[i])
+        self.id(block).map(|i| self.at_entry[i])
     }
 
     /// Frame state after `block`'s last instruction, if it is a member.
     pub fn exit_frame(&self, block: u64) -> Option<Frame> {
-        self.index.get(block).map(|i| self.at_exit[i])
+        self.id(block).map(|i| self.at_exit[i])
     }
 }
 
@@ -210,12 +214,7 @@ impl DataflowSpec for StackSpec<'_> {
 pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph, _exec: ExecutorKind) -> StackResult {
     let spec = StackSpec::build(view);
     let (at_entry, at_exit) = fixpoint(&spec, graph);
-    StackResult {
-        blocks: Arc::clone(&graph.blocks),
-        index: Arc::clone(graph.index()),
-        at_entry,
-        at_exit,
-    }
+    StackResult { blocks: Arc::clone(&graph.blocks), at_entry, at_exit }
 }
 
 /// Run the fixpoint over a prebuilt [`FlowGraph`] and also report the

@@ -21,6 +21,20 @@ pub enum Error {
         /// `Clone`, and a memoized failure must be).
         message: String,
     },
+    /// An output file could not be created.
+    Create {
+        /// The path that could not be created.
+        path: String,
+        /// The underlying I/O error message.
+        message: String,
+    },
+    /// Writing output failed: to a file a command writes, or to stdout.
+    Write {
+        /// Where the write went (`stdout` for standard output).
+        path: String,
+        /// The underlying I/O error message.
+        message: String,
+    },
     /// The ELF image is malformed or has no parseable code region.
     Elf(ElfError),
     /// The debug information is malformed.
@@ -40,6 +54,8 @@ impl Error {
     pub fn exit_code(&self) -> i32 {
         match self {
             Error::Io { .. } => 66,                // EX_NOINPUT
+            Error::Create { .. } => 73,            // EX_CANTCREAT
+            Error::Write { .. } => 74,             // EX_IOERR
             Error::Elf(_) | Error::Dwarf(_) => 65, // EX_DATAERR
             Error::FunctionNotFound(_) => 1,
             Error::Protocol(_) => 76, // EX_PROTOCOL
@@ -51,6 +67,8 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Error::Io { path, message } => write!(f, "cannot read {path}: {message}"),
+            Error::Create { path, message } => write!(f, "cannot create {path}: {message}"),
+            Error::Write { path, message } => write!(f, "cannot write {path}: {message}"),
             Error::Elf(e) => write!(f, "{e}"),
             Error::Dwarf(e) => write!(f, "{e}"),
             Error::FunctionNotFound(name) => write!(f, "no function matching {name:?}"),
@@ -87,6 +105,12 @@ mod tests {
         let e = Error::Io { path: "/nope".into(), message: "denied".into() };
         assert!(e.to_string().contains("/nope"));
         assert_eq!(e.exit_code(), 66);
+        let e = Error::Create { path: "/nope/a.elf".into(), message: "not a directory".into() };
+        assert_eq!(e.to_string(), "cannot create /nope/a.elf: not a directory");
+        assert_eq!(e.exit_code(), 73);
+        let e = Error::Write { path: "stdout".into(), message: "no space".into() };
+        assert_eq!(e.to_string(), "cannot write stdout: no space");
+        assert_eq!(e.exit_code(), 74);
         assert_eq!(Error::FunctionNotFound("main".into()).exit_code(), 1);
         let e = Error::Protocol("bad frame".into());
         assert_eq!(e.exit_code(), 76);

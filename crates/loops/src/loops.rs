@@ -88,7 +88,7 @@ pub fn loop_forest(view: &dyn CfgView) -> LoopForest {
 /// once at the end, so the public shape is unchanged.
 pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
     let dom = dominators_on(view, graph);
-    let index = graph.index();
+    let n = graph.blocks.len();
 
     // 1. Back edges.
     let mut back_edges: Vec<(u64, u64)> = Vec::new(); // (tail, header)
@@ -104,9 +104,9 @@ pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
     // bit vector over the graph's block ids: every block the flood can
     // reach is a view block, because `CfgView` edges name members only.
     let mut bodies: HashMap<u64, Vec<bool>> = HashMap::new();
-    let id = |b: u64| index.get(b).expect("CfgView edges name member blocks");
+    let id = |b: u64| graph.id(b).expect("CfgView edges name member blocks");
     for &(tail, header) in &back_edges {
-        let marks = bodies.entry(header).or_insert_with(|| vec![false; index.len()]);
+        let marks = bodies.entry(header).or_insert_with(|| vec![false; n]);
         // Backward flood from tail; the header is marked first, so the
         // flood stops there.
         marks[id(header)] = true;
@@ -126,8 +126,9 @@ pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
     let mut loops: Vec<Loop> = bodies
         .into_iter()
         .map(|(header, marks)| {
-            // `BlockIndex::iter` is address-ascending: in-order inserts.
-            let body = index.iter().filter(|&(_, i)| marks[i]).map(|(a, _)| a).collect();
+            // The graph's block list is address-ascending: in-order inserts.
+            let body =
+                graph.blocks.iter().zip(&marks).filter(|&(_, &m)| m).map(|(&a, _)| a).collect();
             Loop { header, body, children: vec![], depth: 1 }
         })
         .collect();

@@ -46,7 +46,7 @@
 //! quiesce-time steps until none of them produces work, then
 //! finalizes. Each step's wall time and work is in [`ParseStats`]
 //! (`traverse_ns`, `sweep_ns`, `refine_ns`, `finalize_ns`,
-//! `sweep_views`, `refine_reanalyses`).
+//! `sweep_views`, `refine_reanalyses`, `jt_slices`, `jt_views`).
 //!
 //! * **Ret sweep.** A function whose entry block was first parsed
 //!   inside another function's traversal never saw its own `ret`. For
@@ -60,16 +60,26 @@
 //!   function discovered at an already-parsed block (`scan_existing`).
 //! * **Status resolution**, then resumption of the call sites it
 //!   released.
-//! * **Jump-table fixed point.** The tables are grouped by function;
-//!   per function one [`snapshot::SnapshotView`] is built and
-//!   fingerprinted (block count, edge count, order-independent hash).
-//!   Only if the fingerprint differs from the one the function's tables
-//!   were last sliced on are they sliced again — the slice reads nothing
-//!   but that subgraph. Every table is then re-*evaluated* from its
-//!   remembered slice decision, in table order, because an unbounded
-//!   table's extent also depends on where the other tables start: that
-//!   part is a table read and a comparison, and it is what converges
-//!   the clamp.
+//! * **Jump-table fixed point.** A slice reads only the jump's
+//!   backward cone — the blocks within `pba_dataflow::slice::MAX_DEPTH`
+//!   predecessor edges — so that cone is what the fixed point keys its
+//!   memo on: every recorded table remembers the
+//!   [`snapshot::SnapshotView::cone_key`] its last slice read (the
+//!   entry, the cone's blocks and their ends, the edges among them) and
+//!   what that slice decided, discovery included. Per function one
+//!   [`snapshot::SnapshotView`] is kept from round to round. From the
+//!   first round on, the state records every block start or end whose
+//!   record or out-edges change (`State::touch`); a kept view none of
+//!   whose reads was touched is reused as it is, with its tables'
+//!   cones and decisions, and no table of it is looked at. A touched
+//!   view is built again, and a table is sliced again only if its cone
+//!   key moved. Slicing itself is cheap
+//!   per state: each path state's expression is classified once, when
+//!   it is made, and shared between states (see [`pba_dataflow::slice`]).
+//!   Every table is then re-*evaluated* from its remembered decision,
+//!   in table order, because an unbounded table's extent also depends
+//!   on where the other tables start: that part is a table read and a
+//!   comparison, and it is what converges the clamp.
 //!
 //! Finalization takes the traversal state by value: each concurrent map
 //! is taken apart into plain owned maps (`ConcurrentHashMap::into_entries`),

@@ -20,10 +20,14 @@
 
 use crate::config::ParseConfig;
 use crate::input::ParseInput;
+use crate::jumptable::TableDecision;
 use crate::stats::ParseStats;
+use crossbeam::queue::SegQueue;
 use pba_cfg::{EdgeKind, RetStatus};
+use pba_concurrent::fxhash::FxHashSet;
 use pba_concurrent::{AddressSet, ConcurrentHashMap};
 use pba_dataflow::JumpTableForm;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-block record. `end == 0` means "created, not yet registered".
 #[derive(Debug, Clone, Copy)]
@@ -72,6 +76,11 @@ pub struct RawJumpTable {
     /// A guard bound was recovered; unbounded tables are clamped during
     /// finalization.
     pub bounded: bool,
+    /// What the jump's last slice read (`SnapshotView::cone_key`): the
+    /// jump-table fixed point slices again only when the cone differs.
+    pub sliced_on: Vec<u64>,
+    /// What that slice decided.
+    pub decision: Option<TableDecision>,
 }
 
 impl RawJumpTable {
@@ -115,6 +124,11 @@ pub struct State<'i> {
     pub ret_ends: AddressSet,
     /// Work counters.
     pub stats: ParseStats,
+    /// Whether [`State::touch`] records anything.
+    tracking: AtomicBool,
+    /// Block starts and ends whose record or out-edges changed since the
+    /// last [`State::take_touched`].
+    touched: SegQueue<u64>,
     /// Unique id of this parse run (namespaces thread-local caches).
     pub run_id: u64,
 }
@@ -132,8 +146,10 @@ impl<'i> State<'i> {
             jts: ConcurrentHashMap::new(),
             ret_ends: AddressSet::new(),
             stats: ParseStats::default(),
+            tracking: AtomicBool::new(false),
+            touched: SegQueue::new(),
             run_id: {
-                use std::sync::atomic::{AtomicU64, Ordering};
+                use std::sync::atomic::AtomicU64;
                 static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
                 NEXT_RUN.fetch_add(1, Ordering::Relaxed)
             },
@@ -153,6 +169,7 @@ impl<'i> State<'i> {
     }
 
     fn set_block_end(&self, start: u64, end: u64) {
+        self.touch(start);
         if let Some(mut acc) = self.blocks.find_mut(&start) {
             acc.end = end;
         } else {
@@ -170,8 +187,31 @@ impl<'i> State<'i> {
             return false;
         }
         acc.push((dst, kind));
+        drop(acc);
+        self.touch(src_end);
         self.stats.edges_created.inc();
         true
+    }
+
+    /// Record that the block starting at `addr`, or the out-edges keyed
+    /// by the block end `addr`, changed — once [`State::track_changes`]
+    /// has been called; before that, nothing is kept.
+    pub fn touch(&self, addr: u64) {
+        if self.tracking.load(Ordering::Relaxed) {
+            self.touched.push(addr);
+        }
+    }
+
+    /// Start recording changes for [`State::take_touched`]: the
+    /// jump-table fixed point keeps each function's view across its
+    /// rounds and rebuilds only those a change reached.
+    pub fn track_changes(&self) {
+        self.tracking.store(true, Ordering::Relaxed);
+    }
+
+    /// Every address [`State::touch`]ed since the last call.
+    pub fn take_touched(&self) -> FxHashSet<u64> {
+        std::iter::from_fn(|| self.touched.pop()).collect()
     }
 
     /// Invariants 2-4: register that the block starting at `start` ends

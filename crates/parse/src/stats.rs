@@ -38,7 +38,15 @@ pub struct ParseStats {
     pub jt_unbounded: Counter,
     /// Slicing runs whose path-state set hit the lattice cap and
     /// widened to bare classified forms (`pba_dataflow::SliceOutcome::widened`).
+    /// A count of runs, so it falls when fewer slices run.
     pub jt_widened: Counter,
+    /// Jump-table slicing runs: one per indirect jump discovered, plus
+    /// one per re-slice by the fixed point.
+    pub jt_slices: Counter,
+    /// Function snapshots (`snapshot::SnapshotView`) built for jump-table
+    /// analysis: one per indirect jump discovered, plus one per function
+    /// with tables in each fixed-point round.
+    pub jt_views: Counter,
     /// Indirect-jump edges removed by finalization clamping.
     pub jt_edges_clamped: Counter,
     /// Tail-call decisions flipped during finalization.
@@ -57,8 +65,9 @@ pub struct ParseStats {
     /// Function subgraphs walked to look for a `ret` (quiesce sweeps and
     /// late-discovered entries).
     pub sweep_views: Counter,
-    /// Jump tables re-sliced by the fixed point because their
-    /// function's subgraph had changed since the last slice.
+    /// Jump tables re-sliced by the fixed point because the backward
+    /// cone their slice reads had changed since their last slice. A
+    /// count of runs, like `jt_slices`, of which it is a part.
     pub refine_reanalyses: Counter,
 }
 
@@ -78,6 +87,8 @@ pub struct StatsSnapshot {
     pub jt_bounded: u64,
     pub jt_unbounded: u64,
     pub jt_widened: u64,
+    pub jt_slices: u64,
+    pub jt_views: u64,
     pub jt_edges_clamped: u64,
     pub tailcall_flips: u64,
     pub decode_errors: u64,
@@ -114,6 +125,8 @@ impl ParseStats {
             jt_bounded: self.jt_bounded.get(),
             jt_unbounded: self.jt_unbounded.get(),
             jt_widened: self.jt_widened.get(),
+            jt_slices: self.jt_slices.get(),
+            jt_views: self.jt_views.get(),
             jt_edges_clamped: self.jt_edges_clamped.get(),
             tailcall_flips: self.tailcall_flips.get(),
             decode_errors: self.decode_errors.get(),

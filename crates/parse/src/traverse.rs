@@ -19,14 +19,14 @@ use crate::config::{ParseConfig, Scheduling};
 use crate::finalize;
 use crate::input::ParseInput;
 use crate::jumptable::{decide, eval_targets, TableDecision};
-use crate::snapshot::{Fingerprint, SnapshotView};
+use crate::snapshot::SnapshotView;
 use crate::state::{CallDisposition, RawJumpTable, RegisterOutcome, State};
 use crate::stats::timed;
 use crate::ParseResult;
 use crossbeam::queue::SegQueue;
 use pba_cfg::EdgeKind;
 use pba_concurrent::fxhash::{FxHashMap, FxHashSet};
-use pba_dataflow::{slice_indirect_jump_with, ExecutorKind};
+use pba_dataflow::{backward_cone, slice_cone};
 use pba_isa::{ControlFlow, Insn};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -377,10 +377,17 @@ fn create_edges<'i: 'scope, 'scope>(
     }
 }
 
-/// Slice the indirect jump ending `block` over a snapshot and decide
-/// its table, folding the widening signal into the parse stats.
-fn sliced_decision(state: &State<'_>, view: &SnapshotView, block: u64) -> Option<TableDecision> {
-    let outcome = slice_indirect_jump_with(view, block, ExecutorKind::Serial)?;
+/// Slice the indirect jump ending `block` over a snapshot, reading only
+/// the jump's backward `cone`, and decide its table, folding the
+/// widening signal into the parse stats.
+fn sliced_decision(
+    state: &State<'_>,
+    view: &SnapshotView,
+    block: u64,
+    cone: &[u64],
+) -> Option<TableDecision> {
+    state.stats.jt_slices.inc();
+    let outcome = slice_cone(view, block, cone)?;
     if outcome.widened {
         state.stats.jt_widened.inc();
     }
@@ -392,12 +399,21 @@ fn sliced_decision(state: &State<'_>, view: &SnapshotView, block: u64) -> Option
 /// (to be parsed by the caller in this function context).
 fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) -> Vec<u64> {
     let view = SnapshotView::build(state, fctx, &[block_start]);
-    let decision = sliced_decision(state, &view, block_start);
-    // Record the jump whatever the slice found: the post-quiescence
-    // fixed point retries it with a fuller (and possibly re-split)
-    // subgraph — the paper's "repeat the analysis of a jump table after
-    // more control flow paths are created" (Section 5.3).
-    let mut jt = RawJumpTable { func: fctx, block_start, block_end: e, ..Default::default() };
+    let cone = backward_cone(&view, block_start);
+    let decision = sliced_decision(state, &view, block_start, &cone);
+    // Record the jump whatever the slice found, with the cone it read:
+    // the post-quiescence fixed point retries it once that cone has
+    // grown or been re-split — the paper's "repeat the analysis of a
+    // jump table after more control flow paths are created" (Section
+    // 5.3).
+    let mut jt = RawJumpTable {
+        func: fctx,
+        block_start,
+        block_end: e,
+        sliced_on: view.cone_key(block_start, &cone),
+        decision: decision.clone(),
+        ..Default::default()
+    };
     if let Some(d) = &decision {
         jt.set_form(&d.form);
     }
@@ -453,6 +469,7 @@ fn apply_decision(
         if let Some(mut acc) = state.edges.find_mut(&e) {
             acc.retain(|&(d, k)| !(k == EdgeKind::Indirect && stale.contains(&d)));
         }
+        state.touch(e);
     }
     let mut new_blocks = Vec::new();
     for t in targets {
@@ -464,23 +481,23 @@ fn apply_decision(
     Some(new_blocks)
 }
 
-/// What the jump-table fixed point remembers between its rounds (it
-/// lives in [`run`]'s frame and dies with the parse): the fingerprint
-/// of the subgraph each function's tables were last sliced on, and what
-/// each slice decided. A function whose fingerprint has not moved is not
-/// sliced again; its tables are re-*evaluated* from the remembered
-/// decisions, which is cheap and is what picks up a tighter clamp.
-#[derive(Default)]
-struct RefineMemo {
-    sliced_on: FxHashMap<u64, Fingerprint>,
-    decisions: FxHashMap<u64, Option<TableDecision>>,
-}
-
-/// Post-quiescence jump-table fixed point (Section 5.3): re-analyze each
-/// recorded table whose function subgraph grew or split since its last
-/// slice; queue any new targets for another traversal round. Returns
-/// true if anything new appeared.
-fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut RefineMemo) -> bool {
+/// Post-quiescence jump-table fixed point (Section 5.3): re-slice each
+/// recorded table whose backward cone changed since its last slice;
+/// queue any new targets for another traversal round. Returns true if
+/// anything new appeared.
+///
+/// `views` keeps each function's [`SnapshotView`] from one round to the
+/// next. A view no change has reached since (`State::touch`) is the view
+/// a rebuild would give, so it is kept — with the blocks its slices
+/// decoded — and its tables, whose cones it holds unchanged, are not
+/// looked at again.
+fn refine_jump_tables(
+    state: &State<'_>,
+    queue: &SegQueue<Work>,
+    views: &mut FxHashMap<u64, SnapshotView>,
+) -> bool {
+    state.track_changes();
+    let touched = state.take_touched();
     // (jump end, function, current jump block) per table. The jump's
     // block may have been split since discovery; the current owner of
     // the end is the block that actually holds the indirect jump now.
@@ -490,39 +507,29 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
         tables.push((e, jt.func, cur_start));
     });
 
-    // Slice: one view per function, shared by its tables, and only for
-    // functions whose subgraph changed. Slices read the graph and write
-    // nothing but `jt_widened`, so they run in parallel.
+    // Slice: one view per function, shared by its tables. A table whose
+    // cone is the one its last slice read (`RawJumpTable::sliced_on`)
+    // keeps that slice's decision, and its blocks are not decoded.
+    // Slices read the graph and write nothing but counters, so they run
+    // in parallel.
     let mut by_func: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
     for &(e, func, jump_block) in &tables {
         by_func.entry(func).or_default().push((e, jump_block));
     }
-    let by_func: Vec<(u64, Vec<(u64, u64)>)> = by_func.into_iter().collect();
-    type Sliced = (u64, Fingerprint, Vec<(u64, Option<TableDecision>)>);
-    let resliced: Vec<Option<Sliced>> = by_func
-        .par_iter()
-        .map(|(func, jumps)| {
-            let jump_blocks: Vec<u64> = jumps.iter().map(|&(_, b)| b).collect();
-            let view = SnapshotView::build(state, *func, &jump_blocks);
-            let fingerprint = view.fingerprint();
-            if memo.sliced_on.get(func) == Some(&fingerprint)
-                && jumps.iter().all(|(e, _)| memo.decisions.contains_key(e))
-            {
-                return None;
-            }
-            let decisions = jumps
-                .iter()
-                .map(|&(e, block)| {
-                    state.stats.refine_reanalyses.inc();
-                    (e, sliced_decision(state, &view, block))
-                })
-                .collect();
-            Some((*func, fingerprint, decisions))
-        })
+    let work: Vec<_> =
+        by_func.into_iter().map(|(func, jumps)| (func, jumps, views.remove(&func))).collect();
+    let sliced: Vec<_> = work
+        .into_par_iter()
+        .map(|(func, jumps, view)| (func, reslice_function(state, func, &jumps, view, &touched)))
         .collect();
-    for (func, fingerprint, decisions) in resliced.into_iter().flatten() {
-        memo.sliced_on.insert(func, fingerprint);
-        memo.decisions.extend(decisions);
+    for (func, (view, resliced)) in sliced {
+        views.insert(func, view);
+        for (e, key, decision) in resliced {
+            if let Some(mut jt) = state.jts.find_mut(&e) {
+                jt.sliced_on = key;
+                jt.decision = decision;
+            }
+        }
     }
 
     // Evaluate, in table order, against the table locations known so
@@ -534,7 +541,9 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
         .collect();
     let mut changed = false;
     for (i, &(e, func, cur_start)) in tables.iter().enumerate() {
-        let Some(Some(decision)) = memo.decisions.get(&e) else { continue };
+        let Some(decision) = state.jts.find(&e).and_then(|jt| jt.decision.clone()) else {
+            continue;
+        };
         let (table_addr, stride) = (decision.form.table(), decision.form.stride());
         // Unbounded tables are clamped here; the finalization pass
         // re-clamps as a safety net for tables discovered even later.
@@ -545,7 +554,7 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
             }
             _ => MAX_JT_ENTRIES,
         };
-        let Some(new_blocks) = apply_decision(state, e, cur_start, decision, max_entries) else {
+        let Some(new_blocks) = apply_decision(state, e, cur_start, &decision, max_entries) else {
             continue;
         };
         table_addrs[i] = (stride > 0).then_some(table_addr);
@@ -555,6 +564,43 @@ fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>, memo: &mut Refi
         changed = true;
     }
     changed
+}
+
+/// A table the fixed point sliced again: its jump end, the cone key the
+/// slice read, and what it decided.
+type Resliced = (u64, Vec<u64>, Option<TableDecision>);
+
+/// One function's part of a fixed-point round: `jumps` are its tables as
+/// `(jump end, current jump block)`, `kept` its view from the last round
+/// and `touched` the addresses changed since. Returns the view to keep
+/// and the tables whose cone changed, sliced again.
+fn reslice_function(
+    state: &State<'_>,
+    func: u64,
+    jumps: &[(u64, u64)],
+    kept: Option<SnapshotView>,
+    touched: &FxHashSet<u64>,
+) -> (SnapshotView, Vec<Resliced>) {
+    let mut jump_blocks: Vec<u64> = jumps.iter().map(|&(_, b)| b).collect();
+    jump_blocks.sort_unstable();
+    if let Some(view) = kept.filter(|v| v.is_current(&jump_blocks, touched)) {
+        // Unchanged view, unchanged cones: nothing to look at.
+        return (view, Vec::new());
+    }
+    let view = SnapshotView::build(state, func, &jump_blocks);
+    let resliced = jumps
+        .iter()
+        .filter_map(|&(e, block)| {
+            let cone = backward_cone(&view, block);
+            let key = view.cone_key(block, &cone);
+            if state.jts.find(&e).is_some_and(|jt| jt.sliced_on == key) {
+                return None;
+            }
+            state.stats.refine_reanalyses.inc();
+            Some((e, key, sliced_decision(state, &view, block, &cone)))
+        })
+        .collect();
+    (view, resliced)
 }
 
 /// Final sweep: functions still `Unset` whose reachable subgraph
@@ -618,7 +664,7 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
         }
 
         let mut jt_rounds_left = JT_REFINE_ROUNDS;
-        let mut refine_memo = RefineMemo::default();
+        let mut jt_views = FxHashMap::default();
         loop {
             // Drain pending work into a batch.
             let mut batch = Vec::new();
@@ -659,7 +705,7 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
             }
             if jt_rounds_left > 0
                 && timed(&state.stats.refine_ns, || {
-                    refine_jump_tables(&state, &queue, &mut refine_memo)
+                    refine_jump_tables(&state, &queue, &mut jt_views)
                 })
             {
                 // Something changed: even without new blocks, new edges
@@ -672,6 +718,7 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
                 break;
             }
         }
+        drop(jt_views);
         state.close_statuses();
         // Finalization runs inside the sized pool so its parallel steps
         // use the configured thread count (Table 2's CFG column times

@@ -130,7 +130,7 @@ fn main() {
     let e = match result.and_then(|code| Ok(flushed.map(|()| code)?)) {
         Ok(code) => std::process::exit(code),
         Err(Stop::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(Stop::Stdout(e)) => Error::Io { path: "stdout".into(), message: e.to_string() },
+        Err(Stop::Stdout(e)) => Error::Write { path: "stdout".into(), message: e.to_string() },
         Err(Stop::Error(e)) => e,
     };
     eprintln!("pba: {e}");
@@ -235,6 +235,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<i32, Stop> {
             writeln!(out, "tailcall flips     {:>10}", s.tailcall_flips)?;
             writeln!(out, "sweep walks        {:>10}", s.sweep_views)?;
             writeln!(out, "refine reanalyses  {:>10}", s.refine_reanalyses)?;
+            writeln!(out, "jt slices          {:>10}", s.jt_slices)?;
+            writeln!(out, "jt views           {:>10}", s.jt_views)?;
             for (phase, ns) in [
                 ("traverse", s.traverse_ns),
                 ("sweep", s.sweep_ns),
@@ -286,8 +288,10 @@ fn run(args: &[String], out: &mut impl Write) -> Result<i32, Stop> {
             let funcs = flag(args, "--funcs").unwrap_or(64);
             let seed = flag(args, "--seed").unwrap_or(0x5E1F) as u64;
             let g = generate(&GenConfig { num_funcs: funcs, seed, ..Default::default() });
-            std::fs::write(path, &g.elf)
-                .map_err(|e| Error::Io { path: path.clone(), message: e.to_string() })?;
+            let mut file = std::fs::File::create(path)
+                .map_err(|e| Error::Create { path: path.clone(), message: e.to_string() })?;
+            file.write_all(&g.elf)
+                .map_err(|e| Error::Write { path: path.clone(), message: e.to_string() })?;
             eprintln!(
                 "# wrote {path}: {} bytes, {} functions (seed {seed:#x})",
                 g.elf.len(),

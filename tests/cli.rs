@@ -50,7 +50,67 @@ fn struct_stats_prints_session_and_parser_counters() {
     for field in ["traverse_ns", "sweep_ns", "refine_ns", "finalize_ns", "sweep_views"] {
         assert!(json[1].contains(&format!("\"{field}\":")), "{field} missing: {}", json[1]);
     }
-    assert!(json[1].contains("\"refine_reanalyses\":"), "{}", json[1]);
+    for field in ["refine_reanalyses", "jt_slices", "jt_views"] {
+        assert!(json[1].contains(&format!("\"{field}\":")), "{field} missing: {}", json[1]);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn stats_prints_the_jump_table_work_counters() {
+    let dir = scratch("stats");
+    assert!(pba(&dir, &["gen", "a.elf", "--funcs", "24", "--seed", "7"]).status.success());
+    let out = pba(&dir, &["stats", "a.elf", "--threads", "1"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let count = |label: &str| -> u64 {
+        let line = stdout.lines().find(|l| l.starts_with(label)).expect(label);
+        line[label.len()..].trim().parse().expect(label)
+    };
+    assert!(count("jt slices") > 0, "{stdout}");
+    assert!(count("jt views") > 0, "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Run `pba` with its stdout on `/dev/full`, where every write fails
+/// with "no space left on device".
+fn pba_into_full_device(dir: &PathBuf, args: &[&str]) -> Output {
+    let full = std::fs::OpenOptions::new().write(true).open("/dev/full").unwrap();
+    Command::new(env!("CARGO_BIN_EXE_pba"))
+        .current_dir(dir)
+        .args(args)
+        .stdout(full)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn a_failed_write_to_stdout_is_an_output_error() {
+    let dir = scratch("stdout-full");
+    assert!(pba(&dir, &["gen", "a.elf", "--funcs", "8"]).status.success());
+    let out = pba_into_full_device(&dir, &["functions", "a.elf"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(74), "EX_IOERR: {stderr}");
+    assert!(stderr.contains("cannot write stdout"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn gen_tells_an_output_file_it_cannot_create_from_one_it_cannot_write() {
+    let dir = scratch("gen-full");
+    let out = pba(&dir, &["gen", "/dev/full/a.elf", "--funcs", "8"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(73), "EX_CANTCREAT: {stderr}");
+    assert!(stderr.contains("cannot create /dev/full/a.elf"), "{stderr}");
+    let out = pba(&dir, &["gen", "/dev/full", "--funcs", "8"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(74), "EX_IOERR: {stderr}");
+    assert!(stderr.contains("cannot write /dev/full"), "{stderr}");
+    // Reading is still a read error.
+    let out = pba(&dir, &["functions", "missing.elf"]);
+    assert_eq!(out.status.code(), Some(66), "EX_NOINPUT");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read missing.elf"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
