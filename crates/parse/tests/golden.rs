@@ -71,6 +71,14 @@ const SERVE_GOLDEN: [(&str, u64, u64, [u64; 7]); 3] = [
     ("serve", 0x1346233, 0xe4eddfea851a483a, [2245, 3408, 140, 505, 103, 29, 9400]),
 ];
 
+/// The 1-thread `[jt_slices, jt_views]` of each `SERVE_GOLDEN` row: the
+/// jump-table slicing runs and function views the parse's jump-table
+/// analysis took, exact like the counters above. Pinned after the slice
+/// was rewritten for cost; the parser before it took `[325, 523]`,
+/// `[364, 518]` and `[363, 522]` on these rows.
+#[rustfmt::skip]
+const SERVE_JT_WORK: [[u64; 2]; 3] = [[255, 326], [257, 381], [250, 367]];
+
 /// 140 functions, every one with a switch: the daemon benchmark's
 /// working-set binaries without their debug info and appended variants.
 fn serve(seed: u64) -> GenConfig {
@@ -163,6 +171,11 @@ fn counters(r: &ParseResult) -> [u64; 7] {
     ]
 }
 
+fn jt_work(r: &ParseResult) -> [u64; 2] {
+    let s = r.stats.snapshot();
+    [s.jt_slices, s.jt_views]
+}
+
 fn t1(input: &ParseInput) -> ParseResult {
     parse(input, &ParseConfig { threads: 1, ..Default::default() })
 }
@@ -204,14 +217,18 @@ fn digests_and_one_thread_counters_match_the_checked_in_constants() {
             check(name, seed, &input_for(&small(profile, seed)), want, want_counters);
         }
     }
-    for (&(name, want_seed, want, want_counters), seed) in SERVE_GOLDEN.iter().zip(SEEDS) {
+    for ((&(name, want_seed, want, want_counters), seed), want_jt) in
+        SERVE_GOLDEN.iter().zip(SEEDS).zip(SERVE_JT_WORK)
+    {
         assert_eq!(want_seed, seed, "SERVE_GOLDEN row order");
-        check(name, seed, &input_for(&serve(seed)), want, want_counters);
+        let input = input_for(&serve(seed));
+        check(name, seed, &input, want, want_counters);
+        assert_eq!(jt_work(&t1(&input)), want_jt, "{name} seed {seed:#x}: [jt_slices, jt_views]");
     }
 }
 
 #[test]
-#[ignore = "prints the GOLDEN and SERVE_GOLDEN tables; run at the commit whose output is to be pinned"]
+#[ignore = "prints the GOLDEN, SERVE_GOLDEN and SERVE_JT_WORK tables; run at the commit whose output is to be pinned"]
 fn print_golden() {
     let row = |name: &str, seed: u64, cfg: &GenConfig| {
         let r = t1(&input_for(cfg));
@@ -225,4 +242,7 @@ fn print_golden() {
     for seed in SEEDS {
         row("serve", seed, &serve(seed));
     }
+    let work: Vec<[u64; 2]> =
+        SEEDS.iter().map(|&seed| jt_work(&t1(&input_for(&serve(seed))))).collect();
+    println!("const SERVE_JT_WORK: [[u64; 2]; 3] = {work:?};");
 }
