@@ -179,7 +179,7 @@ impl Expr {
     /// not constant. Almost every expression `simplify` returns passes
     /// (a product by 1 of a sum is the exception), so callers that cache
     /// this per expression can skip re-simplifying it.
-    pub fn is_simplified(&self) -> bool {
+    pub(crate) fn is_simplified(&self) -> bool {
         match self {
             Expr::Top | Expr::Const(_) | Expr::Reg(_) => true,
             Expr::Load { addr, .. } => addr.is_simplified(),
@@ -212,7 +212,7 @@ impl Expr {
     /// or more. Borrows; allocates nothing. Only meaningful when
     /// [`Expr::is_simplified`] holds: it reads the atoms off the tree
     /// instead of simplifying them again.
-    pub fn single_atom(&self) -> Option<(&Expr, u64)> {
+    pub(crate) fn single_atom(&self) -> Option<(&Expr, u64)> {
         match self {
             Expr::Const(_) => None,
             Expr::Add(l, r) => match (&**l, &**r) {

@@ -1230,6 +1230,27 @@ mod tests {
         assert!(simplified > 5_000 && forms > 50, "{simplified} simplified, {forms} forms");
     }
 
+    /// A target crossing a block that writes none of its registers is
+    /// passed on as it is when it is simplified, and simplified when it
+    /// is not — what walking it through the block did before targets
+    /// were shared.
+    #[test]
+    fn a_target_crosses_an_unrelated_block_simplified() {
+        let view = absolute_table_view();
+        let spec = SliceSpec::build(&view, 0x2000, &backward_cone(&view, 0x2000)).expect("spec");
+        // The guard block `cmp rdi, 4 ; ja` writes only flags.
+        let guard = spec.graph.id(0x1000).expect("cone block");
+        // rsi + (rax + 8) * 1: one pass leaves the inner sum unflattened.
+        let inner = Expr::Add(Box::new(Expr::Reg(Reg::RAX)), Box::new(Expr::Const(8)));
+        let e = Expr::Add(Box::new(Expr::Reg(Reg::RSI)), Box::new(Expr::Mul(Box::new(inner), 1)));
+        let once = e.simplify();
+        assert!(!once.is_simplified(), "{once:?}");
+        let walked = spec.walk(guard, &Target::new(once.clone()));
+        assert_eq!(walked.expr, once.simplify());
+        assert!(walked.simplified);
+        assert!(Arc::ptr_eq(&spec.walk(guard, &walked), &walked), "shared, not rebuilt");
+    }
+
     #[test]
     fn union_over_paths_survives_one_bad_path() {
         // Two predecessors: one provides a clean guard, the other

@@ -256,6 +256,8 @@ mod tests {
         assert!(v0.is_current(&ensure, &s.take_touched()));
         assert_eq!(shape(&v0), shape(&SnapshotView::build(&s, 0x1000, &ensure)));
 
+        let key = |v: &SnapshotView| v.cone_key(0x1080, &pba_dataflow::backward_cone(v, 0x1080));
+        let mut last_key = key(&v0);
         for change in 0..3 {
             match change {
                 // 0x10c0 registers, and reaches 0x1200.
@@ -273,6 +275,10 @@ mod tests {
             let v = SnapshotView::build(&s, 0x1000, &ensure);
             assert!(!v0.is_current(&ensure, &s.take_touched()), "change {change}");
             assert_ne!(shape(&v), shape(&v0), "change {change}");
+            // Each change moves the jump's cone: blocks join it, a block
+            // in it ends earlier, two of its blocks gain an edge.
+            assert_ne!(key(&v), last_key, "change {change}");
+            last_key = key(&v);
         }
         let v = SnapshotView::build(&s, 0x1000, &ensure);
         assert_eq!(v.blocks, vec![0x1000, 0x1040, 0x1050, 0x1080, 0x10c0, 0x1200]);

@@ -197,6 +197,9 @@ impl<'i> State<'i> {
     /// by the block end `addr`, changed — once [`State::track_changes`]
     /// has been called; before that, nothing is kept.
     pub fn touch(&self, addr: u64) {
+        // Relaxed: the flag publishes nothing. It is set between phases,
+        // before the traversal tasks that read it are spawned, and the
+        // spawn orders the store before their loads.
         if self.tracking.load(Ordering::Relaxed) {
             self.touched.push(addr);
         }
