@@ -26,6 +26,7 @@
 
 pub mod apps;
 pub mod error;
+mod heap;
 pub mod session;
 
 pub use apps::{analyze, analyze_corpus, extract_binary};

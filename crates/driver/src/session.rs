@@ -183,8 +183,11 @@ impl Session {
     /// Open a session over a raw ELF image — an owned `Vec<u8>` (the
     /// historical signature), a borrowed slice, or an already-shared
     /// [`ImageBytes`]. Nothing is parsed yet; every artifact is
-    /// computed on first use.
+    /// computed on first use. The first session of a process fixes the
+    /// C allocator's thresholds, which keeps peak RSS from one run to
+    /// the next steady (`heap.rs`).
     pub fn open(bytes: impl Into<ImageBytes>, config: SessionConfig) -> Session {
+        crate::heap::steady();
         Session {
             config,
             input: bytes.into(),
