@@ -421,6 +421,53 @@ mod tests {
         assert_eq!(a.text, b.text);
     }
 
+    /// Two CUs give rows at one address with different files and lines,
+    /// and one CU gives two rows at another: the map resolves each such
+    /// address to the last of its rows in `(addr, unit, file, line)`
+    /// order, before and after it, and for every address up to the next
+    /// row.
+    #[test]
+    fn line_map_resolves_equal_address_rows_to_the_last() {
+        use pba_dwarf::{CompileUnit, LineRow, LineTable};
+        let unit = |name: &str, files: &[&str], rows: &[(u64, u32, u32)]| CompileUnit {
+            name: name.into(),
+            low_pc: rows[0].0,
+            high_pc: rows[rows.len() - 1].0 + 0x10,
+            files: files.iter().map(|f| f.to_string()).collect(),
+            subprograms: Vec::new(),
+            line_table: LineTable {
+                rows: rows.iter().map(|&(addr, file, line)| LineRow { addr, file, line }).collect(),
+            },
+        };
+        let di = DebugInfo {
+            units: vec![
+                unit("a.c", &["a.c", "a.h"], &[(0x1000, 0, 3), (0x1010, 1, 9), (0x1030, 0, 40)]),
+                unit(
+                    "b.c",
+                    &["b.c", "b.h"],
+                    &[
+                        (0x1010, 0, 7),
+                        (0x1020, 0, 8),
+                        (0x1030, 1, 2),
+                        (0x1030, 0, 50),
+                        (0x1040, 5, 1),
+                    ],
+                ),
+            ],
+        };
+        let map = LineMap::build(&di);
+        assert_eq!(map.lookup(0x0fff), None, "before the first row");
+        assert_eq!(map.lookup(0x1000), Some(("a.c", 3)));
+        assert_eq!(map.lookup(0x100f), Some(("a.c", 3)));
+        assert_eq!(map.lookup(0x1010), Some(("b.c", 7)), "unit 1 sorts after unit 0");
+        assert_eq!(map.lookup(0x101f), Some(("b.c", 7)));
+        assert_eq!(map.lookup(0x1020), Some(("b.c", 8)));
+        assert_eq!(map.lookup(0x1030), Some(("b.h", 2)), "file 1 sorts after file 0");
+        assert_eq!(map.lookup(0x103f), Some(("b.h", 2)));
+        assert_eq!(map.lookup(0x1040), Some(("??", 1)), "a file index past the unit's table");
+        assert_eq!(map.lookup(u64::MAX), Some(("??", 1)));
+    }
+
     #[test]
     fn executor_choice_does_not_change_output() {
         let bytes = sample();

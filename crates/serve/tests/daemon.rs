@@ -181,6 +181,23 @@ fn second_query_recomputes_nothing_across_connections() {
     assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
 }
 
+/// The `struct` reply's text, pinned as an FNV-1a-64 digest: the
+/// equivalence test above only compares the daemon with an in-process
+/// session, which would move together. Regenerate only for an intended
+/// output change (the failure message prints the new digest).
+#[test]
+fn struct_reply_text_matches_the_checked_in_digest() {
+    const GOLDEN: (u64, usize, u64) = (0x8dac_c391_959c_be60, 64_905, 889);
+    let handle = spawn_tcp(usize::MAX);
+    let mut client = connect(&handle);
+    let served =
+        client.request_ok(&Request::Struct { bin: BinSpec::Bytes(gen_elf(11, 24)) }).unwrap();
+    let Response::Struct { text, stmts, .. } = served else { panic!("not a struct reply") };
+    let got = (pba_elf::image::fnv1a_64(text.as_bytes()), text.len(), stmts);
+    assert_eq!(got, GOLDEN, "struct reply (digest, bytes, statements): {got:#x?}");
+    handle.stop().unwrap();
+}
+
 #[test]
 fn concurrent_clients_respect_cap_and_evict_lru() {
     let bins: Vec<Vec<u8>> = (0..4).map(|i| gen_elf(100 + i, 6)).collect();
