@@ -10,6 +10,16 @@
 //! exact Figure 2 shape. The byte-level entry point (`analyze`) is a
 //! thin layer over a session in `pba-driver`, re-exported as
 //! `pba::hpcstruct::analyze`.
+//!
+//! Phase 3 interns every file name once across all compile units and
+//! keeps one `(addr, file id, line)` row per address (see `LineMap`
+//! for which row wins when units disagree about an address). Phase 5
+//! builds each function's name and ranges on the pool. Phase 6 is one
+//! task per function: its loops, its stack-frame extent, its statement
+//! ranges (a cursor walked along the line rows of each covered range,
+//! coalescing on file id and line) and its inline scopes. Phase 7 is
+//! [`StructFile::to_text`], the one text writer. Every statement range
+//! and inline scope shares its file name's `Arc<str>`.
 
 use crate::structure::{FuncStruct, InlineScope, LoopStruct, StmtRange, StructFile};
 use pba_cfg::Cfg;
@@ -18,6 +28,8 @@ use pba_dwarf::{DebugInfo, InlinedSub};
 use pba_loops::loop_forest_on;
 use rayon::prelude::*;
 use serde::Serialize;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Names of the seven phases, matching the paper's Figure 2 numbering.
@@ -104,54 +116,151 @@ impl HsOutput {
     }
 }
 
-/// Global line map: `(addr, unit index, file index, line)` sorted by
-/// address — "a serial structure optimized for accelerated lookup"
-/// (paper phase 3, including its resistance to parallelization).
+/// Phase 3's line map, "a serial structure optimized for accelerated
+/// lookup" (the paper notes this phase resisted parallelization).
+///
+/// File names are interned once across all units: each distinct name
+/// is one `Arc<str>` with a dense id, and every statement range and
+/// inline scope that names it shares that `Arc`. Rows are kept one per
+/// address, `(addr, file id, line)`, address-sorted, so a statement walk
+/// seeks once per covered range ([`LineMap::seek`]) and then moves a
+/// cursor forward per instruction ([`LineMap::advance`]).
+///
+/// Units may give rows at one address that differ in file or line.
+/// Among the rows at an address, the one kept is the last in
+/// `(addr, unit, file, line)` order: the row a binary search over the
+/// full sorted table resolves that address to.
 struct LineMap {
-    entries: Vec<(u64, u32, u32, u32)>,
-    files: Vec<Vec<String>>,
+    /// `(addr, file id, line)`, one row per address, address-sorted.
+    rows: Vec<(u64, u32, u32)>,
+    /// Interned file names, indexed by file id.
+    names: Vec<Arc<str>>,
+    /// Per unit, the file id of each entry of its file table.
+    unit_files: Vec<Vec<u32>>,
+    /// The id of `??`, the name of a file index past its unit's table.
+    unknown: u32,
 }
 
 impl LineMap {
-    fn build(di: &DebugInfo) -> LineMap {
-        let mut entries = Vec::with_capacity(di.line_row_count());
-        let mut files = Vec::with_capacity(di.units.len());
+    fn build<'d>(di: &'d DebugInfo) -> LineMap {
+        let mut ids: HashMap<&'d str, u32> = HashMap::new();
+        let mut names: Vec<Arc<str>> = Vec::new();
+        let mut intern = |name: &'d str| {
+            *ids.entry(name).or_insert_with(|| {
+                names.push(Arc::from(name));
+                (names.len() - 1) as u32
+            })
+        };
+        let unknown = intern("??");
+        let unit_files: Vec<Vec<u32>> =
+            di.units.iter().map(|u| u.files.iter().map(|f| intern(f)).collect()).collect();
+        // Sort `(addr, unit, row index)` keys, then overwrite them in
+        // place with one `(addr, file id, line)` row per address: the
+        // same 16 bytes, so the map needs no second buffer.
+        let mut rows: Vec<(u64, u32, u32)> = Vec::with_capacity(di.line_row_count());
         for (ui, u) in di.units.iter().enumerate() {
-            for r in &u.line_table.rows {
-                entries.push((r.addr, ui as u32, r.file, r.line));
-            }
-            files.push(u.files.clone());
+            rows.extend(
+                u.line_table.rows.iter().enumerate().map(|(ri, r)| (r.addr, ui as u32, ri as u32)),
+            );
         }
-        entries.sort_unstable();
-        LineMap { entries, files }
+        rows.sort_unstable();
+        let row = |(_, ui, ri): (u64, u32, u32)| {
+            let r = di.units[ui as usize].line_table.rows[ri as usize];
+            (ui, r.file, r.line)
+        };
+        let (mut read, mut kept) = (0, 0);
+        while read < rows.len() {
+            let addr = rows[read].0;
+            // The last row of the address in (unit, file, line) order.
+            let mut last = row(rows[read]);
+            read += 1;
+            while read < rows.len() && rows[read].0 == addr {
+                last = last.max(row(rows[read]));
+                read += 1;
+            }
+            let (ui, fi, line) = last;
+            let file = unit_files[ui as usize].get(fi as usize).copied().unwrap_or(unknown);
+            rows[kept] = (addr, file, line);
+            kept += 1;
+        }
+        rows.truncate(kept);
+        LineMap { rows, names, unit_files, unknown }
     }
 
+    /// A cursor for a walk over ascending addresses from `addr` on: the
+    /// index of the first row that starts past `addr`.
+    fn seek(&self, addr: u64) -> usize {
+        self.rows.partition_point(|r| r.0 <= addr)
+    }
+
+    /// `(file id, line)` of the row covering `addr`, moving `cursor`
+    /// past every row that starts at or before it. `addr` must not be
+    /// below an address the cursor was sought or advanced to.
+    fn advance(&self, cursor: &mut usize, addr: u64) -> Option<(u32, u32)> {
+        while self.rows.get(*cursor).is_some_and(|r| r.0 <= addr) {
+            *cursor += 1;
+        }
+        let (_, file, line) = self.rows[cursor.checked_sub(1)?];
+        Some((file, line))
+    }
+
+    /// The shared name of file id `file`.
+    fn name(&self, file: u32) -> Arc<str> {
+        Arc::clone(&self.names[file as usize])
+    }
+
+    /// The shared name of entry `file` of unit `unit`'s file table.
+    fn unit_file(&self, unit: usize, file: u32) -> Arc<str> {
+        self.name(self.unit_files[unit].get(file as usize).copied().unwrap_or(self.unknown))
+    }
+
+    #[cfg(test)]
     fn lookup(&self, addr: u64) -> Option<(&str, u32)> {
-        let i = match self.entries.binary_search_by_key(&addr, |e| e.0) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
-        };
-        let (_, ui, fi, line) = self.entries[i];
-        let name = self
-            .files
-            .get(ui as usize)
-            .and_then(|f| f.get(fi as usize))
-            .map(String::as_str)
-            .unwrap_or("??");
-        Some((name, line))
+        let (file, line) = self.advance(&mut self.seek(addr), addr)?;
+        Some((&self.names[file as usize], line))
     }
 }
 
-fn convert_inline(files: &[String], inl: &InlinedSub) -> InlineScope {
+fn convert_inline(linemap: &LineMap, unit: usize, inl: &InlinedSub) -> InlineScope {
     InlineScope {
         name: inl.name.clone(),
         lo: inl.low_pc,
         hi: inl.high_pc,
-        call_file: files.get(inl.call_file as usize).cloned().unwrap_or_else(|| "??".into()),
+        call_file: linemap.unit_file(unit, inl.call_file),
         call_line: inl.call_line,
-        children: inl.children.iter().map(|c| convert_inline(files, c)).collect(),
+        children: inl.children.iter().map(|c| convert_inline(linemap, unit, c)).collect(),
     }
+}
+
+/// Append the statement ranges (AC3) of a covered range starting at
+/// `lo` to `out`: consecutive instructions on the same file and line
+/// coalesce into one range. `insns` are the range's instructions as
+/// `(addr, end)`, in address order.
+fn statements(
+    linemap: &LineMap,
+    lo: u64,
+    insns: impl Iterator<Item = (u64, u64)>,
+    out: &mut Vec<StmtRange>,
+) {
+    let mut cursor = linemap.seek(lo);
+    // (lo, hi, file id, line) of the range being extended.
+    let mut cur: Option<(u64, u64, u32, u32)> = None;
+    let close = |(lo, hi, file, line): (u64, u64, u32, u32)| StmtRange {
+        lo,
+        hi,
+        file: linemap.name(file),
+        line,
+    };
+    for (addr, end) in insns {
+        match (&mut cur, linemap.advance(&mut cursor, addr)) {
+            (Some(c), Some((file, line))) if (c.2, c.3) == (file, line) => c.1 = end,
+            (c, here) => {
+                out.extend(c.take().map(close));
+                *c = here.map(|(file, line)| (addr, end, file, line));
+            }
+        }
+    }
+    out.extend(cur.map(close));
 }
 
 /// Run phases 3 and 5–7 over already-built artifacts: the line map, the
@@ -183,32 +292,29 @@ pub fn analyze_artifacts(
     let linemap = LineMap::build(di);
     times.seconds[2] = t.elapsed().as_secs_f64();
 
-    // Phase 5: skeleton construction (serial).
+    // Phase 5: skeleton construction, names and ranges on the pool. The
+    // function map iterates in entry order, which the skeleton keeps.
     let t = Instant::now();
-    let mut skeleton: Vec<FuncStruct> = cfg_graph
-        .functions
-        .values()
-        .map(|f| FuncStruct {
-            name: pba_elf::demangle::pretty_name(&f.name),
-            entry: f.entry,
-            ranges: f.ranges(cfg_graph),
-            frame_bytes: None,
-            loops: Vec::new(),
-            stmts: Vec::new(),
-            inlines: Vec::new(),
-        })
-        .collect();
-    skeleton.sort_by_key(|f| f.entry);
+    let funcs: Vec<_> = cfg_graph.functions.values().collect();
+    let mut skeleton: Vec<FuncStruct> = pool.install(|| {
+        funcs
+            .par_iter()
+            .map(|f| FuncStruct {
+                name: pba_elf::demangle::pretty_name(&f.name),
+                entry: f.entry,
+                ranges: f.ranges(cfg_graph),
+                frame_bytes: None,
+                loops: Vec::new(),
+                stmts: Vec::new(),
+                inlines: Vec::new(),
+            })
+            .collect()
+    });
     times.seconds[4] = t.elapsed().as_secs_f64();
 
-    // Phase 6: parallel queries (loops, statements, inline scopes,
-    // stack frames). The dataflow engine's whole-binary driver fans the
-    // per-function stack analysis across the pool once; the
-    // per-function closures below then read its results.
+    // Phase 6: parallel queries (loops, stack frames, statements,
+    // inline scopes), one task per function.
     let t = Instant::now();
-    let frame_of = pba_dataflow::run_per_function_ir(ir, cfg.threads, |fir| {
-        pba_dataflow::stack_heights_and_extent_on(fir, fir.graph()).1
-    });
     // Map entries to DWARF subprograms once: a sorted array queried by
     // binary search (entries are read-only from here on).
     let mut subprogram_of: Vec<(u64, (u32, u32))> = di
@@ -243,8 +349,9 @@ pub fn analyze_artifacts(
     };
     pool.install(|| {
         skeleton.par_iter_mut().for_each(|fs| {
-            // Loops (AC2).
-            if let Some(fir) = ir.func(fs.entry) {
+            let fir = ir.func(fs.entry);
+            if let Some(fir) = fir {
+                // Loops (AC2).
                 let forest = loop_forest_on(fir, fir.graph());
                 fs.loops = forest
                     .loops
@@ -252,22 +359,16 @@ pub fn analyze_artifacts(
                     .map(|l| LoopStruct { header: l.header, depth: l.depth, blocks: l.size() })
                     .collect();
                 fs.loops.sort_by_key(|l| (l.depth, l.header));
+                // Stack frame extent, from the dataflow engine's
+                // stack-height fixpoint.
+                fs.frame_bytes = pba_dataflow::stack_heights_and_extent_on(fir, fir.graph()).1;
             }
-            // Stack frame extent, precomputed by the dataflow engine's
-            // whole-binary pass above.
-            if let Some(&extent) = frame_of.get(&fs.entry) {
-                fs.frame_bytes = extent;
-            }
-            // Statement ranges (AC3): walk covered ranges, coalescing
-            // consecutive addresses with the same line. The blocks of a
+            // Statement ranges (AC3), per covered range. The blocks of a
             // merged range tile it exactly (finalized blocks are
-            // disjoint), so chaining the IR's per-block slices is the
-            // same instruction sequence the old linear re-decode
-            // produced — minus the decode.
-            let fir = ir.func(fs.entry);
+            // disjoint), so chaining the IR's per-block slices walks the
+            // range's instructions in address order, decoding nothing.
             for &(lo, hi) in &fs.ranges {
-                let mut cur: Option<StmtRange> = None;
-                let range_insns = fir.iter().flat_map(|f| {
+                let insns = fir.iter().flat_map(|f| {
                     // The block list is sorted: binary-search the
                     // covered sub-range instead of scanning every block
                     // once per range.
@@ -276,55 +377,26 @@ pub fn analyze_artifacts(
                     let end = blocks.partition_point(|&b| b < hi);
                     blocks[start..end].iter().flat_map(|&b| f.insns(b))
                 });
-                for insn in range_insns {
-                    let here = linemap.lookup(insn.addr);
-                    match (&mut cur, here) {
-                        (Some(c), Some((f, l))) if c.file == f && c.line == l => c.hi = insn.end(),
-                        (prev, Some((f, l))) => {
-                            if let Some(done) = prev.take() {
-                                fs.stmts.push(done);
-                            }
-                            *prev = Some(StmtRange {
-                                lo: insn.addr,
-                                hi: insn.end(),
-                                file: f.to_string(),
-                                line: l,
-                            });
-                        }
-                        (prev, None) => {
-                            if let Some(done) = prev.take() {
-                                fs.stmts.push(done);
-                            }
-                        }
-                    }
-                }
-                if let Some(done) = cur.take() {
-                    fs.stmts.push(done);
-                }
+                statements(&linemap, lo, insns.map(|i| (i.addr, i.end())), &mut fs.stmts);
             }
+            // Exact capacity: the session's resident size counts it.
+            fs.stmts.shrink_to_fit();
             // Inline scopes (AC4).
             if let Some((ui, si)) = subprogram_of(fs.entry) {
-                let unit = &di.units[ui];
-                fs.inlines = unit.subprograms[si]
+                fs.inlines = di.units[ui].subprograms[si]
                     .inlines
                     .iter()
-                    .map(|inl| convert_inline(&unit.files, inl))
+                    .map(|inl| convert_inline(&linemap, ui, inl))
                     .collect();
             }
         });
     });
     times.seconds[5] = t.elapsed().as_secs_f64();
 
-    // Phase 7: serialization (parallel per function, serial concat).
+    // Phase 7: serialization, the same writer `StructFile::to_text` is.
     let t = Instant::now();
     let structure = StructFile { load_module: cfg.name.clone(), functions: skeleton };
-    let chunks: Vec<String> =
-        pool.install(|| structure.functions.par_iter().map(|f| f.to_text()).collect());
-    let mut text = format!("<LM n=\"{}\">\n", structure.load_module);
-    for c in chunks {
-        text.push_str(&c);
-    }
-    text.push_str("</LM>\n");
+    let text = structure.to_text();
     times.seconds[6] = t.elapsed().as_secs_f64();
 
     HsOutput { structure, text, times }

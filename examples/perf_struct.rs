@@ -47,7 +47,9 @@ fn main() {
         .iter()
         .max_by_key(|f| f.loops.len() * 100 + f.inlines.len() * 10 + f.stmts.len())
     {
-        println!("\nsample entry:\n{}", f.to_text());
+        let mut text = String::new();
+        f.write_text(&mut text);
+        println!("\nsample entry:\n{text}");
     }
 
     // The full structure file would normally be written to disk:
