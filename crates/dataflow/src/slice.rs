@@ -50,7 +50,7 @@
 //!   fixes what widening keeps and the order facts are read out in.
 //! * **Matched without allocating.** A simplified expression's sums are
 //!   flat, so `classify` reads the atoms in place
-//!   ([`Expr::is_simplified`], [`Expr::single_atom`]); only an
+//!   (`Expr::is_simplified`, `Expr::single_atom`); only an
 //!   expression `simplify` does not settle in one pass falls back to the
 //!   flattening match.
 //! * **Read lazily.** A cone block is decoded, and its written registers
@@ -735,20 +735,32 @@ pub fn slice_cone(view: &dyn CfgView, jump_block: u64, cone: &[u64]) -> Option<S
 /// block terminator is an indirect branch — the work list a
 /// whole-binary slicing sweep fans out over (shared by the benchmark
 /// suite and the corpus slice tests). Sorted for determinism.
+///
+/// Each block is classified once, however many functions own it, and
+/// only a block with no out-edge other than `Indirect` is decoded. Any
+/// other kind rules an indirect branch out: the parser gives an
+/// indirect branch only `Indirect` edges (one per table target it
+/// resolved, none if it resolved none), and finalization's tail-call
+/// rules only turn `Direct` and `TailCall` edges into each other, so a
+/// fall-through, branch, call or tail-call edge comes from some other
+/// terminator.
 pub fn collect_indirect_jumps(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
-    let mut jumps = Vec::new();
-    for f in cfg.functions.values() {
-        for &b in &f.blocks {
-            let Some(blk) = cfg.blocks.get(&b) else { continue };
-            let is_ind =
-                cfg.code.insns(blk.start, blk.end).last().is_some_and(|i| {
+    let indirect: FxHashSet<u64> = cfg
+        .blocks
+        .values()
+        .filter(|blk| {
+            cfg.out_edges(blk.start).iter().all(|e| e.kind == EdgeKind::Indirect)
+                && cfg.code.insns(blk.start, blk.end).last().is_some_and(|i| {
                     matches!(i.control_flow(), pba_isa::ControlFlow::IndirectBranch)
-                });
-            if is_ind {
-                jumps.push((f.entry, b));
-            }
-        }
-    }
+                })
+        })
+        .map(|blk| blk.start)
+        .collect();
+    let mut jumps: Vec<(u64, u64)> = cfg
+        .functions
+        .values()
+        .flat_map(|f| f.blocks.iter().filter(|b| indirect.contains(b)).map(|&b| (f.entry, b)))
+        .collect();
     jumps.sort_unstable();
     jumps
 }

@@ -112,3 +112,66 @@ fn serial_and_parallel_agree_under_widening() {
         slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Serial).expect("indirect jump");
     assert!(serial.widened, "the fan-out must trip MAX_PATHS widening");
 }
+
+/// The full scan `collect_indirect_jumps` replaced: decode every block
+/// of every function, once per owning function, and read the
+/// terminator.
+fn full_scan(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
+    let mut jumps = Vec::new();
+    for f in cfg.functions.values() {
+        for &b in &f.blocks {
+            let Some(blk) = cfg.blocks.get(&b) else { continue };
+            let last = cfg.code.insns(blk.start, blk.end).last().map(|i| i.control_flow());
+            if last == Some(pba_isa::ControlFlow::IndirectBranch) {
+                jumps.push((f.entry, b));
+            }
+        }
+    }
+    jumps.sort_unstable();
+    jumps
+}
+
+/// On every profile at a twentieth of its size, and on the switch-heavy
+/// daemon shape (140 functions, a switch in each), the edge-filtered
+/// scan finds exactly the full scan's jumps and decodes less.
+#[test]
+fn indirect_jump_scan_matches_the_full_scan_and_decodes_less() {
+    let mut corpora: Vec<pba_gen::GenConfig> = [
+        Profile::Llnl1,
+        Profile::Llnl2,
+        Profile::Camellia,
+        Profile::TensorFlow,
+        Profile::Coreutils,
+        Profile::Server,
+        Profile::Skewed,
+    ]
+    .into_iter()
+    .map(|profile| {
+        let mut c = profile.config(11);
+        c.num_funcs = (c.num_funcs / 20).max(48);
+        c.huge_diamonds = c.huge_diamonds.min(90);
+        c.debug_info = false;
+        c
+    })
+    .collect();
+    corpora.push(pba_gen::GenConfig {
+        seed: 11,
+        num_funcs: 140,
+        pct_switch: 1.0,
+        debug_info: false,
+        ..Default::default()
+    });
+    for gen in &corpora {
+        let elf = pba_elf::Elf::parse(generate(gen).elf).expect("well-formed ELF");
+        let cfg = parse_parallel(&ParseInput::from_elf(&elf).expect(".text present"), 2).cfg;
+        let before = cfg.code.decode_count();
+        let want = full_scan(&cfg);
+        let full = cfg.code.decode_count() - before;
+        let before = cfg.code.decode_count();
+        let got = collect_indirect_jumps(&cfg);
+        let filtered = cfg.code.decode_count() - before;
+        assert!(!want.is_empty(), "seed {}: no indirect jump", gen.seed);
+        assert_eq!(got, want, "{} functions", gen.num_funcs);
+        assert!(filtered < full, "decoded {filtered} insns, the full scan {full}");
+    }
+}
