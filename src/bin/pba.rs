@@ -40,8 +40,10 @@
 //! mapped to exit codes exactly once, in `main`.
 
 use pba::gen::{generate, GenConfig};
+use pba::hpcstruct::PHASE_NAMES;
 use pba::serve::{BinSpec, Client, Request, Response, ServeAddr, ServeConfig, Server};
 use pba::{Error, Session, SessionConfig};
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 fn usage() -> ! {
@@ -208,6 +210,13 @@ fn run(args: &[String], out: &mut impl Write) -> Result<i32, Stop> {
                 // `finalize_ns`) — where a slow CFG parse went.
                 let line = serde_json::to_string(&session.parse_stats()?)
                     .map_err(|e| Error::Protocol(e.to_string()))?;
+                eprintln!("{line}");
+                // A third line: the wall time of each of Figure 2's seven
+                // hpcstruct phases, in seconds, keyed by phase name.
+                let phases: BTreeMap<&str, f64> =
+                    PHASE_NAMES.iter().copied().zip(hs.times.seconds).collect();
+                let line =
+                    serde_json::to_string(&phases).map_err(|e| Error::Protocol(e.to_string()))?;
                 eprintln!("{line}");
             }
             Ok(0)

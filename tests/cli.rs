@@ -45,13 +45,17 @@ fn struct_stats_prints_session_and_parser_counters() {
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     let json: Vec<&str> = stderr.lines().filter(|l| l.starts_with('{')).collect();
-    assert_eq!(json.len(), 2, "{stderr}");
+    assert_eq!(json.len(), 3, "{stderr}");
     assert!(json[0].contains("\"cfg_parses\":1"), "{}", json[0]);
     for field in ["traverse_ns", "sweep_ns", "refine_ns", "finalize_ns", "sweep_views"] {
         assert!(json[1].contains(&format!("\"{field}\":")), "{field} missing: {}", json[1]);
     }
     for field in ["refine_reanalyses", "jt_slices", "jt_views"] {
         assert!(json[1].contains(&format!("\"{field}\":")), "{field} missing: {}", json[1]);
+    }
+    // The third line: seconds per hpcstruct phase, Figure 2's seven.
+    for name in pba::hpcstruct::PHASE_NAMES {
+        assert!(json[2].contains(&format!("\"{name}\":")), "{name} missing: {}", json[2]);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
