@@ -99,10 +99,9 @@ impl SharedNames {
     /// plus the text.
     fn bytes(&mut self, name: &Arc<str>) -> usize {
         let p = name.as_ptr();
-        if self.last == Some(p) || !self.seen.insert(p) {
+        if self.last.replace(p) == Some(p) || !self.seen.insert(p) {
             return 0;
         }
-        self.last = Some(p);
         2 * std::mem::size_of::<usize>() + name.len()
     }
 
