@@ -4,7 +4,8 @@
 //! block start?" style facts. A full accessor map is overkill when the only
 //! operations are insert-if-absent and membership probes, so this is a
 //! striped `HashSet<u64>`: the same sharding scheme as
-//! [`crate::ConcurrentHashMap`] minus the per-entry locks.
+//! [`crate::ConcurrentHashMap`] minus the entry slabs and per-entry
+//! locks, one shim `RwLock` per stripe.
 
 use crate::fxhash::{fx_hash_u64, FxBuildHasher};
 use parking_lot::RwLock;

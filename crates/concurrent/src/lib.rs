@@ -13,10 +13,11 @@
 //!   serializing unrelated elements.
 //!
 //! [`ConcurrentHashMap`] reproduces those semantics from scratch: a sharded
-//! hash table whose values are `Arc<RwLock<V>>`, with shard locks held only
-//! for the brief bucket manipulation and entry locks (via
-//! `parking_lot`'s `arc_lock` guards) held for as long as the caller keeps
-//! the accessor alive.
+//! hash table whose entries live in per-shard slabs of `(K, RwLock<V>)`
+//! slots that never move, with shard locks held only for the brief index
+//! manipulation and entry locks (borrow guards on the slot's one-word
+//! `parking_lot::RwLock`) held for as long as the caller keeps the
+//! accessor alive.
 //!
 //! The crate also provides the small supporting cast used across the
 //! workspace: a fast integer-friendly hasher ([`fxhash`]), a concurrent

@@ -4,7 +4,9 @@
 //! Finalization owns the traversal state: it takes each concurrent map
 //! apart with `into_entries` into a plain map or list before step 1, so
 //! every step below edits owned data and no concurrent map survives
-//! traversal.
+//! traversal. `into_entries` yields entries in the maps' slab order,
+//! which depends on which thread inserted first; the output does not
+//! (the golden digests pin it at 1, 2 and 4 threads).
 //!
 //! 1. **Jump-table finalization** — only now are all table locations
 //!    known, so unbounded (over-approximated) tables are clamped at the
@@ -301,8 +303,8 @@ impl DenseGraph {
 
 /// Finalize: consume the traversal state, return the CFG + stats.
 pub fn finalize(state: State<'_>) -> ParseResult {
-    // Traversal has quiesced: take every map apart into owned data, so
-    // nothing below locks an entry or clones a value.
+    // Traversal has quiesced: move every value out of the maps, so
+    // nothing below locks an entry.
     let State { input, blocks, block_ends, edges, funcs, jts, stats, .. } = state;
     let mut blocks: FxHashMap<u64, u64> =
         blocks.into_entries().into_iter().map(|(s, rec)| (s, rec.end)).collect();

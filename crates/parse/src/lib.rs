@@ -82,8 +82,10 @@
 //!   comparison, and it is what converges the clamp.
 //!
 //! Finalization takes the traversal state by value: each concurrent map
-//! is taken apart into plain owned maps (`ConcurrentHashMap::into_entries`),
-//! so no accessor map survives traversal and finalization locks nothing.
+//! is taken apart into plain owned maps (`ConcurrentHashMap::into_entries`
+//! moves every value out of its shard slabs, in slab order, which nothing
+//! downstream depends on), so no accessor map survives traversal and
+//! finalization locks nothing.
 //! It then works on dense block ids (blocks sorted by address once,
 //! edges in one `(source, target)`-sorted array with CSR offsets,
 //! reachability by stamp array) and hands that edge array to the
