@@ -110,7 +110,14 @@ impl DecodeWork {
     }
 }
 
-fn linear_parse(state: &State<'_>, start: u64, work: &mut DecodeWork) -> ParsedBlock {
+/// Decode the block at `start`. `visited` is the caller's scratch
+/// buffer, reused from block to block; it is cleared here.
+fn linear_parse(
+    state: &State<'_>,
+    start: u64,
+    work: &mut DecodeWork,
+    visited: &mut Vec<u64>,
+) -> ParsedBlock {
     if state.cfg.decode_cache {
         if let Some((end, term_start, td)) = with_cache(state, |c| c.get(&start).copied()) {
             work.cache_hits += 1;
@@ -121,7 +128,7 @@ fn linear_parse(state: &State<'_>, start: u64, work: &mut DecodeWork) -> ParsedB
     let code = &state.input.code;
     let mut at = start;
     let mut teardown = false;
-    let mut visited: Vec<u64> = Vec::new();
+    visited.clear();
     loop {
         let Some(insn) = code.decode(at) else {
             work.errors += 1;
@@ -138,7 +145,7 @@ fn linear_parse(state: &State<'_>, start: u64, work: &mut DecodeWork) -> ParsedB
                     // The teardown flag holds for any start at or before
                     // the penultimate instruction; the terminator's own
                     // address sees no preceding instruction.
-                    for &a in &visited {
+                    for &a in visited.iter() {
                         c.insert(a, (end, term_start, teardown));
                     }
                     c.insert(term_start, (end, term_start, false));
@@ -159,9 +166,10 @@ fn linear_parse(state: &State<'_>, start: u64, work: &mut DecodeWork) -> ParsedB
 /// (Listing 3).
 fn traverse<'i: 'scope, 'scope>(state: &'scope State<'i>, sched: &Sched<'_, 'scope>, w: Work) {
     let mut work = DecodeWork::default();
+    let mut visited = Vec::new();
     let mut worklist = vec![w.start];
     while let Some(b) = worklist.pop() {
-        let pb = linear_parse(state, b, &mut work);
+        let pb = linear_parse(state, b, &mut work, &mut visited);
         if pb.end == b {
             // Undecodable from the first byte: retract the block.
             state.blocks.remove(&b);
