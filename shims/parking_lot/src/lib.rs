@@ -361,23 +361,16 @@ mod tests {
         let l = RwLock::new(5u32);
         assert_eq!(*l.read(), 5);
         *l.write() = 7;
-        assert_eq!(*l.read(), 7);
+        let (a, b) = (l.read(), l.read());
+        assert_eq!((*a, *b), (7, 7), "readers share");
+        drop((a, b));
+        assert_eq!(l.state.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn rwlock_is_one_word_beside_its_data() {
         assert!(std::mem::size_of::<RwLock<u64>>() <= 32);
         assert_eq!(std::mem::size_of::<RwLock<u64>>(), 16);
-    }
-
-    #[test]
-    fn readers_share_and_the_state_returns_to_zero() {
-        let l = RwLock::new(1u8);
-        let (a, b) = (l.read(), l.read());
-        assert_eq!(*a + *b, 2);
-        drop((a, b));
-        drop(l.write());
-        assert_eq!(l.state.load(Ordering::Relaxed), 0);
     }
 
     /// Threads parked on `l`, from its state word.
