@@ -9,9 +9,9 @@
 use pba_bench::report::secs;
 use pba_bench::workload;
 use pba_bench::workloads::run_threads;
-use pba_driver::analyze;
+use pba_driver::{Session, SessionConfig};
 use pba_gen::Profile;
-use pba_hpcstruct::{HsConfig, PHASE_NAMES};
+use pba_hpcstruct::PHASE_NAMES;
 use pba_parse::stats::StatsSnapshot;
 use pba_parse::{parse_parallel, ParseInput};
 
@@ -31,7 +31,9 @@ fn median_parse(input: &ParseInput, threads: usize, reps: usize) -> (f64, StatsS
 fn main() {
     let threads = run_threads();
     let g = workload(Profile::TensorFlow, 0xF162);
-    let out = analyze(&g.elf, &HsConfig { threads, name: "TensorFlow".into() }).expect("hpcstruct");
+    let config = SessionConfig::default().with_threads(threads).with_name("TensorFlow");
+    let session = Session::open(g.elf.as_slice(), config);
+    let out = session.structure().expect("hpcstruct");
     let total = out.times.total();
 
     println!(

@@ -4,9 +4,8 @@
 
 use pba_bench::report::Table;
 use pba_bench::{sweep_threads, workload};
-use pba_driver::analyze;
+use pba_driver::{Session, SessionConfig};
 use pba_gen::Profile;
-use pba_hpcstruct::HsConfig;
 
 fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
@@ -20,10 +19,13 @@ fn main() {
         .map(|(i, p)| (p.name(), workload(*p, 0xF163 + i as u64)))
         .collect();
 
+    let config = |n: usize, name: &str| SessionConfig::default().with_threads(n).with_name(name);
+
     // Baselines at 1 thread.
     let mut base: Vec<(f64, f64, f64)> = Vec::new();
     for (name, g) in &binaries {
-        let out = analyze(&g.elf, &HsConfig { threads: 1, name: (*name).into() }).unwrap();
+        let session = Session::open(g.elf.as_slice(), config(1, name));
+        let out = session.structure().expect("hpcstruct");
         base.push((out.times.dwarf(), out.times.cfg(), out.times.total()));
     }
 
@@ -34,7 +36,8 @@ fn main() {
         let mut sp_dwarf = Vec::new();
         let mut sp_cfg = Vec::new();
         for ((name, g), &(bd, bc, bt)) in binaries.iter().zip(&base) {
-            let out = analyze(&g.elf, &HsConfig { threads: n, name: (*name).into() }).unwrap();
+            let session = Session::open(g.elf.as_slice(), config(n, name));
+            let out = session.structure().expect("hpcstruct");
             sp_dwarf.push(bd / out.times.dwarf().max(1e-9));
             sp_cfg.push(bc / out.times.cfg().max(1e-9));
             sp_total.push(bt / out.times.total().max(1e-9));

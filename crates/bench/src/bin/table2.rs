@@ -4,9 +4,8 @@
 
 use pba_bench::report::{secs, speedup, Table};
 use pba_bench::{sweep_threads, workload};
-use pba_driver::analyze;
+use pba_driver::{Session, SessionConfig};
 use pba_gen::Profile;
-use pba_hpcstruct::HsConfig;
 
 fn main() {
     let threads = sweep_threads();
@@ -15,13 +14,14 @@ fn main() {
     for (i, p) in Profile::TABLE1.iter().enumerate() {
         let g = workload(*p, 0x7AB2 + i as u64);
         let mut base: Option<(f64, f64, f64)> = None;
+        let config = |n: usize| SessionConfig::default().with_threads(n).with_name(p.name());
         for &n in &threads {
             let mut dwarf = Vec::new();
             let mut cfg = Vec::new();
             let mut total = Vec::new();
             for _ in 0..3 {
-                let out = analyze(&g.elf, &HsConfig { threads: n, name: p.name().into() })
-                    .expect("hpcstruct");
+                let session = Session::open(g.elf.as_slice(), config(n));
+                let out = session.structure().expect("hpcstruct");
                 dwarf.push(out.times.dwarf());
                 cfg.push(out.times.cfg());
                 total.push(out.times.total());
@@ -39,8 +39,8 @@ fn main() {
         if let Some((bd, bc, bt)) = base {
             // Speedup row at the largest thread count.
             let n = *threads.last().unwrap();
-            let out = analyze(&g.elf, &HsConfig { threads: n, name: p.name().into() })
-                .expect("hpcstruct");
+            let session = Session::open(g.elf.as_slice(), config(n));
+            let out = session.structure().expect("hpcstruct");
             t.row(vec![
                 format!("{} speedup", p.name()),
                 format!("@{n}"),

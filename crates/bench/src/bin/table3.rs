@@ -4,12 +4,28 @@
 //! The paper's corpus is 504 binaries built from Apache/Redis/
 //! mysqlslap/Nginx; ours is the server-class generator profile. The
 //! corpus size scales with `PBA_SCALE` (default 24 binaries — the
-//! shape, per-stage scaling, is what matters).
+//! shape, per-stage scaling, is what matters). As in the paper, the
+//! binaries run one after another and the threads work inside each
+//! binary; a stage's time is its sum over the corpus.
 
 use pba_bench::report::{secs, speedup, Table};
 use pba_bench::workloads::{scale, sweep_threads};
-use pba_driver::analyze_corpus;
+use pba_driver::{Session, SessionConfig};
 use pba_gen::{generate, Profile};
+
+/// Corpus totals of the four stages (CFG, IF, CF, DF) at `threads`
+/// threads, in seconds.
+fn stage_times(corpus: &[Vec<u8>], threads: usize) -> [f64; 4] {
+    let mut sum = [0.0; 4];
+    for elf in corpus {
+        let session = Session::open(elf.as_slice(), SessionConfig::default().with_threads(threads));
+        let f = session.features().expect("binfeat");
+        for (s, t) in sum.iter_mut().zip([f.t_cfg, f.t_if, f.t_cf, f.t_df]) {
+            *s += t;
+        }
+    }
+    sum
+}
 
 fn main() {
     let n_binaries = ((24.0 * scale()) as usize).max(2);
@@ -27,23 +43,22 @@ fn main() {
     let mut t = Table::new(&["Threads", "CFG", "IF", "CF", "DF", "BinFeat"]);
     let mut base: Option<(f64, f64, f64, f64, f64)> = None;
     for &n in &threads {
-        let rep = analyze_corpus(&corpus, n).expect("binfeat");
-        let (c, i, f, d) = (rep.times.cfg, rep.times.insn, rep.times.control, rep.times.data);
-        let tot = rep.times.total();
+        let [c, i, f, d] = stage_times(&corpus, n);
+        let tot = c + i + f + d;
         if base.is_none() {
             base = Some((c, i, f, d, tot));
         }
         t.row(vec![n.to_string(), secs(c), secs(i), secs(f), secs(d), secs(tot)]);
     }
     if let (Some((bc, bi, bf, bd, bt)), Some(&n)) = (base, threads.last()) {
-        let rep = analyze_corpus(&corpus, n).expect("binfeat");
+        let [c, i, f, d] = stage_times(&corpus, n);
         t.row(vec![
             format!("speedup@{n}"),
-            speedup(bc, rep.times.cfg),
-            speedup(bi, rep.times.insn),
-            speedup(bf, rep.times.control),
-            speedup(bd, rep.times.data),
-            speedup(bt, rep.times.total()),
+            speedup(bc, c),
+            speedup(bi, i),
+            speedup(bf, f),
+            speedup(bd, d),
+            speedup(bt, c + i + f + d),
         ]);
     }
     println!("{}", t.render());

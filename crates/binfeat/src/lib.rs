@@ -21,20 +21,17 @@
 //! different sizes"), with per-function feature vectors merged into a
 //! global index by parallel reduction (Section 7.2).
 //!
-//! Since the `pba::Session` redesign the CFG itself arrives through the
-//! session's memoized artifact cache: this crate extracts from a
-//! read-only [`pba_cfg::Cfg`] ([`extract_cfg_features`]) and owns the
-//! corpus reduction ([`analyze_corpus_with`]); the byte-level entry
-//! points (`extract_binary`, `analyze_corpus`) are thin session
-//! wrappers in `pba-driver`, re-exported under `pba::binfeat` with the
-//! unified `pba::Error`.
+//! The CFG itself arrives through the session's memoized artifact
+//! cache: this crate extracts from a read-only [`pba_cfg::Cfg`]
+//! ([`extract_cfg_features`]), and a binary's features are
+//! `pba::Session::features()`. A corpus is one session per binary; the
+//! paper's Table 3 sums the stage times over them (`--bin table3`), and
+//! `pba topk <dir>` indexes them in a [`CorpusIndex`].
 
-pub mod corpus;
 pub mod features;
 pub mod index;
 pub mod similarity;
 
-pub use corpus::{analyze_corpus_with, CorpusReport, StageTimes};
 pub use features::{extract_cfg_features, BinaryFeatures, FeatureIndex};
 pub use index::{CorpusIndex, IndexConfig, TopkHit, TopkResult};
 pub use similarity::{cosine, jaccard, rank, rank_topk};

@@ -20,15 +20,13 @@
 //! failure type, wrapping ELF/DWARF/IO failures so they memoize and
 //! propagate uniformly (`pba::Error`).
 //!
-//! The historical byte-level entry points survive as thin session
-//! layers: [`analyze`] (hpcstruct), [`extract_binary`] and
-//! [`analyze_corpus`] (BinFeat).
+//! A session is the only way from bytes to artifacts: hpcstruct is
+//! `Session::open(bytes, config).structure()`, BinFeat is
+//! `.features()`, and a corpus is one session per binary.
 
-pub mod apps;
 pub mod error;
 mod heap;
 pub mod session;
 
-pub use apps::{analyze, analyze_corpus, extract_binary};
 pub use error::Error;
 pub use session::{Session, SessionConfig, SessionStats};

@@ -180,12 +180,11 @@ fn sized<T>(
 }
 
 impl Session {
-    /// Open a session over a raw ELF image — an owned `Vec<u8>` (the
-    /// historical signature), a borrowed slice, or an already-shared
-    /// [`ImageBytes`]. Nothing is parsed yet; every artifact is
-    /// computed on first use. The first session of a process fixes the
-    /// C allocator's thresholds, which keeps peak RSS from one run to
-    /// the next steady (`heap.rs`).
+    /// Open a session over a raw ELF image — an owned `Vec<u8>`, a
+    /// borrowed slice, or an already-shared [`ImageBytes`]. Nothing is
+    /// parsed yet; every artifact is computed on first use. The first
+    /// session of a process fixes the C allocator's thresholds, which
+    /// keeps peak RSS from one run to the next steady (`heap.rs`).
     pub fn open(bytes: impl Into<ImageBytes>, config: SessionConfig) -> Session {
         crate::heap::steady();
         Session {
@@ -405,12 +404,6 @@ impl Session {
             })
             .as_ref()
             .map_err(Clone::clone)
-    }
-
-    /// Consume the session and take its structure artifact out without
-    /// cloning (None if `structure()` was never driven to completion).
-    pub fn into_structure(self) -> Option<Result<HsOutput, Error>> {
-        self.structure.into_inner()
     }
 
     /// Consume the session and take its feature artifact out without

@@ -1,11 +1,12 @@
 //! Equivalence: the session rewiring must not change what the
 //! applications produce. The pre-redesign pipelines composed the
 //! artifact phases by hand; rebuilding them that way and comparing
-//! against the session-backed entry points pins byte-identical outputs
-//! on the generated corpus.
+//! against a session's `structure()` / `features()` pins
+//! byte-identical outputs on the generated corpus.
 
+use pba_binfeat::BinaryFeatures;
 use pba_dataflow::ExecutorKind;
-use pba_driver::{analyze, analyze_corpus, extract_binary};
+use pba_driver::{Session, SessionConfig};
 use pba_gen::{generate, GenConfig, Profile};
 use pba_hpcstruct::{analyze_artifacts, ArtifactTimes, HsConfig, HsOutput};
 use pba_parse::{parse_parallel, ParseInput};
@@ -29,7 +30,7 @@ fn legacy_analyze(bytes: &[u8], threads: usize, name: &str) -> HsOutput {
 }
 
 /// The pre-redesign BinFeat composition.
-fn legacy_extract(bytes: &[u8], threads: usize) -> pba_binfeat::BinaryFeatures {
+fn legacy_extract(bytes: &[u8], threads: usize) -> BinaryFeatures {
     let elf = pba_elf::Elf::parse(bytes.to_vec()).unwrap();
     let input = ParseInput::from_elf(&elf).unwrap();
     let parsed = parse_parallel(&input, threads);
@@ -45,10 +46,18 @@ fn hpcstruct_via_session_is_byte_identical() {
         let g = generate(&cfg);
 
         let legacy = legacy_analyze(&g.elf, 2, p.name());
-        let session = analyze(&g.elf, &HsConfig { threads: 2, name: p.name().into() }).unwrap();
-        assert_eq!(session.structure, legacy.structure, "{}: structure diverged", p.name());
-        assert_eq!(session.text, legacy.text, "{}: serialized text diverged", p.name());
+        let config = SessionConfig::default().with_threads(2).with_name(p.name());
+        let session = Session::open(g.elf.as_slice(), config);
+        let out = session.structure().unwrap();
+        assert_eq!(out.structure, legacy.structure, "{}: structure diverged", p.name());
+        assert_eq!(out.text, legacy.text, "{}: serialized text diverged", p.name());
     }
+}
+
+/// A session's feature index over `bytes` at two threads.
+fn session_extract(bytes: &[u8]) -> BinaryFeatures {
+    let session = Session::open(bytes, SessionConfig::default().with_threads(2));
+    session.features().unwrap().clone()
 }
 
 #[test]
@@ -57,29 +66,18 @@ fn binfeat_via_session_is_byte_identical() {
         let g =
             generate(&GenConfig { num_funcs: 18, seed, debug_info: false, ..Default::default() });
         let legacy = legacy_extract(&g.elf, 2);
-        let session = extract_binary(&g.elf, 2).unwrap();
+        let session = session_extract(&g.elf);
         assert_eq!(session.index, legacy.index, "seed {seed}: feature index diverged");
     }
 }
 
 #[test]
 fn corpus_via_session_is_byte_identical() {
-    let corpus: Vec<Vec<u8>> = (0..3)
-        .map(|i| {
-            generate(&GenConfig {
-                num_funcs: 12,
-                seed: 2000 + i as u64,
-                debug_info: false,
-                ..Default::default()
-            })
-            .elf
-        })
-        .collect();
-    let legacy = pba_binfeat::analyze_corpus_with(&corpus, |b| {
-        Ok::<_, pba_driver::Error>(legacy_extract(b, 2))
-    })
-    .unwrap();
-    let session = analyze_corpus(&corpus, 2).unwrap();
-    assert_eq!(session.index, legacy.index);
-    assert_eq!(session.binaries, legacy.binaries);
+    for seed in 2000u64..2003 {
+        let g =
+            generate(&GenConfig { num_funcs: 12, seed, debug_info: false, ..Default::default() });
+        let legacy = legacy_extract(&g.elf, 2);
+        let session = session_extract(&g.elf);
+        assert_eq!(session.index, legacy.index, "seed {seed}: feature index diverged");
+    }
 }

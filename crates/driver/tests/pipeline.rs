@@ -1,18 +1,23 @@
-//! End-to-end behavior of the byte-level entry points over sessions —
-//! including the tests that lived next to `hpcstruct::analyze` and
-//! `binfeat::analyze_corpus` before the session redesign.
+//! End-to-end behavior of a session opened over bytes: the hpcstruct
+//! and BinFeat pipelines, a corpus walked one session per binary, and
+//! a mapped input.
 
-use pba_driver::{analyze, analyze_corpus, Session, SessionConfig};
+use pba_driver::{Error, Session, SessionConfig};
 use pba_gen::{generate, GenConfig};
-use pba_hpcstruct::{HsConfig, PHASE_NAMES};
+use pba_hpcstruct::PHASE_NAMES;
 
 fn sample() -> Vec<u8> {
     generate(&GenConfig { num_funcs: 30, seed: 77, ..Default::default() }).elf
 }
 
+fn open(bytes: &[u8], threads: usize, name: &str) -> Session {
+    Session::open(bytes, SessionConfig::default().with_threads(threads).with_name(name))
+}
+
 #[test]
 fn pipeline_produces_structure() {
-    let out = analyze(&sample(), &HsConfig { threads: 2, name: "test.so".into() }).unwrap();
+    let session = open(&sample(), 2, "test.so");
+    let out = session.structure().unwrap();
     assert!(!out.structure.functions.is_empty());
     assert!(out.structure.stmt_count() > 0, "line info recovered");
     assert!(out.structure.loop_count() > 0, "loops recovered");
@@ -23,7 +28,8 @@ fn pipeline_produces_structure() {
 
 #[test]
 fn inline_scopes_recovered() {
-    let out = analyze(&sample(), &HsConfig { threads: 2, name: "t".into() }).unwrap();
+    let session = open(&sample(), 2, "t");
+    let out = session.structure().unwrap();
     let total_inlines: usize = out.structure.functions.iter().map(|f| f.inlines.len()).sum();
     assert!(total_inlines > 0, "generator emits inline trees");
 }
@@ -31,8 +37,8 @@ fn inline_scopes_recovered() {
 #[test]
 fn thread_count_does_not_change_output() {
     let bytes = sample();
-    let a = analyze(&bytes, &HsConfig { threads: 1, name: "t".into() }).unwrap();
-    let b = analyze(&bytes, &HsConfig { threads: 4, name: "t".into() }).unwrap();
+    let (one, four) = (open(&bytes, 1, "t"), open(&bytes, 4, "t"));
+    let (a, b) = (one.structure().unwrap(), four.structure().unwrap());
     assert_eq!(a.structure, b.structure);
     assert_eq!(a.text, b.text);
 }
@@ -42,14 +48,17 @@ fn stripped_binary_still_works() {
     // No debug info: structure limited to CFG-derived facts.
     let g =
         generate(&GenConfig { num_funcs: 10, seed: 5, debug_info: false, ..Default::default() });
-    let out = analyze(&g.elf, &HsConfig { threads: 2, name: "s".into() }).unwrap();
+    let session = open(&g.elf, 2, "s");
+    let out = session.structure().unwrap();
     assert!(!out.structure.functions.is_empty());
     assert_eq!(out.structure.stmt_count(), 0);
 }
 
 #[test]
 fn malformed_image_is_an_error_not_a_panic() {
-    let err = analyze(b"definitely not an elf", &HsConfig::default()).unwrap_err();
+    let session = Session::open(&b"definitely not an elf"[..], SessionConfig::default());
+    let err = session.structure().unwrap_err();
+    assert!(matches!(err, Error::Elf(_)), "got {err:?}");
     assert_eq!(err.exit_code(), 65);
 }
 
@@ -68,31 +77,26 @@ fn corpus(n: usize) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn corpus_merges_indexes() {
-    let c = corpus(4);
-    let r = analyze_corpus(&c, 2).unwrap();
-    assert_eq!(r.binaries, 4);
-    assert!(!r.index.is_empty());
-    assert!(r.times.total() > 0.0);
-    // Union must dominate any single binary's index size.
-    let single = pba_driver::extract_binary(&c[0], 2).unwrap();
-    assert!(r.index.len() >= single.index.len());
-}
-
-#[test]
 fn corpus_deterministic() {
-    let c = corpus(3);
-    let a = analyze_corpus(&c, 1).unwrap();
-    let b = analyze_corpus(&c, 4).unwrap();
-    assert_eq!(a.index, b.index);
+    // One session per binary, as `--bin table3` walks its corpus: each
+    // binary's features are timed and do not depend on the threads.
+    for bytes in corpus(4) {
+        let (one, four) = (open(&bytes, 1, "t"), open(&bytes, 4, "t"));
+        let (a, b) = (one.features().unwrap(), four.features().unwrap());
+        assert!(!a.index.is_empty());
+        assert!(a.t_cfg + a.t_if + a.t_cf + a.t_df > 0.0);
+        assert_eq!(a.index, b.index);
+    }
 }
 
 #[test]
 fn corpus_surfaces_broken_binaries_as_errors() {
     let mut c = corpus(2);
     c.push(vec![0u8; 8]);
-    let err = analyze_corpus(&c, 2).unwrap_err();
-    assert!(matches!(err, pba_driver::Error::Elf(_)), "got {err:?}");
+    let results: Vec<_> = c.iter().map(|bytes| open(bytes, 2, "t").features().cloned()).collect();
+    assert!(results[..2].iter().all(Result::is_ok));
+    let err = results[2].as_ref().unwrap_err();
+    assert!(matches!(err, Error::Elf(_)), "got {err:?}");
 }
 
 #[test]
@@ -130,7 +134,7 @@ fn open_path_maps_the_file_and_matches_in_memory_analysis() {
     }
 
     match Session::open_path(dir.join("nope.elf"), SessionConfig::default()) {
-        Err(pba_driver::Error::Io { path, .. }) => assert!(path.ends_with("nope.elf")),
+        Err(Error::Io { path, .. }) => assert!(path.ends_with("nope.elf")),
         Err(e) => panic!("expected Io error, got {e}"),
         Ok(_) => panic!("missing file must not open"),
     }

@@ -2,7 +2,7 @@
 //! available" at every layer — the session config, the parse config,
 //! and the rayon pool builder underneath them.
 
-use pba_driver::{extract_binary, Session, SessionConfig};
+use pba_driver::{Session, SessionConfig};
 use pba_gen::{generate, GenConfig};
 use pba_parse::ParseConfig;
 
@@ -32,13 +32,11 @@ fn zero_threads_runs_and_matches_explicit_counts() {
     // A 0-thread session is a full-parallelism session, not a 1-thread
     // fallback — and outputs are thread-count independent anyway.
     let zero = Session::open(bytes.clone(), SessionConfig::default().with_threads(0));
-    let one = Session::open(bytes.clone(), SessionConfig::default().with_threads(1));
+    let one = Session::open(bytes, SessionConfig::default().with_threads(1));
     assert_eq!(
         zero.cfg().unwrap().canonical(),
         one.cfg().unwrap().canonical(),
         "0-thread and 1-thread parses diverged"
     );
-    let f0 = extract_binary(&bytes, 0).unwrap();
-    let f1 = extract_binary(&bytes, 1).unwrap();
-    assert_eq!(f0.index, f1.index);
+    assert_eq!(zero.features().unwrap().index, one.features().unwrap().index);
 }

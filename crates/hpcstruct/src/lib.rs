@@ -25,9 +25,8 @@
 //! [`pba_dwarf::DebugInfo`] and [`pba_cfg::Cfg`] and returns both the
 //! structure document and the per-phase wall times, which the bench
 //! harness prints as Figure 2 and aggregates into Table 2's
-//! DWARF/CFG/total columns. The byte-level `analyze` entry point is a
-//! thin session wrapper in `pba-driver` (re-exported as
-//! `pba::hpcstruct::analyze`).
+//! DWARF/CFG/total columns. Bytes reach it through a session:
+//! `pba::Session::structure()` is the whole pipeline.
 
 pub mod phases;
 pub mod structure;

@@ -7,9 +7,8 @@
 //! artifact-level pipeline — phases 3 and 5–7 over a read-only
 //! [`DebugInfo`] and [`Cfg`] — and takes the caller-measured artifact
 //! times ([`ArtifactTimes`]) so the emitted [`PhaseTimes`] keeps the
-//! exact Figure 2 shape. The byte-level entry point (`analyze`) is a
-//! thin layer over a session in `pba-driver`, re-exported as
-//! `pba::hpcstruct::analyze`.
+//! exact Figure 2 shape. `pba::Session::structure()` is its one
+//! byte-level caller.
 //!
 //! Phase 3 interns every file name once across all compile units and
 //! keeps one `(addr, file id, line)` row per address (see `LineMap`
@@ -409,8 +408,8 @@ mod tests {
     use pba_parse::{parse_parallel, ParseInput};
 
     /// Build the three artifacts the way a session would, then run the
-    /// artifact-level pipeline. (The byte-level `analyze` wrapper and
-    /// its end-to-end tests live in `pba-driver`.)
+    /// artifact-level pipeline. (The session-level end-to-end tests
+    /// live in `pba-driver`.)
     fn run(bytes: &[u8], threads: usize, name: &str) -> HsOutput {
         let elf = pba_elf::Elf::parse(bytes.to_vec()).unwrap();
         let di =

@@ -12,7 +12,8 @@
 //! Eviction is least-recently-used by total resident bytes: after each
 //! analysis request (when artifact memoization may have grown a
 //! session) the server calls [`SessionCache::enforce_cap`], which drops
-//! coldest-first until the summed `resident_bytes` fits the cap. The
+//! coldest-first until the summed `resident_bytes` fits the cap less
+//! the bytes the caller reserves (the daemon's corpus index). The
 //! most-recently-used session is never evicted — a single binary larger
 //! than the whole cap must still be servable — and in-flight requests
 //! hold their own `Arc`, so eviction frees the *cache's* reference, not
@@ -103,16 +104,12 @@ impl SessionCache {
     }
 
     /// Drop coldest sessions until the summed `resident_bytes` fits the
-    /// cap (the MRU entry always stays). Returns how many were evicted.
-    pub fn enforce_cap(&self) -> usize {
-        self.enforce_cap_with(0)
-    }
-
-    /// [`enforce_cap`](Self::enforce_cap) with `reserved` bytes already
-    /// spoken for — the daemon passes its corpus index footprint here,
-    /// so sessions and index share one budget and a growing index
-    /// squeezes the session LRU rather than blowing past the cap.
-    pub fn enforce_cap_with(&self, reserved: usize) -> usize {
+    /// cap less `reserved` bytes (the MRU entry always stays). Returns
+    /// how many were evicted. The daemon reserves its corpus index
+    /// footprint on every request, so sessions and index share one
+    /// budget and a growing index squeezes the session LRU rather than
+    /// blowing past the cap.
+    pub fn enforce_cap(&self, reserved: usize) -> usize {
         let budget = self.cap_bytes.saturating_sub(reserved);
         let mut lru = self.lru.lock().unwrap();
         let mut sizes: Vec<usize> =
@@ -208,7 +205,7 @@ mod tests {
             c2.get_or_open(s.session.input().clone()).session.cfg().unwrap();
         }
         assert!(c2.get_or_open(a.session.input().clone()).hit); // touch A: order is B, D, A
-        let evicted = c2.enforce_cap();
+        let evicted = c2.enforce_cap(0);
         assert!(evicted >= 1, "cap must force eviction");
         let left: Vec<u64> = c2.sessions().iter().map(|(h, _)| *h).collect();
         assert!(left.contains(&a.session.content_hash()), "MRU survives");
@@ -223,7 +220,7 @@ mod tests {
         let c = cache(1); // absurdly small: everything but the MRU goes
         c.get_or_open(image(1)).session.cfg().unwrap();
         c.get_or_open(image(2)).session.cfg().unwrap();
-        c.enforce_cap();
+        c.enforce_cap(0);
         let left = c.sessions();
         assert_eq!(left.len(), 1, "a lone over-cap session is kept, not thrashed");
     }
@@ -239,8 +236,8 @@ mod tests {
         for seed in 1..=3 {
             c.get_or_open(image(seed)).session.cfg().unwrap();
         }
-        assert_eq!(c.enforce_cap(), 0, "three sessions fit the bare cap");
-        assert!(c.enforce_cap_with(one * 3) >= 1, "reserved bytes must force eviction");
+        assert_eq!(c.enforce_cap(0), 0, "three sessions fit the bare cap");
+        assert!(c.enforce_cap(one * 3) >= 1, "reserved bytes must force eviction");
         assert!(!c.sessions().is_empty(), "MRU still survives");
     }
 

@@ -11,7 +11,7 @@ use pba_dataflow::{CfgView, ExecutorKind, FuncIr};
 use pba_driver::{Error, Session};
 use pba_elf::ImageBytes;
 use pba_isa::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Everything a connection thread shares with the daemon: the session
@@ -24,6 +24,10 @@ pub struct ServeShared {
     /// `corpus_topk`). Signatures are computed off-lock; the lock only
     /// covers the fold and the bucket probes.
     index: Mutex<CorpusIndex>,
+    /// The index's heap bytes, stored under the index lock by every
+    /// insert, so each request can reserve them in the cache cap
+    /// without taking that lock.
+    index_bytes: AtomicU64,
     requests: Counter,
     errors: Counter,
     connections: Counter,
@@ -33,9 +37,11 @@ pub struct ServeShared {
 impl ServeShared {
     /// Fresh daemon state around a session cache.
     pub fn new(cache: SessionCache) -> ServeShared {
+        let index = CorpusIndex::default();
         ServeShared {
             cache,
-            index: Mutex::new(CorpusIndex::default()),
+            index_bytes: AtomicU64::new(index.heap_bytes()),
+            index: Mutex::new(index),
             requests: Counter::new(),
             errors: Counter::new(),
             connections: Counter::new(),
@@ -94,7 +100,8 @@ impl ServeShared {
     /// Serve one request. Never panics on malformed input: analysis and
     /// lookup failures come back as [`Response::Error`] frames. After
     /// every analysis request the cache cap is re-enforced, since
-    /// artifact memoization may have grown the served session.
+    /// artifact memoization may have grown the served session; the
+    /// corpus index's bytes are reserved out of the cap every time.
     pub fn handle(&self, req: Request) -> Response {
         self.requests.inc();
         let reply = self.dispatch(req);
@@ -137,6 +144,11 @@ impl ServeShared {
         }
     }
 
+    /// Evict cold sessions until they fit the cap beside the index.
+    fn enforce_cap(&self) {
+        self.cache.enforce_cap(self.index_bytes.load(Ordering::Relaxed) as usize);
+    }
+
     fn serve_struct(&self, bin: BinSpec) -> Result<Response, Error> {
         let cached = self.resolve(bin)?;
         let out = cached.session.structure()?;
@@ -148,7 +160,7 @@ impl ServeShared {
             stmts: out.structure.stmt_count() as u64,
             stats: cached.session.stats(),
         };
-        self.cache.enforce_cap();
+        self.enforce_cap();
         Ok(reply)
     }
 
@@ -156,7 +168,7 @@ impl ServeShared {
         let cached = self.resolve(bin)?;
         let features = sorted_features(&cached.session)?;
         let reply = Response::Features { hit: cached.hit, stats: cached.session.stats(), features };
-        self.cache.enforce_cap();
+        self.enforce_cap();
         Ok(reply)
     }
 
@@ -164,7 +176,7 @@ impl ServeShared {
         let cached = self.resolve(bin)?;
         let jumps = slice_function(&cached.session, entry)?;
         let reply = Response::SliceFunc { hit: cached.hit, stats: cached.session.stats(), jumps };
-        self.cache.enforce_cap();
+        self.enforce_cap();
         Ok(reply)
     }
 
@@ -200,10 +212,12 @@ impl ServeShared {
                 None => return Err(Error::Protocol("features vanished mid-ingest".into())),
             };
             let sig = index_config.signature(&feats.index);
-            ingested = self.index.lock().unwrap().insert_signed(hash, sig, feats.index);
+            let mut idx = self.index.lock().unwrap();
+            ingested = idx.insert_signed(hash, sig, feats.index);
+            self.index_bytes.store(idx.heap_bytes(), Ordering::Relaxed);
         }
         let (index_entries, index_bytes) = self.index_totals();
-        self.cache.enforce_cap_with(index_bytes as usize);
+        self.enforce_cap();
         Ok(Response::CorpusIngest { ingested, hash, index_entries, index_bytes })
     }
 
@@ -227,9 +241,8 @@ impl ServeShared {
                 r.hits.into_iter().map(|h| TopkHit { hash: h.hash, score: h.score }).collect();
             (hits, r.candidates)
         };
-        let index_bytes = idx.heap_bytes();
         drop(idx);
-        self.cache.enforce_cap_with(index_bytes as usize);
+        self.enforce_cap();
         Ok(Response::CorpusTopk { hit: cached.hit, exact, candidates, hits })
     }
 
@@ -244,7 +257,7 @@ impl ServeShared {
             cosine: pba_binfeat::similarity::cosine(fa, fb),
             jaccard: pba_binfeat::similarity::jaccard(fa, fb),
         };
-        self.cache.enforce_cap();
+        self.enforce_cap();
         Ok(reply)
     }
 }

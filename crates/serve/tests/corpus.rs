@@ -1,7 +1,8 @@
 //! Corpus-index correctness through the daemon's handler: LSH top-K
 //! recall against the exact cosine baseline, containment for
-//! near-duplicate clone pairs, content-hash idempotence, and the
-//! streaming-ingest guarantee (the corpus never becomes resident).
+//! near-duplicate clone pairs, content-hash idempotence, the
+//! streaming-ingest guarantee (the corpus never becomes resident), and
+//! one byte budget for the index and the sessions.
 
 use pba_driver::SessionConfig;
 use pba_gen::{generate, GenConfig};
@@ -125,4 +126,33 @@ fn ingestion_streams_without_growing_the_session_cache() {
     // only), like any other analysis request.
     topk(&s, clone_elf(0xBEEF, 1), 1, false);
     assert_eq!(s.serve_stats().sessions_resident, 1);
+}
+
+#[test]
+fn every_request_reserves_the_index_in_the_cap() {
+    // Ingest a corpus, then ask for the structure of two other binaries.
+    let run = |cap: usize| {
+        let s = ServeShared::new(SessionCache::new(cap, SessionConfig::default().with_threads(1)));
+        for variant in 1..=3u64 {
+            ingest(&s, clone_elf(0x1DE5, variant));
+        }
+        for fam in 0..2u64 {
+            let bin = BinSpec::Bytes(clone_elf(0x57AC + fam, 1));
+            assert!(matches!(s.handle(Request::Struct { bin }), Response::Struct { .. }));
+        }
+        s.serve_stats()
+    };
+    let free = run(usize::MAX);
+    assert_eq!(free.sessions_resident, 2);
+    assert!(free.index_bytes > 0);
+    // A cap that holds both sessions, but not the index beside them.
+    let cap = free.resident_bytes + free.index_bytes - 1;
+    let capped = run(cap as usize);
+    assert!(
+        capped.resident_bytes + capped.index_bytes <= cap || capped.sessions_resident == 1,
+        "{} sessions of {} bytes beside a {}-byte index overrun the {cap}-byte cap",
+        capped.sessions_resident,
+        capped.resident_bytes,
+        capped.index_bytes
+    );
 }

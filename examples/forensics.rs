@@ -5,8 +5,9 @@
 //! cargo run --example forensics --release [-- <corpus-size>]
 //! ```
 
-use pba::binfeat::analyze_corpus;
+use pba::binfeat::FeatureIndex;
 use pba::gen::{generate, Profile};
+use pba::{Session, SessionConfig};
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(8);
@@ -21,23 +22,37 @@ fn main() {
         })
         .collect();
 
-    let report = analyze_corpus(&corpus, threads).expect("corpus analyzable");
+    // One session per binary, one after another, every thread inside
+    // each binary: the paper's Table 3 setup. The corpus vocabulary is
+    // the sum of the per-binary feature counts.
+    let mut vocabulary = FeatureIndex::default();
+    let [mut cfg, mut insn, mut control, mut data] = [0.0f64; 4];
+    for elf in corpus {
+        let session = Session::open(elf, SessionConfig::default().with_threads(threads));
+        let f = session.features().expect("corpus analyzable");
+        cfg += f.t_cfg;
+        insn += f.t_if;
+        control += f.t_cf;
+        data += f.t_df;
+        for (&k, &v) in &f.index {
+            *vocabulary.entry(k).or_insert(0) += v;
+        }
+    }
     println!(
-        "\nextracted {} distinct features ({} total occurrences) from {} binaries",
-        report.index.len(),
-        report.index.values().sum::<u64>(),
-        report.binaries
+        "\nextracted {} distinct features ({} total occurrences) from {n} binaries",
+        vocabulary.len(),
+        vocabulary.values().sum::<u64>(),
     );
     println!("stage times ({threads} threads):");
-    println!("  CFG construction      {:8.1} ms", report.times.cfg * 1e3);
-    println!("  instruction features  {:8.1} ms", report.times.insn * 1e3);
-    println!("  control-flow features {:8.1} ms", report.times.control * 1e3);
-    println!("  data-flow features    {:8.1} ms", report.times.data * 1e3);
-    println!("  total                 {:8.1} ms", report.times.total() * 1e3);
+    println!("  CFG construction      {:8.1} ms", cfg * 1e3);
+    println!("  instruction features  {:8.1} ms", insn * 1e3);
+    println!("  control-flow features {:8.1} ms", control * 1e3);
+    println!("  data-flow features    {:8.1} ms", data * 1e3);
+    println!("  total                 {:8.1} ms", (cfg + insn + control + data) * 1e3);
 
     // The most common features form the base vocabulary a model trains
     // on; print the head of the distribution.
-    let mut by_count: Vec<(&u64, &u64)> = report.index.iter().collect();
+    let mut by_count: Vec<(&u64, &u64)> = vocabulary.iter().collect();
     by_count.sort_by_key(|(_, &c)| std::cmp::Reverse(c));
     println!("\nmost frequent feature hashes:");
     for (hash, count) in by_count.into_iter().take(8) {

@@ -10,7 +10,8 @@
 //! generated (template-bloated debug info, thousands of line rows).
 
 use pba::gen::{generate, Profile};
-use pba::hpcstruct::{analyze, HsConfig, PHASE_NAMES};
+use pba::hpcstruct::PHASE_NAMES;
+use pba::{Session, SessionConfig};
 
 fn main() {
     let (name, bytes) = match std::env::args().nth(1) {
@@ -26,7 +27,9 @@ fn main() {
     };
 
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let out = analyze(&bytes, &HsConfig { threads, name: name.clone() }).expect("analyzable ELF");
+    let session =
+        Session::open(bytes, SessionConfig::default().with_threads(threads).with_name(&name));
+    let out = session.structure().expect("analyzable ELF");
 
     println!("hpcstruct-style structure recovery for {name} ({threads} threads)\n");
     for (i, phase) in PHASE_NAMES.iter().enumerate() {

@@ -2,7 +2,8 @@
 //!
 //! The container building this repo has no crates.io access, so the
 //! locking primitives are reimplemented here with an API-compatible
-//! surface: a non-poisoning `Mutex` and a one-word `RwLock`.
+//! surface: a one-word `RwLock`, the only lock the workspace takes
+//! from it.
 //!
 //! The `RwLock` is what `pba-concurrent`'s accessor map takes twice per
 //! operation (shard, then entry), so its uncontended path is the cost
@@ -19,7 +20,7 @@
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 // The state word, low bits first: the writer bit, the parked-writer
 // count, the parked-reader count, the reader count.
@@ -42,14 +43,14 @@ const SPIN_ROUNDS: u32 = 6;
 /// no wake-up is lost. Locks sharing a bucket see each other's
 /// notifications as spurious wake-ups and re-check their own word.
 struct Bucket {
-    mutex: StdMutex<()>,
+    mutex: Mutex<()>,
     cv: Condvar,
 }
 
 const BUCKETS: usize = 64;
 
 static PARKING: [Bucket; BUCKETS] =
-    [const { Bucket { mutex: StdMutex::new(()), cv: Condvar::new() } }; BUCKETS];
+    [const { Bucket { mutex: Mutex::new(()), cv: Condvar::new() } }; BUCKETS];
 
 fn bucket(state: &AtomicU64) -> &'static Bucket {
     let addr = state as *const AtomicU64 as usize as u64;
@@ -58,7 +59,7 @@ fn bucket(state: &AtomicU64) -> &'static Bucket {
 
 /// Lock a bucket's mutex. It guards no data (the state word is the
 /// data), so a poisoned one is as good as a clean one.
-fn lock_bucket(b: &Bucket) -> StdMutexGuard<'_, ()> {
+fn lock_bucket(b: &Bucket) -> MutexGuard<'_, ()> {
     b.mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -298,55 +299,6 @@ impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
         self.lock.unlock_exclusive();
-    }
-}
-
-/// Non-poisoning mutex with the `parking_lot` API shape.
-pub struct Mutex<T: ?Sized> {
-    inner: StdMutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Create an unlocked mutex holding `value`.
-    pub fn new(value: T) -> Mutex<T> {
-        Mutex { inner: StdMutex::new(value) }
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock (recovers from poisoning like parking_lot, which
-    /// has no poisoning at all).
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard { inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()) }
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-/// Mutex guard.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: std::sync::MutexGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 }
 

@@ -54,7 +54,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`session`] | `pba-driver` | the [`Session`] handle: lazily-memoized artifact accessors (incl. the decode-once `ir()`), [`SessionConfig`], unified [`Error`], `resident_bytes` accounting for every memoized artifact |
+//! | [`session`] | `pba-driver` | the [`Session`] handle, the one way from bytes to artifacts: lazily-memoized accessors (incl. the decode-once `ir()`), [`SessionConfig`], unified [`Error`], `resident_bytes` accounting for every memoized artifact |
 //! | [`concurrent`] | `pba-concurrent` | accessor-style concurrent hash map (TBB analogue), striped sets, counters, the block-or-share [`concurrent::Memo`] cell |
 //! | [`elf`] | `pba-elf` | ELF64 reader/writer, mini-demangler, the mmap-or-heap [`elf::ImageBytes`] shared input image |
 //! | [`isa`] | `pba-isa` | architecture-independent instructions; x86-64 + rv-lite codecs |
@@ -64,10 +64,11 @@
 //! | [`loops`] | `pba-loops` | dominators (dense `Vec<u32>` idoms over the shared block index), natural loops, nesting forests |
 //! | [`parse`] | `pba-parse` | the serial & parallel CFG construction engine |
 //! | [`gen`] | `pba-gen` | synthetic workload generator with exact ground truth |
-//! | [`hpcstruct`] | `pba-hpcstruct` | program-structure recovery (performance analysis) |
-//! | [`binfeat`] | `pba-binfeat` | forensic feature extraction, cosine/Jaccard similarity (`rank_topk` partial selection), and the banded-MinHash [`binfeat::CorpusIndex`] for sub-linear corpus top-K |
+//! | [`hpcstruct`] | `pba-hpcstruct` | program-structure recovery (performance analysis): the artifact-level phases behind [`Session::structure`] |
+//! | [`binfeat`] | `pba-binfeat` | forensic feature extraction behind [`Session::features`], cosine/Jaccard similarity (`rank_topk` partial selection), and the banded-MinHash [`binfeat::CorpusIndex`] for sub-linear corpus top-K |
 //! | [`serve`] | `pba-serve` | the analysis daemon: `content_hash → Session` LRU cache, length-prefixed framed protocol, corpus index hosting (`corpus_ingest`/`corpus_topk`), `pba serve` / `pba query` |
 
+pub use pba_binfeat as binfeat;
 pub use pba_cfg as cfg;
 pub use pba_concurrent as concurrent;
 pub use pba_dataflow as dataflow;
@@ -75,27 +76,10 @@ pub use pba_driver as session;
 pub use pba_dwarf as dwarf;
 pub use pba_elf as elf;
 pub use pba_gen as gen;
+pub use pba_hpcstruct as hpcstruct;
 pub use pba_isa as isa;
 pub use pba_loops as loops;
 pub use pba_parse as parse;
 pub use pba_serve as serve;
 
 pub use pba_driver::{Error, Session, SessionConfig, SessionStats};
-
-/// Program-structure recovery (the hpcstruct case study). The
-/// byte-level [`hpcstruct::analyze`] is a thin session layer from
-/// `pba-driver`; the artifact-level pipeline and structure types come
-/// from `pba-hpcstruct`.
-pub mod hpcstruct {
-    pub use pba_driver::analyze;
-    pub use pba_hpcstruct::*;
-}
-
-/// Forensic feature extraction (the BinFeat case study). The byte-level
-/// [`binfeat::extract_binary`] / [`binfeat::analyze_corpus`] are thin
-/// session layers from `pba-driver`; feature families, corpus reduction
-/// and similarity scoring come from `pba-binfeat`.
-pub mod binfeat {
-    pub use pba_binfeat::*;
-    pub use pba_driver::{analyze_corpus, extract_binary};
-}

@@ -2,10 +2,9 @@
 //! binary through parallel parsing to both applications, plus the
 //! paper's headline determinism property at system level.
 
-use pba::binfeat::extract_binary;
 use pba::gen::{generate, GenConfig, Profile};
-use pba::hpcstruct::{analyze, HsConfig};
 use pba::parse::{parse_parallel, parse_serial, ParseInput};
+use pba::{Session, SessionConfig};
 
 fn elf_input(bytes: &[u8]) -> ParseInput {
     let elf = pba::elf::Elf::parse(bytes.to_vec()).unwrap();
@@ -25,7 +24,9 @@ fn full_pipeline_on_every_profile() {
         assert!(!r.cfg.functions.is_empty(), "{}: no functions", p.name());
 
         // Structure recovery.
-        let hs = analyze(&g.elf, &HsConfig { threads: 2, name: p.name().into() }).unwrap();
+        let config = SessionConfig::default().with_threads(2).with_name(p.name());
+        let session = Session::open(g.elf.as_slice(), config);
+        let hs = session.structure().unwrap();
         assert_eq!(
             hs.structure.functions.len(),
             r.cfg.functions.len(),
@@ -34,7 +35,7 @@ fn full_pipeline_on_every_profile() {
         );
 
         // Feature extraction.
-        let feats = extract_binary(&g.elf, 2).unwrap();
+        let feats = session.features().unwrap();
         assert!(!feats.index.is_empty(), "{}: no features", p.name());
     }
 }
@@ -60,12 +61,10 @@ fn determinism_across_the_whole_system() {
         );
     }
     // Applications inherit the determinism.
-    let a = analyze(&g.elf, &HsConfig { threads: 1, name: "t".into() }).unwrap();
-    let b = analyze(&g.elf, &HsConfig { threads: 8, name: "t".into() }).unwrap();
-    assert_eq!(a.structure, b.structure);
-    let fa = extract_binary(&g.elf, 1).unwrap();
-    let fb = extract_binary(&g.elf, 8).unwrap();
-    assert_eq!(fa.index, fb.index);
+    let a = Session::open(g.elf.as_slice(), SessionConfig::default().with_threads(1));
+    let b = Session::open(g.elf.as_slice(), SessionConfig::default().with_threads(8));
+    assert_eq!(a.structure().unwrap().structure, b.structure().unwrap().structure);
+    assert_eq!(a.features().unwrap().index, b.features().unwrap().index);
 }
 
 #[test]
