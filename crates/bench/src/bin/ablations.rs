@@ -10,7 +10,7 @@
 //! 4. the serial (1-thread) reference.
 
 use pba_bench::report::{secs, Table};
-use pba_bench::workload;
+use pba_bench::{outln, workload};
 use pba_gen::Profile;
 use pba_parse::{parse, ParseConfig, ParseInput, Scheduling};
 
@@ -31,9 +31,9 @@ fn main() {
         ("serial (1 thread)", ParseConfig { threads: 1, ..Default::default() }),
     ];
 
-    println!(
-        "Ablations on the TensorFlow-class binary ({} functions, {} threads)\n",
-        g.stats.num_funcs, threads
+    outln!(
+        "Ablations on the TensorFlow-class binary ({} functions, {threads} threads)\n",
+        g.stats.num_funcs
     );
     let mut t = Table::new(&[
         "Configuration",
@@ -70,6 +70,6 @@ fn main() {
             Some(base) => assert_eq!(&c, base, "ablation '{name}' changed the CFG"),
         }
     }
-    println!("{}", t.render());
-    println!("all configurations produced the identical canonical CFG.");
+    outln!("{}", t.render());
+    outln!("all configurations produced the identical canonical CFG.");
 }

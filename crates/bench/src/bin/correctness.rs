@@ -4,7 +4,7 @@
 
 use pba_bench::report::Table;
 use pba_bench::workloads::scale;
-use pba_bench::{check_binary, CheckReport};
+use pba_bench::{check_binary, outln, CheckReport};
 use pba_gen::{generate, Profile};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         agg.merge(check_binary(&g, threads));
     }
 
-    println!("\nSection 8.1: parser output vs. exact ground truth ({n} binaries)\n");
+    outln!("\nSection 8.1: parser output vs. exact ground truth ({n} binaries)\n");
     let mut t = Table::new(&["Property", "Matched", "Total", "Rate"]);
     let rate = |m: usize, tot: usize| {
         if tot == 0 {
@@ -51,14 +51,14 @@ fn main() {
         agg.norets_total.to_string(),
         rate(agg.norets_match, agg.norets_total),
     ]);
-    println!("{}", t.render());
+    outln!("{}", t.render());
 
     if agg.diffs.is_empty() {
-        println!("no differences found.");
+        outln!("no differences found.");
     } else {
-        println!("differences ({} shown):", agg.diffs.len());
+        outln!("differences ({} shown):", agg.diffs.len());
         for d in &agg.diffs {
-            println!("  {d}");
+            outln!("  {d}");
         }
     }
     std::process::exit(if agg.perfect() { 0 } else { 1 });

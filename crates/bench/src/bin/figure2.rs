@@ -7,8 +7,8 @@
 //! (`ParseStats::{traverse,sweep,refine,finalize}_ns`).
 
 use pba_bench::report::secs;
-use pba_bench::workload;
 use pba_bench::workloads::run_threads;
+use pba_bench::{outln, workload};
 use pba_driver::{Session, SessionConfig};
 use pba_gen::Profile;
 use pba_hpcstruct::PHASE_NAMES;
@@ -36,14 +36,12 @@ fn main() {
     let out = session.structure().expect("hpcstruct");
     let total = out.times.total();
 
-    println!(
-        "Figure 2: hpcstruct phase trace on the TensorFlow-class binary ({threads} threads)\n"
-    );
+    outln!("Figure 2: hpcstruct phase trace on the TensorFlow-class binary ({threads} threads)\n");
     const WIDTH: usize = 60;
     for (i, name) in PHASE_NAMES.iter().enumerate() {
         let t = out.times.seconds[i];
         let bar = ((t / total) * WIDTH as f64).round() as usize;
-        println!(
+        outln!(
             "{name:<18} {:>9}  |{}{}| {:>5.1}%",
             secs(t),
             "#".repeat(bar),
@@ -51,12 +49,12 @@ fn main() {
             t / total * 100.0
         );
     }
-    println!("{:<18} {:>9}", "total", secs(total));
-    println!(
+    outln!("{:<18} {:>9}", "total", secs(total));
+    outln!(
         "\nparallel phases: 2 (DWARF), 4 (CFG), 6 (query), 7 (serialize); \
          serial phases 1, 3, 5 bound the end-to-end speedup (Amdahl)."
     );
-    println!(
+    outln!(
         "structure: {} functions, {} loops, {} statements",
         out.structure.functions.len(),
         out.structure.loop_count(),
@@ -65,8 +63,8 @@ fn main() {
 
     let elf = pba_elf::Elf::parse(g.elf.clone()).expect("generated ELF");
     let input = ParseInput::from_elf(&elf).expect("parse input");
-    println!("\nCFG construction from the inside (median of 9 parses):");
-    println!(
+    outln!("\nCFG construction from the inside (median of 9 parses):");
+    outln!(
         "{:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17} {:>9} {:>8}",
         "threads",
         "parse",
@@ -82,7 +80,7 @@ fn main() {
     for t in [1, threads] {
         let (wall, s) = median_parse(&input, t, 9);
 
-        println!(
+        outln!(
             "{t:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>17} {:>9} {:>8}",
             secs(wall),
             secs(s.traverse_ns as f64 * 1e-9),

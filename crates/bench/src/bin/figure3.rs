@@ -3,7 +3,7 @@
 //! thread count.
 
 use pba_bench::report::Table;
-use pba_bench::{sweep_threads, workload};
+use pba_bench::{outln, sweep_threads, workload};
 use pba_driver::{Session, SessionConfig};
 use pba_gen::Profile;
 
@@ -29,7 +29,7 @@ fn main() {
         base.push((out.times.dwarf(), out.times.cfg(), out.times.total()));
     }
 
-    println!("Figure 3: average speedup (geometric mean over 4 binaries)\n");
+    outln!("Figure 3: average speedup (geometric mean over 4 binaries)\n");
     let mut t = Table::new(&["Threads", "hpcstruct", "DWARF", "CFG"]);
     for &n in &threads {
         let mut sp_total = Vec::new();
@@ -49,8 +49,8 @@ fn main() {
             format!("x{:.2}", geomean(&sp_cfg)),
         ]);
     }
-    println!("{}", t.render());
-    println!("paper reference @64 threads: CFG up to x25, DWARF up to x14, hpcstruct ~x8-13");
-    println!("(on a single-core host all curves stay flat at ~x1; the sweep still");
-    println!(" exercises the full multi-thread code paths)");
+    outln!("{}", t.render());
+    outln!("paper reference @64 threads: CFG up to x25, DWARF up to x14, hpcstruct ~x8-13");
+    outln!("(on a single-core host all curves stay flat at ~x1; the sweep still");
+    outln!(" exercises the full multi-thread code paths)");
 }

@@ -7,11 +7,11 @@
 //! LLNL1-class.
 
 use pba_bench::report::{mib, Table};
-use pba_bench::workload;
+use pba_bench::{outln, workload};
 use pba_gen::Profile;
 
 fn main() {
-    println!("Table 1: relevant statistics of the benchmark binaries (MiB)\n");
+    outln!("Table 1: relevant statistics of the benchmark binaries (MiB)\n");
     let mut t = Table::new(&["Binary", "Total", ".text", ".debug_*", "functions", "symbols"]);
     for (i, p) in Profile::TABLE1.iter().enumerate() {
         let g = workload(*p, 0xB1A5 + i as u64);
@@ -24,6 +24,6 @@ fn main() {
             g.stats.num_symbols.to_string(),
         ]);
     }
-    println!("{}", t.render());
-    println!("(scaled-down stand-ins; see the pba-gen crate docs for the substitution rationale)");
+    outln!("{}", t.render());
+    outln!("(scaled-down stand-ins; see the pba-gen crate docs for the substitution rationale)");
 }

@@ -3,13 +3,13 @@
 //! speedups relative to one thread.
 
 use pba_bench::report::{secs, speedup, Table};
-use pba_bench::{sweep_threads, workload};
+use pba_bench::{outln, sweep_threads, workload};
 use pba_driver::{Session, SessionConfig};
 use pba_gen::Profile;
 
 fn main() {
     let threads = sweep_threads();
-    println!("Table 2: hpcstruct performance (seconds, median of 3)\n");
+    outln!("Table 2: hpcstruct performance (seconds, median of 3)\n");
     let mut t = Table::new(&["Binary", "Threads", "DWARF (2)", "CFG (4)", "hpcstruct"]);
     for (i, p) in Profile::TABLE1.iter().enumerate() {
         let g = workload(*p, 0x7AB2 + i as u64);
@@ -50,6 +50,6 @@ fn main() {
             ]);
         }
     }
-    println!("{}", t.render());
-    println!("paper reference @16 threads: DWARF x7.8-14.4, CFG x8.9-25.2, end-to-end x5.8-8.1");
+    outln!("{}", t.render());
+    outln!("paper reference @16 threads: DWARF x7.8-14.4, CFG x8.9-25.2, end-to-end x5.8-8.1");
 }

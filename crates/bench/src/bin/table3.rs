@@ -8,6 +8,7 @@
 //! binaries run one after another and the threads work inside each
 //! binary; a stage's time is its sum over the corpus.
 
+use pba_bench::outln;
 use pba_bench::report::{secs, speedup, Table};
 use pba_bench::workloads::{scale, sweep_threads};
 use pba_driver::{Session, SessionConfig};
@@ -39,7 +40,7 @@ fn main() {
         .collect();
 
     let threads = sweep_threads();
-    println!("\nTable 3: BinFeat performance over {n_binaries} binaries (seconds)\n");
+    outln!("\nTable 3: BinFeat performance over {n_binaries} binaries (seconds)\n");
     let mut t = Table::new(&["Threads", "CFG", "IF", "CF", "DF", "BinFeat"]);
     let mut base: Option<(f64, f64, f64, f64, f64)> = None;
     for &n in &threads {
@@ -61,7 +62,7 @@ fn main() {
             speedup(bt, c + i + f + d),
         ]);
     }
-    println!("{}", t.render());
-    println!("paper reference @64 threads: CFG x3.8, IF x17.9, CF x15.7, DF x9.0, total x6.9");
-    println!("(CFG scales worst: small functions + non-returning dependencies, Section 8.3)");
+    outln!("{}", t.render());
+    outln!("paper reference @64 threads: CFG x3.8, IF x17.9, CF x15.7, DF x9.0, total x6.9");
+    outln!("(CFG scales worst: small functions + non-returning dependencies, Section 8.3)");
 }

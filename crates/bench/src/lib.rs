@@ -5,7 +5,7 @@
 //!   table binaries don't regenerate identical inputs;
 //! * [`check`] — the Section 8.1 ground-truth checker (function ranges,
 //!   jump-table sizes, non-returning calls);
-//! * [`report`] — plain-text table formatting shared by the binaries.
+//! * [`report`] — plain-text tables and [`outln!`], the binaries' stdout.
 //!
 //! Environment knobs:
 //! * `PBA_SCALE` — multiplies workload function counts (default 1.0;

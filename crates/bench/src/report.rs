@@ -1,4 +1,28 @@
-//! Minimal fixed-width table formatting for the evaluation binaries.
+//! Minimal fixed-width table formatting for the evaluation binaries, and
+//! [`crate::outln`], the one way they write stdout.
+
+use std::io::{self, Write};
+
+/// Write one line to stdout. Where `println!` panics, this exits as `pba`
+/// does: 0 when the reader closed the pipe (`table1 | head -2`), 74
+/// (EX_IOERR) on any other failed write.
+pub fn line(args: std::fmt::Arguments) {
+    if let Err(e) = writeln!(io::stdout().lock(), "{args}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write stdout: {e}");
+        std::process::exit(74);
+    }
+}
+
+/// `println!` through [`line()`]: a closed stdout is an exit, not a panic.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::report::line(format_args!($($arg)*))
+    };
+}
 
 /// A simple text table builder.
 pub struct Table {

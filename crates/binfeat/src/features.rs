@@ -3,7 +3,6 @@
 use pba_cfg::{Cfg, EdgeKind};
 use pba_concurrent::fxhash::FxBuildHasher;
 use pba_dataflow::{liveness_on, BinaryIr, CfgView, ExecutorKind, FuncIr};
-use pba_loops::loop_forest_on;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
@@ -63,7 +62,7 @@ pub fn instruction_features(ir: &FuncIr, out: &mut Vec<u64>) {
 /// come from the shared IR, so the block terminator costs a slice
 /// lookup, not a block decode.
 pub fn control_flow_features(cfg: &Cfg, ir: &FuncIr, out: &mut Vec<u64>) {
-    let forest = loop_forest_on(ir, ir.graph());
+    let forest = ir.loop_forest();
     for &b in ir.blocks() {
         let out_deg = cfg.out_edges(b).len() as u32;
         let in_deg = cfg.in_edges(b).len() as u32;

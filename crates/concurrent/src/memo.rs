@@ -31,14 +31,6 @@ impl<T> Memo<T> {
         Memo { cell: OnceLock::new(), computes: Counter::new() }
     }
 
-    /// A cell pre-filled with an already-available value. The compute
-    /// count stays at zero: the cell never ran a computation.
-    pub fn ready(value: T) -> Self {
-        let memo = Memo::new();
-        let _ = memo.cell.set(value);
-        memo
-    }
-
     /// Return the memoized value, computing it with `f` if this is the
     /// first call. Concurrent callers block until the winner's `f`
     /// finishes, then share the same reference.
@@ -49,7 +41,7 @@ impl<T> Memo<T> {
         })
     }
 
-    /// The value, if it has been computed (or pre-filled) already.
+    /// The value, if it has been computed already.
     pub fn get(&self) -> Option<&T> {
         self.cell.get()
     }
@@ -82,13 +74,6 @@ mod tests {
         assert_eq!(*m.get_or_compute(|| 7), 42, "second closure must not run");
         assert_eq!(m.get(), Some(&42));
         assert_eq!(m.computes(), 1);
-    }
-
-    #[test]
-    fn ready_cell_never_computes() {
-        let m = Memo::ready(5u64);
-        assert_eq!(*m.get_or_compute(|| 9), 5);
-        assert_eq!(m.computes(), 0);
     }
 
     #[test]

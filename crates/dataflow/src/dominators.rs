@@ -7,8 +7,9 @@
 //! keyed queries ([`DomTree::dominates`], [`DomTree::idom_of`]) sit on top
 //! as the compat seam, so consumers are unchanged.
 
+use crate::engine::FlowGraph;
+use crate::view::CfgView;
 use pba_cfg::BlockIndex;
-use pba_dataflow::{CfgView, FlowGraph};
 
 /// A computed dominator tree over one function's reachable blocks.
 #[derive(Debug, Clone)]
@@ -46,18 +47,11 @@ impl DomTree {
         let p = self.idom[i] as usize;
         (p != i).then(|| self.rpo[p])
     }
-
-    /// Bytes of heap owned by the tree.
-    pub fn heap_bytes(&self) -> usize {
-        self.rpo.capacity() * std::mem::size_of::<u64>()
-            + self.idom.capacity() * std::mem::size_of::<u32>()
-            + self.index.heap_bytes()
-    }
 }
 
 /// Compute the dominator tree of the function in `view`, building a
 /// throwaway [`FlowGraph`]. Prefer [`dominators_on`] when a graph (and
-/// its memoized traversal) already exists — [`pba_dataflow::ir::FuncIr`]
+/// its memoized traversal) already exists — [`crate::ir::FuncIr`]
 /// carries one.
 pub fn dominators(view: &dyn CfgView) -> DomTree {
     dominators_on(view, &FlowGraph::build(view))
@@ -122,8 +116,8 @@ pub fn dominators_on(view: &dyn CfgView, graph: &FlowGraph) -> DomTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::VecView;
     use pba_cfg::EdgeKind;
-    use pba_dataflow::view::VecView;
 
     fn view(entry: u64, blocks: &[u64], edges: &[(u64, u64)]) -> VecView {
         VecView::new(

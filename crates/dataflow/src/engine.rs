@@ -250,8 +250,8 @@ impl FlowGraph {
     /// The entry-anchored reverse postorder: every block reachable from
     /// the function entry, in forward RPO. Memoized with the forward
     /// worklist ranks, so dominator construction
-    /// (`pba_loops::dominators_on`) shares the one traversal every
-    /// forward fixpoint over this graph already paid for.
+    /// ([`crate::dominators::dominators_on`]) shares the one traversal
+    /// every forward fixpoint over this graph already paid for.
     pub fn entry_rpo(&self) -> Vec<u64> {
         let info = self.dir_info(Direction::Forward);
         let mut rpo = vec![0u64; info.reachable];

@@ -10,8 +10,9 @@
 //! unique block decoded exactly once into one `Vec<Insn>` in block-address
 //! order (shared blocks are stored once by construction), and per
 //! function a [`FuncIr`] — the arena id of each member block, the
-//! intra-procedural adjacency as [`Csr`] rows, and the graph with its
-//! memoized RPO ranks — behind the borrowing [`CfgView`] API, so
+//! intra-procedural adjacency as [`Csr`] rows, the graph with its
+//! memoized RPO ranks, and the loop forest built on first use — behind
+//! the borrowing [`CfgView`] API, so
 //! liveness, reaching defs, stack analysis, slicing, hpcstruct's query
 //! phases and BinFeat's extractors all read the same slices.
 //! `pba::Session::ir()` memoizes it so *decode-once* is a structural
@@ -19,12 +20,13 @@
 //! [`pba_cfg::CodeRegion::decode_count`] by the driver's `tests/ir.rs`.
 
 use crate::engine::FlowGraph;
+use crate::loops::{loop_forest_on, LoopForest};
 use crate::view::CfgView;
 use pba_cfg::{Cfg, CodeRegion, Csr, EdgeKind, Function};
 use pba_isa::Insn;
 use rayon::prelude::*;
 use std::mem::size_of;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Decode chunks per pool thread in [`BinaryIr::build`]: enough that a
 /// slow chunk does not hold the pool up.
@@ -92,8 +94,9 @@ impl Arena {
 }
 
 /// One function's analysis IR: the arena id of each member block, the
-/// intra-procedural adjacency, and the shared [`FlowGraph`] (dense
-/// indices + memoized RPO ranks). Built once, borrowed everywhere —
+/// intra-procedural adjacency, the shared [`FlowGraph`] (dense
+/// indices + memoized RPO ranks), and the function's loop forest once
+/// some consumer has asked for it. Built once, borrowed everywhere —
 /// implements [`CfgView`], so every analysis in this crate runs over it
 /// without decoding or allocating per query.
 pub struct FuncIr {
@@ -108,6 +111,8 @@ pub struct FuncIr {
     preds: Csr<(u64, EdgeKind)>,
     /// The dense graph (owns the block list and address index).
     graph: FlowGraph,
+    /// The loop forest and its heap bytes, measured when it was built.
+    loops: OnceLock<(Arc<LoopForest>, usize)>,
 }
 
 impl FuncIr {
@@ -135,7 +140,8 @@ impl FuncIr {
         let graph = FlowGraph::from_parts(&blocks, func.entry, edges);
         let succs = graph.succs.map(|&(j, kind)| (blocks[j as usize], kind));
         let preds = graph.preds.map(|&(i, kind)| (blocks[i as usize], kind));
-        FuncIr { entry: func.entry, arena: Arc::clone(arena), ids, succs, preds, graph }
+        let arena = Arc::clone(arena);
+        FuncIr { entry: func.entry, arena, ids, succs, preds, graph, loops: OnceLock::new() }
     }
 
     /// Function entry block address.
@@ -153,6 +159,18 @@ impl FuncIr {
     /// `_on` analysis entry points so all fixpoints share one ranking.
     pub fn graph(&self) -> &FlowGraph {
         &self.graph
+    }
+
+    /// The function's natural-loop forest, built by the first caller
+    /// (concurrent callers wait for it) and shared with every later one:
+    /// hpcstruct, BinFeat and the session all read this one forest.
+    pub fn loop_forest(&self) -> &Arc<LoopForest> {
+        let (forest, _) = self.loops.get_or_init(|| {
+            let forest = loop_forest_on(self, &self.graph);
+            let bytes = forest.heap_bytes();
+            (Arc::new(forest), bytes)
+        });
+        forest
     }
 
     /// The arena id of `block`, if it is a member the CFG has.
@@ -248,10 +266,10 @@ impl BinaryIr {
     }
 
     /// Estimated total heap bytes: [`BinaryIr::built_heap_bytes`] plus
-    /// [`BinaryIr::rank_heap_bytes`] (the session's resident-size
+    /// [`BinaryIr::memo_heap_bytes`] (the session's resident-size
     /// contribution of this artifact).
     pub fn heap_bytes(&self) -> usize {
-        self.built_heap_bytes() + self.rank_heap_bytes()
+        self.built_heap_bytes() + self.memo_heap_bytes()
     }
 
     /// Heap bytes fixed when the IR is built: the arena once, plus every
@@ -266,11 +284,18 @@ impl BinaryIr {
         self.arena.heap_bytes() + self.funcs.iter().map(own).sum::<usize>()
     }
 
-    /// Heap bytes of the RPO ranks the functions' graphs have memoized
-    /// so far: the part of the IR that grows after the build, as
-    /// analyses first run over each graph in each direction.
-    pub fn rank_heap_bytes(&self) -> usize {
-        self.funcs.iter().map(|f| f.graph.rank_heap_bytes()).sum()
+    /// Heap bytes the functions memoized since the build: the RPO ranks
+    /// of each graph and the loop forests, each sized when it was built,
+    /// so this reads one figure per function and walks no forest.
+    pub fn memo_heap_bytes(&self) -> usize {
+        let memo =
+            |f: &FuncIr| f.graph.rank_heap_bytes() + f.loops.get().map_or(0, |&(_, bytes)| bytes);
+        self.funcs.iter().map(memo).sum()
+    }
+
+    /// How many functions' loop forests have been built.
+    pub fn loop_forests_built(&self) -> usize {
+        self.funcs.iter().filter(|f| f.loops.get().is_some()).count()
     }
 }
 

@@ -56,9 +56,12 @@
 //! block-address order — and one [`ir::FuncIr`] per function holding
 //! its blocks' arena ids, its intra-procedural adjacency as
 //! [`pba_cfg::Csr`] rows, and the [`engine::FlowGraph`] (itself CSR)
-//! with memoized RPO ranks. Functions sharing a block (error paths,
-//! outlined `.cold` fragments) read the same arena slice, so a
-//! resident session pins what its unique data costs
+//! with memoized RPO ranks, beside them the natural-loop forest
+//! ([`loops`] over [`dominators`]) that its first user builds and
+//! hpcstruct, BinFeat and the session all read
+//! ([`ir::FuncIr::loop_forest`]). Functions sharing
+//! a block (error paths, outlined `.cold` fragments) read the same
+//! arena slice, so a resident session pins what its unique data costs
 //! ([`ir::BinaryIr::shared_insn_bytes`]). Downstream, the analyses are
 //! dense end-to-end: every graph numbers its blocks in ascending
 //! address order, so a block's dense id is a binary search over the
@@ -91,10 +94,12 @@
 //! kept only because the benchmark suite names them; every value runs
 //! the one fixpoint.
 
+pub mod dominators;
 pub mod engine;
 pub mod expr;
 pub mod ir;
 pub mod liveness;
+pub mod loops;
 pub mod reaching;
 pub mod slice;
 pub mod stack;
@@ -107,6 +112,7 @@ pub use engine::{
 pub use expr::Expr;
 pub use ir::{BinaryIr, FuncIr};
 pub use liveness::{liveness_on, LivenessResult};
+pub use loops::{Loop, LoopForest};
 pub use reaching::{reaching_defs_on, Def, ReachingDefs};
 pub use slice::{
     backward_cone, collect_indirect_jumps, slice_cone, slice_indirect_jump_with, JumpTableForm,

@@ -4,9 +4,13 @@
 //! `h` is `h` plus every block that reaches some back-edge source without
 //! passing through `h`. Loops sharing a header are merged (multiple
 //! `continue` paths), and nesting is recovered by body inclusion.
+//!
+//! Product code asks [`crate::ir::FuncIr::loop_forest`], which builds
+//! each function's forest once for hpcstruct, BinFeat and the session.
 
 use crate::dominators::dominators_on;
-use pba_dataflow::{CfgView, FlowGraph};
+use crate::engine::FlowGraph;
+use crate::view::CfgView;
 use std::collections::{BTreeSet, HashMap};
 
 /// One natural loop.
@@ -72,13 +76,6 @@ impl LoopForest {
                 .sum::<usize>()
             + self.roots.capacity() * size_of::<usize>()
     }
-}
-
-/// Compute the loop forest for the function in `view`, building a
-/// throwaway [`FlowGraph`]. Prefer [`loop_forest_on`] when a graph
-/// already exists ([`pba_dataflow::ir::FuncIr`] carries one).
-pub fn loop_forest(view: &dyn CfgView) -> LoopForest {
-    loop_forest_on(view, &FlowGraph::build(view))
 }
 
 /// Compute the loop forest over a prebuilt [`FlowGraph`]: dominators
@@ -170,8 +167,13 @@ pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::VecView;
     use pba_cfg::EdgeKind;
-    use pba_dataflow::view::VecView;
+
+    /// The forest over a throwaway graph.
+    fn loop_forest(view: &VecView) -> LoopForest {
+        loop_forest_on(view, &FlowGraph::build(view))
+    }
 
     fn view(entry: u64, blocks: &[u64], edges: &[(u64, u64)]) -> VecView {
         VecView::new(

@@ -3,12 +3,15 @@
 //! each function's `CfgView` answers — adjacency, instructions, block
 //! ranges, the call bit — must be what a scan of the whole CFG gives,
 //! whether the function came out of `BinaryIr::build` (at 1 and 2
-//! threads) or `FuncIr::build`.
+//! threads) or `FuncIr::build`. Each function's loop forest is built
+//! once and counted and sized where it is kept.
 
 use pba_cfg::{Cfg, EdgeKind, Function};
+use pba_dataflow::loops::loop_forest_on;
 use pba_dataflow::{BinaryIr, CfgView, FuncIr};
 use pba_gen::{generate, Profile};
 use pba_isa::{ControlFlow, Insn};
+use std::sync::Arc;
 
 const PROFILES: [Profile; 7] = [
     Profile::Llnl1,
@@ -103,4 +106,33 @@ fn every_function_matches_the_cfg_oracle() {
             }
         }
     }
+}
+
+/// Each function's loop forest is built once, by the first caller, and
+/// sized then: every later ask shares that forest, `loop_forests_built`
+/// counts the built ones, and `memo_heap_bytes` adds each one's bytes
+/// to the memoized ranks.
+#[test]
+fn each_loop_forest_is_built_once_and_sized_when_built() {
+    let cfg = cfg_of(Profile::Server, 0.3);
+    let ir = BinaryIr::build(&cfg, 2);
+    let ranks = |ir: &BinaryIr| ir.funcs().map(|f| f.graph().rank_heap_bytes()).sum::<usize>();
+    assert_eq!(ir.loop_forests_built(), 0);
+    assert_eq!(ir.memo_heap_bytes(), ranks(&ir));
+
+    let first = ir.funcs().next().unwrap();
+    let forest = Arc::clone(first.loop_forest());
+    assert!(Arc::ptr_eq(&forest, first.loop_forest()), "a second ask shares the first forest");
+    assert_eq!(ir.loop_forests_built(), 1);
+
+    let mut loops = 0;
+    for f in ir.funcs() {
+        let fresh = loop_forest_on(f, f.graph());
+        assert_eq!(f.loop_forest().loops, fresh.loops, "{:#x}", f.entry());
+        loops += fresh.loops.len();
+    }
+    assert!(loops > 0, "the image has loops");
+    assert_eq!(ir.loop_forests_built(), ir.len());
+    let forests: usize = ir.funcs().map(|f| f.loop_forest().heap_bytes()).sum();
+    assert_eq!(ir.memo_heap_bytes(), ranks(&ir) + forests);
 }

@@ -4,19 +4,18 @@
 use crate::error::Error;
 use pba_binfeat::BinaryFeatures;
 use pba_cfg::Cfg;
-use pba_concurrent::{Counter, Memo};
-use pba_dataflow::{BinaryIr, ExecutorKind, FuncAnalyses};
+use pba_concurrent::Memo;
+use pba_dataflow::{BinaryIr, ExecutorKind, FuncAnalyses, LoopForest};
 use pba_dwarf::decode::DebugSlices;
 use pba_dwarf::DebugInfo;
 use pba_elf::{Elf, ImageBytes};
 use pba_hpcstruct::{analyze_artifacts, ArtifactTimes, HsConfig, HsOutput};
-use pba_loops::{loop_forest_on, LoopForest};
 use pba_parse::stats::StatsSnapshot;
 use pba_parse::{ParseConfig, ParseInput, ParseResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One configuration surface for the whole stack.
@@ -80,9 +79,9 @@ impl SessionConfig {
 
 /// How many times each artifact was actually computed in this session.
 ///
-/// Every field is 0 or 1 once the session quiesces (per-function loop
-/// forests: at most one per distinct entry) — that *is* the session
-/// contract, and the memoization tests assert it.
+/// Every field is 0 or 1 once the session quiesces (loop forests: at
+/// most one per function) — that *is* the session contract, and the
+/// memoization tests assert it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionStats {
     /// ELF image parses.
@@ -100,7 +99,9 @@ pub struct SessionStats {
     pub structure_builds: u64,
     /// BinFeat feature extractions.
     pub feature_builds: u64,
-    /// Per-function loop-forest computations.
+    /// Per-function loop forests built, read off the IR, which owns
+    /// them: at most one per function, whichever consumer asked first
+    /// (`structure()`, `features()` or the loop accessors).
     pub loop_forests: u64,
     /// Estimated bytes of heap the session's memoized artifacts pin
     /// right now: the shared input image counted once, plus each
@@ -109,12 +110,11 @@ pub struct SessionStats {
     /// parsed ELF — are counted exactly once. This is the eviction
     /// signal for a resident server: how much a cached session costs.
     ///
-    /// Each artifact (and each loop forest) is sized once, by the first
-    /// [`Session::stats`] call that observes it built, and that figure
-    /// is kept — built artifacts do not change. The one part that grows
-    /// afterwards, the RPO ranks the IR's graphs memoize as analyses
-    /// first run over them, is re-read on every call (no walk over
-    /// blocks). A call after everything is sized costs no artifact walk.
+    /// Each artifact is sized once, by the first [`Session::stats`] call
+    /// that observes it built, and that figure is kept — built artifacts
+    /// do not change. What grows afterwards, each IR function's RPO
+    /// ranks and loop forest, is re-read per call, one figure per
+    /// function: no walk over blocks or loops.
     pub resident_bytes: u64,
 }
 
@@ -126,9 +126,9 @@ pub struct SessionStats {
 /// [`loop_forest`](Session::loop_forest), [`structure`](Session::structure),
 /// [`features`](Session::features). Each is computed at most once per
 /// session, concurrent callers block on the in-flight computation and
-/// then share the result (via [`pba_concurrent::Memo`] /
-/// [`pba_concurrent::ConcurrentHashMap`]), and failures are memoized
-/// just like successes. The daemon's `pba_serve::SessionCache` caches
+/// then share the result (a [`pba_concurrent::Memo`] per artifact, the
+/// IR's own cells for the loop forests), and failures are memoized just
+/// like successes. The daemon's `pba_serve::SessionCache` caches
 /// exactly this handle: one session per binary, artifacts reused across
 /// requests.
 pub struct Session {
@@ -144,8 +144,6 @@ pub struct Session {
     dataflow: Memo<Result<HashMap<u64, FuncAnalyses>, Error>>,
     structure: Memo<Result<HsOutput, Error>>,
     features: Memo<Result<BinaryFeatures, Error>>,
-    loops: pba_concurrent::ConcurrentHashMap<u64, Option<Arc<LoopForest>>>,
-    loop_computes: Counter,
     bytes: ArtifactBytes,
 }
 
@@ -161,9 +159,6 @@ struct ArtifactBytes {
     dataflow: OnceLock<usize>,
     structure: OnceLock<usize>,
     features: OnceLock<usize>,
-    /// Loop forests built since the last `stats()`, and the summed bytes
-    /// of every forest sized before them.
-    forests: Mutex<(Vec<Arc<LoopForest>>, usize)>,
 }
 
 /// An artifact's bytes: 0 until it is built (or if it failed), then
@@ -197,17 +192,8 @@ impl Session {
             dataflow: Memo::new(),
             structure: Memo::new(),
             features: Memo::new(),
-            loops: pba_concurrent::ConcurrentHashMap::new(),
-            loop_computes: Counter::new(),
             bytes: ArtifactBytes::default(),
         }
-    }
-
-    /// Open a session over an already-parsed ELF image (the `elf()`
-    /// artifact arrives pre-computed; its parse count stays 0).
-    pub fn from_elf(elf: Elf, config: SessionConfig) -> Session {
-        let input = elf.image().clone();
-        Session { elf: Memo::ready(Ok(elf)), ..Session::open(input, config) }
     }
 
     /// Open a session over a file on disk. The image is memory-mapped
@@ -253,8 +239,10 @@ impl Session {
         self.debug
             .get_or_compute(|| {
                 let elf = self.elf()?;
-                self.pool()
-                    .install(|| pba_dwarf::decode_parallel(DebugSlices::from_elf(elf)))
+                // Pools of equal size share one process-lived registry.
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(self.config.threads);
+                let pool = pool.build().expect("pool");
+                pool.install(|| pba_dwarf::decode_parallel(DebugSlices::from_elf(elf)))
                     .map_err(Error::from)
             })
             .as_ref()
@@ -315,39 +303,23 @@ impl Session {
             .map_err(Clone::clone)
     }
 
-    /// The natural-loop forest of one function, memoized per entry:
-    /// concurrent callers of the same entry block on the winner's
-    /// computation (TBB-style accessor locking) and share one `Arc`.
-    /// Computed over the shared [`Session::ir`] — no decoding.
+    /// The natural-loop forest of one function: the one the shared
+    /// [`Session::ir`] keeps for it ([`pba_dataflow::FuncIr::loop_forest`]),
+    /// built by whichever consumer asked first — this call,
+    /// `structure()` or `features()` — and shared from then on.
     pub fn loop_forest(&self, entry: u64) -> Result<Arc<LoopForest>, Error> {
         let ir = self.ir()?;
         let fir = ir.func(entry).ok_or_else(|| Error::FunctionNotFound(format!("{entry:#x}")))?;
-        // Insert an empty slot (cheap, under the shard lock), then
-        // compute under the *entry* lock: the insert winner fills the
-        // slot while racers block on the accessor and find it filled.
-        let (mut slot, _) = self.loops.insert_with(entry, || None);
-        if let Some(forest) = slot.as_ref() {
-            return Ok(Arc::clone(forest));
-        }
-        let forest = Arc::new(loop_forest_on(fir, fir.graph()));
-        *slot = Some(Arc::clone(&forest));
-        self.loop_computes.inc();
-        self.bytes.forests.lock().unwrap().0.push(Arc::clone(&forest));
-        Ok(forest)
+        Ok(Arc::clone(fir.loop_forest()))
     }
 
-    /// Every function's loop forest at once, fanned across the
-    /// session's pool over the shared IR, pre-filling the per-entry
-    /// cache — later `loop_forest(entry)` calls (from any consumer) hit
-    /// it. Entries already computed are reused, not recomputed.
+    /// Every function's loop forest, keyed by entry. Those not built yet
+    /// are built across the session's pool; the rest are reused.
     pub fn loop_forests(&self) -> Result<HashMap<u64, Arc<LoopForest>>, Error> {
         let ir = self.ir()?;
-        let entries: Vec<u64> = ir.funcs().map(|f| f.entry()).collect();
-        let pool = self.pool();
-        use rayon::prelude::*;
-        let forests: Vec<(u64, Result<Arc<LoopForest>, Error>)> =
-            pool.install(|| entries.par_iter().map(|&e| (e, self.loop_forest(e))).collect());
-        forests.into_iter().map(|(e, f)| f.map(|f| (e, f))).collect()
+        Ok(pba_dataflow::run_per_function_ir(ir, self.config.threads, |f| {
+            Arc::clone(f.loop_forest())
+        }))
     }
 
     /// The recovered program structure (the hpcstruct case study),
@@ -424,7 +396,7 @@ impl Session {
             dataflow_runs: self.dataflow.computes(),
             structure_builds: self.structure.computes(),
             feature_builds: self.features.computes(),
-            loop_forests: self.loop_computes.get(),
+            loop_forests: self.built_ir().map_or(0, |ir| ir.loop_forests_built() as u64),
             resident_bytes: self.resident_bytes() as u64,
         }
     }
@@ -436,7 +408,7 @@ impl Session {
         // The input image, counted exactly once (zero when mmapped); the
         // parsed ELF shares its storage, so only the ELF's decoded
         // section/symbol metadata counts on top.
-        let mut total = self.input.heap_bytes()
+        self.input.heap_bytes()
             + sized(&self.elf, &b.elf, |elf| elf.heap_bytes() - elf.image().heap_bytes())
             + sized(&self.debug, &b.debug, DebugInfo::heap_bytes)
             + sized(&self.parse, &b.cfg, |r| r.cfg.heap_bytes())
@@ -448,21 +420,14 @@ impl Session {
                     + df.values().map(FuncAnalyses::heap_bytes).sum::<usize>()
             })
             + sized(&self.structure, &b.structure, HsOutput::heap_bytes)
-            + sized(&self.features, &b.features, BinaryFeatures::heap_bytes);
-        if let Some(Ok(ir)) = self.ir.get() {
-            total += ir.rank_heap_bytes();
-        }
-        let mut forests = b.forests.lock().unwrap();
-        let (fresh, sized_before) = &mut *forests;
-        *sized_before += fresh.drain(..).map(|f| f.heap_bytes()).sum::<usize>();
-        total + *sized_before
+            + sized(&self.features, &b.features, BinaryFeatures::heap_bytes)
+            // The ranks and loop forests the IR's functions memoized since.
+            + self.built_ir().map_or(0, BinaryIr::memo_heap_bytes)
     }
 
-    /// A rayon pool sized by the session config (0 = all available).
-    /// Pools of equal size share one cached process-lived registry, so
-    /// this is cheap to call per artifact.
-    fn pool(&self) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new().num_threads(self.config.threads).build().expect("pool")
+    /// The IR, if it has been built (and did not fail).
+    fn built_ir(&self) -> Option<&BinaryIr> {
+        self.ir.get()?.as_ref().ok()
     }
 }
 
@@ -486,6 +451,7 @@ mod tests {
             total += r.cfg.heap_bytes();
         }
         if let Some(Ok(ir)) = s.ir.get() {
+            // The loop forests built so far included.
             total += ir.heap_bytes();
         }
         if let Some(Ok(df)) = s.dataflow.get() {
@@ -498,11 +464,6 @@ mod tests {
         if let Some(Ok(bf)) = s.features.get() {
             total += bf.heap_bytes();
         }
-        s.loops.for_each(|_, slot| {
-            if let Some(forest) = slot {
-                total += forest.heap_bytes();
-            }
-        });
         total
     }
 
@@ -510,12 +471,15 @@ mod tests {
         generate(&GenConfig { num_funcs: 24, seed: 0x5E55, ..Default::default() }).elf
     }
 
-    /// Drive `s` one artifact at a time, checking the reported bytes
-    /// against the walk after every step (so each artifact is sized at
-    /// a different moment, before later steps grow the IR's ranks).
-    fn steps_match_the_walk(s: &Session) {
+    /// Drive a session one artifact at a time, checking the reported
+    /// bytes against the walk after every step (so each artifact is
+    /// sized at a different moment, before later steps grow the IR's
+    /// ranks and forests).
+    #[test]
+    fn resident_bytes_equal_the_walk_after_every_step() {
+        let s = Session::open(image(), SessionConfig::default().with_threads(2));
         let check = |step: &str| {
-            assert_eq!(s.stats().resident_bytes as usize, walk(s), "after {step}");
+            assert_eq!(s.stats().resident_bytes as usize, walk(&s), "after {step}");
         };
         check("open");
         s.elf().unwrap();
@@ -524,30 +488,17 @@ mod tests {
         check("cfg");
         let entry = s.ir().unwrap().funcs().map(|f| f.entry()).min().unwrap();
         check("ir");
+        s.loop_forest(entry).unwrap();
+        check("loop_forest");
         s.dataflow().unwrap();
         check("dataflow");
         s.structure().unwrap();
         check("structure");
         s.features().unwrap();
         check("features");
-        s.loop_forest(entry).unwrap();
-        check("loop_forest");
         s.loop_forests().unwrap();
         check("loop_forests");
         let once = s.stats().resident_bytes;
         assert_eq!(s.stats().resident_bytes, once, "a repeated stats() moves nothing");
-    }
-
-    #[test]
-    fn resident_bytes_equal_the_walk_after_every_step() {
-        steps_match_the_walk(&Session::open(image(), SessionConfig::default().with_threads(2)));
-    }
-
-    #[test]
-    fn resident_bytes_equal_the_walk_from_a_parsed_elf() {
-        let elf = Elf::parse(ImageBytes::from(image())).unwrap();
-        let s = Session::from_elf(elf, SessionConfig::default().with_threads(1));
-        assert!(s.stats().resident_bytes > s.input.heap_bytes() as u64, "the ELF counts at once");
-        steps_match_the_walk(&s);
     }
 }

@@ -72,6 +72,26 @@ fn loop_forests_prefills_the_per_entry_cache_and_reuses_it() {
     assert_eq!(session.stats().loop_forests, entries.len() as u64);
 }
 
+/// Each function's loop forest has one owner, the IR: `structure()`
+/// builds every forest, `features()` reads the same ones, and the loop
+/// accessors hand those out without building more.
+#[test]
+fn structure_and_features_share_one_loop_forest_per_function() {
+    let session = Session::open(sample(true), SessionConfig::default().with_threads(2));
+    session.structure().expect("structure");
+    session.features().expect("features");
+    let funcs = session.ir().expect("ir").len() as u64;
+    assert_eq!(session.stats().loop_forests, funcs, "one forest per function, built once");
+
+    let all = session.loop_forests().expect("loop_forests");
+    assert_eq!(session.stats().loop_forests, funcs, "the accessors build nothing more");
+    assert_eq!(all.len() as u64, funcs);
+    for (&entry, forest) in &all {
+        let one = session.loop_forest(entry).expect("forest");
+        assert!(Arc::ptr_eq(forest, &one), "{entry:#x}: one shared forest");
+    }
+}
+
 /// The memory-plane sweep: at every `pct_shared` level (none, the
 /// default, heavy overlap) the `Arc`-shared block layout must yield the
 /// same dataflow facts as independent per-function builds (each owning

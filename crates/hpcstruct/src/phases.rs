@@ -24,7 +24,6 @@ use crate::structure::{FuncStruct, InlineScope, LoopStruct, StmtRange, StructFil
 use pba_cfg::Cfg;
 use pba_dataflow::{BinaryIr, CfgView, ExecutorKind};
 use pba_dwarf::{DebugInfo, InlinedSub};
-use pba_loops::loop_forest_on;
 use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -268,7 +267,8 @@ fn statements(
 /// [`ExecutorKind`]). `ir` is the shared decode-once analysis IR
 /// (`Session::ir()`); every instruction this pipeline reads — loop
 /// discovery, the stack-frame fixpoint, the statement walk — is a
-/// borrow of its arenas, so the query phases decode nothing. `pre`
+/// borrow of its arenas, so the query phases decode nothing, and the
+/// loops are the IR's own forests (built here only if not yet). `pre`
 /// carries the artifact phases' wall times so the returned
 /// [`PhaseTimes`] stays Figure 2-shaped.
 pub fn analyze_artifacts(
@@ -350,9 +350,9 @@ pub fn analyze_artifacts(
         skeleton.par_iter_mut().for_each(|fs| {
             let fir = ir.func(fs.entry);
             if let Some(fir) = fir {
-                // Loops (AC2).
-                let forest = loop_forest_on(fir, fir.graph());
-                fs.loops = forest
+                // Loops (AC2), off the IR's one forest per function.
+                fs.loops = fir
+                    .loop_forest()
                     .loops
                     .iter()
                     .map(|l| LoopStruct { header: l.header, depth: l.depth, blocks: l.size() })

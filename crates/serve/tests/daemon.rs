@@ -181,6 +181,29 @@ fn second_query_recomputes_nothing_across_connections() {
     assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
 }
 
+/// A `struct` and then a `features` request for one binary: the
+/// resident session builds each function's loop forest once, and the
+/// second reply reuses them.
+#[test]
+fn struct_then_features_build_each_loop_forest_once() {
+    let bin = gen_elf(23, 6);
+    let probe = Session::open(bin.clone(), test_config());
+    let funcs = probe.ir().unwrap().len() as u64;
+    let handle = spawn_tcp(usize::MAX);
+    let mut client = connect(&handle);
+
+    let served = client.request_ok(&Request::Struct { bin: BinSpec::Bytes(bin.clone()) }).unwrap();
+    let Response::Struct { stats, .. } = served else { panic!("not a struct reply") };
+    assert_eq!(stats.loop_forests, funcs, "structure() reads every function's forest");
+
+    let served = client.request_ok(&Request::Features { bin: BinSpec::Bytes(bin) }).unwrap();
+    let Response::Features { hit, stats, .. } = served else { panic!("not a features reply") };
+    assert!(hit, "the session is resident");
+    assert_eq!(stats.feature_builds, 1);
+    assert_eq!(stats.loop_forests, funcs, "features() builds no forest of its own");
+    handle.stop().unwrap();
+}
+
 /// The `struct` reply's text, pinned as an FNV-1a-64 digest: the
 /// equivalence test above only compares the daemon with an in-process
 /// session, which would move together. Regenerate only for an intended

@@ -6,7 +6,7 @@
 //! pba struct <elf> [--stats] [options]  recover program structure (hpcstruct)
 //! pba stats <elf> [options]             parse-work statistics
 //! pba selftest [--funcs N] [options]    generate a binary and check ground truth
-//! pba gen <out> [--funcs N] [--seed S]  write a synthetic test binary
+//! pba gen <out> [--funcs N] [--seed S]  write a synthetic test binary (S: decimal or 0x hex)
 //! pba serve <addr> [--cap-mib N] [options]   run the analysis daemon
 //! pba query <addr> <kind> [args] [--by-path] query a running daemon
 //! pba topk <dir> <query-elf> [--k N]    offline corpus top-K (no daemon)
@@ -26,6 +26,8 @@
 //! options:
 //!   --threads N                   worker threads (0 = all available; default 0)
 //! ```
+//!
+//! A numeric option without a parsable value is a usage error (exit 2).
 //!
 //! `<addr>` is `unix:<path>`, `tcp:<host:port>`, a bare socket path, or
 //! a bare `host:port`. A `query` ships the binary inline by default;
@@ -60,8 +62,19 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The value after `name`, parsed by `parse`, or `None` when the flag is
+/// absent; a missing or unparsable value is a usage error.
+fn flag_with<T>(args: &[String], name: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let value = args.get(i + 1).map_or("", String::as_str);
+    parse(value).or_else(|| {
+        eprintln!("pba: {name} wants a number, got {value:?}");
+        usage()
+    })
+}
+
 fn flag(args: &[String], name: &str) -> Option<usize> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
+    flag_with(args, name, |v| v.parse().ok())
 }
 
 /// Parse a `0x`-prefixed or decimal u64 (entry addresses, hashes).
@@ -295,7 +308,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<i32, Stop> {
                 usage();
             }
             let funcs = flag(args, "--funcs").unwrap_or(64);
-            let seed = flag(args, "--seed").unwrap_or(0x5E1F) as u64;
+            let seed = flag_with(args, "--seed", |v| parse_u64(v).ok()).unwrap_or(0x5E1F);
             let g = generate(&GenConfig { num_funcs: funcs, seed, ..Default::default() });
             let mut file = std::fs::File::create(path)
                 .map_err(|e| Error::Create { path: path.clone(), message: e.to_string() })?;

@@ -36,7 +36,7 @@
 //! let facts = session.dataflow().unwrap();
 //! assert_eq!(facts.len(), cfg.functions.len());
 //!
-//! // ...per-function loop forests...
+//! // ...per-function loop forests (each built once, kept by the IR)...
 //! let entry = *cfg.functions.keys().next().unwrap();
 //! let forest = session.loop_forest(entry).unwrap();
 //! let _ = forest.max_depth();
@@ -60,8 +60,7 @@
 //! | [`isa`] | `pba-isa` | architecture-independent instructions; x86-64 + rv-lite codecs |
 //! | [`dwarf`] | `pba-dwarf` | DWARF-modeled debug info: encoder + parallel per-CU decoder |
 //! | [`cfg`](mod@cfg) | `pba-cfg` | CFG model with each edge stored once in address-sorted arrays, the dense [`cfg::BlockIndex`] and [`cfg::Csr`] adjacency the analysis graphs use, the six-operation algebra, the partial order, the reverse-postorder ranking |
-//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run to its least fixpoint by one allocation-free RPO worklist, `fixpoint`; parallel across functions by `run_all_ir`), the memory plane (one instruction arena per binary in `BinaryIr`, CSR adjacency in `FuncIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation |
-//! | [`loops`] | `pba-loops` | dominators (dense `Vec<u32>` idoms over the shared block index), natural loops, nesting forests |
+//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run to its least fixpoint by one allocation-free RPO worklist, `fixpoint`; parallel across functions by `run_all_ir`), the memory plane (one instruction arena per binary in `BinaryIr`, CSR adjacency in `FuncIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation, dominators (dense `Vec<u32>` idoms over the shared block index) and natural-loop nesting forests, one per `FuncIr`, built once for every consumer |
 //! | [`parse`] | `pba-parse` | the serial & parallel CFG construction engine |
 //! | [`gen`] | `pba-gen` | synthetic workload generator with exact ground truth |
 //! | [`hpcstruct`] | `pba-hpcstruct` | program-structure recovery (performance analysis): the artifact-level phases behind [`Session::structure`] |
@@ -78,7 +77,6 @@ pub use pba_elf as elf;
 pub use pba_gen as gen;
 pub use pba_hpcstruct as hpcstruct;
 pub use pba_isa as isa;
-pub use pba_loops as loops;
 pub use pba_parse as parse;
 pub use pba_serve as serve;
 

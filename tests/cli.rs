@@ -38,6 +38,48 @@ fn gen_rejects_an_output_path_that_looks_like_an_option() {
 }
 
 #[test]
+fn gen_reads_a_hex_seed_as_hex() {
+    let dir = scratch("gen-hex-seed");
+    let out = pba(&dir, &["gen", "hex.elf", "--funcs", "8", "--seed", "0x10"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("(seed 0x10)"));
+    assert!(pba(&dir, &["gen", "dec.elf", "--funcs", "8", "--seed", "16"]).status.success());
+    let hex = std::fs::read(dir.join("hex.elf")).unwrap();
+    assert_eq!(hex, std::fs::read(dir.join("dec.elf")).unwrap(), "0x10 is 16");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A numeric flag whose value does not parse is a usage error, not a
+/// silent fall back to the default.
+#[test]
+fn an_unparsable_number_is_a_usage_error() {
+    let dir = scratch("bad-number");
+    let out = pba(&dir, &["gen", "a.elf", "--funcs", "eight"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--funcs wants a number, got \"eight\""), "{stderr}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing written");
+
+    assert!(pba(&dir, &["gen", "a.elf", "--funcs", "8"]).status.success());
+    let out = pba(&dir, &["stats", "a.elf", "--threads", "two"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--threads wants a number"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing parsed");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn selftest_finds_every_function_exact() {
+    let dir = scratch("selftest");
+    let out = pba(&dir, &["selftest"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.lines().any(|l| l == "selftest: 64/64 functions exact"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn struct_stats_prints_session_and_parser_counters() {
     let dir = scratch("struct-stats");
     assert!(pba(&dir, &["gen", "a.elf", "--funcs", "12"]).status.success());
