@@ -22,20 +22,20 @@
 //!   monotonicity ("a larger graph includes more control flow elements"),
 //!   and [`order::rpo_ranks_dense`], the one reverse-postorder numbering that
 //!   dominators and the dataflow engine's worklist share.
-//! * [`index`] — the shared dense block index: [`BlockIndex`] maps block
-//!   start addresses to stable `u32` ranks by binary search, so the
-//!   analysis graphs' adjacency, dominators, loop bodies, and the
-//!   dataflow specs key their per-block storage by rank into plain
-//!   `Vec`s instead of addr-keyed hash maps (the memory plane's ID
-//!   scheme). [`Cfg`] keeps none: its edges sit in address-sorted
-//!   arrays that are searched directly.
+//! * [`csr`] — [`Csr`], the compressed-sparse-row adjacency the analysis
+//!   graphs build over a function's dense block ids: a block's id is its
+//!   position in the function's ascending block list, so dominators,
+//!   loop bodies and the dataflow specs key their per-block storage by
+//!   it into plain `Vec`s instead of addr-keyed hash maps (the memory
+//!   plane's ID scheme). [`Cfg`] keeps none: its edges sit in
+//!   address-sorted arrays that are searched directly.
 
-pub mod index;
+pub mod csr;
 pub mod model;
 pub mod ops;
 pub mod order;
 
-pub use index::{BlockIndex, Csr};
+pub use csr::Csr;
 pub use model::{Block, Cfg, CodeRegion, Edge, EdgeKind, Function, RetStatus};
 pub use ops::{AbsGraph, CodeOracle, SyntheticCode};
 pub use order::graph_le;

@@ -18,7 +18,7 @@
 //! reverse-postorder numbering over a dense adjacency that dominator
 //! construction and the dataflow engine's worklist priority both use.
 
-use crate::index::Csr;
+use crate::csr::Csr;
 use crate::model::EdgeKind;
 use crate::ops::{AbsEdge, AbsGraph};
 

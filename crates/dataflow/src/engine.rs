@@ -127,8 +127,8 @@ struct DirInfo {
     /// Worklist priority: rank in the direction-appropriate reverse
     /// postorder, computed directly on dense indices.
     rank: Vec<u32>,
-    /// Blocks reachable from the direction's sources: ranks below this
-    /// cut form the source-anchored RPO (see [`FlowGraph::entry_rpo`]).
+    /// Blocks reachable from the direction's sources: exactly those
+    /// ranked below this cut.
     reachable: usize,
 }
 
@@ -247,21 +247,12 @@ impl FlowGraph {
         })
     }
 
-    /// The entry-anchored reverse postorder: every block reachable from
-    /// the function entry, in forward RPO. Memoized with the forward
-    /// worklist ranks, so dominator construction
-    /// ([`crate::dominators::dominators_on`]) shares the one traversal
-    /// every forward fixpoint over this graph already paid for.
-    pub fn entry_rpo(&self) -> Vec<u64> {
+    /// The memoized forward RPO rank per block and how many blocks the
+    /// entry reaches (those ranked below that count): dominators and loop
+    /// forests share the traversal every forward fixpoint paid for.
+    pub(crate) fn forward_ranks(&self) -> (&[u32], usize) {
         let info = self.dir_info(Direction::Forward);
-        let mut rpo = vec![0u64; info.reachable];
-        for (i, &b) in self.blocks.iter().enumerate() {
-            let r = info.rank[i] as usize;
-            if r < info.reachable {
-                rpo[r] = b;
-            }
-        }
-        rpo
+        (&info.rank, info.reachable)
     }
 
     /// Estimated heap bytes of the graph as built: block list and

@@ -167,7 +167,8 @@ impl FuncIr {
     pub fn loop_forest(&self) -> &Arc<LoopForest> {
         let (forest, _) = self.loops.get_or_init(|| {
             let forest = loop_forest_on(self, &self.graph);
-            let bytes = forest.heap_bytes();
+            // The `Arc` allocation holds the forest beside two counts.
+            let bytes = forest.heap_bytes() + size_of::<LoopForest>() + 2 * size_of::<usize>();
             (Arc::new(forest), bytes)
         });
         forest

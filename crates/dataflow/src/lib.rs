@@ -62,12 +62,12 @@
 //! ([`ir::FuncIr::loop_forest`]). Functions sharing
 //! a block (error paths, outlined `.cold` fragments) read the same
 //! arena slice, so a resident session pins what its unique data costs
-//! ([`ir::BinaryIr::shared_insn_bytes`]). Downstream, the analyses are
-//! dense end-to-end: every graph numbers its blocks in ascending
-//! address order, so a block's dense id is a binary search over the
-//! graph's (shared) block list, and every result keys its per-block
-//! facts by that id into plain `Vec`s; addr-keyed lookups survive only
-//! where a caller at a public seam thinks in block addresses.
+//! ([`ir::BinaryIr::shared_insn_bytes`]). Downstream, one numbering per
+//! function serves every analysis: the graph's ascending block list, so
+//! a block's dense id is a binary search over it, and the specs, their
+//! results, the idoms and the loop bodies key per-block storage by that
+//! id into plain `Vec`s; addr-keyed lookups survive only where a caller
+//! at a public seam thinks in block addresses.
 //! `pba::Session::ir()` memoizes the `BinaryIr` so decode-once is a
 //! structural invariant rather than per-consumer luck, and each
 //! artifact's `heap_bytes()` feeds the session's `resident_bytes`

@@ -15,7 +15,6 @@
 
 use crate::engine::{fixpoint, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::view::CfgView;
-use pba_cfg::BlockIndex;
 use pba_isa::{ControlFlow, Reg, RegSet};
 use std::sync::Arc;
 
@@ -90,20 +89,19 @@ fn transfer_insn(i: &pba_isa::Insn, mut live: RegSet) -> RegSet {
 
 /// Liveness as a [`DataflowSpec`]: backward may-analysis whose facts are
 /// [`RegSet`] masks, with `gen`/`kill` precomputed per block — dense
-/// vectors over the view's block list, keyed through a [`BlockIndex`]
-/// instead of addr-keyed hash maps.
-pub struct LivenessSpec {
-    index: BlockIndex,
+/// vectors over the view's block list, found by binary search in that
+/// (ascending) list.
+pub struct LivenessSpec<'v> {
+    blocks: &'v [u64],
     gen: Vec<RegSet>,
     kill: Vec<RegSet>,
 }
 
-impl LivenessSpec {
+impl<'v> LivenessSpec<'v> {
     /// Precompute block transfer masks from `view` (each block's
     /// already-decoded instructions are read once, borrowed).
-    pub fn build(view: &dyn CfgView) -> LivenessSpec {
+    pub fn build(view: &'v dyn CfgView) -> LivenessSpec<'v> {
         let blocks = view.blocks();
-        let index = BlockIndex::new(blocks);
         let mut gen = vec![RegSet::EMPTY; blocks.len()];
         let mut kill = vec![RegSet::EMPTY; blocks.len()];
         for (bi, &b) in blocks.iter().enumerate() {
@@ -125,11 +123,11 @@ impl LivenessSpec {
             gen[bi] = g;
             kill[bi] = k;
         }
-        LivenessSpec { index, gen, kill }
+        LivenessSpec { blocks, gen, kill }
     }
 }
 
-impl DataflowSpec for LivenessSpec {
+impl DataflowSpec for LivenessSpec<'_> {
     type Fact = RegSet;
 
     fn direction(&self) -> Direction {
@@ -149,7 +147,7 @@ impl DataflowSpec for LivenessSpec {
     }
 
     fn transfer(&self, block: u64, input: &RegSet) -> RegSet {
-        let i = self.index.get(block).expect("spec covers every graph block");
+        let i = self.blocks.binary_search(&block).expect("spec covers every graph block");
         self.gen[i].union(input.minus(self.kill[i]))
     }
 

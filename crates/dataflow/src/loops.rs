@@ -1,9 +1,11 @@
-//! Natural loops and the loop nesting forest.
+//! Natural loops and the loop nesting forest, on the graph's dense ids.
 //!
 //! A back edge `t → h` exists when `h` dominates `t`; the natural loop of
 //! `h` is `h` plus every block that reaches some back-edge source without
 //! passing through `h`. Loops sharing a header are merged (multiple
-//! `continue` paths), and nesting is recovered by body inclusion.
+//! `continue` paths). A loop that holds another loop's header holds that
+//! whole loop, so each loop's parent is the innermost larger loop that
+//! holds its header.
 //!
 //! Product code asks [`crate::ir::FuncIr::loop_forest`], which builds
 //! each function's forest once for hpcstruct, BinFeat and the session.
@@ -11,46 +13,73 @@
 use crate::dominators::dominators_on;
 use crate::engine::FlowGraph;
 use crate::view::CfgView;
-use std::collections::{BTreeSet, HashMap};
+use std::mem::size_of;
+use std::sync::Arc;
 
-/// One natural loop.
+/// No loop: the parent of a top-level loop, the innermost loop of a
+/// block outside every loop, and an unmarked block during the flood.
+const NONE: u32 = u32::MAX;
+
+/// One natural loop of a [`LoopForest`]; its members are
+/// [`LoopForest::body`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Loop {
     /// Header block.
     pub header: u64,
-    /// All member blocks (header included), sorted.
-    pub body: BTreeSet<u64>,
-    /// Indices (into [`LoopForest::loops`]) of directly nested loops.
-    pub children: Vec<usize>,
     /// 1 for outermost loops, +1 per nesting level.
     pub depth: u32,
+    /// Index (into [`LoopForest::loops`]) of the innermost loop holding
+    /// this one, [`NONE`] for an outermost loop.
+    parent: u32,
+    /// The members are `LoopForest::members[start..start + len]`.
+    start: u32,
+    len: u32,
 }
 
 impl Loop {
     /// Number of member blocks.
     pub fn size(&self) -> usize {
-        self.body.len()
+        self.len as usize
     }
 
-    /// Is `block` in the loop?
-    pub fn contains(&self, block: u64) -> bool {
-        self.body.contains(&block)
+    /// Index (into [`LoopForest::loops`]) of the innermost loop holding
+    /// this one, or `None` for an outermost loop.
+    pub fn parent(&self) -> Option<usize> {
+        (self.parent != NONE).then_some(self.parent as usize)
     }
 }
 
-/// All loops of one function plus derived queries.
-#[derive(Debug, Clone, Default)]
+/// All loops of one function plus derived queries, stored flat over the
+/// function graph's dense block ids.
+#[derive(Debug, Clone)]
 pub struct LoopForest {
-    /// Loops, outermost-first within each nest.
+    /// Loops by size descending, then header ascending: every loop comes
+    /// after the loops that hold it.
     pub loops: Vec<Loop>,
-    /// Indices of top-level (non-nested) loops.
-    pub roots: Vec<usize>,
+    /// The graph's block list, ascending: dense id → address.
+    blocks: Arc<Vec<u64>>,
+    /// Every loop's members as ascending dense ids, one run per loop.
+    members: Vec<u32>,
+    /// Per dense id, the deepest loop holding the block ([`NONE`] if
+    /// none); empty when the function has no loop.
+    innermost: Vec<u32>,
 }
 
 impl LoopForest {
+    /// Member block addresses of loop `i` (header included), ascending.
+    pub fn body(&self, i: usize) -> impl Iterator<Item = u64> + '_ {
+        let Loop { start, len, .. } = self.loops[i];
+        let run = &self.members[start as usize..(start + len) as usize];
+        run.iter().map(|&m| self.blocks[m as usize])
+    }
+
     /// Nesting depth of `block`: 0 if not in any loop.
     pub fn depth_of(&self, block: u64) -> u32 {
-        self.loops.iter().filter(|l| l.contains(block)).map(|l| l.depth).max().unwrap_or(0)
+        let i = self.blocks.binary_search(&block).ok();
+        match i.and_then(|i| self.innermost.get(i)) {
+            Some(&l) if l != NONE => self.loops[l as usize].depth,
+            _ => 0,
+        }
     }
 
     /// Maximum nesting depth in the function.
@@ -58,110 +87,85 @@ impl LoopForest {
         self.loops.iter().map(|l| l.depth).max().unwrap_or(0)
     }
 
-    /// The innermost loop containing `block`, if any.
-    pub fn innermost(&self, block: u64) -> Option<&Loop> {
-        self.loops.iter().filter(|l| l.contains(block)).max_by_key(|l| l.depth)
-    }
-
-    /// Bytes of heap owned by the forest.
+    /// Bytes of heap owned by the forest: its three vectors. The block
+    /// list belongs to the function's graph.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.loops.capacity() * size_of::<Loop>()
-            + self
-                .loops
-                .iter()
-                .map(|l| {
-                    l.body.len() * size_of::<u64>() + l.children.capacity() * size_of::<usize>()
-                })
-                .sum::<usize>()
-            + self.roots.capacity() * size_of::<usize>()
+            + (self.members.capacity() + self.innermost.capacity()) * size_of::<u32>()
     }
 }
 
 /// Compute the loop forest over a prebuilt [`FlowGraph`]: dominators
-/// reuse the graph's memoized RPO, and loop bodies flood-fill over the
-/// graph's dense block ids (a bit vector per header) instead of
-/// hash sets — the address-keyed [`Loop::body`] sets are materialized
-/// once at the end, so the public shape is unchanged.
-pub fn loop_forest_on(view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
-    let dom = dominators_on(view, graph);
-    let n = graph.blocks.len();
-
-    // 1. Back edges.
-    let mut back_edges: Vec<(u64, u64)> = Vec::new(); // (tail, header)
-    for &b in &dom.rpo {
-        for &(s, _) in view.succ_edges(b) {
-            if dom.dominates(s, b) {
-                back_edges.push((b, s));
-            }
-        }
+/// reuse the graph's memoized forward ranks, and every loop body floods
+/// over the graph's dense predecessor rows with one shared mark array.
+/// `_view` is unused, kept because the benchmark suite passes it.
+pub fn loop_forest_on(_view: &dyn CfgView, graph: &FlowGraph) -> LoopForest {
+    let blocks = Arc::clone(&graph.blocks);
+    let n = blocks.len();
+    let (rank, _) = graph.forward_ranks();
+    // A back edge `t → h` has `rank[h] <= rank[t]` (`h` dominates `t`, so
+    // it precedes `t` in every depth-first order): a graph without such
+    // an edge has no loop and needs no dominators.
+    let retreating = |t: u32, h: usize| rank[h] <= rank[t as usize];
+    if !(0..n).any(|h| graph.preds.row(h).iter().any(|&(t, _)| retreating(t, h))) {
+        return LoopForest {
+            loops: Vec::new(),
+            blocks,
+            members: Vec::new(),
+            innermost: Vec::new(),
+        };
     }
+    let dom = dominators_on(graph);
 
-    // 2. Natural-loop bodies, merged by header. Membership is a dense
-    // bit vector over the graph's block ids: every block the flood can
-    // reach is a view block, because `CfgView` edges name members only.
-    let mut bodies: HashMap<u64, Vec<bool>> = HashMap::new();
-    let id = |b: u64| graph.id(b).expect("CfgView edges name member blocks");
-    for &(tail, header) in &back_edges {
-        let marks = bodies.entry(header).or_insert_with(|| vec![false; n]);
-        // Backward flood from tail; the header is marked first, so the
-        // flood stops there.
-        marks[id(header)] = true;
-        let mut work = vec![tail];
-        while let Some(n) = work.pop() {
-            let i = id(n);
-            if marks[i] {
-                continue;
-            }
-            marks[i] = true;
-            work.extend(view.pred_edges(n).iter().map(|&(p, _)| p).filter(|&p| !marks[id(p)]));
+    // 1. Natural-loop bodies, merged by header. `marks[b] == h` once the
+    // flood of header `h` has taken `b`; `members` is the flood's queue.
+    let mut marks = vec![NONE; n];
+    let mut members: Vec<u32> = Vec::with_capacity(n);
+    let mut loops = Vec::new();
+    for h in 0..n {
+        let tail = |t: u32| retreating(t, h) && dom.dominates(h, t as usize);
+        if !graph.preds.row(h).iter().any(|&(t, _)| tail(t)) {
+            continue;
         }
-    }
-
-    // 3. Build the forest by inclusion. Sort by body size descending so
-    // parents precede children.
-    let mut loops: Vec<Loop> = bodies
-        .into_iter()
-        .map(|(header, marks)| {
-            // The graph's block list is address-ascending: in-order inserts.
-            let body =
-                graph.blocks.iter().zip(&marks).filter(|&(_, &m)| m).map(|(&a, _)| a).collect();
-            Loop { header, body, children: vec![], depth: 1 }
-        })
-        .collect();
-    loops.sort_by(|a, b| b.body.len().cmp(&a.body.len()).then(a.header.cmp(&b.header)));
-
-    let n = loops.len();
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    for i in 0..n {
-        // The smallest strictly-containing loop is the parent: scan from
-        // the end (smallest first) among earlier (larger) loops.
-        for j in (0..i).rev() {
-            let contains =
-                loops[j].body.is_superset(&loops[i].body) && loops[j].header != loops[i].header;
-            if contains {
-                // Candidate; pick the *smallest* containing loop.
-                match parent[i] {
-                    Some(p) if loops[p].body.len() <= loops[j].body.len() => {}
-                    _ => parent[i] = Some(j),
+        let start = members.len();
+        marks[h] = h as u32;
+        members.push(h as u32);
+        let mut next = start;
+        while let Some(&b) = members.get(next) {
+            next += 1;
+            for &(p, _) in graph.preds.row(b as usize) {
+                // Out of the header, the flood follows back edges only.
+                if marks[p as usize] != h as u32 && (b as usize != h || tail(p)) {
+                    marks[p as usize] = h as u32;
+                    members.push(p);
                 }
             }
         }
-    }
-    // A parent always has a smaller index than its child, so its depth
-    // is final by the time the child reads it: one pass sets them all.
-    let mut roots = Vec::new();
-    for i in 0..n {
-        match parent[i] {
-            Some(p) => {
-                loops[i].depth = loops[p].depth + 1;
-                loops[p].children.push(i);
-            }
-            None => roots.push(i),
-        }
+        members[start..].sort_unstable();
+        let len = (members.len() - start) as u32;
+        loops.push(Loop { header: blocks[h], depth: 1, parent: NONE, start: start as u32, len });
     }
 
-    LoopForest { loops, roots }
+    // 2. Nesting, largest loops first: a loop's parent is the innermost
+    // loop already holding its header (headers are reachable, and the
+    // loops holding a reachable block nest). A block the entry cannot
+    // reach may sit in loops that do not nest; it keeps the deepest.
+    loops.sort_unstable_by(|a, b| b.len.cmp(&a.len).then(a.header.cmp(&b.header)));
+    let mut innermost = marks;
+    innermost.fill(NONE);
+    for i in 0..loops.len() {
+        let Loop { header, start, len, .. } = loops[i];
+        let parent = innermost[blocks.binary_search(&header).expect("a member")];
+        let depth = if parent == NONE { 1 } else { loops[parent as usize].depth + 1 };
+        (loops[i].parent, loops[i].depth) = (parent, depth);
+        for &m in &members[start as usize..(start + len) as usize] {
+            let held = innermost[m as usize];
+            if held == NONE || loops[held as usize].depth < depth {
+                innermost[m as usize] = i as u32;
+            }
+        }
+    }
+    LoopForest { loops, blocks, members, innermost }
 }
 
 #[cfg(test)]
@@ -169,6 +173,7 @@ mod tests {
     use super::*;
     use crate::view::VecView;
     use pba_cfg::EdgeKind;
+    use std::collections::BTreeSet;
 
     /// The forest over a throwaway graph.
     fn loop_forest(view: &VecView) -> LoopForest {
@@ -198,7 +203,7 @@ mod tests {
         let f = loop_forest(&v);
         assert_eq!(f.loops.len(), 1);
         assert_eq!(f.loops[0].header, 2);
-        assert_eq!(f.loops[0].body, BTreeSet::from([2]));
+        assert_eq!(f.body(0).collect::<BTreeSet<_>>(), BTreeSet::from([2]));
         assert_eq!(f.depth_of(2), 1);
         assert_eq!(f.depth_of(3), 0);
     }
@@ -209,10 +214,9 @@ mod tests {
         let v = view(1, &[1, 2, 3, 4], &[(1, 2), (2, 3), (3, 2), (2, 4)]);
         let f = loop_forest(&v);
         assert_eq!(f.loops.len(), 1);
-        let l = &f.loops[0];
-        assert_eq!(l.header, 2);
-        assert_eq!(l.body, BTreeSet::from([2, 3]));
-        assert_eq!(f.innermost(3).unwrap().header, 2);
+        assert_eq!(f.loops[0].header, 2);
+        assert_eq!(f.body(0).collect::<BTreeSet<_>>(), BTreeSet::from([2, 3]));
+        assert_eq!(f.depth_of(3), 1);
     }
 
     #[test]
@@ -224,16 +228,16 @@ mod tests {
             view(1, &[1, 2, 3, 4, 5, 6], &[(1, 2), (2, 3), (3, 4), (4, 3), (4, 5), (5, 2), (5, 6)]);
         let f = loop_forest(&v);
         assert_eq!(f.loops.len(), 2);
-        let outer = f.loops.iter().find(|l| l.header == 2).unwrap();
-        let inner = f.loops.iter().find(|l| l.header == 3).unwrap();
-        assert_eq!(outer.body, BTreeSet::from([2, 3, 4, 5]));
-        assert_eq!(inner.body, BTreeSet::from([3, 4]));
-        assert_eq!(outer.depth, 1);
-        assert_eq!(inner.depth, 2);
+        let outer = f.loops.iter().position(|l| l.header == 2).unwrap();
+        let inner = f.loops.iter().position(|l| l.header == 3).unwrap();
+        assert_eq!(f.body(outer).collect::<BTreeSet<_>>(), BTreeSet::from([2, 3, 4, 5]));
+        assert_eq!(f.body(inner).collect::<BTreeSet<_>>(), BTreeSet::from([3, 4]));
+        assert_eq!(f.loops[outer].depth, 1);
+        assert_eq!(f.loops[inner].depth, 2);
         assert_eq!(f.depth_of(4), 2);
         assert_eq!(f.depth_of(2), 1);
         assert_eq!(f.max_depth(), 2);
-        assert_eq!(f.roots.len(), 1);
+        assert_eq!(f.loops.iter().filter(|l| l.parent().is_none()).count(), 1);
     }
 
     #[test]
@@ -242,7 +246,7 @@ mod tests {
         let v = view(1, &[1, 2, 3, 4, 5], &[(1, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5)]);
         let f = loop_forest(&v);
         assert_eq!(f.loops.len(), 1, "same-header loops merge");
-        assert_eq!(f.loops[0].body, BTreeSet::from([2, 3, 4]));
+        assert_eq!(f.body(0).collect::<BTreeSet<_>>(), BTreeSet::from([2, 3, 4]));
     }
 
     #[test]

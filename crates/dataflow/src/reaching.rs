@@ -13,7 +13,6 @@
 
 use crate::engine::{fixpoint, DataflowSpec, Direction, ExecutorKind, FlowGraph};
 use crate::view::CfgView;
-use pba_cfg::BlockIndex;
 use pba_isa::{Reg, RegSet};
 use std::collections::{hash_map::Entry, HashMap};
 use std::ops::Range;
@@ -156,14 +155,14 @@ impl ReachingDefs {
 /// problem whose facts are dense [`BitSet`]s over definition ids,
 /// grouped into one id range per register, with each block reduced to
 /// the last def of each register it writes.
-pub struct ReachingSpec {
+pub struct ReachingSpec<'v> {
     /// All definition sites, indexed by bit position.
     defs: Vec<Def>,
     /// Reverse index: definition site → bit position.
     def_ids: HashMap<Def, usize>,
-    /// Dense block index over the view's block list, so the engine's
-    /// per-visit lookups are binary searches, not hash probes.
-    index: BlockIndex,
+    /// The view's block list, ascending: the engine's per-visit lookups
+    /// are binary searches in it, not hash probes.
+    blocks: &'v [u64],
     /// Per block, for each register it writes, that register's id range
     /// (the kill) and the block's last def of it (the gen): block `i`'s
     /// are `last_defs[offsets[i]..offsets[i + 1]]`.
@@ -171,12 +170,12 @@ pub struct ReachingSpec {
     offsets: Vec<usize>,
 }
 
-impl ReachingSpec {
+impl<'v> ReachingSpec<'v> {
     /// Index every definition site in `view` by register (ascending
     /// [`Reg`], first-seen order within one) and list each block's last
     /// def per register it writes. Instructions are read from the
     /// view's decoded slices — nothing is decoded here.
-    pub fn build(view: &dyn CfgView) -> ReachingSpec {
+    pub fn build(view: &'v dyn CfgView) -> ReachingSpec<'v> {
         let blocks = view.blocks();
         let mut by_reg: Vec<Vec<u64>> = vec![Vec::new(); REGS];
         for &b in blocks {
@@ -187,8 +186,11 @@ impl ReachingSpec {
             }
         }
         // Register `r`'s defs get the ids `reg_start[r]..reg_start[r + 1]`.
-        let mut defs: Vec<Def> = Vec::new();
-        let mut def_ids: HashMap<Def, usize> = HashMap::new();
+        // Sized up front: on a giant function, the copies a growing vector
+        // or map leaves behind are holes the fact vectors do not fit.
+        let sites = by_reg.iter().map(Vec::len).sum();
+        let mut defs: Vec<Def> = Vec::with_capacity(sites);
+        let mut def_ids: HashMap<Def, usize> = HashMap::with_capacity(sites);
         let mut reg_start = [0; REGS + 1];
         for (r, addrs) in by_reg.iter().enumerate() {
             for &addr in addrs {
@@ -203,9 +205,10 @@ impl ReachingSpec {
 
         // Walking each block backwards, the first def seen of a register
         // is the one that flows out; earlier same-block defs are killed.
-        let index = BlockIndex::new(blocks);
-        let mut last_defs = Vec::new();
-        let mut offsets = vec![0];
+        // Each is a distinct def, so there are at most `defs.len()`.
+        let mut last_defs = Vec::with_capacity(defs.len());
+        let mut offsets = Vec::with_capacity(blocks.len() + 1);
+        offsets.push(0);
         for &b in blocks {
             let mut seen = RegSet::EMPTY;
             for i in view.insns(b).iter().rev() {
@@ -218,11 +221,11 @@ impl ReachingSpec {
             }
             offsets.push(last_defs.len());
         }
-        ReachingSpec { defs, def_ids, index, last_defs, offsets }
+        ReachingSpec { defs, def_ids, blocks, last_defs, offsets }
     }
 }
 
-impl DataflowSpec for ReachingSpec {
+impl DataflowSpec for ReachingSpec<'_> {
     type Fact = BitSet;
 
     fn direction(&self) -> Direction {
@@ -250,7 +253,7 @@ impl DataflowSpec for ReachingSpec {
 
     fn transfer_into(&self, block: u64, input: &BitSet, out: &mut BitSet) {
         out.clone_from(input);
-        let i = self.index.get(block).expect("spec covers every graph block");
+        let i = self.blocks.binary_search(&block).expect("spec covers every graph block");
         for (kill, id) in &self.last_defs[self.offsets[i]..self.offsets[i + 1]] {
             out.clear_range(kill.clone());
             out.set(*id);

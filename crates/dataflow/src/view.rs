@@ -24,10 +24,11 @@ pub trait CfgView: Sync {
     /// Entry block start address.
     fn entry(&self) -> u64;
 
-    /// Start addresses of all member blocks.
+    /// Start addresses of all member blocks, ascending: the analyses
+    /// find a block's dense id by binary search in this list.
     fn blocks(&self) -> &[u64];
 
-    /// `[start, end)` of a block.
+    /// `[start, end)` of a block; `(block, block)` for a non-member.
     fn block_range(&self, block: u64) -> (u64, u64);
 
     /// Intra-procedural successor edges `(target block, kind)`. Every
@@ -60,7 +61,7 @@ pub trait CfgView: Sync {
 }
 
 /// Derived indexes a [`VecView`] serves slices from, built lazily on
-/// first use.
+/// first use. `blocks` is sorted, per the [`CfgView::blocks`] contract.
 #[derive(Debug, Default)]
 struct VecViewIndex {
     blocks: Vec<u64>,
@@ -100,11 +101,10 @@ impl VecView {
 
     fn index(&self) -> &VecViewIndex {
         self.derived.get_or_init(|| {
-            let mut idx = VecViewIndex {
-                blocks: self.block_data.iter().map(|b| b.0).collect(),
-                ..Default::default()
-            };
-            let member = |b: u64| idx.blocks.contains(&b);
+            let mut blocks: Vec<u64> = self.block_data.iter().map(|b| b.0).collect();
+            blocks.sort_unstable();
+            let mut idx = VecViewIndex { blocks, ..Default::default() };
+            let member = |b: u64| idx.blocks.binary_search(&b).is_ok();
             for &(src, dst, kind) in self.edges.iter().filter(|e| member(e.0) && member(e.1)) {
                 idx.succs.entry(src).or_default().push((dst, kind));
                 idx.preds.entry(dst).or_default().push((src, kind));
@@ -124,8 +124,7 @@ impl CfgView for VecView {
     }
 
     fn block_range(&self, block: u64) -> (u64, u64) {
-        let b = self.block_data.iter().find(|b| b.0 == block).expect("block");
-        (b.0, b.1)
+        self.block_data.iter().find(|b| b.0 == block).map_or((block, block), |b| (b.0, b.1))
     }
 
     fn succ_edges(&self, block: u64) -> &[(u64, EdgeKind)] {
@@ -138,5 +137,24 @@ impl CfgView for VecView {
 
     fn insns(&self, block: u64) -> &[Insn] {
         self.block_data.iter().find(|b| b.0 == block).map(|b| b.2.as_slice()).unwrap_or(&[])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn vec_view_keeps_the_view_contract() {
+        let v = VecView::new(
+            0x30,
+            vec![(0x30, 0x38, vec![]), (0x10, 0x18, vec![]), (0x20, 0x28, vec![])],
+            vec![(0x30, 0x10, EdgeKind::Direct), (0x10, 0x20, EdgeKind::Fallthrough)],
+        );
+        assert_eq!(v.blocks(), &[0x10, 0x20, 0x30], "ascending, whatever the block_data order");
+        assert_eq!(v.block_range(0x20), (0x20, 0x28));
+        assert_eq!(v.block_range(0x99), (0x99, 0x99), "a non-member is empty, not a panic");
+        assert_eq!(v.succ_edges(0x30), &[(0x10, EdgeKind::Direct)]);
+        assert_eq!(v.pred_edges(0x20), &[(0x10, EdgeKind::Fallthrough)]);
     }
 }

@@ -8,9 +8,10 @@
 
 use pba_cfg::{Cfg, EdgeKind, Function};
 use pba_dataflow::loops::loop_forest_on;
-use pba_dataflow::{BinaryIr, CfgView, FuncIr};
+use pba_dataflow::{BinaryIr, CfgView, FuncIr, LoopForest};
 use pba_gen::{generate, Profile};
 use pba_isa::{ControlFlow, Insn};
+use std::mem::size_of;
 use std::sync::Arc;
 
 const PROFILES: [Profile; 7] = [
@@ -111,7 +112,7 @@ fn every_function_matches_the_cfg_oracle() {
 /// Each function's loop forest is built once, by the first caller, and
 /// sized then: every later ask shares that forest, `loop_forests_built`
 /// counts the built ones, and `memo_heap_bytes` adds each one's bytes
-/// to the memoized ranks.
+/// and its `Arc` to the memoized ranks.
 #[test]
 fn each_loop_forest_is_built_once_and_sized_when_built() {
     let cfg = cfg_of(Profile::Server, 0.3);
@@ -133,6 +134,8 @@ fn each_loop_forest_is_built_once_and_sized_when_built() {
     }
     assert!(loops > 0, "the image has loops");
     assert_eq!(ir.loop_forests_built(), ir.len());
-    let forests: usize = ir.funcs().map(|f| f.loop_forest().heap_bytes()).sum();
+    // Each forest sits in an `Arc` allocation beside two counts.
+    let arc = size_of::<LoopForest>() + 2 * size_of::<usize>();
+    let forests: usize = ir.funcs().map(|f| f.loop_forest().heap_bytes() + arc).sum();
     assert_eq!(ir.memo_heap_bytes(), ranks(&ir) + forests);
 }

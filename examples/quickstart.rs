@@ -52,8 +52,8 @@ fn main() {
         );
     }
 
-    // Per-function loop analysis over the read-only CFG (Listing 7),
-    // memoized per entry.
+    // Per-function loop analysis over the read-only CFG (Listing 7): the
+    // function's IR builds its forest once and every consumer shares it.
     let forest = session.loop_forest(f.entry).expect("function exists");
     println!("loops: {} (max nesting depth {})", forest.loops.len(), forest.max_depth());
 

@@ -59,8 +59,8 @@
 //! | [`elf`] | `pba-elf` | ELF64 reader/writer, mini-demangler, the mmap-or-heap [`elf::ImageBytes`] shared input image |
 //! | [`isa`] | `pba-isa` | architecture-independent instructions; x86-64 + rv-lite codecs |
 //! | [`dwarf`] | `pba-dwarf` | DWARF-modeled debug info: encoder + parallel per-CU decoder |
-//! | [`cfg`](mod@cfg) | `pba-cfg` | CFG model with each edge stored once in address-sorted arrays, the dense [`cfg::BlockIndex`] and [`cfg::Csr`] adjacency the analysis graphs use, the six-operation algebra, the partial order, the reverse-postorder ranking |
-//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run to its least fixpoint by one allocation-free RPO worklist, `fixpoint`; parallel across functions by `run_all_ir`), the memory plane (one instruction arena per binary in `BinaryIr`, CSR adjacency in `FuncIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation, dominators (dense `Vec<u32>` idoms over the shared block index) and natural-loop nesting forests, one per `FuncIr`, built once for every consumer |
+//! | [`cfg`](mod@cfg) | `pba-cfg` | CFG model with each edge stored once in address-sorted arrays, the [`cfg::Csr`] adjacency the analysis graphs build over each function's dense block ids, the six-operation algebra, the partial order, the reverse-postorder ranking |
+//! | [`dataflow`] | `pba-dataflow` | generic dataflow engine (`DataflowSpec` run to its least fixpoint by one allocation-free RPO worklist, `fixpoint`; parallel across functions by `run_all_ir`), the memory plane (one instruction arena per binary in `BinaryIr`, CSR adjacency in `FuncIr`, dense block ranks end-to-end), liveness, reaching defs, stack height, slicing + jump-table evaluation, dominators (one `Vec<u32>` of idoms per graph, by dense block id) and natural-loop nesting forests (bodies in one flat array of dense ids), one per `FuncIr`, built once for every consumer |
 //! | [`parse`] | `pba-parse` | the serial & parallel CFG construction engine |
 //! | [`gen`] | `pba-gen` | synthetic workload generator with exact ground truth |
 //! | [`hpcstruct`] | `pba-hpcstruct` | program-structure recovery (performance analysis): the artifact-level phases behind [`Session::structure`] |
