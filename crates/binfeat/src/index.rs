@@ -268,19 +268,25 @@ impl CorpusIndex {
         true
     }
 
-    /// The distinct candidate ids for `query` (ascending, `exclude`
-    /// removed) and whether finding them took the rescue probe.
-    fn candidates(&self, query: &FeatureIndex, k: usize, exclude: Option<u64>) -> (Vec<u32>, bool) {
+    /// The distinct candidate ids for `query`, whose signature is `sig`
+    /// (ascending, `exclude` removed), and whether finding them took
+    /// the rescue probe.
+    fn candidates(
+        &self,
+        query: &FeatureIndex,
+        sig: &[u64],
+        k: usize,
+        exclude: Option<u64>,
+    ) -> (Vec<u32>, bool) {
         let excluded = exclude.and_then(|ex| self.by_hash.get(&ex).copied());
         let settle = |cand: &mut Vec<u32>| {
             cand.sort_unstable();
             cand.dedup();
             cand.retain(|&c| Some(c) != excluded);
         };
-        let mut sig = sign(&self.slot_hashes, query);
         let mut cand: Vec<u32> = Vec::new();
         for band in 0..self.config.bands {
-            if let Some(ids) = self.buckets.get(&self.config.band_key(band, &sig)) {
+            if let Some(ids) = self.buckets.get(&self.config.band_key(band, sig)) {
                 cand.extend_from_slice(ids);
             }
         }
@@ -291,7 +297,8 @@ impl CorpusIndex {
         // Rescue probe (module docs): one slot at a time stands in its
         // second minimum, the value a neighbour lacking the key behind
         // the minimum would have signed there.
-        let second = second_minima(&self.slot_hashes, query, &sig);
+        let second = second_minima(&self.slot_hashes, query, sig);
+        let mut sig = sig.to_vec();
         for band in 0..self.config.bands {
             for slot in band * self.config.rows..(band + 1) * self.config.rows {
                 let min = std::mem::replace(&mut sig[slot], second[slot]);
@@ -308,7 +315,7 @@ impl CorpusIndex {
     /// Whether a `query_topk` with these arguments takes the rescue probe.
     #[cfg(test)]
     fn takes_rescue(&self, query: &FeatureIndex, k: usize, exclude: Option<u64>) -> bool {
-        self.candidates(query, k, exclude).1
+        self.candidates(query, &sign(&self.slot_hashes, query), k, exclude).1
     }
 
     /// Top-`k` nearest corpus entries to `query` by exact cosine over
@@ -316,7 +323,22 @@ impl CorpusIndex {
     /// `content_hash`) filters a hash out of the hits; pass `None` for
     /// external queries.
     pub fn query_topk(&self, query: &FeatureIndex, k: usize, exclude: Option<u64>) -> TopkResult {
-        let (cand, _) = self.candidates(query, k, exclude);
+        self.query_topk_signed(query, &sign(&self.slot_hashes, query), k, exclude)
+    }
+
+    /// [`query_topk`](Self::query_topk) with the query's pre-computed
+    /// signature, so a shared index can be queried without signing
+    /// under its lock. The signature must come from
+    /// [`IndexConfig::signature`] under this index's config.
+    pub fn query_topk_signed(
+        &self,
+        query: &FeatureIndex,
+        sig: &[u64],
+        k: usize,
+        exclude: Option<u64>,
+    ) -> TopkResult {
+        debug_assert_eq!(sig.len(), self.config.slots());
+        let (cand, _) = self.candidates(query, sig, k, exclude);
         let candidates = cand.len() as u64;
         let query_norm = norm(query);
         let scored: Vec<(usize, f64)> = cand
@@ -528,6 +550,31 @@ mod tests {
             assert!(!idx.takes_rescue(f, 5, Some(i as u64)), "member {i}");
         }
         assert!(idx.takes_rescue(&family[8], 5, Some(8)));
+    }
+
+    #[test]
+    fn a_presigned_query_answers_as_the_query_signs_it() {
+        let check = |family: &[FeatureIndex]| {
+            let mut idx = CorpusIndex::default();
+            for (i, f) in family.iter().enumerate() {
+                idx.insert(i as u64, f.clone());
+            }
+            let cfg = idx.config();
+            for (i, q) in family.iter().enumerate() {
+                let exclude = Some(i as u64);
+                assert_eq!(
+                    idx.query_topk_signed(q, &cfg.signature(q), 5, exclude),
+                    idx.query_topk(q, 5, exclude),
+                    "member {i}"
+                );
+            }
+        };
+        // family_48's member 8 reaches the rescue probe
+        check(&family_48());
+        let clones: Vec<FeatureIndex> = (0..8u64)
+            .flat_map(|fam| (1..=4u64).map(move |v| clone_features(0x70AA + fam * 131, v)))
+            .collect();
+        check(&clones);
     }
 
     #[test]

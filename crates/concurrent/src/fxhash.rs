@@ -85,6 +85,31 @@ pub fn fx_hash_u64(x: u64) -> u64 {
     (x.rotate_left(5)).wrapping_mul(SEED)
 }
 
+/// Fx-hash a whole byte string, a word at a time in four interleaved
+/// lanes (word `i` feeds lane `i % 4`), so the four multiply chains
+/// overlap instead of waiting on one another; the lanes, the length and
+/// the tail are then folded through one [`FxHasher`]. A fingerprint for
+/// telling large buffers apart quickly, not a collision-resistant
+/// digest: callers that must not confuse two inputs compare the bytes
+/// when fingerprints match.
+pub fn fx_hash_bytes(bytes: &[u8]) -> u64 {
+    let mut lanes = [0u64; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().unwrap());
+            *lane = (lane.rotate_left(5) ^ word).wrapping_mul(SEED);
+        }
+    }
+    let mut h = FxHasher::default();
+    h.write_usize(bytes.len());
+    for lane in lanes {
+        h.write_u64(lane);
+    }
+    h.write(blocks.remainder());
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,5 +180,22 @@ mod tests {
             assert!(c > 0, "shard {i} empty");
             assert!(c < mean * 4, "shard {i} holds {c} (> 4x mean)");
         }
+    }
+
+    #[test]
+    fn byte_fingerprint_sees_every_byte_and_the_length() {
+        // 77 bytes: two full four-lane blocks plus a 13-byte tail.
+        let base: Vec<u8> = (0..77u8).map(|b| b.wrapping_mul(37)).collect();
+        let h = fx_hash_bytes(&base);
+        assert_eq!(h, fx_hash_bytes(&base.clone()), "deterministic");
+        for at in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[at] ^= 1;
+            assert_ne!(fx_hash_bytes(&flipped), h, "byte {at} ignored");
+        }
+        let mut padded = base.clone();
+        padded.push(0);
+        assert_ne!(fx_hash_bytes(&padded), h, "a trailing zero changes the length");
+        assert_ne!(fx_hash_bytes(&[0; 64]), fx_hash_bytes(&[0; 96]), "zero blocks are counted");
     }
 }

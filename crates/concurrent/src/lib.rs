@@ -33,7 +33,7 @@ pub mod memo;
 pub mod stats;
 
 pub use chm::{ConcurrentHashMap, ReadAccessor, WriteAccessor};
-pub use fxhash::{fx_hash_u64, FxBuildHasher, FxHasher};
+pub use fxhash::{fx_hash_bytes, fx_hash_u64, FxBuildHasher, FxHasher};
 pub use iset::AddressSet;
 pub use memo::Memo;
 pub use stats::Counter;

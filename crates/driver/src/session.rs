@@ -213,8 +213,8 @@ impl Session {
     }
 
     /// Stable 64-bit content hash of the input image (cached FNV-1a via
-    /// [`ImageBytes::content_hash`]) — the cache key a serving daemon
-    /// uses for this session, and a stable identity for tests and
+    /// [`ImageBytes::content_hash`]) — the name a serving daemon
+    /// publishes for this session, and a stable identity for tests and
     /// corpus indexes.
     pub fn content_hash(&self) -> u64 {
         self.input.content_hash()

@@ -69,9 +69,9 @@ enum Repr {
 
 struct Inner {
     repr: Repr,
-    /// Lazily-computed content hash, shared by every clone (the session
-    /// cache of a serving daemon keys on it, so one image is hashed at
-    /// most once no matter how many sessions or requests touch it).
+    /// Lazily-computed content hash, shared by every clone, so one image
+    /// is hashed at most once no matter how many sessions or requests
+    /// publish its hash.
     hash: OnceLock<u64>,
 }
 
@@ -137,10 +137,12 @@ impl ImageBytes {
     }
 
     /// 64-bit FNV-1a hash over the whole image, computed once per
-    /// storage (clones share the cached value) — a stable content key
-    /// for session caches and corpus indexes. FNV-1a is not
-    /// collision-resistant against adversarial inputs; it is a cache
-    /// key, not an integrity check.
+    /// storage (clones share the cached value) — the stable name under
+    /// which a daemon publishes a binary (corpus index keys, `stats`,
+    /// `evict`). It costs a byte-serial pass over the image, so a lookup
+    /// that only needs to find equal bytes should compare them instead.
+    /// FNV-1a is not collision-resistant against adversarial inputs; it
+    /// is a name, not an integrity check.
     pub fn content_hash(&self) -> u64 {
         *self.0.hash.get_or_init(|| fnv1a_64(self))
     }

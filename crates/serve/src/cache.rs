@@ -1,13 +1,20 @@
-//! The keyed session cache: `content_hash → Arc<Session>`, LRU-evicted
-//! under a `resident_bytes` budget.
+//! The content-addressed session cache: live `Arc<Session>`s found by
+//! their input bytes, LRU-evicted under a `resident_bytes` budget.
 //!
 //! A `Session` already memoizes every artifact at most once and prices
 //! itself via [`pba_driver::SessionStats::resident_bytes`]; the cache
 //! adds the cross-request layer: requests for the same binary — from any
 //! connection, in any order — share one live session, so the second
-//! `struct` query recomputes *nothing*. Sessions are keyed by the image's
-//! cached FNV-1a content hash, so the same binary arriving inline or by
-//! path hits the same entry.
+//! `struct` query recomputes *nothing*. A request finds its session by
+//! content: each entry stores an [`fx_hash_bytes`] fingerprint of its
+//! input, and a lookup takes the entry whose fingerprint matches and
+//! whose bytes compare equal. So the same binary arriving inline or by
+//! path hits the same entry, and two binaries never share a session,
+//! whatever their hashes. The fingerprint costs about a word-at-a-time
+//! pass, far less than the byte-serial FNV-1a
+//! ([`ImageBytes::content_hash`]) that names a session on the wire; that
+//! one is computed only where a reply publishes it ([`sessions`] and
+//! [`evict`]), once per image, outside the cache lock.
 //!
 //! Eviction is least-recently-used by total resident bytes: after each
 //! analysis request (when artifact memoization may have grown a
@@ -18,17 +25,18 @@
 //! than the whole cap must still be servable — and in-flight requests
 //! hold their own `Arc`, so eviction frees the *cache's* reference, not
 //! the session under a live request.
+//!
+//! [`sessions`]: SessionCache::sessions
+//! [`evict`]: SessionCache::evict
 
-use pba_concurrent::Counter;
+use pba_concurrent::{fx_hash_bytes, Counter};
 use pba_driver::{Error, Session, SessionConfig};
 use pba_elf::ImageBytes;
 use std::sync::{Arc, Mutex};
 
-/// A cache lookup result: the key, the session, and whether it was
-/// already resident.
+/// A cache lookup result: the session, and whether it was already
+/// resident.
 pub struct Cached {
-    /// The image's content hash (the cache key).
-    pub hash: u64,
     /// The live session (shared with the cache and other requests).
     pub session: Arc<Session>,
     /// True when the session was already resident.
@@ -42,7 +50,8 @@ pub struct SessionCache {
     /// Config every served session is opened with (one knob surface —
     /// responses are reproducible in-process with the same config).
     config: SessionConfig,
-    /// LRU order: coldest first, most recently used last.
+    /// `(fingerprint of the input, session)` in LRU order: coldest
+    /// first, most recently used last.
     lru: Mutex<Vec<(u64, Arc<Session>)>>,
     hits: Counter,
     misses: Counter,
@@ -72,25 +81,28 @@ impl SessionCache {
         self.cap_bytes
     }
 
-    /// Look up (or open) the session for an image. A hit moves the
-    /// entry to the MRU position. Opening is cheap — a `Session` parses
-    /// nothing until an artifact is requested — so it happens under the
-    /// lock, which also makes racing requests for the same new binary
-    /// agree on one session.
+    /// Look up (or open) the session for an image: the resident one
+    /// whose input has the image's fingerprint and bytes. A hit moves
+    /// the entry to the MRU position. The fingerprint is taken before
+    /// the lock; the byte comparison runs under it, on fingerprint
+    /// matches only. Opening is cheap — a `Session` parses nothing
+    /// until an artifact is requested — so it happens under the lock,
+    /// which also makes racing requests for the same new binary agree
+    /// on one session. Nothing here computes the FNV-1a content hash.
     pub fn get_or_open(&self, image: ImageBytes) -> Cached {
-        let hash = image.content_hash();
+        let print = fx_hash_bytes(&image);
         let mut lru = self.lru.lock().unwrap();
-        if let Some(pos) = lru.iter().position(|(h, _)| *h == hash) {
+        if let Some(pos) = lru.iter().position(|(p, s)| *p == print && **s.input() == *image) {
             let entry = lru.remove(pos);
             let session = Arc::clone(&entry.1);
             lru.push(entry);
             self.hits.inc();
-            return Cached { hash, session, hit: true };
+            return Cached { session, hit: true };
         }
         let session = Arc::new(Session::open(image, self.config.clone()));
-        lru.push((hash, Arc::clone(&session)));
+        lru.push((print, Arc::clone(&session)));
         self.misses.inc();
-        Cached { hash, session, hit: false }
+        Cached { session, hit: false }
     }
 
     /// [`SessionCache::get_or_open`] for a server-local path: the file
@@ -125,25 +137,32 @@ impl SessionCache {
         evicted
     }
 
-    /// Evict one session by content hash (or every session when `None`).
-    /// Returns how many were dropped.
+    /// Evict the sessions whose input has FNV-1a content hash `hash`
+    /// (or every session when `None`). Returns how many were dropped.
+    /// The hashes are computed outside the lock.
     pub fn evict(&self, hash: Option<u64>) -> usize {
-        let mut lru = self.lru.lock().unwrap();
         let evicted = match hash {
             Some(h) => {
+                let doomed: Vec<Arc<Session>> =
+                    self.sessions().into_iter().filter(|(k, _)| *k == h).map(|(_, s)| s).collect();
+                let mut lru = self.lru.lock().unwrap();
                 let before = lru.len();
-                lru.retain(|(k, _)| *k != h);
+                lru.retain(|(_, s)| !doomed.iter().any(|d| Arc::ptr_eq(d, s)));
                 before - lru.len()
             }
-            None => std::mem::take(&mut *lru).len(),
+            None => std::mem::take(&mut *self.lru.lock().unwrap()).len(),
         };
         self.evictions.add(evicted as u64);
         evicted
     }
 
-    /// Resident sessions as `(hash, session)` pairs, coldest first.
+    /// Resident sessions as `(content hash, session)` pairs, coldest
+    /// first, keyed by FNV-1a ([`Session::content_hash`], memoized per
+    /// image and computed outside the lock).
     pub fn sessions(&self) -> Vec<(u64, Arc<Session>)> {
-        self.lru.lock().unwrap().iter().map(|(h, s)| (*h, Arc::clone(s))).collect()
+        let resident: Vec<Arc<Session>> =
+            self.lru.lock().unwrap().iter().map(|(_, s)| Arc::clone(s)).collect();
+        resident.into_iter().map(|s| (s.content_hash(), s)).collect()
     }
 
     /// `(hits, misses, evictions, resident sessions, resident bytes)`.
@@ -159,6 +178,7 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pba_elf::image::fnv1a_64;
     use pba_gen::{generate, GenConfig};
 
     fn image(seed: u64) -> ImageBytes {
@@ -246,8 +266,8 @@ mod tests {
         let c = cache(usize::MAX);
         let a = c.get_or_open(image(1));
         c.get_or_open(image(2));
-        assert_eq!(c.evict(Some(a.hash)), 1);
-        assert_eq!(c.evict(Some(a.hash)), 0, "already gone");
+        assert_eq!(c.evict(Some(a.session.content_hash())), 1);
+        assert_eq!(c.evict(Some(a.session.content_hash())), 0, "already gone");
         assert_eq!(c.evict(None), 1);
         assert!(c.sessions().is_empty());
     }
@@ -263,8 +283,75 @@ mod tests {
         let by_path = c.open_path(path.to_str().unwrap()).unwrap();
         let inline = c.get_or_open(ImageBytes::from(g.elf));
         assert!(inline.hit, "same content, same session, regardless of transport");
-        assert_eq!(by_path.hash, inline.hash);
+        assert_eq!(by_path.session.content_hash(), inline.session.content_hash());
         assert!(c.open_path("/nonexistent/definitely-not-here").is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn one_byte_difference_of_the_same_length_misses() {
+        let c = cache(usize::MAX);
+        let bytes = image(1).to_vec();
+        let mut other = bytes.clone();
+        let mid = other.len() / 2;
+        other[mid] ^= 1;
+        let a = c.get_or_open(ImageBytes::from(bytes));
+        let b = c.get_or_open(ImageBytes::from(other));
+        assert!(!b.hit, "different bytes, different session");
+        assert!(!Arc::ptr_eq(&a.session, &b.session));
+        assert_eq!(c.sessions().len(), 2);
+    }
+
+    /// `bytes` with words 0 and 4 (both lane 0 of [`fx_hash_bytes`])
+    /// rewritten so that the lane, and so the fingerprint, ends where
+    /// it did: a lane starts at zero, and word `w` takes it to what
+    /// `FxHasher::write_u64(w)` gives from zero.
+    fn fingerprint_twin(bytes: &[u8]) -> Vec<u8> {
+        use std::hash::Hasher;
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let lane = |w: u64| {
+            let mut h = pba_concurrent::FxHasher::default();
+            h.write_u64(w);
+            h.finish().rotate_left(5)
+        };
+        let (w0, w4) = (word(0), word(32));
+        let twin0 = w0 ^ 0x80;
+        let twin4 = w4 ^ lane(w0) ^ lane(twin0);
+        let mut twin = bytes.to_vec();
+        twin[0..8].copy_from_slice(&twin0.to_le_bytes());
+        twin[32..40].copy_from_slice(&twin4.to_le_bytes());
+        twin
+    }
+
+    #[test]
+    fn a_fingerprint_collision_gets_its_own_session() {
+        let bytes = image(1).to_vec();
+        let twin = fingerprint_twin(&bytes);
+        assert_ne!(bytes, twin);
+        assert_eq!(fx_hash_bytes(&bytes), fx_hash_bytes(&twin), "the twin must collide");
+        let c = cache(usize::MAX);
+        let a = c.get_or_open(ImageBytes::from(bytes.clone()));
+        let b = c.get_or_open(ImageBytes::from(twin));
+        assert!(!b.hit, "a matching fingerprint alone is no hit");
+        assert!(!Arc::ptr_eq(&a.session, &b.session));
+        assert!(c.get_or_open(ImageBytes::from(bytes)).hit, "equal bytes still hit");
+    }
+
+    #[test]
+    fn unhashed_inline_sessions_are_listed_and_evicted_by_fnv() {
+        let c = cache(usize::MAX);
+        let (a, b) = (image(1).to_vec(), image(2).to_vec());
+        let sa = c.get_or_open(ImageBytes::from(a.clone())).session;
+        let sb = c.get_or_open(ImageBytes::from(b.clone())).session;
+        let listed = c.sessions();
+        assert_eq!(listed.len(), 2);
+        assert_eq!(listed[0].0, fnv1a_64(&a));
+        assert!(Arc::ptr_eq(&listed[0].1, &sa));
+        assert_eq!(listed[1].0, fnv1a_64(&b));
+        assert!(Arc::ptr_eq(&listed[1].1, &sb));
+        assert_eq!(c.evict(Some(fnv1a_64(&a))), 1);
+        let left = c.sessions();
+        assert_eq!(left.len(), 1);
+        assert!(Arc::ptr_eq(&left[0].1, &sb), "only the named session goes");
     }
 }

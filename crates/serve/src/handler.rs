@@ -5,7 +5,7 @@
 
 use crate::cache::{Cached, SessionCache};
 use crate::proto::{BinSpec, Request, Response, ServeStats, SliceJump, TopkHit};
-use pba_binfeat::{rank_topk, CorpusIndex};
+use pba_binfeat::{rank_topk, CorpusIndex, IndexConfig};
 use pba_concurrent::Counter;
 use pba_dataflow::{CfgView, ExecutorKind, FuncIr};
 use pba_driver::{Error, Session};
@@ -24,6 +24,8 @@ pub struct ServeShared {
     /// `corpus_topk`). Signatures are computed off-lock; the lock only
     /// covers the fold and the bucket probes.
     index: Mutex<CorpusIndex>,
+    /// The index's config, fixed at start, so signing needs no lock.
+    index_config: IndexConfig,
     /// The index's heap bytes, stored under the index lock by every
     /// insert, so each request can reserve them in the cache cap
     /// without taking that lock.
@@ -41,6 +43,7 @@ impl ServeShared {
         ServeShared {
             cache,
             index_bytes: AtomicU64::new(index.heap_bytes()),
+            index_config: index.config(),
             index: Mutex::new(index),
             requests: Counter::new(),
             errors: Counter::new(),
@@ -135,8 +138,10 @@ impl ServeShared {
         reply.unwrap_or_else(|e| Response::from_error(&e))
     }
 
-    /// Resolve a binary operand through the cache. An inline image
-    /// moves into the session (or is dropped on a hit) — never copied.
+    /// Resolve a binary operand through the cache, which finds a
+    /// resident session by the operand's bytes without hashing them
+    /// with FNV-1a. An inline image moves into the session (or is
+    /// dropped on a hit) — never copied.
     fn resolve(&self, bin: BinSpec) -> Result<Cached, Error> {
         match bin {
             BinSpec::Bytes(b) => Ok(self.cache.get_or_open(ImageBytes::from(b))),
@@ -195,15 +200,8 @@ impl ServeShared {
         };
         let hash = image.content_hash();
         let mut ingested = false;
-        let config = {
-            let idx = self.index.lock().unwrap();
-            if idx.contains(hash) {
-                None
-            } else {
-                Some(idx.config())
-            }
-        };
-        if let Some(index_config) = config {
+        let known = self.index.lock().unwrap().contains(hash);
+        if !known {
             let session = Session::open(image, self.cache.config().clone());
             session.features()?;
             let feats = match session.into_features() {
@@ -211,7 +209,7 @@ impl ServeShared {
                 Some(Err(e)) => return Err(e),
                 None => return Err(Error::Protocol("features vanished mid-ingest".into())),
             };
-            let sig = index_config.signature(&feats.index);
+            let sig = self.index_config.signature(&feats.index);
             let mut idx = self.index.lock().unwrap();
             ingested = idx.insert_signed(hash, sig, feats.index);
             self.index_bytes.store(idx.heap_bytes(), Ordering::Relaxed);
@@ -225,21 +223,24 @@ impl ServeShared {
     /// by default, brute-force [`rank_topk`] over the whole corpus when
     /// `exact` (the baseline the bench and recall tests compare
     /// against). The query itself resolves through the session cache —
-    /// repeat queries for the same binary are cache hits.
+    /// repeat queries for the same binary are cache hits — and is
+    /// signed before the index lock is taken, so ingests do not wait on
+    /// it.
     fn serve_corpus_topk(&self, bin: BinSpec, k: usize, exact: bool) -> Result<Response, Error> {
         let cached = self.resolve(bin)?;
         let query = &cached.session.features()?.index;
+        let sig = (!exact).then(|| self.index_config.signature(query));
         let idx = self.index.lock().unwrap();
-        let (hits, candidates) = if exact {
+        let (hits, candidates) = if let Some(sig) = sig {
+            let r = idx.query_topk_signed(query, &sig, k, None);
+            let hits =
+                r.hits.into_iter().map(|h| TopkHit { hash: h.hash, score: h.score }).collect();
+            (hits, r.candidates)
+        } else {
             let top = rank_topk(query, idx.features(), k);
             let hits =
                 top.into_iter().map(|(i, score)| TopkHit { hash: idx.hash_at(i), score }).collect();
             (hits, idx.len() as u64)
-        } else {
-            let r = idx.query_topk(query, k, None);
-            let hits =
-                r.hits.into_iter().map(|h| TopkHit { hash: h.hash, score: h.score }).collect();
-            (hits, r.candidates)
         };
         drop(idx);
         self.enforce_cap();

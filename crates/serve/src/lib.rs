@@ -3,8 +3,8 @@
 //!
 //! The paper parallelizes binary analysis *within* one invocation; this
 //! crate amortizes it *across* invocations. A long-lived daemon holds a
-//! keyed map of live [`pba_driver::Session`]s — `content_hash →
-//! Arc<Session>` behind an LRU bounded by summed
+//! content-addressed map of live [`pba_driver::Session`]s — found by
+//! their input bytes, behind an LRU bounded by summed
 //! [`pba_driver::SessionStats::resident_bytes`] — and serves concurrent
 //! clients over a length-prefixed framed protocol. Repeated queries
 //! against the same binary hit memoized artifacts across *processes*,

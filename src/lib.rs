@@ -65,7 +65,7 @@
 //! | [`gen`] | `pba-gen` | synthetic workload generator with exact ground truth |
 //! | [`hpcstruct`] | `pba-hpcstruct` | program-structure recovery (performance analysis): the artifact-level phases behind [`Session::structure`] |
 //! | [`binfeat`] | `pba-binfeat` | forensic feature extraction behind [`Session::features`], cosine/Jaccard similarity (`rank_topk` partial selection), and the banded-MinHash [`binfeat::CorpusIndex`] for sub-linear corpus top-K |
-//! | [`serve`] | `pba-serve` | the analysis daemon: `content_hash → Session` LRU cache, length-prefixed framed protocol, corpus index hosting (`corpus_ingest`/`corpus_topk`), `pba serve` / `pba query` |
+//! | [`serve`] | `pba-serve` | the analysis daemon: content-addressed `Session` LRU cache, length-prefixed framed protocol, corpus index hosting (`corpus_ingest`/`corpus_topk`), `pba serve` / `pba query` |
 
 pub use pba_binfeat as binfeat;
 pub use pba_cfg as cfg;
