@@ -107,11 +107,6 @@ impl SyntheticCode {
         code
     }
 
-    /// The instruction starting at `addr`.
-    pub fn insn_at(&self, addr: u64) -> Option<&SynInsn> {
-        self.by_start.get(&addr)
-    }
-
     /// The instruction ending at `end`.
     pub fn insn_ending(&self, end: u64) -> Option<&SynInsn> {
         self.by_end.get(&end).and_then(|s| self.by_start.get(s))

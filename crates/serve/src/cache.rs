@@ -16,23 +16,44 @@
 //! one is computed only where a reply publishes it ([`sessions`] and
 //! [`evict`]), once per image, outside the cache lock.
 //!
-//! Eviction is least-recently-used by total resident bytes: after each
-//! analysis request (when artifact memoization may have grown a
-//! session) the server calls [`SessionCache::enforce_cap`], which drops
-//! coldest-first until the summed `resident_bytes` fits the cap less
-//! the bytes the caller reserves (the daemon's corpus index). The
-//! most-recently-used session is never evicted — a single binary larger
-//! than the whole cap must still be servable — and in-flight requests
-//! hold their own `Arc`, so eviction frees the *cache's* reference, not
-//! the session under a live request.
+//! ## What an entry holds
+//!
+//! An entry is the fingerprint, the session, and the session's reply
+//! parts: what replies derive from the session and would
+//! otherwise rebuild on every hit — the `struct` text rendered as a
+//! JSON string, the `features` pairs rendered as a JSON array, and the
+//! feature index's LSH signature under the daemon's fixed index config.
+//! Each part is built once, on first use (concurrent callers wait for
+//! the first), and lives and dies with its entry: an evicted entry's
+//! parts go with it, and a session opened again for the same bytes gets
+//! a fresh entry with parts of its own. Nothing is keyed by address.
+//!
+//! ## Eviction
+//!
+//! An entry's size is its session's `resident_bytes` plus the bytes of
+//! the parts built so far, and the cache's resident bytes (reported in
+//! [`ServeStats::resident_bytes`]) are the entries' sizes summed. A
+//! rendered `struct` text can come to a fifth of its session's bytes,
+//! so once it is built, fewer sessions fit the same cap.
+//!
+//! Eviction is least-recently-used by those resident bytes: after each
+//! analysis request (when artifact memoization or a part may have grown
+//! an entry) the server calls [`SessionCache::enforce_cap`], which drops
+//! coldest-first until the summed sizes fit the cap less the bytes the
+//! caller reserves (the daemon's corpus index). The most-recently-used
+//! entry is never evicted — a single binary larger than the whole cap
+//! must still be servable — and in-flight requests hold their own
+//! `Arc`s, so eviction frees the *cache's* references, not the session
+//! or parts under a live request.
 //!
 //! [`sessions`]: SessionCache::sessions
 //! [`evict`]: SessionCache::evict
+//! [`ServeStats::resident_bytes`]: crate::proto::ServeStats::resident_bytes
 
 use pba_concurrent::{fx_hash_bytes, Counter};
 use pba_driver::{Error, Session, SessionConfig};
 use pba_elf::ImageBytes;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A cache lookup result: the session, and whether it was already
 /// resident.
@@ -41,6 +62,51 @@ pub struct Cached {
     pub session: Arc<Session>,
     /// True when the session was already resident.
     pub hit: bool,
+    /// The entry's reply parts (shared with the cache and other
+    /// requests).
+    pub(crate) parts: Arc<ReplyParts>,
+}
+
+/// What replies derive from an entry's session, each built on first
+/// use by the handler (see the module docs).
+#[derive(Default)]
+pub(crate) struct ReplyParts {
+    /// The structure text, rendered as a JSON string.
+    pub(crate) text: OnceLock<Arc<str>>,
+    /// The feature index as `[[hash,count],…]` JSON, sorted by hash.
+    pub(crate) features: OnceLock<Arc<str>>,
+    /// The feature index's LSH signature under the daemon's index
+    /// config.
+    pub(crate) signature: OnceLock<Vec<u64>>,
+}
+
+impl ReplyParts {
+    /// Heap bytes of the parts built so far.
+    fn heap_bytes(&self) -> usize {
+        self.text.get().map_or(0, |t| t.len())
+            + self.features.get().map_or(0, |f| f.len())
+            + self.signature.get().map_or(0, |s| s.capacity() * std::mem::size_of::<u64>())
+    }
+}
+
+/// One resident entry: the fingerprint of the input, the session, and
+/// the session's reply parts.
+struct Entry {
+    print: u64,
+    session: Arc<Session>,
+    parts: Arc<ReplyParts>,
+}
+
+impl Entry {
+    /// The entry's size under the cap: the session's resident bytes
+    /// plus its parts'.
+    fn bytes(&self) -> usize {
+        self.session.stats().resident_bytes as usize + self.parts.heap_bytes()
+    }
+
+    fn cached(&self, hit: bool) -> Cached {
+        Cached { session: Arc::clone(&self.session), hit, parts: Arc::clone(&self.parts) }
+    }
 }
 
 /// Keyed map of live sessions behind an LRU bounded by resident bytes.
@@ -50,9 +116,9 @@ pub struct SessionCache {
     /// Config every served session is opened with (one knob surface —
     /// responses are reproducible in-process with the same config).
     config: SessionConfig,
-    /// `(fingerprint of the input, session)` in LRU order: coldest
-    /// first, most recently used last.
-    lru: Mutex<Vec<(u64, Arc<Session>)>>,
+    /// The entries in LRU order: coldest first, most recently used
+    /// last.
+    lru: Mutex<Vec<Entry>>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -92,17 +158,21 @@ impl SessionCache {
     pub fn get_or_open(&self, image: ImageBytes) -> Cached {
         let print = fx_hash_bytes(&image);
         let mut lru = self.lru.lock().unwrap();
-        if let Some(pos) = lru.iter().position(|(p, s)| *p == print && **s.input() == *image) {
+        if let Some(pos) =
+            lru.iter().position(|e| e.print == print && **e.session.input() == *image)
+        {
             let entry = lru.remove(pos);
-            let session = Arc::clone(&entry.1);
+            let cached = entry.cached(true);
             lru.push(entry);
             self.hits.inc();
-            return Cached { session, hit: true };
+            return cached;
         }
         let session = Arc::new(Session::open(image, self.config.clone()));
-        lru.push((print, Arc::clone(&session)));
+        let entry = Entry { print, session, parts: Arc::default() };
+        let cached = entry.cached(false);
+        lru.push(entry);
         self.misses.inc();
-        Cached { session, hit: false }
+        cached
     }
 
     /// [`SessionCache::get_or_open`] for a server-local path: the file
@@ -115,17 +185,16 @@ impl SessionCache {
         Ok(self.get_or_open(image))
     }
 
-    /// Drop coldest sessions until the summed `resident_bytes` fits the
-    /// cap less `reserved` bytes (the MRU entry always stays). Returns
-    /// how many were evicted. The daemon reserves its corpus index
-    /// footprint on every request, so sessions and index share one
-    /// budget and a growing index squeezes the session LRU rather than
-    /// blowing past the cap.
+    /// Drop coldest entries until their summed sizes (see the module
+    /// docs) fit the cap less `reserved` bytes (the MRU entry always
+    /// stays). Returns how many were evicted. The daemon reserves its
+    /// corpus index footprint on every request, so sessions and index
+    /// share one budget and a growing index squeezes the session LRU
+    /// rather than blowing past the cap.
     pub fn enforce_cap(&self, reserved: usize) -> usize {
         let budget = self.cap_bytes.saturating_sub(reserved);
         let mut lru = self.lru.lock().unwrap();
-        let mut sizes: Vec<usize> =
-            lru.iter().map(|(_, s)| s.stats().resident_bytes as usize).collect();
+        let mut sizes: Vec<usize> = lru.iter().map(Entry::bytes).collect();
         let mut total: usize = sizes.iter().sum();
         let mut evicted = 0;
         while total > budget && lru.len() > 1 {
@@ -147,7 +216,7 @@ impl SessionCache {
                     self.sessions().into_iter().filter(|(k, _)| *k == h).map(|(_, s)| s).collect();
                 let mut lru = self.lru.lock().unwrap();
                 let before = lru.len();
-                lru.retain(|(_, s)| !doomed.iter().any(|d| Arc::ptr_eq(d, s)));
+                lru.retain(|e| !doomed.iter().any(|d| Arc::ptr_eq(d, &e.session)));
                 before - lru.len()
             }
             None => std::mem::take(&mut *self.lru.lock().unwrap()).len(),
@@ -161,15 +230,17 @@ impl SessionCache {
     /// image and computed outside the lock).
     pub fn sessions(&self) -> Vec<(u64, Arc<Session>)> {
         let resident: Vec<Arc<Session>> =
-            self.lru.lock().unwrap().iter().map(|(_, s)| Arc::clone(s)).collect();
+            self.lru.lock().unwrap().iter().map(|e| Arc::clone(&e.session)).collect();
         resident.into_iter().map(|s| (s.content_hash(), s)).collect()
     }
 
-    /// `(hits, misses, evictions, resident sessions, resident bytes)`.
+    /// `(hits, misses, evictions, resident sessions, resident bytes)`,
+    /// where the bytes are the entries' sizes summed: each session's
+    /// `resident_bytes` plus its reply parts'.
     pub fn counters(&self) -> (u64, u64, u64, u64, u64) {
         let (resident, bytes) = {
             let lru = self.lru.lock().unwrap();
-            (lru.len() as u64, lru.iter().map(|(_, s)| s.stats().resident_bytes).sum())
+            (lru.len() as u64, lru.iter().map(|e| e.bytes() as u64).sum())
         };
         (self.hits.get(), self.misses.get(), self.evictions.get(), resident, bytes)
     }
@@ -259,6 +330,37 @@ mod tests {
         assert_eq!(c.enforce_cap(0), 0, "three sessions fit the bare cap");
         assert!(c.enforce_cap(one * 3) >= 1, "reserved bytes must force eviction");
         assert!(!c.sessions().is_empty(), "MRU still survives");
+    }
+
+    #[test]
+    fn reply_parts_count_toward_the_cap_and_go_with_their_entry() {
+        let c = cache(usize::MAX);
+        let a = c.get_or_open(image(1));
+        a.session.cfg().unwrap();
+        let own = a.session.stats().resident_bytes;
+        assert_eq!(c.counters().4, own, "no part built yet");
+        a.parts.text.set(Arc::from("x".repeat(1000))).unwrap();
+        a.parts.signature.set(vec![0; 10]).unwrap();
+        assert_eq!(c.counters().4, own + 1000 + 80, "the parts' bytes count");
+        let hit = c.get_or_open(image(1));
+        assert!(Arc::ptr_eq(&hit.parts, &a.parts), "a hit shares the entry's parts");
+
+        // A cap that fits two bare sessions, but not one with its parts.
+        let b = c.get_or_open(image(2));
+        b.session.cfg().unwrap();
+        let bare = own + b.session.stats().resident_bytes;
+        let capped = SessionCache::new(bare as usize, SessionConfig::default().with_threads(1));
+        let a2 = capped.get_or_open(image(1));
+        a2.session.cfg().unwrap();
+        capped.get_or_open(image(2)).session.cfg().unwrap();
+        assert_eq!(capped.enforce_cap(0), 0, "two bare sessions fit");
+        a2.parts.text.set(Arc::from("x".repeat(1000))).unwrap();
+        assert_eq!(capped.enforce_cap(0), 1, "the parts push the coldest out");
+
+        c.evict(None);
+        let fresh = c.get_or_open(image(1));
+        assert!(!fresh.hit);
+        assert!(fresh.parts.text.get().is_none(), "a reopened session gets fresh parts");
     }
 
     #[test]

@@ -2,17 +2,26 @@
 //! dispatches to — and the piece tests drive without any socket, which
 //! is how "served responses are byte-identical to an in-process
 //! `Session`" is pinned.
+//!
+//! A reply is built as the data tree the connection writes: the derived
+//! form of its [`Response`], with the entry's memoized reply parts in
+//! place (see [`crate::proto`]). [`ServeShared::handle`] renders that
+//! tree into a frame and decodes it, so tests and in-process callers
+//! see exactly what a client would.
 
 use crate::cache::{Cached, SessionCache};
-use crate::proto::{BinSpec, Request, Response, ServeStats, SliceJump, TopkHit};
-use pba_binfeat::{rank_topk, CorpusIndex, IndexConfig};
+use crate::proto::{
+    decode_message, write_value, BinSpec, Request, Response, ServeStats, SliceJump, TopkHit,
+};
+use pba_binfeat::{rank_topk, CorpusIndex, FeatureIndex, IndexConfig};
 use pba_concurrent::Counter;
 use pba_dataflow::{CfgView, ExecutorKind, FuncIr};
 use pba_driver::{Error, Session};
 use pba_elf::ImageBytes;
 use pba_isa::ControlFlow;
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Everything a connection thread shares with the daemon: the session
 /// cache, the corpus index, the daemon-wide counters, and the shutdown
@@ -105,37 +114,50 @@ impl ServeShared {
     /// every analysis request the cache cap is re-enforced, since
     /// artifact memoization may have grown the served session; the
     /// corpus index's bytes are reserved out of the cap every time.
+    ///
+    /// The reply is the frame a connection would write for `req`,
+    /// decoded (see the module docs).
     pub fn handle(&self, req: Request) -> Response {
-        self.requests.inc();
-        let reply = self.dispatch(req);
-        if let Response::Error { .. } = reply {
-            self.errors.inc();
-        }
-        reply
+        let mut frame = Vec::new();
+        write_value(&mut frame, self.respond(req))
+            .and_then(|()| decode_message(&frame[4..]))
+            .unwrap_or_else(|e| Response::from_error(&e))
     }
 
-    fn dispatch(&self, req: Request) -> Response {
+    /// Serve one request as the data tree of its reply, memoized parts
+    /// in place, for the connection loop to write.
+    pub(crate) fn respond(&self, req: Request) -> Value {
+        self.requests.inc();
+        self.dispatch(req).unwrap_or_else(|e| {
+            self.errors.inc();
+            Response::from_error(&e).to_value()
+        })
+    }
+
+    fn dispatch(&self, req: Request) -> Result<Value, Error> {
         let reply = match req {
-            Request::Struct { bin } => self.serve_struct(bin),
-            Request::Features { bin } => self.serve_features(bin),
-            Request::SliceFunc { bin, entry } => self.serve_slice(bin, entry),
-            Request::Similarity { a, b } => self.serve_similarity(a, b),
-            Request::CorpusIngest { bin } => self.serve_corpus_ingest(bin),
-            Request::CorpusTopk { bin, k, exact } => self.serve_corpus_topk(bin, k as usize, exact),
+            Request::Struct { bin } => return self.serve_struct(bin),
+            Request::Features { bin } => return self.serve_features(bin),
+            Request::SliceFunc { bin, entry } => self.serve_slice(bin, entry)?,
+            Request::Similarity { a, b } => self.serve_similarity(a, b)?,
+            Request::CorpusIngest { bin } => self.serve_corpus_ingest(bin)?,
+            Request::CorpusTopk { bin, k, exact } => {
+                self.serve_corpus_topk(bin, k as usize, exact)?
+            }
             Request::Stats => {
                 let sessions =
                     self.cache.sessions().into_iter().map(|(h, s)| (h, s.stats())).collect();
-                Ok(Response::Stats { serve: self.serve_stats(), sessions })
+                Response::Stats { serve: self.serve_stats(), sessions }
             }
             Request::Evict { hash } => {
-                Ok(Response::Evicted { sessions: self.cache.evict(hash) as u64 })
+                Response::Evicted { sessions: self.cache.evict(hash) as u64 }
             }
             Request::Shutdown => {
                 self.request_shutdown();
-                Ok(Response::Shutdown)
+                Response::Shutdown
             }
         };
-        reply.unwrap_or_else(|e| Response::from_error(&e))
+        Ok(reply.to_value())
     }
 
     /// Resolve a binary operand through the cache, which finds a
@@ -154,27 +176,33 @@ impl ServeShared {
         self.cache.enforce_cap(self.index_bytes.load(Ordering::Relaxed) as usize);
     }
 
-    fn serve_struct(&self, bin: BinSpec) -> Result<Response, Error> {
+    fn serve_struct(&self, bin: BinSpec) -> Result<Value, Error> {
         let cached = self.resolve(bin)?;
         let out = cached.session.structure()?;
+        let text = cached.parts.text.get_or_init(|| rendered(&out.text));
         let reply = Response::Struct {
             hit: cached.hit,
-            text: out.text.clone(),
+            text: String::new(),
             functions: out.structure.functions.len() as u64,
             loops: out.structure.loop_count() as u64,
             stmts: out.structure.stmt_count() as u64,
             stats: cached.session.stats(),
         };
         self.enforce_cap();
-        Ok(reply)
+        Ok(with_part(reply, "text", text))
     }
 
-    fn serve_features(&self, bin: BinSpec) -> Result<Response, Error> {
+    fn serve_features(&self, bin: BinSpec) -> Result<Value, Error> {
         let cached = self.resolve(bin)?;
-        let features = sorted_features(&cached.session)?;
-        let reply = Response::Features { hit: cached.hit, stats: cached.session.stats(), features };
+        let index = &cached.session.features()?.index;
+        let features = cached.parts.features.get_or_init(|| rendered(&sorted_pairs(index)));
+        let reply = Response::Features {
+            hit: cached.hit,
+            stats: cached.session.stats(),
+            features: Vec::new(),
+        };
         self.enforce_cap();
-        Ok(reply)
+        Ok(with_part(reply, "features", features))
     }
 
     fn serve_slice(&self, bin: BinSpec, entry: u64) -> Result<Response, Error> {
@@ -223,16 +251,18 @@ impl ServeShared {
     /// by default, brute-force [`rank_topk`] over the whole corpus when
     /// `exact` (the baseline the bench and recall tests compare
     /// against). The query itself resolves through the session cache —
-    /// repeat queries for the same binary are cache hits — and is
-    /// signed before the index lock is taken, so ingests do not wait on
-    /// it.
+    /// repeat queries for the same binary are cache hits — and its LSH
+    /// signature is a reply part of the cache entry: built on the
+    /// entry's first LSH query, before that query takes the index lock,
+    /// and reused by every later one.
     fn serve_corpus_topk(&self, bin: BinSpec, k: usize, exact: bool) -> Result<Response, Error> {
         let cached = self.resolve(bin)?;
         let query = &cached.session.features()?.index;
-        let sig = (!exact).then(|| self.index_config.signature(query));
+        let sig = (!exact)
+            .then(|| cached.parts.signature.get_or_init(|| self.index_config.signature(query)));
         let idx = self.index.lock().unwrap();
         let (hits, candidates) = if let Some(sig) = sig {
-            let r = idx.query_topk_signed(query, &sig, k, None);
+            let r = idx.query_topk_signed(query, sig, k, None);
             let hits =
                 r.hits.into_iter().map(|h| TopkHit { hash: h.hash, score: h.score }).collect();
             (hits, r.candidates)
@@ -266,10 +296,30 @@ impl ServeShared {
 /// The feature index as `(hash, count)` pairs sorted by hash — the
 /// deterministic wire form of `session.features()`.
 pub fn sorted_features(session: &Session) -> Result<Vec<(u64, u64)>, Error> {
-    let mut pairs: Vec<(u64, u64)> =
-        session.features()?.index.iter().map(|(&k, &v)| (k, v)).collect();
+    Ok(sorted_pairs(&session.features()?.index))
+}
+
+fn sorted_pairs(index: &FeatureIndex) -> Vec<(u64, u64)> {
+    let mut pairs: Vec<(u64, u64)> = index.iter().map(|(&k, &v)| (k, v)).collect();
     pairs.sort_unstable();
-    Ok(pairs)
+    pairs
+}
+
+/// `value` rendered as JSON, once, for a reply part.
+fn rendered<T: Serialize + ?Sized>(value: &T) -> Arc<str> {
+    Arc::from(serde_json::to_string(value).expect("a reply part holds no byte strings"))
+}
+
+/// `reply`'s derived tree with its field `name` replaced by the
+/// rendered `part`, which the frame writer sends in place: the bytes
+/// are those of `reply` with the part's value in that field.
+fn with_part(reply: Response, name: &str, part: &Arc<str>) -> Value {
+    let mut tree = reply.to_value();
+    let Value::Object(fields) = &mut tree else { unreachable!("a response derives an object") };
+    let (_, slot) =
+        fields.iter_mut().find(|(key, _)| key == name).expect("the response has the field");
+    *slot = Value::Raw(Arc::clone(part));
+    tree
 }
 
 /// Slice every indirect jump of the function at `entry`, rows sorted by

@@ -32,6 +32,25 @@
 //! prefix — some 40 ms per direction on Linux. Neither setting is
 //! configurable.
 //!
+//! ## How a reply is written
+//!
+//! The daemon keeps, beside each resident session, the parts of its
+//! replies that cannot change while the session lives, rendered once:
+//! the `struct` text as a JSON string and the `features` pairs as a
+//! JSON array (see [`crate::cache`]). A reply is the derived data tree
+//! of its [`Response`] with each such field replaced by a
+//! [`Value::Raw`] holding the rendered part. The frame writer renders
+//! the rest of the header around the parts and sends the prefix, each
+//! header piece and each part as slices of one vectored write, so a
+//! cache hit neither escapes nor copies a part. A part is exactly the text the
+//! derive renders for that field, so the frame is byte for byte the one
+//! [`write_message`] writes for the same [`Response`], on a hit and on
+//! a miss alike: the wire text, the client and `pba query`'s output do
+//! not change. The in-process
+//! [`ServeShared::handle`](crate::ServeShared::handle) renders the same
+//! frame and decodes it, so it has no encoder of its own to keep in
+//! step.
+//!
 //! Both enums derive their codec with
 //! `#[serde(tag = "kind", rename_all = "snake_case")]`, so the tables
 //! below are the derived shapes: `kind` (the variant name in
@@ -209,7 +228,9 @@ pub struct ServeStats {
     pub sessions_evicted: u64,
     /// Sessions currently resident.
     pub sessions_resident: u64,
-    /// Summed `resident_bytes` of every resident session.
+    /// Bytes held by the session cache: every resident session's
+    /// `resident_bytes` plus the reply parts rendered from it (the
+    /// figure the cache cap bounds; see [`crate::cache`]).
     pub resident_bytes: u64,
     /// Heap footprint of the corpus index (charged against the same
     /// byte budget as the session cache).
@@ -388,13 +409,21 @@ impl Deserialize for BinSpec {
 /// the bytes of each [`Value::Bytes`] in it, in header order (see the
 /// module docs), all in one vectored write as [`write_frame`] does.
 pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Error> {
-    let mut value = msg.to_value();
+    write_value(w, msg.to_value())
+}
+
+/// [`write_message`] for a message's data tree. Each [`Value::Raw`] in
+/// it is written where it stands as a slice of its own, not copied into
+/// the header (see the module docs).
+pub(crate) fn write_value(w: &mut impl Write, mut value: Value) -> Result<(), Error> {
     let mut tail = Vec::new();
     detach_tail(&mut value, &mut tail);
-    let header = serde_json::to_string(&value).map_err(|e| Error::Protocol(e.to_string()))?;
-    let mut parts = Vec::with_capacity(1 + tail.len());
-    parts.push(header.as_bytes());
-    parts.extend(tail.iter().map(Vec::as_slice));
+    let header = serde_json::to_spliced(&value).map_err(|e| Error::Protocol(e.to_string()))?;
+    let parts: Vec<&[u8]> = header
+        .pieces()
+        .chain(tail.iter().map(Vec::as_slice))
+        .filter(|part| !part.is_empty())
+        .collect();
     write_parts(w, &parts)
 }
 

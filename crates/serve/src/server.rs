@@ -11,8 +11,9 @@
 
 use crate::cache::SessionCache;
 use crate::handler::ServeShared;
-use crate::proto::{decode_message, read_frame_with, write_message, Request, Response, ServeStats};
+use crate::proto::{decode_message, read_frame_with, write_value, Request, Response, ServeStats};
 use pba_driver::{Error, SessionConfig};
+use serde::Serialize;
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -323,7 +324,9 @@ impl RetainDrainFinished for Vec<std::thread::JoinHandle<()>> {
 /// One connection's request loop. Frames are read with a poll timeout
 /// so the thread notices shutdown; each decoded request is handled
 /// inside the rayon-shim pool (equal-size pools share one process-lived
-/// registry, so this is a context switch, not a pool spawn).
+/// registry, so this is a context switch, not a pool spawn), and its
+/// reply leaves as one frame with the cache entry's rendered parts in
+/// place (see [`crate::proto`]).
 fn serve_connection(stream: Stream, shared: &Arc<ServeShared>, threads: usize) {
     let mut stream = stream;
     // The accepted stream may inherit the listener's nonblocking flag;
@@ -337,16 +340,17 @@ fn serve_connection(stream: Stream, shared: &Arc<ServeShared>, threads: usize) {
             Ok(None) => break,
             Ok(Some(payload)) => {
                 let reply = match decode_message::<Request>(&payload) {
-                    Ok(req) => pool.install(|| shared.handle(req)),
+                    Ok(req) => pool.install(|| shared.respond(req)),
                     Err(e) => {
                         // Undecodable payload: the frame itself was
                         // whole, so the stream is still in sync — answer
                         // with an error frame and keep serving.
                         shared.protocol_error();
-                        Response::from_error(&e)
+                        Response::from_error(&e).to_value()
                     }
                 };
-                if write_message(&mut stream, &reply).is_err() {
+                // One vectored write, each memoized part sent in place.
+                if write_value(&mut stream, reply).is_err() {
                     // Client vanished mid-reply; connection-scoped.
                     break;
                 }
@@ -356,7 +360,7 @@ fn serve_connection(stream: Stream, shared: &Arc<ServeShared>, threads: usize) {
                 // transport error): answer if the pipe still works,
                 // then drop the connection — it cannot be resynced.
                 shared.protocol_error();
-                let _ = write_message(&mut stream, &Response::from_error(&e));
+                let _ = write_value(&mut stream, Response::from_error(&e).to_value());
                 break;
             }
         }

@@ -15,6 +15,7 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Self-describing data tree (the shim's entire data model).
 #[derive(Clone, PartialEq)]
@@ -39,11 +40,17 @@ pub enum Value {
     /// to render one); a codec that frames JSON beside raw bytes
     /// decides how they travel.
     Bytes(Vec<u8>),
+    /// JSON text rendered ahead of time, which `serde_json` writes
+    /// verbatim where the value stands: a value that many messages
+    /// carry unchanged is rendered once. Parsing never produces one,
+    /// and no `Deserialize` impl accepts one.
+    Raw(Arc<str>),
 }
 
 impl std::fmt::Debug for Value {
-    /// As derived, except that byte strings show only their length: an
-    /// error message naming a value must not grow with an inline image.
+    /// As derived, except that byte strings and pre-rendered JSON show
+    /// only their length: an error message naming a value must not grow
+    /// with an inline image.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Value::Null => f.write_str("Null"),
@@ -55,6 +62,7 @@ impl std::fmt::Debug for Value {
             Value::Array(items) => f.debug_tuple("Array").field(items).finish(),
             Value::Object(fields) => f.debug_tuple("Object").field(fields).finish(),
             Value::Bytes(b) => write!(f, "Bytes(<{} bytes>)", b.len()),
+            Value::Raw(json) => write!(f, "Raw(<{} bytes of JSON>)", json.len()),
         }
     }
 }
@@ -201,7 +209,7 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
