@@ -8,12 +8,79 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::time::Instant;
 
-/// A global feature index: feature hash → occurrence count.
+/// A binary's feature vector: `(feature hash, occurrence count)` pairs
+/// sorted by hash, each hash once.
 ///
 /// Features are hashed (not stored as strings) — forensics pipelines
 /// feed these into feature-vector models where the identity only needs
-/// to be stable.
-pub type FeatureIndex = HashMap<u64, u64, FxBuildHasher>;
+/// to be stable. Sorted pairs make the similarity measures one merge of
+/// two slices (see [`crate::similarity`]) and the wire form of a
+/// `features` reply the pairs as they are. Build one by collecting
+/// `(hash, count)` pairs in any order; counts of a repeated hash add.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FeatureIndex(Vec<(u64, u64)>);
+
+impl FeatureIndex {
+    /// Distinct features.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The `(hash, count)` pairs, ascending by hash.
+    pub fn pairs(&self) -> &[(u64, u64)] {
+        &self.0
+    }
+
+    /// The feature hashes, ascending.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.0.iter().map(|&(k, _)| k)
+    }
+
+    /// The counts, in hash order.
+    pub fn counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.0.iter().map(|&(_, v)| v)
+    }
+
+    /// Heap bytes of the pair vector: its capacity, 16 bytes a pair.
+    pub fn heap_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<(u64, u64)>()
+    }
+}
+
+impl FromIterator<(u64, u64)> for FeatureIndex {
+    fn from_iter<I: IntoIterator<Item = (u64, u64)>>(pairs: I) -> Self {
+        let mut pairs: Vec<(u64, u64)> = pairs.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        pairs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        FeatureIndex(pairs)
+    }
+}
+
+impl IntoIterator for FeatureIndex {
+    type Item = (u64, u64);
+    type IntoIter = std::vec::IntoIter<(u64, u64)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a FeatureIndex {
+    type Item = &'a (u64, u64);
+    type IntoIter = std::slice::Iter<'a, (u64, u64)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// Extraction result for one binary.
 #[derive(Debug, Clone, Default)]
@@ -31,11 +98,10 @@ pub struct BinaryFeatures {
 }
 
 impl BinaryFeatures {
-    /// Bytes of heap the memoized feature index pins (a hash-map
-    /// capacity estimate: one key/value pair plus control byte per
-    /// allocated slot).
+    /// Bytes of heap the memoized feature index pins, exactly: the pair
+    /// vector's capacity, 16 bytes a pair.
     pub fn heap_bytes(&self) -> usize {
-        self.index.capacity() * (std::mem::size_of::<(u64, u64)>() + 1)
+        self.index.heap_bytes()
     }
 }
 
@@ -133,6 +199,7 @@ pub fn extract_cfg_features(
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
 
     let mut res = BinaryFeatures::default();
+    let mut counts: HashMap<u64, u64, FxBuildHasher> = HashMap::default();
 
     // Sort functions by decreasing size for load balance (Listing 7).
     let mut funcs: Vec<&FuncIr> = ir.funcs().collect();
@@ -154,7 +221,7 @@ pub fn extract_cfg_features(
         });
         for v in partial {
             for feat in v {
-                *res.index.entry(feat).or_insert(0) += 1;
+                *counts.entry(feat).or_insert(0) += 1;
             }
         }
         t.elapsed().as_secs_f64()
@@ -178,10 +245,12 @@ pub fn extract_cfg_features(
     });
     for v in df_features.into_values() {
         for feat in v {
-            *res.index.entry(feat).or_insert(0) += 1;
+            *counts.entry(feat).or_insert(0) += 1;
         }
     }
     res.t_df = t.elapsed().as_secs_f64();
+    // The scratch map holds each hash once, so this is one sort.
+    res.index = counts.into_iter().collect();
     res
 }
 
@@ -212,7 +281,7 @@ mod tests {
         assert!(!r.index.is_empty());
         assert!(r.t_if >= 0.0 && r.t_cf >= 0.0 && r.t_df >= 0.0);
         // Total feature mass should be substantial for 20 functions.
-        let total: u64 = r.index.values().sum();
+        let total: u64 = r.index.counts().sum();
         assert!(total > 500, "feature mass {total}");
     }
 

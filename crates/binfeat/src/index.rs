@@ -11,15 +11,18 @@
 //!    `bands × rows` slots; slot `j` holds the minimum of an
 //!    independent multiply-shift hash `h_j` over the keys. Two sets
 //!    agree on any one slot with probability equal to their Jaccard
-//!    similarity.
+//!    similarity. Signing runs slot-major: every key is Fx-mixed once,
+//!    then each group of eight slots keeps its eight minima in registers
+//!    over all the mixed keys.
 //! 2. **Banding** — the signature is cut into `bands` groups of `rows`
 //!    slots; each group hashes into a bucket table. Binaries sharing a
 //!    bucket in *any* band become candidates, so a pair with Jaccard
 //!    `s` collides with probability `1 − (1 − s^rows)^bands` — a sharp
 //!    S-curve that passes near-duplicates and rejects strangers.
 //! 3. **Exact re-rank** — only the bucket-collision candidates are
-//!    scored with exact cosine; the reported top-K is exact over that
-//!    candidate set.
+//!    scored with exact cosine, one merge of the query's hash-sorted
+//!    pairs with the candidate's ([`crate::similarity`]); the reported
+//!    top-K is exact over that candidate set.
 //! 4. **Rescue probe** — taken only when the band probe leaves fewer
 //!    than `k` candidates. A query whose *own* keys (say one function
 //!    its clone siblings lack) hold the minimum of a slot in every band
@@ -41,13 +44,15 @@
 //! `topk_query` workload measures both ends (`binfeat.recall_at_5`,
 //! `binfeat.candidate_ratio`).
 //!
-//! The index stores the exact [`FeatureIndex`] per entry (needed for
-//! the re-rank and for the brute-force fallback via
-//! [`rank_topk`](crate::similarity::rank_topk)) and its Euclidean norm
-//! (so a query computes one norm, not two per candidate), keyed by the binary's
-//! `content_hash` for idempotent ingestion. [`CorpusIndex::heap_bytes`]
-//! reports resident cost so a host (the `pba serve` daemon) can count
-//! the index against the same budget as its session cache.
+//! The index stores each entry's [`FeatureIndex`] — its `(hash, count)`
+//! pairs sorted by hash, 16 bytes a feature — for the re-rank and for
+//! the brute-force fallback via
+//! [`rank_topk`](crate::similarity::rank_topk), and its Euclidean norm
+//! (so a query computes one norm, not two per candidate), keyed by the
+//! binary's `content_hash` for idempotent ingestion.
+//! [`CorpusIndex::heap_bytes`] reports resident cost so a host (the
+//! `pba serve` daemon) can count the index against the same budget as
+//! its session cache.
 
 use crate::features::FeatureIndex;
 use crate::similarity::{cosine_normed, norm, select_topk};
@@ -88,18 +93,34 @@ fn slot_hashes(slots: usize) -> Vec<(u64, u64)> {
     (0..slots).map(|_| (splitmix64(&mut salt) | 1, splitmix64(&mut salt))).collect()
 }
 
+/// Slots whose minima one pass over the keys keeps in registers.
+const LANES: usize = 8;
+
 /// Slot `j` of the result is the minimum of `hashes[j]` over the
 /// Fx-mixed keys.
+///
+/// Slot-major: each key is Fx-mixed once, then each group of [`LANES`]
+/// slots takes its minima over all mixed keys in local accumulators, so
+/// the inner loop touches no memory but the mixed keys. The slots past
+/// the last whole group take theirs one at a time.
 fn sign(hashes: &[(u64, u64)], feats: &FeatureIndex) -> Vec<u64> {
-    let mut sig = vec![u64::MAX; hashes.len()];
-    for &key in feats.keys() {
-        let base = fx_hash_u64(key);
-        for (slot, &(m, a)) in sig.iter_mut().zip(hashes) {
-            let h = base.wrapping_mul(m).wrapping_add(a);
-            if h < *slot {
-                *slot = h;
+    let mixed: Vec<u64> = feats.keys().map(fx_hash_u64).collect();
+    let mut sig = Vec::with_capacity(hashes.len());
+    let mut groups = hashes.chunks_exact(LANES);
+    for group in &mut groups {
+        let mul: [u64; LANES] = std::array::from_fn(|l| group[l].0);
+        let add: [u64; LANES] = std::array::from_fn(|l| group[l].1);
+        let mut min = [u64::MAX; LANES];
+        for &base in &mixed {
+            for l in 0..LANES {
+                min[l] = min[l].min(base.wrapping_mul(mul[l]).wrapping_add(add[l]));
             }
         }
+        sig.extend_from_slice(&min);
+    }
+    for &(m, a) in groups.remainder() {
+        let min = mixed.iter().map(|&base| base.wrapping_mul(m).wrapping_add(a)).min();
+        sig.push(min.unwrap_or(u64::MAX));
     }
     sig
 }
@@ -108,7 +129,7 @@ fn sign(hashes: &[(u64, u64)], feats: &FeatureIndex) -> Vec<u64> {
 /// (`u64::MAX` for a set of fewer than two keys).
 fn second_minima(hashes: &[(u64, u64)], feats: &FeatureIndex, sig: &[u64]) -> Vec<u64> {
     let mut second = vec![u64::MAX; hashes.len()];
-    for &key in feats.keys() {
+    for key in feats.keys() {
         let base = fx_hash_u64(key);
         for ((slot, &min), &(m, a)) in second.iter_mut().zip(sig).zip(hashes) {
             let h = base.wrapping_mul(m).wrapping_add(a);
@@ -181,7 +202,7 @@ pub struct CorpusIndex {
     slot_hashes: Vec<(u64, u64)>,
     /// `content_hash` per entry, indexed by dense id.
     hashes: Vec<u64>,
-    /// Exact feature index per entry — re-rank + brute-force corpus.
+    /// Hash-sorted feature pairs per entry — re-rank + brute-force corpus.
     feats: Vec<FeatureIndex>,
     /// Euclidean norm of each entry's count vector, so a query computes
     /// one norm (its own) instead of two per candidate.
@@ -355,16 +376,17 @@ impl CorpusIndex {
         TopkResult { hits, candidates }
     }
 
-    /// Approximate heap footprint: signatures are not retained, so the
-    /// cost is the stored feature indexes and their norms plus the
-    /// bucket tables and id maps. Matches the estimation style of
-    /// [`BinaryFeatures::heap_bytes`](crate::features::BinaryFeatures::heap_bytes)
-    /// so a daemon can charge the index against its resident budget.
+    /// Heap footprint, so a daemon can charge the index against its
+    /// resident budget. Signatures are not retained. The feature vectors
+    /// count exactly, as [`FeatureIndex::heap_bytes`] (each one's pair
+    /// capacity, 16 bytes a pair), and so do the plain vectors and the
+    /// bucket posting lists; the two hash tables count one entry plus
+    /// one control byte per slot of capacity, which is an estimate.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let entry = size_of::<(u64, u64)>() + 1;
-        let feats: usize = self.feats.iter().map(|f| f.capacity() * entry).sum();
-        let vecs = (self.hashes.capacity() + self.feats.capacity()) * size_of::<FeatureIndex>()
+        let feats: usize = self.feats.iter().map(FeatureIndex::heap_bytes).sum();
+        let vecs = self.hashes.capacity() * size_of::<u64>()
+            + self.feats.capacity() * size_of::<FeatureIndex>()
             + self.norms.capacity() * size_of::<f64>()
             + self.slot_hashes.capacity() * size_of::<(u64, u64)>();
         let by_hash = self.by_hash.capacity() * (size_of::<(u64, u32)>() + 1);
@@ -405,10 +427,7 @@ mod tests {
         let f = clone_features(0x51, 1);
         assert_eq!(cfg.signature(&f), cfg.signature(&f));
         // Counts don't matter, only the key set.
-        let mut doubled = f.clone();
-        for v in doubled.values_mut() {
-            *v *= 2;
-        }
+        let doubled: FeatureIndex = f.pairs().iter().map(|&(k, v)| (k, v * 2)).collect();
         assert_eq!(cfg.signature(&f), cfg.signature(&doubled));
         // Empty set → all-MAX sentinel signature.
         assert!(cfg.signature(&FeatureIndex::default()).iter().all(|&s| s == u64::MAX));

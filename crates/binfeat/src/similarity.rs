@@ -4,12 +4,89 @@
 //! Feature indexes from [`crate::features`] are sparse count vectors;
 //! cosine similarity over them is the standard scoring these systems use,
 //! with Jaccard over the feature *sets* as a cheaper alternative.
+//!
+//! Both vectors hold their `(hash, count)` pairs sorted by hash, so
+//! cosine and Jaccard are one merge: two cursors walk the slices, the
+//! one at the smaller hash steps, and both step on a shared hash, which
+//! adds `count_a × count_b` to the dot product and one to the
+//! intersection. That is O(|a| + |b|) sequential reads, with no hash
+//! probe into either vector. Each step is branch-free (a shared hash's
+//! product is added through a mask), so its cost is the chain of
+//! compare-and-advance from one step to the next; the merge therefore
+//! runs the hashes below 2^63 and those above as two such chains in
+//! lockstep, which the processor overlaps.
+//!
+//! The result does not depend on the order of the sum. The dot product
+//! is summed as an exact `u128` and rounded to `f64` once; the norm sums
+//! `count²` in `f64`. While every partial sum stays below 2^53 it is an
+//! integer that an `f64` holds exactly, so any summation order, the
+//! hash-map order of earlier versions included, gives the same bits.
+//! Counts up to 2^20 over 2 000 features (sums below 2^51) are well
+//! inside that bound; a generated binary's counts are in the hundreds.
 
 use crate::features::FeatureIndex;
 
+/// `(hash, count)` pairs sorted by hash.
+type Pairs = [(u64, u64)];
+
+/// One chain of the merge: cursors into two hash-sorted slices and what
+/// their shared hashes have added up to.
+struct Merge<'a> {
+    a: &'a Pairs,
+    b: &'a Pairs,
+    i: usize,
+    j: usize,
+    dot: u128,
+    shared: usize,
+}
+
+impl<'a> Merge<'a> {
+    fn new(a: &'a Pairs, b: &'a Pairs) -> Self {
+        Merge { a, b, i: 0, j: 0, dot: 0, shared: 0 }
+    }
+
+    #[inline(always)]
+    fn live(&self) -> bool {
+        self.i < self.a.len() && self.j < self.b.len()
+    }
+
+    #[inline(always)]
+    fn step(&mut self) {
+        let ((ka, va), (kb, vb)) = (self.a[self.i], self.b[self.j]);
+        let shared = ka == kb;
+        self.dot += (va as u128 * vb as u128) & (shared as u128).wrapping_neg();
+        self.shared += shared as usize;
+        self.i += (ka <= kb) as usize;
+        self.j += (kb <= ka) as usize;
+    }
+}
+
+/// The pairs below hash 2^63, and the rest.
+fn halves(pairs: &Pairs) -> (&Pairs, &Pairs) {
+    pairs.split_at(pairs.partition_point(|&(k, _)| k < 1 << 63))
+}
+
+/// `(dot product, shared hashes)` of two hash-sorted pair slices: one
+/// merge, its two halves of the hash space in lockstep.
+fn dot_and_shared(a: &Pairs, b: &Pairs) -> (u128, usize) {
+    let ((a_lo, a_hi), (b_lo, b_hi)) = (halves(a), halves(b));
+    let (mut lo, mut hi) = (Merge::new(a_lo, b_lo), Merge::new(a_hi, b_hi));
+    while lo.live() && hi.live() {
+        lo.step();
+        hi.step();
+    }
+    while lo.live() {
+        lo.step();
+    }
+    while hi.live() {
+        hi.step();
+    }
+    (lo.dot + hi.dot, lo.shared + hi.shared)
+}
+
 /// Euclidean norm of a feature-count vector.
 pub fn norm(a: &FeatureIndex) -> f64 {
-    a.values().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt()
+    a.counts().map(|v| (v as f64) * (v as f64)).sum::<f64>().sqrt()
 }
 
 /// Cosine similarity between two feature-count vectors (0.0 ..= 1.0).
@@ -23,10 +100,10 @@ pub(crate) fn cosine_normed(a: &FeatureIndex, na: f64, b: &FeatureIndex, nb: f64
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    // Iterate the smaller map for the dot product.
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let dot: f64 =
-        small.iter().filter_map(|(k, &va)| large.get(k).map(|&vb| va as f64 * vb as f64)).sum();
+    let (dot, shared) = dot_and_shared(a.pairs(), b.pairs());
+    // With no shared feature the dot product is -0.0, where a summed
+    // `f64` iterator starts, as it always has been.
+    let dot = if shared == 0 { -0.0 } else { dot as f64 };
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {
@@ -39,8 +116,7 @@ pub fn jaccard(a: &FeatureIndex, b: &FeatureIndex) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let inter = small.keys().filter(|k| large.contains_key(*k)).count();
+    let (_, inter) = dot_and_shared(a.pairs(), b.pairs());
     let union = a.len() + b.len() - inter;
     if union == 0 {
         0.0

@@ -13,7 +13,7 @@ use crate::cache::{Cached, SessionCache};
 use crate::proto::{
     decode_message, write_value, BinSpec, Request, Response, ServeStats, SliceJump, TopkHit,
 };
-use pba_binfeat::{rank_topk, CorpusIndex, FeatureIndex, IndexConfig};
+use pba_binfeat::{rank_topk, CorpusIndex, IndexConfig};
 use pba_concurrent::Counter;
 use pba_dataflow::{CfgView, ExecutorKind, FuncIr};
 use pba_driver::{Error, Session};
@@ -195,7 +195,7 @@ impl ServeShared {
     fn serve_features(&self, bin: BinSpec) -> Result<Value, Error> {
         let cached = self.resolve(bin)?;
         let index = &cached.session.features()?.index;
-        let features = cached.parts.features.get_or_init(|| rendered(&sorted_pairs(index)));
+        let features = cached.parts.features.get_or_init(|| rendered(index.pairs()));
         let reply = Response::Features {
             hit: cached.hit,
             stats: cached.session.stats(),
@@ -294,15 +294,10 @@ impl ServeShared {
 }
 
 /// The feature index as `(hash, count)` pairs sorted by hash — the
-/// deterministic wire form of `session.features()`.
+/// deterministic wire form of `session.features()`, which holds them in
+/// that order already.
 pub fn sorted_features(session: &Session) -> Result<Vec<(u64, u64)>, Error> {
-    Ok(sorted_pairs(&session.features()?.index))
-}
-
-fn sorted_pairs(index: &FeatureIndex) -> Vec<(u64, u64)> {
-    let mut pairs: Vec<(u64, u64)> = index.iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_unstable();
-    pairs
+    Ok(session.features()?.index.pairs().to_vec())
 }
 
 /// `value` rendered as JSON, once, for a reply part.

@@ -5,9 +5,10 @@
 //! cargo run --example forensics --release [-- <corpus-size>]
 //! ```
 
-use pba::binfeat::FeatureIndex;
+use pba::concurrent::FxBuildHasher;
 use pba::gen::{generate, Profile};
 use pba::{Session, SessionConfig};
+use std::collections::HashMap;
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(8);
@@ -25,7 +26,7 @@ fn main() {
     // One session per binary, one after another, every thread inside
     // each binary: the paper's Table 3 setup. The corpus vocabulary is
     // the sum of the per-binary feature counts.
-    let mut vocabulary = FeatureIndex::default();
+    let mut vocabulary: HashMap<u64, u64, FxBuildHasher> = HashMap::default();
     let [mut cfg, mut insn, mut control, mut data] = [0.0f64; 4];
     for elf in corpus {
         let session = Session::open(elf, SessionConfig::default().with_threads(threads));
@@ -34,7 +35,7 @@ fn main() {
         insn += f.t_if;
         control += f.t_cf;
         data += f.t_df;
-        for (&k, &v) in &f.index {
+        for &(k, v) in &f.index {
             *vocabulary.entry(k).or_insert(0) += v;
         }
     }
