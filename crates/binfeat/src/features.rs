@@ -74,14 +74,6 @@ impl IntoIterator for FeatureIndex {
     }
 }
 
-impl<'a> IntoIterator for &'a FeatureIndex {
-    type Item = &'a (u64, u64);
-    type IntoIter = std::slice::Iter<'a, (u64, u64)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
 /// Extraction result for one binary.
 #[derive(Debug, Clone, Default)]
 pub struct BinaryFeatures {

@@ -21,8 +21,8 @@
 //! `count²` in `f64`. While every partial sum stays below 2^53 it is an
 //! integer that an `f64` holds exactly, so any summation order, the
 //! hash-map order of earlier versions included, gives the same bits.
-//! Counts up to 2^20 over 2 000 features (sums below 2^51) are well
-//! inside that bound; a generated binary's counts are in the hundreds.
+//! Counts up to 2^20 over 2 000 features (sums below 2^51) are inside
+//! that bound.
 
 use crate::features::FeatureIndex;
 
@@ -101,8 +101,8 @@ pub(crate) fn cosine_normed(a: &FeatureIndex, na: f64, b: &FeatureIndex, nb: f64
         return 0.0;
     }
     let (dot, shared) = dot_and_shared(a.pairs(), b.pairs());
-    // With no shared feature the dot product is -0.0, where a summed
-    // `f64` iterator starts, as it always has been.
+    // No shared feature: -0.0, the value of an empty `f64` sum, so the
+    // bits equal those of summing the products in any order.
     let dot = if shared == 0 { -0.0 } else { dot as f64 };
     if na == 0.0 || nb == 0.0 {
         0.0

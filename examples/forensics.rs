@@ -35,7 +35,7 @@ fn main() {
         insn += f.t_if;
         control += f.t_cf;
         data += f.t_df;
-        for &(k, v) in &f.index {
+        for &(k, v) in f.index.pairs() {
             *vocabulary.entry(k).or_insert(0) += v;
         }
     }
