@@ -8,46 +8,60 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::time::Instant;
 
-/// A binary's feature vector: `(feature hash, occurrence count)` pairs
-/// sorted by hash, each hash once.
+/// A binary's feature vector: its feature hashes sorted ascending, each
+/// once, and beside them, in the same order, each one's occurrence
+/// count.
 ///
 /// Features are hashed (not stored as strings) — forensics pipelines
 /// feed these into feature-vector models where the identity only needs
-/// to be stable. Sorted pairs make the similarity measures one merge of
-/// two slices (see [`crate::similarity`]) and the wire form of a
-/// `features` reply the pairs as they are. Build one by collecting
-/// `(hash, count)` pairs in any order; counts of a repeated hash add.
+/// to be stable. Two parallel arrays make the similarity measures one
+/// merge that walks the keys alone and reads a count only through the
+/// mask of a shared key (see [`crate::similarity`]); [`pairs`]
+/// zips them back into the wire form of a `features` reply. Build one by
+/// collecting `(hash, count)` pairs in any order; counts of a repeated
+/// hash add.
+///
+/// [`pairs`]: FeatureIndex::pairs
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FeatureIndex(Vec<(u64, u64)>);
+pub struct FeatureIndex {
+    keys: Vec<u64>,
+    counts: Vec<u64>,
+}
 
 impl FeatureIndex {
     /// Distinct features.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.keys.is_empty()
     }
 
     /// The `(hash, count)` pairs, ascending by hash.
-    pub fn pairs(&self) -> &[(u64, u64)] {
-        &self.0
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        self.keys.iter().copied().zip(self.counts.iter().copied())
     }
 
     /// The feature hashes, ascending.
     pub fn keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.0.iter().map(|&(k, _)| k)
+        self.keys.iter().copied()
     }
 
     /// The counts, in hash order.
     pub fn counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.0.iter().map(|&(_, v)| v)
+        self.counts.iter().copied()
     }
 
-    /// Heap bytes of the pair vector: its capacity, 16 bytes a pair.
+    /// The sorted hashes and their counts as two slices of one length.
+    pub(crate) fn arrays(&self) -> (&[u64], &[u64]) {
+        (&self.keys, &self.counts)
+    }
+
+    /// Heap bytes of the two arrays: their capacities, 8 bytes a key and
+    /// 8 a count, so exactly 16 bytes a feature.
     pub fn heap_bytes(&self) -> usize {
-        self.0.capacity() * std::mem::size_of::<(u64, u64)>()
+        (self.keys.capacity() + self.counts.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -62,15 +76,21 @@ impl FromIterator<(u64, u64)> for FeatureIndex {
             }
             same
         });
-        FeatureIndex(pairs)
+        let (mut keys, mut counts) =
+            (Vec::with_capacity(pairs.len()), Vec::with_capacity(pairs.len()));
+        for (k, v) in pairs {
+            keys.push(k);
+            counts.push(v);
+        }
+        FeatureIndex { keys, counts }
     }
 }
 
 impl IntoIterator for FeatureIndex {
     type Item = (u64, u64);
-    type IntoIter = std::vec::IntoIter<(u64, u64)>;
+    type IntoIter = std::iter::Zip<std::vec::IntoIter<u64>, std::vec::IntoIter<u64>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+        self.keys.into_iter().zip(self.counts)
     }
 }
 
@@ -90,8 +110,8 @@ pub struct BinaryFeatures {
 }
 
 impl BinaryFeatures {
-    /// Bytes of heap the memoized feature index pins, exactly: the pair
-    /// vector's capacity, 16 bytes a pair.
+    /// Bytes of heap the memoized feature index pins, exactly: its key
+    /// and count arrays' capacities, 16 bytes a feature.
     pub fn heap_bytes(&self) -> usize {
         self.index.heap_bytes()
     }

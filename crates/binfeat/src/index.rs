@@ -13,16 +13,27 @@
 //!    agree on any one slot with probability equal to their Jaccard
 //!    similarity. Signing runs slot-major: every key is Fx-mixed once,
 //!    then each group of eight slots keeps its eight minima in registers
-//!    over all the mixed keys.
+//!    over all the mixed keys. That kernel is one source compiled twice:
+//!    once for the build's baseline x86-64 target, and once inside a
+//!    `#[target_feature(enable = "avx512f,avx512dq")]` wrapper, where
+//!    a group's eight lanes are one 512-bit multiply (`vpmullq`), add
+//!    and unsigned minimum. Each call takes the AVX-512 compile when the
+//!    CPU reports AVX-512F and AVX-512DQ (`is_x86_feature_detected!`,
+//!    cached by `std`), the baseline compile otherwise; nothing else
+//!    selects it, and both give the same bits. On a 2-CPU AVX-512 host,
+//!    signing 600 real feature sets (~365 keys each, 120 slots) took
+//!    19.5 ms in the baseline compile and 4.5 ms in the AVX-512 one
+//!    (a 256-bit compile: 7.8 ms), with one or two threads signing.
 //! 2. **Banding** — the signature is cut into `bands` groups of `rows`
 //!    slots; each group hashes into a bucket table. Binaries sharing a
 //!    bucket in *any* band become candidates, so a pair with Jaccard
 //!    `s` collides with probability `1 − (1 − s^rows)^bands` — a sharp
 //!    S-curve that passes near-duplicates and rejects strangers.
 //! 3. **Exact re-rank** — only the bucket-collision candidates are
-//!    scored with exact cosine, one merge of the query's hash-sorted
-//!    pairs with the candidate's ([`crate::similarity`]); the reported
-//!    top-K is exact over that candidate set.
+//!    scored with exact cosine, one merge of the query's hash-sorted key
+//!    array with the candidate's, counts read beside them
+//!    ([`crate::similarity`]); the reported top-K is exact over that
+//!    candidate set.
 //! 4. **Rescue probe** — taken only when the band probe leaves fewer
 //!    than `k` candidates. A query whose *own* keys (say one function
 //!    its clone siblings lack) hold the minimum of a slot in every band
@@ -32,7 +43,9 @@
 //!    for a query whose nine siblings score ≥ 0.995). The rescue signs
 //!    the query again keeping each slot's *second* minimum — what a
 //!    neighbour without the offending key would have signed there — and
-//!    re-probes every band with one slot at a time replaced by it:
+//!    re-probes every band with one slot at a time replaced by it (the
+//!    second minima come from the signing kernel's other instance, the
+//!    minimum of each slot above its first, dispatched the same way):
 //!    `bands × rows` extra bucket lookups, nothing stored per entry, no
 //!    brute-force pass. The candidates it adds are re-ranked like any
 //!    other. An ordinary query (≥ `k` band candidates) never takes it.
@@ -44,9 +57,9 @@
 //! `topk_query` workload measures both ends (`binfeat.recall_at_5`,
 //! `binfeat.candidate_ratio`).
 //!
-//! The index stores each entry's [`FeatureIndex`] — its `(hash, count)`
-//! pairs sorted by hash, 16 bytes a feature — for the re-rank and for
-//! the brute-force fallback via
+//! The index stores each entry's [`FeatureIndex`] — its hash-sorted key
+//! array and the counts beside it, 16 bytes a feature — for the re-rank
+//! and for the brute-force fallback via
 //! [`rank_topk`](crate::similarity::rank_topk), and its Euclidean norm
 //! (so a query computes one norm, not two per candidate), keyed by the
 //! binary's `content_hash` for idempotent ingestion.
@@ -93,52 +106,92 @@ fn slot_hashes(slots: usize) -> Vec<(u64, u64)> {
     (0..slots).map(|_| (splitmix64(&mut salt) | 1, splitmix64(&mut salt))).collect()
 }
 
-/// Slots whose minima one pass over the keys keeps in registers.
+/// Slots whose minima one pass over the keys keeps in registers: one
+/// 512-bit vector of `u64`s.
 const LANES: usize = 8;
 
 /// Slot `j` of the result is the minimum of `hashes[j]` over the
-/// Fx-mixed keys.
+/// Fx-mixed keys `mixed`; with `ABOVE`, the minimum of those above
+/// `floor[j]` (`u64::MAX` where none is).
 ///
-/// Slot-major: each key is Fx-mixed once, then each group of [`LANES`]
-/// slots takes its minima over all mixed keys in local accumulators, so
-/// the inner loop touches no memory but the mixed keys. The slots past
-/// the last whole group take theirs one at a time.
-fn sign(hashes: &[(u64, u64)], feats: &FeatureIndex) -> Vec<u64> {
-    let mixed: Vec<u64> = feats.keys().map(fx_hash_u64).collect();
-    let mut sig = Vec::with_capacity(hashes.len());
+/// Slot-major: each group of [`LANES`] slots takes its minima over all
+/// mixed keys in local accumulators, so the inner loop touches no
+/// memory but the mixed keys, and its eight lanes are one vector
+/// multiply, add, (compare,) and minimum wide. The slots past the last
+/// whole group take theirs one at a time. Always inlined, so it is
+/// compiled once for the build's baseline target and once more inside
+/// [`slot_minima_avx512`]; [`minima`] picks between the two.
+#[inline(always)]
+fn slot_minima<const ABOVE: bool>(hashes: &[(u64, u64)], mixed: &[u64], floor: &[u64]) -> Vec<u64> {
+    let hash = |base: u64, (m, a): (u64, u64), lo: u64| {
+        let h = base.wrapping_mul(m).wrapping_add(a);
+        if ABOVE && h <= lo {
+            u64::MAX
+        } else {
+            h
+        }
+    };
+    let mut out = Vec::with_capacity(hashes.len());
     let mut groups = hashes.chunks_exact(LANES);
     for group in &mut groups {
-        let mul: [u64; LANES] = std::array::from_fn(|l| group[l].0);
-        let add: [u64; LANES] = std::array::from_fn(|l| group[l].1);
+        let first = out.len();
+        let slot: [(u64, u64); LANES] = std::array::from_fn(|l| group[l]);
+        let lo: [u64; LANES] = std::array::from_fn(|l| if ABOVE { floor[first + l] } else { 0 });
         let mut min = [u64::MAX; LANES];
-        for &base in &mixed {
+        for &base in mixed {
             for l in 0..LANES {
-                min[l] = min[l].min(base.wrapping_mul(mul[l]).wrapping_add(add[l]));
+                min[l] = min[l].min(hash(base, slot[l], lo[l]));
             }
         }
-        sig.extend_from_slice(&min);
+        out.extend_from_slice(&min);
     }
-    for &(m, a) in groups.remainder() {
-        let min = mixed.iter().map(|&base| base.wrapping_mul(m).wrapping_add(a)).min();
-        sig.push(min.unwrap_or(u64::MAX));
+    for &slot in groups.remainder() {
+        let lo = if ABOVE { floor[out.len()] } else { 0 };
+        out.push(mixed.iter().map(|&base| hash(base, slot, lo)).min().unwrap_or(u64::MAX));
     }
-    sig
+    out
+}
+
+/// [`slot_minima`] compiled for AVX-512: each group's eight lanes fill
+/// one `zmm` register, and AVX-512DQ's `vpmullq` multiplies them at
+/// once.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn slot_minima_avx512<const ABOVE: bool>(
+    hashes: &[(u64, u64)],
+    mixed: &[u64],
+    floor: &[u64],
+) -> Vec<u64> {
+    slot_minima::<ABOVE>(hashes, mixed, floor)
+}
+
+/// [`slot_minima`] through the AVX-512 compile where the CPU reports
+/// AVX-512F and AVX-512DQ, the baseline compile otherwise. Both give
+/// the same bits.
+fn minima<const ABOVE: bool>(hashes: &[(u64, u64)], mixed: &[u64], floor: &[u64]) -> Vec<u64> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+        // SAFETY: the CPU reports both features the wrapper enables.
+        return unsafe { slot_minima_avx512::<ABOVE>(hashes, mixed, floor) };
+    }
+    slot_minima::<ABOVE>(hashes, mixed, floor)
+}
+
+/// The keys of `feats`, each Fx-mixed once.
+fn mixed_keys(feats: &FeatureIndex) -> Vec<u64> {
+    feats.keys().map(fx_hash_u64).collect()
+}
+
+/// The MinHash signature of `feats`: slot `j` is the minimum of
+/// `hashes[j]` over its Fx-mixed keys (`u64::MAX` for no keys).
+fn sign(hashes: &[(u64, u64)], feats: &FeatureIndex) -> Vec<u64> {
+    minima::<false>(hashes, &mixed_keys(feats), &[])
 }
 
 /// Each slot's second minimum: the smallest hash above `sig[j]`
 /// (`u64::MAX` for a set of fewer than two keys).
 fn second_minima(hashes: &[(u64, u64)], feats: &FeatureIndex, sig: &[u64]) -> Vec<u64> {
-    let mut second = vec![u64::MAX; hashes.len()];
-    for key in feats.keys() {
-        let base = fx_hash_u64(key);
-        for ((slot, &min), &(m, a)) in second.iter_mut().zip(sig).zip(hashes) {
-            let h = base.wrapping_mul(m).wrapping_add(a);
-            if h > min && h < *slot {
-                *slot = h;
-            }
-        }
-    }
-    second
+    minima::<true>(hashes, &mixed_keys(feats), sig)
 }
 
 impl IndexConfig {
@@ -202,7 +255,7 @@ pub struct CorpusIndex {
     slot_hashes: Vec<(u64, u64)>,
     /// `content_hash` per entry, indexed by dense id.
     hashes: Vec<u64>,
-    /// Hash-sorted feature pairs per entry — re-rank + brute-force corpus.
+    /// Hash-sorted feature vectors per entry — re-rank + brute-force corpus.
     feats: Vec<FeatureIndex>,
     /// Euclidean norm of each entry's count vector, so a query computes
     /// one norm (its own) instead of two per candidate.
@@ -378,8 +431,9 @@ impl CorpusIndex {
 
     /// Heap footprint, so a daemon can charge the index against its
     /// resident budget. Signatures are not retained. The feature vectors
-    /// count exactly, as [`FeatureIndex::heap_bytes`] (each one's pair
-    /// capacity, 16 bytes a pair), and so do the plain vectors and the
+    /// count exactly, as [`FeatureIndex::heap_bytes`] (each one's key and
+    /// count arrays' capacities, 16 bytes a feature), and so do the plain
+    /// vectors (the entries' `FeatureIndex` headers among them) and the
     /// bucket posting lists; the two hash tables count one entry plus
     /// one control byte per slot of capacity, which is an estimate.
     pub fn heap_bytes(&self) -> u64 {
@@ -404,6 +458,66 @@ mod tests {
     use pba_dataflow::ExecutorKind;
     use pba_gen::{generate, GenConfig};
     use pba_parse::{parse_parallel, ParseInput};
+    use proptest::prelude::*;
+
+    /// The key-major second minima the slot-major kernel replaced: every
+    /// key Fx-mixed once, then every slot updated from it.
+    fn second_minima_key_major(
+        hashes: &[(u64, u64)],
+        feats: &FeatureIndex,
+        sig: &[u64],
+    ) -> Vec<u64> {
+        let mut second = vec![u64::MAX; hashes.len()];
+        for key in feats.keys() {
+            let base = fx_hash_u64(key);
+            for ((slot, &min), &(m, a)) in second.iter_mut().zip(sig).zip(hashes) {
+                let h = base.wrapping_mul(m).wrapping_add(a);
+                if h > min && h < *slot {
+                    *slot = h;
+                }
+            }
+        }
+        second
+    }
+
+    /// The dispatched kernels (the AVX-512 compile on a CPU that reports
+    /// AVX-512F and AVX-512DQ) against the baseline compile, and the
+    /// second minima against the key-major oracle as well.
+    fn kernels_agree(keys: &[u64], config: IndexConfig) -> Result<(), TestCaseError> {
+        let hashes = slot_hashes(config.slots());
+        let feats: FeatureIndex = keys.iter().map(|&k| (k, 1)).collect();
+        let mixed = mixed_keys(&feats);
+        let sig = sign(&hashes, &feats);
+        prop_assert_eq!(&sig, &slot_minima::<false>(&hashes, &mixed, &[]));
+        let second = second_minima(&hashes, &feats, &sig);
+        prop_assert_eq!(&second, &slot_minima::<true>(&hashes, &mixed, &sig));
+        prop_assert_eq!(&second, &second_minima_key_major(&hashes, &feats, &sig));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn dispatched_kernels_equal_the_baseline_compile(
+            keys in prop::collection::vec(0u64..u64::MAX, 0..=2000),
+            bands in 1usize..=13,
+            rows in 1usize..=11,
+        ) {
+            kernels_agree(&keys, IndexConfig { bands, rows })?;
+        }
+    }
+
+    #[test]
+    fn dispatched_kernels_equal_the_baseline_compile_on_tiny_sets() {
+        // Slot counts below, at, between and above whole lane groups;
+        // no key and one key, where every second minimum is `u64::MAX`.
+        for (bands, rows) in [(1, 1), (1, 7), (2, 4), (1, 9), (13, 11), (12, 10)] {
+            for keys in [&[][..], &[7], &[0], &[u64::MAX], &[3, 3]] {
+                kernels_agree(keys, IndexConfig { bands, rows }).unwrap();
+            }
+        }
+    }
 
     fn clone_features(family_seed: u64, variant: u64) -> FeatureIndex {
         let g = generate(&GenConfig {
@@ -427,7 +541,7 @@ mod tests {
         let f = clone_features(0x51, 1);
         assert_eq!(cfg.signature(&f), cfg.signature(&f));
         // Counts don't matter, only the key set.
-        let doubled: FeatureIndex = f.pairs().iter().map(|&(k, v)| (k, v * 2)).collect();
+        let doubled: FeatureIndex = f.pairs().map(|(k, v)| (k, v * 2)).collect();
         assert_eq!(cfg.signature(&f), cfg.signature(&doubled));
         // Empty set → all-MAX sentinel signature.
         assert!(cfg.signature(&FeatureIndex::default()).iter().all(|&s| s == u64::MAX));

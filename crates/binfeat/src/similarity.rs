@@ -5,16 +5,19 @@
 //! cosine similarity over them is the standard scoring these systems use,
 //! with Jaccard over the feature *sets* as a cheaper alternative.
 //!
-//! Both vectors hold their `(hash, count)` pairs sorted by hash, so
-//! cosine and Jaccard are one merge: two cursors walk the slices, the
-//! one at the smaller hash steps, and both step on a shared hash, which
-//! adds `count_a × count_b` to the dot product and one to the
-//! intersection. That is O(|a| + |b|) sequential reads, with no hash
-//! probe into either vector. Each step is branch-free (a shared hash's
-//! product is added through a mask), so its cost is the chain of
-//! compare-and-advance from one step to the next; the merge therefore
-//! runs the hashes below 2^63 and those above as two such chains in
-//! lockstep, which the processor overlaps.
+//! Each vector holds its hashes sorted in one array and their counts,
+//! in the same order, in another, so cosine and Jaccard are one merge
+//! over the key arrays: two cursors walk them, the one at the smaller
+//! hash steps, and both step on a shared hash, which adds
+//! `count_a × count_b` to the dot product and one to the intersection.
+//! That is O(|a| + |b|) sequential reads, with no hash probe into either
+//! vector. Each step is branch-free: the two counts under the cursors
+//! are read every step and their product is added through the mask of
+//! a shared hash, so the loads of the count arrays stay off the chain of
+//! compare-and-advance that carries a step to the next, and that chain
+//! reads 8-byte keys, not 16-byte pairs. The merge runs the hashes below
+//! 2^63 and those above as two such chains in lockstep, which the
+//! processor overlaps.
 //!
 //! The result does not depend on the order of the sum. The dot product
 //! is summed as an exact `u128` and rounded to `f64` once; the norm sums
@@ -26,14 +29,34 @@
 
 use crate::features::FeatureIndex;
 
-/// `(hash, count)` pairs sorted by hash.
-type Pairs = [(u64, u64)];
+/// A feature vector's hash-sorted keys and their counts (two slices of
+/// one length), or a range of them.
+#[derive(Clone, Copy)]
+struct Sorted<'a> {
+    keys: &'a [u64],
+    counts: &'a [u64],
+}
 
-/// One chain of the merge: cursors into two hash-sorted slices and what
-/// their shared hashes have added up to.
+impl<'a> Sorted<'a> {
+    fn of(f: &'a FeatureIndex) -> Self {
+        let (keys, counts) = f.arrays();
+        Sorted { keys, counts }
+    }
+
+    /// The features below hash 2^63, and the rest.
+    fn halves(self) -> (Self, Self) {
+        let mid = self.keys.partition_point(|&k| k < 1 << 63);
+        let (keys_lo, keys_hi) = self.keys.split_at(mid);
+        let (counts_lo, counts_hi) = self.counts.split_at(mid);
+        (Sorted { keys: keys_lo, counts: counts_lo }, Sorted { keys: keys_hi, counts: counts_hi })
+    }
+}
+
+/// One chain of the merge: cursors into two hash-sorted vectors and
+/// what their shared hashes have added up to.
 struct Merge<'a> {
-    a: &'a Pairs,
-    b: &'a Pairs,
+    a: Sorted<'a>,
+    b: Sorted<'a>,
     i: usize,
     j: usize,
     dot: u128,
@@ -41,35 +64,31 @@ struct Merge<'a> {
 }
 
 impl<'a> Merge<'a> {
-    fn new(a: &'a Pairs, b: &'a Pairs) -> Self {
+    fn new(a: Sorted<'a>, b: Sorted<'a>) -> Self {
         Merge { a, b, i: 0, j: 0, dot: 0, shared: 0 }
     }
 
     #[inline(always)]
     fn live(&self) -> bool {
-        self.i < self.a.len() && self.j < self.b.len()
+        self.i < self.a.keys.len() && self.j < self.b.keys.len()
     }
 
     #[inline(always)]
     fn step(&mut self) {
-        let ((ka, va), (kb, vb)) = (self.a[self.i], self.b[self.j]);
+        let (ka, kb) = (self.a.keys[self.i], self.b.keys[self.j]);
         let shared = ka == kb;
-        self.dot += (va as u128 * vb as u128) & (shared as u128).wrapping_neg();
+        let product = self.a.counts[self.i] as u128 * self.b.counts[self.j] as u128;
+        self.dot += product & (shared as u128).wrapping_neg();
         self.shared += shared as usize;
         self.i += (ka <= kb) as usize;
         self.j += (kb <= ka) as usize;
     }
 }
 
-/// The pairs below hash 2^63, and the rest.
-fn halves(pairs: &Pairs) -> (&Pairs, &Pairs) {
-    pairs.split_at(pairs.partition_point(|&(k, _)| k < 1 << 63))
-}
-
-/// `(dot product, shared hashes)` of two hash-sorted pair slices: one
-/// merge, its two halves of the hash space in lockstep.
-fn dot_and_shared(a: &Pairs, b: &Pairs) -> (u128, usize) {
-    let ((a_lo, a_hi), (b_lo, b_hi)) = (halves(a), halves(b));
+/// `(dot product, shared hashes)` of two feature vectors: one merge,
+/// its two halves of the hash space in lockstep.
+fn dot_and_shared(a: &FeatureIndex, b: &FeatureIndex) -> (u128, usize) {
+    let ((a_lo, a_hi), (b_lo, b_hi)) = (Sorted::of(a).halves(), Sorted::of(b).halves());
     let (mut lo, mut hi) = (Merge::new(a_lo, b_lo), Merge::new(a_hi, b_hi));
     while lo.live() && hi.live() {
         lo.step();
@@ -100,7 +119,7 @@ pub(crate) fn cosine_normed(a: &FeatureIndex, na: f64, b: &FeatureIndex, nb: f64
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let (dot, shared) = dot_and_shared(a.pairs(), b.pairs());
+    let (dot, shared) = dot_and_shared(a, b);
     // No shared feature: -0.0, the value of an empty `f64` sum, so the
     // bits equal those of summing the products in any order.
     let dot = if shared == 0 { -0.0 } else { dot as f64 };
@@ -116,7 +135,7 @@ pub fn jaccard(a: &FeatureIndex, b: &FeatureIndex) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let (_, inter) = dot_and_shared(a.pairs(), b.pairs());
+    let (_, inter) = dot_and_shared(a, b);
     let union = a.len() + b.len() - inter;
     if union == 0 {
         0.0

@@ -169,7 +169,7 @@ fn disjoint_and_zero_count_vectors_keep_the_oracles_bits() {
 #[test]
 fn collecting_pairs_sorts_them_and_adds_repeated_counts() {
     let feats: FeatureIndex = [(9, 1), (3, 2), (9, 4), (1, 0), (3, 1)].into_iter().collect();
-    assert_eq!(feats.pairs(), &[(1, 0), (3, 3), (9, 5)]);
+    assert_eq!(feats.pairs().collect::<Vec<_>>(), [(1, 0), (3, 3), (9, 5)]);
     assert_eq!(feats.keys().collect::<Vec<_>>(), [1, 3, 9]);
     assert_eq!(feats.counts().sum::<u64>(), 8);
     assert_eq!(feats.into_iter().collect::<Vec<_>>(), [(1, 0), (3, 3), (9, 5)]);

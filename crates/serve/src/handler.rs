@@ -195,7 +195,8 @@ impl ServeShared {
     fn serve_features(&self, bin: BinSpec) -> Result<Value, Error> {
         let cached = self.resolve(bin)?;
         let index = &cached.session.features()?.index;
-        let features = cached.parts.features.get_or_init(|| rendered(index.pairs()));
+        let features =
+            cached.parts.features.get_or_init(|| rendered(&index.pairs().collect::<Vec<_>>()));
         let reply = Response::Features {
             hit: cached.hit,
             stats: cached.session.stats(),
@@ -294,10 +295,10 @@ impl ServeShared {
 }
 
 /// The feature index as `(hash, count)` pairs sorted by hash — the
-/// deterministic wire form of `session.features()`, which holds them in
-/// that order already.
+/// deterministic wire form of `session.features()`, whose key and count
+/// arrays are in that order already and are zipped into pairs here.
 pub fn sorted_features(session: &Session) -> Result<Vec<(u64, u64)>, Error> {
-    Ok(session.features()?.index.pairs().to_vec())
+    Ok(session.features()?.index.pairs().collect())
 }
 
 /// `value` rendered as JSON, once, for a reply part.
