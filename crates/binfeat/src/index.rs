@@ -21,9 +21,10 @@
 //!    CPU reports AVX-512F and AVX-512DQ (`is_x86_feature_detected!`,
 //!    cached by `std`), the baseline compile otherwise; nothing else
 //!    selects it, and both give the same bits. On a 2-CPU AVX-512 host,
-//!    signing 600 real feature sets (~365 keys each, 120 slots) took
-//!    19.5 ms in the baseline compile and 4.5 ms in the AVX-512 one
-//!    (a 256-bit compile: 7.8 ms), with one or two threads signing.
+//!    signing the 600 entries of the suite's `topk_query` index (~368
+//!    keys each, 120 slots) took 11–20 ms in the baseline compile and
+//!    3.6–4.2 ms in the AVX-512 one (one thread, lap medians of six
+//!    alternating runs).
 //! 2. **Banding** — the signature is cut into `bands` groups of `rows`
 //!    slots; each group hashes into a bucket table. Binaries sharing a
 //!    bucket in *any* band become candidates, so a pair with Jaccard
@@ -116,11 +117,12 @@ const LANES: usize = 8;
 ///
 /// Slot-major: each group of [`LANES`] slots takes its minima over all
 /// mixed keys in local accumulators, so the inner loop touches no
-/// memory but the mixed keys, and its eight lanes are one vector
-/// multiply, add, (compare,) and minimum wide. The slots past the last
-/// whole group take theirs one at a time. Always inlined, so it is
-/// compiled once for the build's baseline target and once more inside
-/// [`slot_minima_avx512`]; [`minima`] picks between the two.
+/// memory but the mixed keys, and its eight lanes are one vector wide:
+/// a multiply, an add and a minimum (with `ABOVE`, a compare and a
+/// select before the minimum). The slots past the last whole group take
+/// theirs one at a time. Always inlined, so it is compiled once for the
+/// build's baseline target and once more inside [`slot_minima_avx512`];
+/// [`minima`] picks between the two.
 #[inline(always)]
 fn slot_minima<const ABOVE: bool>(hashes: &[(u64, u64)], mixed: &[u64], floor: &[u64]) -> Vec<u64> {
     let hash = |base: u64, (m, a): (u64, u64), lo: u64| {
