@@ -4,10 +4,11 @@
 //! digests; BinFeat's feature index had none. The digests below pin
 //! every `(feature, count)` pair that `extract_cfg_features` produces —
 //! instruction n-grams, graphlets, loop depths and nesting, live-register
-//! counts — on the same inputs as the structure golden: every `pba-gen`
-//! profile at a twentieth of its size, and the TensorFlow- and
-//! LLNL2-class images at the size the `struct_large` benchmark workload
-//! runs, each at 1 and 2 threads. A change to how features are extracted
+//! counts — on the structure golden's inputs, the same list by
+//! construction (`pba_gen::corpus::structure`): every `pba-gen` profile
+//! at a twentieth of its size, and the TensorFlow- and LLNL2-class
+//! images at the size the `struct_large` benchmark workload runs, each
+//! at 1 and 2 threads. A change to how features are extracted
 //! (or to the CFG, IR or loop forests under them) that moves one count
 //! fails here.
 //!
@@ -18,25 +19,12 @@
 
 use pba_binfeat::extract_cfg_features;
 use pba_dataflow::{BinaryIr, ExecutorKind};
-use pba_gen::{generate, GenConfig, Profile};
+use pba_gen::corpus;
 use pba_parse::{parse_parallel, ParseInput};
 
-const PROFILES: [Profile; 7] = [
-    Profile::Llnl1,
-    Profile::Llnl2,
-    Profile::Camellia,
-    Profile::TensorFlow,
-    Profile::Coreutils,
-    Profile::Server,
-    Profile::Skewed,
-];
-const SEEDS: [u64; 2] = [11, 0x5EED_BA5E];
-
-/// Seed of the `struct_large`-sized images' base program.
-const LARGE_BASE: u64 = 0x5EED_BA5E;
-
-/// `(corpus, seed, digest)`: the seven profiles at a twentieth of their
-/// size, then the two `struct_large`-sized images (`large-` prefix).
+/// `(corpus, seed, digest)` in `corpus::structure` order: the seven
+/// profiles at a twentieth of their size, then the two
+/// `struct_large`-sized images (`large-` prefix).
 #[rustfmt::skip]
 const GOLDEN: [(&str, u64, u64); 16] = [
     ("LLNL1", 0xb, 0x85e69926125172ca), // keys: 644
@@ -57,41 +45,6 @@ const GOLDEN: [(&str, u64, u64); 16] = [
     ("large-LLNL2", 0x5eedba5e, 0x74a2f7f1457ca531), // keys: 745
 ];
 
-/// The profile at a twentieth of its function count (at least 48), a
-/// small giant for `Skewed`, and debug info on: the structure golden's
-/// inputs, byte for byte.
-fn small(profile: Profile, seed: u64) -> GenConfig {
-    let mut c = profile.config(seed);
-    c.num_funcs = (c.num_funcs / 20).max(48);
-    c.huge_diamonds = c.huge_diamonds.min(90);
-    c.debug_info = true;
-    c
-}
-
-/// The `struct_large` workload's image of `profile` with `funcs`
-/// functions: fifteen sixteenths base program, the rest a fixed variant.
-fn large(profile: Profile, funcs: usize) -> GenConfig {
-    let mut c = profile.config(LARGE_BASE);
-    c.num_funcs = funcs * 15 / 16;
-    c.extra_funcs = funcs / 16;
-    c.variant = 7;
-    c
-}
-
-/// Every case in [`GOLDEN`] order.
-fn cases() -> Vec<(String, u64, GenConfig)> {
-    let mut cases = Vec::new();
-    for profile in PROFILES {
-        for seed in SEEDS {
-            cases.push((profile.name().to_string(), seed, small(profile, seed)));
-        }
-    }
-    for (profile, funcs) in [(Profile::TensorFlow, 640), (Profile::Llnl2, 680)] {
-        cases.push((format!("large-{}", profile.name()), LARGE_BASE, large(profile, funcs)));
-    }
-    cases
-}
-
 /// `(digest, distinct features)` of one image's feature index at
 /// `threads`, built the way a session builds it.
 fn digest(bytes: &[u8], threads: usize) -> (u64, usize) {
@@ -111,11 +64,11 @@ fn digest(bytes: &[u8], threads: usize) -> (u64, usize) {
 
 #[test]
 fn feature_index_digests_match_the_checked_in_constants() {
-    let cases = cases();
+    let cases = corpus::structure();
     assert_eq!(cases.len(), GOLDEN.len());
-    for ((name, seed, gen), &(want_name, want_seed, want)) in cases.iter().zip(&GOLDEN) {
-        assert_eq!((name.as_str(), *seed), (want_name, want_seed), "GOLDEN row order");
-        let bytes = generate(gen).elf;
+    for (case, &(name, seed, want)) in cases.iter().zip(&GOLDEN) {
+        assert_eq!((name, seed), (case.name.as_str(), case.seed()), "GOLDEN row order");
+        let bytes = case.elf();
         for threads in [1, 2] {
             let (got, _) = digest(&bytes, threads);
             assert_eq!(
@@ -129,8 +82,8 @@ fn feature_index_digests_match_the_checked_in_constants() {
 #[test]
 #[ignore = "prints the GOLDEN table; run at the commit whose output is to be pinned"]
 fn print_golden() {
-    for (name, seed, gen) in cases() {
-        let (d, keys) = digest(&generate(&gen).elf, 1);
-        println!("    ({name:?}, {seed:#x}, {d:#018x}), // keys: {keys}");
+    for case in corpus::structure() {
+        let (d, keys) = digest(&case.elf(), 1);
+        println!("    ({:?}, {:#x}, {d:#018x}), // keys: {keys}", case.name, case.seed());
     }
 }

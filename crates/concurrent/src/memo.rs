@@ -6,8 +6,8 @@
 //! all callers *share* the one computed value by reference. The cell
 //! never recomputes — "computed at most once" is the whole contract —
 //! and a [`Counter`] records how many computations actually ran so
-//! callers can assert the contract (the session bench reports it as its
-//! parse-count column).
+//! callers can assert the contract (`SessionStats` reports one count per
+//! artifact).
 
 use crate::stats::Counter;
 use std::sync::OnceLock;
@@ -47,8 +47,8 @@ impl<T> Memo<T> {
     }
 
     /// Consume the cell and take the value out without cloning, if it
-    /// was computed. This is how a throwaway session hands its one
-    /// artifact to a byte-level wrapper.
+    /// was computed. This is how a throwaway session hands its feature
+    /// artifact to the daemon's corpus ingest or to `pba topk`.
     pub fn into_inner(self) -> Option<T> {
         self.cell.into_inner()
     }

@@ -23,7 +23,7 @@
 use pba_cfg::EdgeKind;
 use pba_dataflow::loops::loop_forest_on;
 use pba_dataflow::{stack_heights_on, BinaryIr, ExecutorKind, FlowGraph, VecView};
-use pba_gen::{generate, Profile};
+use pba_gen::corpus;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,11 +84,8 @@ const GROWTH_PER_DOUBLING: f64 = 2.2;
 
 /// The `struct_large` workload's TensorFlow-class image (640 functions).
 fn large_ir() -> BinaryIr {
-    let mut c = Profile::TensorFlow.config(0x5EED_BA5E);
-    c.num_funcs = 600;
-    c.extra_funcs = 40;
-    c.variant = 7;
-    let elf = pba_elf::Elf::parse(generate(&c).elf).unwrap();
+    let case = corpus::structure().into_iter().find(|c| c.name == "large-TensorFlow").unwrap();
+    let elf = pba_elf::Elf::parse(case.elf()).unwrap();
     let input = pba_parse::ParseInput::from_elf(&elf).unwrap();
     BinaryIr::build(&pba_parse::parse_parallel(&input, 1).cfg, 1)
 }

@@ -4,7 +4,9 @@
 //! reference loops on small random binaries, and no oracle ever sees
 //! the `Skewed` profile's giant function. The digests below were
 //! generated before the reaching-definitions spec was rebuilt on
-//! per-register def-id ranges and are checked in as constants.
+//! per-register def-id ranges and are checked in as constants. The
+//! inputs are the CFG golden's (`pba_gen::corpus::small`), with
+//! `Skewed` at full size (`pba_gen::corpus::skewed_full`).
 //!
 //! A digest is FNV-1a-64 over every function in entry order: its sorted
 //! definition sites, each block's sorted reaching definitions at entry,
@@ -16,18 +18,8 @@
 
 use pba_dataflow::stack::Frame;
 use pba_dataflow::{run_all_ir, BinaryIr, Def, ExecutorKind, Height};
-use pba_gen::{generate, GenConfig, Profile};
-
-const PROFILES: [Profile; 7] = [
-    Profile::Llnl1,
-    Profile::Llnl2,
-    Profile::Camellia,
-    Profile::TensorFlow,
-    Profile::Coreutils,
-    Profile::Server,
-    Profile::Skewed,
-];
-const SEEDS: [u64; 3] = [11, 0x5EED_BA5E, 20_210_227];
+use pba_gen::corpus::{self, Case};
+use pba_gen::Profile;
 
 /// `(profile, seed, digest)`.
 #[rustfmt::skip]
@@ -55,22 +47,18 @@ const GOLDEN: [(&str, u64, u64); 21] = [
     ("skewed", 0x1346233, 0xe767a46c54506c2b), // largest function: 4204 blocks
 ];
 
-/// Every profile but `Skewed` at a twentieth of its function count (at
-/// least 48); `Skewed` at full size, so its giant is the one the suite's
-/// `skewed_dataflow` workload is shaped after. No debug info: the
-/// analyses never read it.
-fn config(profile: Profile, seed: u64) -> GenConfig {
-    let mut c = profile.config(seed);
-    if profile != Profile::Skewed {
-        c.num_funcs = (c.num_funcs / 20).max(48);
-    }
-    c.debug_info = false;
-    c
+/// The CFG golden's cases (every profile at a twentieth of its size, no
+/// debug info: the analyses never read it) with `Skewed` at full size,
+/// so its giant is the one the suite's `skewed_dataflow` workload is
+/// shaped after.
+fn cases() -> Vec<Case> {
+    let skewed = Profile::Skewed.name();
+    let small = corpus::small().into_iter().filter(|case| case.name != skewed);
+    small.chain(corpus::skewed_full()).collect()
 }
 
-fn binary_ir(profile: Profile, seed: u64) -> BinaryIr {
-    let g = generate(&config(profile, seed));
-    let elf = pba_elf::Elf::parse(g.elf).unwrap();
+fn binary_ir(case: &Case) -> BinaryIr {
+    let elf = pba_elf::Elf::parse(case.elf()).unwrap();
     let input = pba_parse::ParseInput::from_elf(&elf).unwrap();
     BinaryIr::build(&pba_parse::parse_parallel(&input, 2).cfg, 2)
 }
@@ -145,33 +133,26 @@ fn digest(ir: &BinaryIr) -> u64 {
 
 #[test]
 fn digests_match_the_checked_in_constants() {
-    let mut rows = GOLDEN.iter();
-    for profile in PROFILES {
-        for seed in SEEDS {
-            let &(name, want_seed, want) = rows.next().expect("one GOLDEN row per case");
-            assert_eq!((name, want_seed), (profile.name(), seed), "GOLDEN row order");
-            let ir = binary_ir(profile, seed);
-            let got = digest(&ir);
-            assert_eq!(
-                got, want,
-                "{name} seed {seed:#x}: digest {got:#018x} != golden {want:#018x}"
-            );
-        }
+    let cases = cases();
+    assert_eq!(cases.len(), GOLDEN.len(), "one GOLDEN row per case");
+    for (case, &(name, seed, want)) in cases.iter().zip(&GOLDEN) {
+        assert_eq!((name, seed), (case.name.as_str(), case.seed()), "GOLDEN row order");
+        let got = digest(&binary_ir(case));
+        assert_eq!(got, want, "{name} seed {seed:#x}: digest {got:#018x} != golden {want:#018x}");
     }
 }
 
 #[test]
 #[ignore = "prints the GOLDEN table; run at the commit whose output is to be pinned"]
 fn print_golden() {
-    for profile in PROFILES {
-        for seed in SEEDS {
-            let ir = binary_ir(profile, seed);
-            let giant = ir.funcs().map(|f| f.blocks().len()).max().unwrap_or(0);
-            println!(
-                "    ({:?}, {seed:#x}, {:#018x}), // largest function: {giant} blocks",
-                profile.name(),
-                digest(&ir)
-            );
-        }
+    for case in cases() {
+        let ir = binary_ir(&case);
+        let giant = ir.funcs().map(|f| f.blocks().len()).max().unwrap_or(0);
+        println!(
+            "    ({:?}, {:#x}, {:#018x}), // largest function: {giant} blocks",
+            case.name,
+            case.seed(),
+            digest(&ir)
+        );
     }
 }

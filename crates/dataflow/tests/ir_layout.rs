@@ -14,16 +14,6 @@ use pba_isa::{ControlFlow, Insn};
 use std::mem::size_of;
 use std::sync::Arc;
 
-const PROFILES: [Profile; 7] = [
-    Profile::Llnl1,
-    Profile::Llnl2,
-    Profile::Camellia,
-    Profile::TensorFlow,
-    Profile::Coreutils,
-    Profile::Server,
-    Profile::Skewed,
-];
-
 /// `profile` at a twentieth of its size, no debug info.
 fn cfg_of(profile: Profile, pct_shared: f64) -> Cfg {
     let mut c = profile.config(0x1A_0047);
@@ -76,7 +66,7 @@ fn check(cfg: &Cfg, f: &Function, view: &dyn CfgView, what: &str) {
 
 #[test]
 fn every_function_matches_the_cfg_oracle() {
-    for profile in PROFILES {
+    for profile in Profile::ALL {
         for pct_shared in [0.0, 0.3] {
             let cfg = cfg_of(profile, pct_shared);
             let tag = format!("{} pct_shared={pct_shared}", profile.name());

@@ -5,9 +5,10 @@
 //! `loop_forest_on`, kept verbatim in structure: an address-ordered
 //! reverse postorder with its own address → position map, `Option` idoms,
 //! one `vec![false; blocks]` per header, `BTreeSet` bodies and nesting by
-//! pairwise `is_superset`. Every function of the sixteen golden images
-//! (each `pba-gen` profile at a twentieth of its size with two seeds,
-//! and the two `struct_large`-sized images) and a set of hand-built
+//! pairwise `is_superset`. Every function of the structure golden's
+//! sixteen images (`pba_gen::corpus::structure`: each profile at a
+//! twentieth of its size with two seeds, and the two
+//! `struct_large`-sized images) and a set of hand-built
 //! graphs must give the same loops in the same order: header, depth,
 //! size, sorted members and parent, the same `max_depth`, and the same
 //! `depth_of` for every block.
@@ -15,7 +16,7 @@
 use pba_cfg::EdgeKind;
 use pba_dataflow::loops::loop_forest_on;
 use pba_dataflow::{BinaryIr, CfgView, FlowGraph, LoopForest, VecView};
-use pba_gen::{generate, GenConfig, Profile};
+use pba_gen::corpus;
 use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------
@@ -224,48 +225,17 @@ fn check(view: &dyn CfgView, graph: &FlowGraph, forest: &LoopForest, what: &str)
     }
 }
 
-/// The structure golden's inputs: each profile at a twentieth of its
-/// size with debug info, then the two `struct_large`-sized images.
-fn golden_images() -> Vec<(String, GenConfig)> {
-    let profiles = [
-        Profile::Llnl1,
-        Profile::Llnl2,
-        Profile::Camellia,
-        Profile::TensorFlow,
-        Profile::Coreutils,
-        Profile::Server,
-        Profile::Skewed,
-    ];
-    let mut images = Vec::new();
-    for profile in profiles {
-        for seed in [11, 0x5EED_BA5E] {
-            let mut c = profile.config(seed);
-            c.num_funcs = (c.num_funcs / 20).max(48);
-            c.huge_diamonds = c.huge_diamonds.min(90);
-            c.debug_info = true;
-            images.push((format!("{} seed {seed:#x}", profile.name()), c));
-        }
-    }
-    for (profile, funcs) in [(Profile::TensorFlow, 640), (Profile::Llnl2, 680)] {
-        let mut c = profile.config(0x5EED_BA5E);
-        c.num_funcs = funcs * 15 / 16;
-        c.extra_funcs = funcs / 16;
-        c.variant = 7;
-        images.push((format!("large-{}", profile.name()), c));
-    }
-    images
-}
-
 #[test]
 fn every_golden_function_matches_the_reference_forest() {
     let mut loops = 0;
-    for (name, gen) in golden_images() {
-        let elf = pba_elf::Elf::parse(generate(&gen).elf).unwrap();
+    for case in corpus::structure() {
+        let elf = pba_elf::Elf::parse(case.elf()).unwrap();
         let input = pba_parse::ParseInput::from_elf(&elf).unwrap();
         let ir = BinaryIr::build(&pba_parse::parse_parallel(&input, 2).cfg, 2);
         for f in ir.funcs() {
             let forest = f.loop_forest();
-            check(f, f.graph(), forest, &format!("{name} fn {:#x}", f.entry()));
+            let what = format!("{} seed {:#x} fn {:#x}", case.name, case.seed(), f.entry());
+            check(f, f.graph(), forest, &what);
             loops += forest.loops.len();
         }
     }

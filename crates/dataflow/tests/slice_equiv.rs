@@ -5,7 +5,7 @@
 
 use pba_dataflow::view::VecView;
 use pba_dataflow::{collect_indirect_jumps, slice_indirect_jump_with, ExecutorKind, FuncIr};
-use pba_gen::{generate, Profile};
+use pba_gen::{corpus, generate, Profile};
 use pba_isa::x86::encode;
 use pba_isa::{insn::AluKind, insn::Cond, Insn, MemRef, Reg};
 use pba_parse::{parse_parallel, ParseInput};
@@ -131,38 +131,15 @@ fn full_scan(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
     jumps
 }
 
-/// On every profile at a twentieth of its size, and on the switch-heavy
-/// daemon shape (140 functions, a switch in each), the edge-filtered
-/// scan finds exactly the full scan's jumps and decodes less.
+/// On the corpus's cases with the first seed (every profile at a
+/// twentieth of its size, and the switch-heavy daemon shape: 140
+/// functions, a switch in each), the edge-filtered scan finds exactly
+/// the full scan's jumps and decodes less.
 #[test]
 fn indirect_jump_scan_matches_the_full_scan_and_decodes_less() {
-    let mut corpora: Vec<pba_gen::GenConfig> = [
-        Profile::Llnl1,
-        Profile::Llnl2,
-        Profile::Camellia,
-        Profile::TensorFlow,
-        Profile::Coreutils,
-        Profile::Server,
-        Profile::Skewed,
-    ]
-    .into_iter()
-    .map(|profile| {
-        let mut c = profile.config(11);
-        c.num_funcs = (c.num_funcs / 20).max(48);
-        c.huge_diamonds = c.huge_diamonds.min(90);
-        c.debug_info = false;
-        c
-    })
-    .collect();
-    corpora.push(pba_gen::GenConfig {
-        seed: 11,
-        num_funcs: 140,
-        pct_switch: 1.0,
-        debug_info: false,
-        ..Default::default()
-    });
-    for gen in &corpora {
-        let elf = pba_elf::Elf::parse(generate(gen).elf).expect("well-formed ELF");
+    let cases = corpus::small().into_iter().chain(corpus::serve());
+    for case in cases.filter(|case| case.seed() == corpus::SEEDS[0]) {
+        let elf = pba_elf::Elf::parse(case.elf()).expect("well-formed ELF");
         let cfg = parse_parallel(&ParseInput::from_elf(&elf).expect(".text present"), 2).cfg;
         let before = cfg.code.decode_count();
         let want = full_scan(&cfg);
@@ -170,8 +147,8 @@ fn indirect_jump_scan_matches_the_full_scan_and_decodes_less() {
         let before = cfg.code.decode_count();
         let got = collect_indirect_jumps(&cfg);
         let filtered = cfg.code.decode_count() - before;
-        assert!(!want.is_empty(), "seed {}: no indirect jump", gen.seed);
-        assert_eq!(got, want, "{} functions", gen.num_funcs);
+        assert!(!want.is_empty(), "{}: no indirect jump", case.name);
+        assert_eq!(got, want, "{}: {} functions", case.name, case.config.num_funcs);
         assert!(filtered < full, "decoded {filtered} insns, the full scan {full}");
     }
 }

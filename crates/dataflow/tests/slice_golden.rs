@@ -5,7 +5,7 @@
 //! whole [`SliceOutcome`] of every indirect jump of generated corpora —
 //! every `pba-gen` profile at a twentieth of its size, plus the
 //! switch-heavy shape the daemon benchmark serves (140 functions, a
-//! switch in every one) — so a change to the slice's cost (cone build,
+//! switch in every one; `pba_gen::corpus::small` and `serve`) — so a change to the slice's cost (cone build,
 //! path-state representation, classification) that moves any fact, any
 //! fact's position, or the widening flag fails here.
 //!
@@ -25,25 +25,11 @@ use pba_dataflow::{
     collect_indirect_jumps, slice_indirect_jump_with, BinaryIr, ExecutorKind, JumpTableForm,
     SliceOutcome,
 };
-use pba_gen::{generate, GenConfig, Profile};
+use pba_gen::corpus::{self, Case};
 use pba_isa::x86::{decode_one, encode};
 use pba_isa::{insn::AluKind, insn::Cond, Insn, MemRef, Reg};
 
-const PROFILES: [Profile; 7] = [
-    Profile::Llnl1,
-    Profile::Llnl2,
-    Profile::Camellia,
-    Profile::TensorFlow,
-    Profile::Coreutils,
-    Profile::Server,
-    Profile::Skewed,
-];
-const SEEDS: [u64; 3] = [11, 0x5EED_BA5E, 20_210_227];
-
-/// Name of the switch-heavy daemon shape in [`GOLDEN`].
-const SERVE: &str = "serve";
-
-/// `(corpus, seed, digest)`: the seven profiles, then [`SERVE`].
+/// `(corpus, seed, digest)`: the seven profiles, then the `serve` shape.
 #[rustfmt::skip]
 const GOLDEN: [(&str, u64, u64); 24] = [
     ("LLNL1", 0xb, 0x1260e912bd81fcd2), // jumps: 9
@@ -73,36 +59,11 @@ const GOLDEN: [(&str, u64, u64); 24] = [
 ];
 
 /// Digest of the [`diamond_chain`] outcome, which widens.
-const WIDENED: u64 = 0x400f67fbc0a3d1ba;
-
-/// The profile at a twentieth of its function count (at least 48), no
-/// debug info (the parser never reads it), a small giant for `Skewed`.
-fn small(profile: Profile, seed: u64) -> GenConfig {
-    let mut c = profile.config(seed);
-    c.num_funcs = (c.num_funcs / 20).max(48);
-    c.huge_diamonds = c.huge_diamonds.min(90);
-    c.debug_info = false;
-    c
-}
-
-/// The daemon benchmark's working-set shape: 140 functions, every one
-/// with a switch.
-fn serve(seed: u64) -> GenConfig {
-    GenConfig { seed, num_funcs: 140, pct_switch: 1.0, debug_info: false, ..Default::default() }
-}
+const WIDENED: u64 = 0x400f67fbc0a3d1ba; // facts: 259
 
 /// Every case in [`GOLDEN`] order.
-fn cases() -> Vec<(&'static str, u64, GenConfig)> {
-    let mut cases = Vec::new();
-    for profile in PROFILES {
-        for seed in SEEDS {
-            cases.push((profile.name(), seed, small(profile, seed)));
-        }
-    }
-    for seed in SEEDS {
-        cases.push((SERVE, seed, serve(seed)));
-    }
-    cases
+fn cases() -> Vec<Case> {
+    corpus::small().into_iter().chain(corpus::serve()).collect()
 }
 
 /// The bytes a digest is taken over: tagged sections of little-endian
@@ -150,8 +111,8 @@ impl Canon {
 }
 
 /// `(digest, jumps sliced)` of one corpus.
-fn digest(gen: &GenConfig) -> (u64, usize) {
-    let elf = pba_elf::Elf::parse(generate(gen).elf).unwrap();
+fn digest(case: &Case) -> (u64, usize) {
+    let elf = pba_elf::Elf::parse(case.elf()).unwrap();
     let input = pba_parse::ParseInput::from_elf(&elf).unwrap();
     let cfg = pba_parse::parse_parallel(&input, 2).cfg;
     let ir = BinaryIr::build(&cfg, 2);
@@ -173,9 +134,9 @@ fn digest(gen: &GenConfig) -> (u64, usize) {
 fn slice_digests_match_the_checked_in_constants() {
     let cases = cases();
     assert_eq!(cases.len(), GOLDEN.len());
-    for ((name, seed, gen), &(want_name, want_seed, want)) in cases.iter().zip(&GOLDEN) {
-        assert_eq!((*name, *seed), (want_name, want_seed), "GOLDEN row order");
-        let (got, jumps) = digest(gen);
+    for (case, &(name, seed, want)) in cases.iter().zip(&GOLDEN) {
+        assert_eq!((name, seed), (case.name.as_str(), case.seed()), "GOLDEN row order");
+        let (got, jumps) = digest(case);
         assert!(jumps > 0, "{name} seed {seed:#x}: no indirect jump to slice");
         assert_eq!(got, want, "{name} seed {seed:#x}: digest {got:#018x} != golden {want:#018x}");
     }
@@ -184,9 +145,9 @@ fn slice_digests_match_the_checked_in_constants() {
 #[test]
 #[ignore = "prints the GOLDEN table; run at the commit whose output is to be pinned"]
 fn print_golden() {
-    for (name, seed, gen) in cases() {
-        let (d, jumps) = digest(&gen);
-        println!("    ({name:?}, {seed:#x}, {d:#018x}), // jumps: {jumps}");
+    for case in cases() {
+        let (d, jumps) = digest(&case);
+        println!("    ({:?}, {:#x}, {d:#018x}), // jumps: {jumps}", case.name, case.seed());
     }
 }
 

@@ -23,9 +23,11 @@
 //! [`profiles`] scales the knobs to stand in for each evaluation binary
 //! class (LLNL1/LLNL2/Camellia/TensorFlow for Table 2, the
 //! coreutils+tar-class 113-binary set for Section 8.1, and the 504-binary
-//! forensics corpus for Table 3).
+//! forensics corpus for Table 3). [`corpus`] names the inputs the
+//! golden tests pin.
 
 pub mod asm;
+pub mod corpus;
 pub mod debug;
 pub mod emit;
 pub mod plan;

@@ -46,6 +46,17 @@ pub enum Profile {
 }
 
 impl Profile {
+    /// Every profile, in the order the golden tables list them.
+    pub const ALL: [Profile; 7] = [
+        Profile::Llnl1,
+        Profile::Llnl2,
+        Profile::Camellia,
+        Profile::TensorFlow,
+        Profile::Coreutils,
+        Profile::Server,
+        Profile::Skewed,
+    ];
+
     /// All Table 1 / Table 2 profiles in paper order.
     pub const TABLE1: [Profile; 4] =
         [Profile::Llnl1, Profile::Llnl2, Profile::Camellia, Profile::TensorFlow];

@@ -6,7 +6,8 @@
 //! statement range, file name and inline scope, byte for byte — on every
 //! `pba-gen` profile at a twentieth of its size, and on the TensorFlow-
 //! and LLNL2-class images at the size the `struct_large` benchmark
-//! workload runs, each at 1 and 2 threads. A change to how the structure
+//! workload runs (`pba_gen::corpus::structure`), each at 1 and 2
+//! threads. A change to how the structure
 //! is built or written that moves one byte fails here.
 //!
 //! A digest is FNV-1a-64 of the text. Regenerate (only for an intended
@@ -14,26 +15,13 @@
 //! `cargo test -p pba-hpcstruct --test golden -- --ignored --nocapture print_golden`.
 
 use pba_dataflow::{BinaryIr, ExecutorKind};
-use pba_gen::{generate, GenConfig, Profile};
+use pba_gen::corpus;
 use pba_hpcstruct::{analyze_artifacts, ArtifactTimes, HsConfig, HsOutput};
 use pba_parse::{parse_parallel, ParseInput};
 
-const PROFILES: [Profile; 7] = [
-    Profile::Llnl1,
-    Profile::Llnl2,
-    Profile::Camellia,
-    Profile::TensorFlow,
-    Profile::Coreutils,
-    Profile::Server,
-    Profile::Skewed,
-];
-const SEEDS: [u64; 2] = [11, 0x5EED_BA5E];
-
-/// Seed of the `struct_large`-sized images' base program.
-const LARGE_BASE: u64 = 0x5EED_BA5E;
-
-/// `(corpus, seed, digest)`: the seven profiles at a twentieth of their
-/// size, then the two `struct_large`-sized images (`large-` prefix).
+/// `(corpus, seed, digest)` in `corpus::structure` order: the seven
+/// profiles at a twentieth of their size, then the two
+/// `struct_large`-sized images (`large-` prefix).
 #[rustfmt::skip]
 const GOLDEN: [(&str, u64, u64); 16] = [
     ("LLNL1", 0xb, 0xa6c57c600eb7bed5), // bytes: 239230, stmts: 3128
@@ -53,41 +41,6 @@ const GOLDEN: [(&str, u64, u64); 16] = [
     ("large-TensorFlow", 0x5eedba5e, 0x3299082e87b01998), // bytes: 1539282, stmts: 16664
     ("large-LLNL2", 0x5eedba5e, 0x80d7e04f1b280410), // bytes: 1524654, stmts: 19479
 ];
-
-/// The profile at a twentieth of its function count (at least 48), a
-/// small giant for `Skewed`, and debug info on: the near-stripped
-/// profiles would otherwise pin no statement or inline scope.
-fn small(profile: Profile, seed: u64) -> GenConfig {
-    let mut c = profile.config(seed);
-    c.num_funcs = (c.num_funcs / 20).max(48);
-    c.huge_diamonds = c.huge_diamonds.min(90);
-    c.debug_info = true;
-    c
-}
-
-/// The `struct_large` workload's image of `profile` with `funcs`
-/// functions: fifteen sixteenths base program, the rest a fixed variant.
-fn large(profile: Profile, funcs: usize) -> GenConfig {
-    let mut c = profile.config(LARGE_BASE);
-    c.num_funcs = funcs * 15 / 16;
-    c.extra_funcs = funcs / 16;
-    c.variant = 7;
-    c
-}
-
-/// Every case in [`GOLDEN`] order.
-fn cases() -> Vec<(String, u64, GenConfig)> {
-    let mut cases = Vec::new();
-    for profile in PROFILES {
-        for seed in SEEDS {
-            cases.push((profile.name().to_string(), seed, small(profile, seed)));
-        }
-    }
-    for (profile, funcs) in [(Profile::TensorFlow, 640), (Profile::Llnl2, 680)] {
-        cases.push((format!("large-{}", profile.name()), LARGE_BASE, large(profile, funcs)));
-    }
-    cases
-}
 
 /// Build the artifacts the way a session does and run the pipeline.
 fn structure(bytes: &[u8], threads: usize) -> HsOutput {
@@ -116,11 +69,11 @@ fn digest(bytes: &[u8], threads: usize) -> (u64, usize, usize) {
 
 #[test]
 fn structure_text_digests_match_the_checked_in_constants() {
-    let cases = cases();
+    let cases = corpus::structure();
     assert_eq!(cases.len(), GOLDEN.len());
-    for ((name, seed, gen), &(want_name, want_seed, want)) in cases.iter().zip(&GOLDEN) {
-        assert_eq!((name.as_str(), *seed), (want_name, want_seed), "GOLDEN row order");
-        let bytes = generate(gen).elf;
+    for (case, &(name, seed, want)) in cases.iter().zip(&GOLDEN) {
+        assert_eq!((name, seed), (case.name.as_str(), case.seed()), "GOLDEN row order");
+        let bytes = case.elf();
         for threads in [1, 2] {
             let (got, _, _) = digest(&bytes, threads);
             assert_eq!(
@@ -134,8 +87,12 @@ fn structure_text_digests_match_the_checked_in_constants() {
 #[test]
 #[ignore = "prints the GOLDEN table; run at the commit whose output is to be pinned"]
 fn print_golden() {
-    for (name, seed, gen) in cases() {
-        let (d, len, stmts) = digest(&generate(&gen).elf, 1);
-        println!("    ({name:?}, {seed:#x}, {d:#018x}), // bytes: {len}, stmts: {stmts}");
+    for case in corpus::structure() {
+        let (d, len, stmts) = digest(&case.elf(), 1);
+        println!(
+            "    ({:?}, {:#x}, {d:#018x}), // bytes: {len}, stmts: {stmts}",
+            case.name,
+            case.seed()
+        );
     }
 }

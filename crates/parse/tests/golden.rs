@@ -8,7 +8,8 @@
 //! constants: every thread count, scheduling and decode-cache setting
 //! must still reproduce them. The `SERVE_GOLDEN` rows (the daemon
 //! benchmark's switch-heavy shape) were added, generated the same way,
-//! before the jump-table slice was rewritten for cost.
+//! before the jump-table slice was rewritten for cost. The inputs are
+//! `pba_gen::corpus::small` and `pba_gen::corpus::serve`.
 //!
 //! A digest is FNV-1a-64 over `cfg.canonical()` (blocks, edges,
 //! per-function membership and `ret_status`) followed by the sorted
@@ -18,24 +19,14 @@
 //! `cargo test -p pba-parse --test golden -- --ignored --nocapture print_golden`.
 
 use pba_cfg::{Cfg, EdgeKind};
-use pba_gen::{generate, GenConfig, Profile};
+use pba_gen::corpus::{self, Case};
 use pba_parse::{parse, ParseConfig, ParseInput, ParseResult, Scheduling};
 
-const PROFILES: [Profile; 7] = [
-    Profile::Llnl1,
-    Profile::Llnl2,
-    Profile::Camellia,
-    Profile::TensorFlow,
-    Profile::Coreutils,
-    Profile::Server,
-    Profile::Skewed,
-];
-const SEEDS: [u64; 3] = [11, 0x5EED_BA5E, 20_210_227];
-
-/// `(profile, seed, cfg digest, 1-thread work counters)`; the counters
-/// are `[blocks_created, edges_created, funcs_created,
-/// split_iterations, jt_bounded, jt_unbounded, insns_decoded]` of the
-/// 1-thread / `Task` / decode-cache-on parse, which is deterministic.
+/// `(profile, seed, cfg digest, 1-thread work counters)` of each
+/// `corpus::small` case; the counters are `[blocks_created,
+/// edges_created, funcs_created, split_iterations, jt_bounded,
+/// jt_unbounded, insns_decoded]` of the 1-thread / `Task` /
+/// decode-cache-on parse, which is deterministic.
 #[rustfmt::skip]
 const GOLDEN: [(&str, u64, u64, [u64; 7]); 21] = [
     ("LLNL1", 0xb, 0x341c530b717eb7e3, [1019, 1432, 110, 335, 7, 2, 5892]),
@@ -61,9 +52,10 @@ const GOLDEN: [(&str, u64, u64, [u64; 7]); 21] = [
     ("skewed", 0x1346233, 0x9b7cd3531b2c9ca5, [683, 932, 48, 223, 1, 0, 3189]),
 ];
 
-/// The switch-heavy shape the daemon benchmark serves (`serve()`): its
-/// parse is mostly jump-table slicing, which the profiles above exercise
-/// lightly. Same columns as [`GOLDEN`], one row per seed.
+/// The switch-heavy shape the daemon benchmark serves
+/// ([`corpus::serve`]): its parse is mostly jump-table slicing, which the
+/// profiles above exercise lightly. Same columns as [`GOLDEN`], one row
+/// per seed.
 #[rustfmt::skip]
 const SERVE_GOLDEN: [(&str, u64, u64, [u64; 7]); 3] = [
     ("serve", 0xb, 0x255a15465efe728c, [2305, 3508, 140, 502, 107, 25, 9811]),
@@ -79,25 +71,8 @@ const SERVE_GOLDEN: [(&str, u64, u64, [u64; 7]); 3] = [
 #[rustfmt::skip]
 const SERVE_JT_WORK: [[u64; 2]; 3] = [[255, 326], [257, 381], [250, 367]];
 
-/// 140 functions, every one with a switch: the daemon benchmark's
-/// working-set binaries without their debug info and appended variants.
-fn serve(seed: u64) -> GenConfig {
-    GenConfig { seed, num_funcs: 140, pct_switch: 1.0, debug_info: false, ..Default::default() }
-}
-
-/// The profile at a twentieth of its function count (at least 48), no
-/// debug info (the parser never reads it), a small giant for `Skewed`.
-fn small(profile: Profile, seed: u64) -> GenConfig {
-    let mut c = profile.config(seed);
-    c.num_funcs = (c.num_funcs / 20).max(48);
-    c.huge_diamonds = c.huge_diamonds.min(90);
-    c.debug_info = false;
-    c
-}
-
-fn input_for(cfg: &GenConfig) -> ParseInput {
-    let g = generate(cfg);
-    let elf = pba_elf::Elf::parse(g.elf).unwrap();
+fn input_for(case: &Case) -> ParseInput {
+    let elf = pba_elf::Elf::parse(case.elf()).unwrap();
     ParseInput::from_elf(&elf).unwrap()
 }
 
@@ -209,40 +184,42 @@ fn check(name: &str, seed: u64, input: &ParseInput, want: u64, want_counters: [u
 /// foreign task resets the thread's decode cache).
 #[test]
 fn digests_and_one_thread_counters_match_the_checked_in_constants() {
-    let mut rows = GOLDEN.iter();
-    for profile in PROFILES {
-        for seed in SEEDS {
-            let &(name, want_seed, want, want_counters) = rows.next().unwrap();
-            assert_eq!((name, want_seed), (profile.name(), seed), "GOLDEN row order");
-            check(name, seed, &input_for(&small(profile, seed)), want, want_counters);
-        }
+    let (cases, serve) = (corpus::small(), corpus::serve());
+    assert_eq!(cases.len(), GOLDEN.len(), "one GOLDEN row per case");
+    assert_eq!(serve.len(), SERVE_GOLDEN.len(), "one SERVE_GOLDEN row per case");
+    assert_eq!(serve.len(), SERVE_JT_WORK.len(), "one SERVE_JT_WORK row per case");
+    for (case, &(name, want_seed, want, want_counters)) in cases.iter().zip(&GOLDEN) {
+        assert_eq!((name, want_seed), (case.name.as_str(), case.seed()), "GOLDEN row order");
+        check(name, want_seed, &input_for(case), want, want_counters);
     }
-    for ((&(name, want_seed, want, want_counters), seed), want_jt) in
-        SERVE_GOLDEN.iter().zip(SEEDS).zip(SERVE_JT_WORK)
+    for ((case, &(name, want_seed, want, want_counters)), want_jt) in
+        serve.iter().zip(&SERVE_GOLDEN).zip(SERVE_JT_WORK)
     {
-        assert_eq!(want_seed, seed, "SERVE_GOLDEN row order");
-        let input = input_for(&serve(seed));
-        check(name, seed, &input, want, want_counters);
-        assert_eq!(jt_work(&t1(&input)), want_jt, "{name} seed {seed:#x}: [jt_slices, jt_views]");
+        assert_eq!((name, want_seed), (case.name.as_str(), case.seed()), "SERVE_GOLDEN row order");
+        let input = input_for(case);
+        check(name, want_seed, &input, want, want_counters);
+        assert_eq!(
+            jt_work(&t1(&input)),
+            want_jt,
+            "{name} seed {want_seed:#x}: [jt_slices, jt_views]"
+        );
     }
 }
 
 #[test]
 #[ignore = "prints the GOLDEN, SERVE_GOLDEN and SERVE_JT_WORK tables; run at the commit whose output is to be pinned"]
 fn print_golden() {
-    let row = |name: &str, seed: u64, cfg: &GenConfig| {
-        let r = t1(&input_for(cfg));
-        println!("    ({name:?}, {seed:#x}, {:#018x}, {:?}),", digest(&r.cfg), counters(&r));
-    };
-    for profile in PROFILES {
-        for seed in SEEDS {
-            row(profile.name(), seed, &small(profile, seed));
-        }
-    }
-    for seed in SEEDS {
-        row("serve", seed, &serve(seed));
+    for case in corpus::small().iter().chain(&corpus::serve()) {
+        let r = t1(&input_for(case));
+        println!(
+            "    ({:?}, {:#x}, {:#018x}, {:?}),",
+            case.name,
+            case.seed(),
+            digest(&r.cfg),
+            counters(&r)
+        );
     }
     let work: Vec<[u64; 2]> =
-        SEEDS.iter().map(|&seed| jt_work(&t1(&input_for(&serve(seed))))).collect();
+        corpus::serve().iter().map(|case| jt_work(&t1(&input_for(case)))).collect();
     println!("const SERVE_JT_WORK: [[u64; 2]; 3] = {work:?};");
 }

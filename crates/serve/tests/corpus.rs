@@ -5,21 +5,14 @@
 //! one byte budget for the index and the sessions.
 
 use pba_driver::SessionConfig;
-use pba_gen::{generate, GenConfig};
+use pba_gen::{corpus, generate};
 use pba_serve::{BinSpec, Request, Response, ServeShared, SessionCache};
 
-/// A clone-family member: `variant` 1..=V share a byte-identical base
-/// program and differ only in their appended extra functions.
+/// A clone-family member ([`corpus::clone_member`]): `variant` 1..=V
+/// share a byte-identical base program and differ only in their
+/// appended extra functions.
 fn clone_elf(family_seed: u64, variant: u64) -> Vec<u8> {
-    generate(&GenConfig {
-        seed: family_seed,
-        num_funcs: 16,
-        extra_funcs: 2,
-        variant,
-        debug_info: false,
-        ..Default::default()
-    })
-    .elf
+    generate(&corpus::clone_member(family_seed, variant)).elf
 }
 
 fn shared() -> ServeShared {

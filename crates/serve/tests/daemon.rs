@@ -8,7 +8,7 @@
 use pba_driver::{Session, SessionConfig};
 use pba_elf::types::EM_X86_64;
 use pba_elf::{ElfBuilder, ImageBytes, SecFlags, SecType, SymBind, SymType};
-use pba_gen::{generate, GenConfig};
+use pba_gen::{corpus, generate};
 use pba_serve::proto::{read_message, write_frame, write_message};
 use pba_serve::{
     slice_function, sorted_features, BinSpec, Client, Request, Response, ServeAddr, ServeConfig,
@@ -22,7 +22,7 @@ use std::time::Duration;
 /// A switch-heavy test binary (every function gets a jump table, so
 /// `slice_func` always has rows to serve).
 fn gen_elf(seed: u64, funcs: usize) -> Vec<u8> {
-    generate(&GenConfig { seed, num_funcs: funcs, pct_switch: 1.0, ..Default::default() }).elf
+    generate(&corpus::switch_heavy(seed, funcs, true)).elf
 }
 
 /// The one session config both sides of an equivalence test must share

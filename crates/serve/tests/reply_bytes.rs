@@ -8,7 +8,7 @@
 
 use pba_binfeat::{rank_topk, CorpusIndex, IndexConfig};
 use pba_driver::{Error, Session, SessionConfig};
-use pba_gen::{generate, GenConfig};
+use pba_gen::{corpus, generate};
 use pba_serve::proto::{decode_message, read_frame, write_frame, write_message};
 use pba_serve::{
     slice_function, sorted_features, BinSpec, Request, Response, ServeAddr, ServeConfig, Server,
@@ -18,7 +18,7 @@ use std::net::TcpStream;
 
 /// A switch-heavy test binary, so `slice_func` has rows to serve.
 fn gen_elf(seed: u64, funcs: usize) -> Vec<u8> {
-    generate(&GenConfig { seed, num_funcs: funcs, pct_switch: 1.0, ..Default::default() }).elf
+    generate(&corpus::switch_heavy(seed, funcs, true)).elf
 }
 
 fn test_config() -> SessionConfig {

@@ -16,16 +16,13 @@
 
 use pba_driver::SessionConfig;
 use pba_elf::image::fnv1a_64;
-use pba_gen::{generate, GenConfig};
+use pba_gen::corpus;
 use pba_serve::proto::{read_frame, write_message};
 use pba_serve::{
     BinSpec, Request, Response, ServeAddr, ServeConfig, ServeShared, Server, SessionCache,
 };
 use std::net::TcpStream;
 
-/// Families in the fixture, and variants per family.
-const FAMILIES: u64 = 3;
-const VARIANTS: u64 = 4;
 /// Variants `1..=INDEXED` of each family are ingested; the last one is
 /// only ever a query, so the top-K pins cover a query outside the index.
 const INDEXED: u64 = 3;
@@ -36,23 +33,10 @@ const TOPK_LSH_PIN: u64 = 0xafa1b78fcc5c8f71;
 const TOPK_EXACT_PIN: u64 = 0x7ddc74035564e835;
 const FEATURES_PIN: u64 = 0xbef0517a7e44cacd;
 
-/// Family `fam`'s member `variant`: the members share a byte-identical
-/// base program and differ in their two appended extra functions.
-fn member(fam: u64, variant: u64) -> Vec<u8> {
-    generate(&GenConfig {
-        seed: 0xC10E + fam * 977,
-        num_funcs: 16,
-        extra_funcs: 2,
-        variant,
-        debug_info: false,
-        ..Default::default()
-    })
-    .elf
-}
-
-/// Every member, family-major.
+/// Every member of [`corpus::clone_families`] with its variant,
+/// family-major.
 fn fixture() -> Vec<(u64, Vec<u8>)> {
-    (0..FAMILIES).flat_map(|fam| (1..=VARIANTS).map(move |v| (v, member(fam, v)))).collect()
+    corpus::clone_families().iter().map(|case| (case.config.variant, case.elf())).collect()
 }
 
 fn config() -> SessionConfig {
